@@ -175,7 +175,8 @@ def _thomas_nb_impl(sub, diag, sup, rhs):
 def _build_matrix_1d_np(r, kind, s_nodes, kp_nodes):
     # Full-line convolution of an even density, folded onto the half line:
     # W_ij = (k'(|r_i-r_j|) sign(r_i-r_j) + k'(r_i+r_j)) / 2, with the
-    # principal-value diagonal sign(0) = 0.
+    # principal-value diagonal sign(0) = 0. The solver never forms this
+    # matrix (drift applies it matrix-free); it is the tests' reference.
     diff = r[:, None] - r[None, :]
     sgn = np.sign(diff)
     near = kprime_array(kind, np.abs(diff), s_nodes, kp_nodes)

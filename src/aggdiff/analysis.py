@@ -21,6 +21,7 @@ on runs not used for calibration.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -398,7 +399,9 @@ def loglog_fit(x, y) -> FitResult:
     fitted = design @ coef
     ss_res = float(np.sum((ly - fitted) ** 2))
     ss_tot = float(np.sum((ly - np.mean(ly)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
+    # A constant series fits exactly; a non-finite point leaves ss_tot NaN,
+    # and R^2 must then stay NaN so that no fit-quality gate passes.
+    r2 = 1.0 - ss_res / ss_tot if ss_tot != 0.0 else 1.0
     return FitResult(float(coef[0]), float(coef[1]), r2)
 
 
@@ -587,7 +590,10 @@ def epsilon_sweep(kernel: KernelSpec, init, settings: SweepSettings) -> SweepRep
     reported in decreasing diffusivity. Barrier coefficients are
     calibrated on every other row (starting with the largest diffusivity)
     and checked on all rows, so the held-out rows genuinely test the
-    frozen constants. Per-row failures abort the sweep only for that row.
+    frozen constants. An exception in any row aborts the whole sweep and
+    propagates to the caller. With ``jobs > 1`` the rows run in spawned
+    worker processes: forking a process whose numeric libraries already
+    run threads (OpenMP, BLAS) can deadlock or crash the pool.
     """
     epsilons = sorted(set(float(e) for e in settings.epsilons), reverse=True)
     if len(epsilons) < FIT_MIN_POINTS:
@@ -607,7 +613,8 @@ def epsilon_sweep(kernel: KernelSpec, init, settings: SweepSettings) -> SweepRep
     t_star = settings.t_star if settings.t_star is not None else 2.0 * constants.horizon
     payloads = [(kernel, init, settings, constants, e, t_star) for e in epsilons]
     if settings.jobs > 1:
-        with ProcessPoolExecutor(max_workers=settings.jobs) as pool:
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=settings.jobs, mp_context=spawn) as pool:
             outcomes = list(pool.map(_sweep_case, payloads))
     else:
         outcomes = [_sweep_case(p) for p in payloads]
@@ -682,23 +689,34 @@ def calibrate_lp_coefficient_rows(rows, p, dimension, safety) -> float:
     return safety * worst
 
 
+def _worst(values, reduce) -> float:
+    """``reduce`` over per-row values, or NaN when any value is not finite.
+
+    Every verdict compares its worst value with a threshold, and each such
+    comparison is False for NaN, so a non-finite row fails the verdict.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    return float(reduce(values)) if np.all(np.isfinite(values)) else math.nan
+
+
 def _sweep_verdicts(rows, fits, quality, calibrated, constants, dim) -> list:
     verdicts = []
 
     def add(name, passed, margin, detail):
         verdicts.append(Verdict(name, bool(passed), float(margin), detail))
 
-    worst_mass = max(row.mass_error for row in rows)
+    worst_mass = _worst([row.mass_error for row in rows], np.max)
     add("mass_conservation", worst_mass <= 1e-6, 1e-6 - worst_mass, f"max defect {worst_mass:.3e}")
+    worst_loss = _worst([row.boundary_loss for row in rows], np.max)
     add(
         "boundary_loss",
-        all(row.domain_adequate for row in rows),
-        min(1e-6 - row.boundary_loss for row in rows),
+        all(row.domain_adequate for row in rows) and math.isfinite(worst_loss),
+        1e-6 - worst_loss,
         "outer rim losses within tolerance",
     )
     total_viol = sum(row.moment_violations for row in rows)
     add("moment_inequality", total_viol == 0, -float(total_viol), f"{total_viol} violations")
-    worst_ratio = min(row.weighted_ratio for row in rows)
+    worst_ratio = _worst([row.weighted_ratio for row in rows], np.min)
     add(
         "weighted_lower_bound",
         worst_ratio >= 1.0,
@@ -727,7 +745,7 @@ def _sweep_verdicts(rows, fits, quality, calibrated, constants, dim) -> list:
                          coef, row.epsilon, dim)
             for row in rows
         ]
-        worst = max(ratios)
+        worst = _worst(ratios, np.max)
         add(
             f"upper_barrier_{ckey}",
             worst <= 1.0,
@@ -737,7 +755,8 @@ def _sweep_verdicts(rows, fits, quality, calibrated, constants, dim) -> list:
     smallest = rows[-1]
     coef = calibrated["lp_2"]
     barrier_small = lp_barrier(2.0, constants.total_mass, smallest.u0_lp[2.0], coef, smallest.epsilon, dim)
-    saturation = barrier_small / smallest.sup_lp[2.0]
+    sup_small = smallest.sup_lp[2.0]
+    saturation = barrier_small / sup_small if math.isfinite(sup_small) else math.nan
     add(
         "barrier_saturation",
         saturation <= 10.0,
@@ -749,16 +768,16 @@ def _sweep_verdicts(rows, fits, quality, calibrated, constants, dim) -> list:
             row.sup_h1 / h1_barrier(constants.total_mass, row.u0_h1, calibrated["h1"], row.epsilon)
             for row in rows
         ]
-        worst = max(ratios)
+        worst = _worst(ratios, np.max)
         add("upper_barrier_h1", worst <= 1.0, 1.0 - worst, f"max sup/barrier ratio {worst:.3f}")
 
     conc = [row.ball_mass_integral for row in rows]
-    c_star = min(conc)
+    c_star = _worst(conc, np.min)
     add("concentration_positive", c_star > 0.0, c_star, f"empirical uniform constant {c_star:.4g}")
     decay = conc[-1] / conc[0] if conc[0] > 0.0 else 0.0
     add(
         "concentration_no_decay",
-        decay >= 0.5,
+        0.5 <= decay < math.inf,
         decay - 0.5,
         f"smallest-eps / largest-eps integral ratio {decay:.3f}",
     )

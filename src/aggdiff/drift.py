@@ -1,18 +1,27 @@
 """Radial drift velocity induced by the interaction kernel.
 
-The radial component of (grad K * u) at radius r is, for N >= 2, the
-angular average over the unit sphere of k'(d) (r - rho cos t)/d with
-d the chord distance to a source at radius rho. Discretised on the cell
-centers this is a dense matrix W with V_i = sum_j W_ij u_j vol_j. In one
-dimension the convolution over the mirrored line is exact for even data
-and W has the closed form (k'(|r_i - r_j|) sign(r_i - r_j) + k'(r_i + r_j))/2.
+The drift is a linear operator on the cell masses m_j = u_j vol_j:
+V_i = sum_j W_ij m_j. ``build_interaction_matrix`` returns it as a
+``DriftOperator`` whose ``apply(masses)`` computes V and post-checks the
+convolution bound |V| <= |k'|_sup * mass.
 
-The angular integral uses Gauss-Legendre nodes on [0, pi] with order
-doubling until the induced velocity on a smooth reference bump changes by
-less than a relative tolerance. No special diagonal split is needed: at
-r = rho the integrand reduces to k'(2 r sin(t/2)) sin(t/2) sin^{N-2} t,
-which is smooth for smooth k'; the chord distance is floored at 1e-12
-only to protect the 0/0 ratio.
+For N >= 2, W_ij is the angular average over the unit sphere of
+k'(d) (r - rho cos t)/d with d the chord distance to a source at radius
+rho, and the operator holds W as a dense matrix. The angular integral uses
+Gauss-Legendre nodes on [0, pi] with order doubling until the induced
+velocity on a smooth reference bump changes by less than a relative
+tolerance. No special diagonal split is needed: at r = rho the integrand
+reduces to k'(2 r sin(t/2)) sin(t/2) sin^{N-2} t, which is smooth for
+smooth k'; the chord distance is floored at 1e-12 only to protect the 0/0
+ratio.
+
+In one dimension the convolution over the mirrored line is exact for even
+data, and on the uniform cell-centred grid W_ij =
+(k'(|r_i - r_j|) sign(r_i - r_j) + k'(r_i + r_j))/2 is Toeplitz in i - j
+plus Hankel in i + j. It is never formed. A constant gradient k' = c
+(``neg_abs``, and the zero kernel) gives V = c (cumsum(m) - m/2) in O(n);
+any other kernel goes through FFT convolutions with spectra computed once
+per grid. Only the dense N >= 2 matrices can go to the binary disk cache.
 """
 
 from __future__ import annotations
@@ -30,18 +39,97 @@ from .kernels import KernelFamily, KernelSpec, kdoubleprime, min_attraction_limi
 MAGIC = b"AGDM"
 FORMAT_VERSION = 1
 
+# k' of the kernels with a constant gradient, which have an O(n) 1-D drift.
+_CONSTANT_KPRIME = {KernelFamily.NEG_ABS: -1.0, KernelFamily.ZERO: 0.0}
+
 
 class QuadratureError(RuntimeError):
     """Angular quadrature failed to converge under order doubling."""
 
 
 @dataclass(frozen=True)
-class InteractionMatrix:
+class DriftOperator:
+    """Linear map from cell masses to the radial drift velocity."""
+
     grid: RadialGrid
     kernel_name: str
     kprime_sup_norm: float
     quadrature_order: int
+
+    def apply(self, masses: np.ndarray) -> np.ndarray:
+        """V_i = sum_j W_ij masses_j, post-checked against |V| <= |k'|_sup * mass.
+
+        A non-finite V fails the check.
+        """
+        v = self._product(masses)
+        bound = self.kprime_sup_norm * float(np.sum(masses))
+        vmax = float(np.max(np.abs(v))) if v.size else 0.0
+        if not vmax <= bound * (1.0 + 1e-9) + 1e-13:
+            raise RuntimeError(f"drift bound violated: |V| = {vmax:g} > {bound:g}")
+        return v
+
+    def _product(self, masses: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+
+@dataclass(frozen=True)
+class InteractionMatrix(DriftOperator):
+    """Dense drift matrix (N >= 2)."""
+
     weights: np.ndarray = field(repr=False)
+
+    def _product(self, masses):
+        return self.weights @ masses
+
+
+@dataclass(frozen=True)
+class ConstantGradientDrift(DriftOperator):
+    """1-D drift of a kernel with k' = ``kprime`` everywhere: O(n) prefix sums.
+
+    W_ij = kprime for j < i, kprime/2 for j = i and 0 for j > i.
+    """
+
+    kprime: float
+
+    def _product(self, masses):
+        return self.kprime * (np.cumsum(masses) - 0.5 * masses)
+
+
+@dataclass(frozen=True)
+class SpectralDrift(DriftOperator):
+    """1-D drift of a general kernel as two FFT convolutions.
+
+    With r_i = (i + 1/2) dr, the near part is the convolution of m with
+    a_k = k'(|k| dr) sign(k), k = -(n-1)..n-1, and the mirrored part is the
+    convolution of reversed m with b_s = k'((s + 1) dr), s = 0..2n-2; both
+    are read off at output indices n-1..2n-2, which a cyclic length of at
+    least 2n - 1 leaves free of wrap-around.
+    """
+
+    near_spectrum: np.ndarray = field(repr=False)
+    mirror_spectrum: np.ndarray = field(repr=False)
+    size: int
+
+    def _product(self, masses):
+        n = masses.shape[0]
+        spectrum = (
+            self.near_spectrum * np.fft.rfft(masses, self.size)
+            + self.mirror_spectrum * np.fft.rfft(masses[::-1], self.size)
+        )
+        return 0.5 * np.fft.irfft(spectrum, self.size)[n - 1 : 2 * n - 1]
+
+
+def _spectral_drift(grid: RadialGrid, kernel: KernelSpec) -> SpectralDrift:
+    n, dr = grid.n, grid.dr
+    size = 1 << (2 * n - 2).bit_length()  # power of two >= 2n - 1
+    offsets = np.arange(-(n - 1), n, dtype=np.float64)
+    sums = np.arange(1, 2 * n, dtype=np.float64)
+    near = _accel.kprime_array(kernel.code, np.abs(offsets) * dr, kernel.s_nodes, kernel.kprime_nodes)
+    mirror = _accel.kprime_array(kernel.code, sums * dr, kernel.s_nodes, kernel.kprime_nodes)
+    return SpectralDrift(
+        grid, kernel.name(), kernel.kprime_sup_norm, 0,
+        np.fft.rfft(near * np.sign(offsets), size), np.fft.rfft(mirror, size), size,
+    )
 
 
 def _angular_nodes(dimension: int, order: int):
@@ -62,8 +150,6 @@ def _check_tabulated_range(kernel: KernelSpec, grid: RadialGrid):
 
 def _build_weights(grid: RadialGrid, kernel: KernelSpec, order: int) -> np.ndarray:
     r = grid.r_centers
-    if grid.dimension == 1:
-        return _accel.build_matrix_1d(r, kernel.code, kernel.s_nodes, kernel.kprime_nodes)
     cos_t, wts, wsum = _angular_nodes(grid.dimension, order)
     return _accel.build_matrix_nd(r, kernel.code, kernel.s_nodes, kernel.kprime_nodes, cos_t, wts, wsum)
 
@@ -75,22 +161,27 @@ def build_interaction_matrix(
     start_order: int = 16,
     max_order: int = 2048,
     quadrature_order: int | None = None,
-) -> InteractionMatrix:
-    """Assemble the dense drift matrix for a grid/kernel pair.
+) -> DriftOperator:
+    """Build the drift operator for a grid/kernel pair.
 
-    For N >= 2 the Gauss-Legendre order doubles from ``start_order`` until
-    the velocity induced on a fixed smooth reference bump changes by less
-    than ``rel_tol`` (sup norm, relative); pass ``quadrature_order`` to
-    pin the order instead. Raises QuadratureError when ``max_order`` is
-    reached without convergence.
+    In one dimension the operator is matrix-free and the quadrature
+    arguments are ignored (the reported order is 0). For N >= 2 it holds
+    the dense matrix: the Gauss-Legendre order doubles from
+    ``start_order`` until the velocity induced on a fixed smooth reference
+    bump changes by less than ``rel_tol`` (sup norm, relative); pass
+    ``quadrature_order`` to pin the order instead. Raises QuadratureError
+    when ``max_order`` is reached without convergence.
     """
     _check_tabulated_range(kernel, grid)
+    if grid.dimension == 1:
+        if kernel.family in _CONSTANT_KPRIME:
+            return ConstantGradientDrift(
+                grid, kernel.name(), kernel.kprime_sup_norm, 0, _CONSTANT_KPRIME[kernel.family]
+            )
+        return _spectral_drift(grid, kernel)
     if kernel.family is KernelFamily.ZERO:
         weights = np.zeros((grid.n, grid.n))
         return InteractionMatrix(grid, kernel.name(), 0.0, 0, weights)
-    if grid.dimension == 1:
-        weights = _build_weights(grid, kernel, 0)
-        return InteractionMatrix(grid, kernel.name(), kernel.kprime_sup_norm, 0, weights)
     if quadrature_order is not None:
         weights = _build_weights(grid, kernel, quadrature_order)
         return InteractionMatrix(grid, kernel.name(), kernel.kprime_sup_norm, quadrature_order, weights)
@@ -110,19 +201,11 @@ def build_interaction_matrix(
     raise QuadratureError(f"angular quadrature not converged at order {max_order}")
 
 
-def apply_drift(matrix: InteractionMatrix, field: DensityField) -> np.ndarray:
-    """Radial drift velocity samples V_i = sum_j W_ij u_j vol_j.
-
-    Post-checks the convolution bound |V| <= |k'|_sup * mass.
-    """
-    if field.grid is not matrix.grid and field.grid.key() != matrix.grid.key():
-        raise ValueError("field and interaction matrix live on different grids")
-    v = matrix.weights @ (field.values * field.grid.cell_volumes)
-    bound = matrix.kprime_sup_norm * float(np.dot(field.values, field.grid.cell_volumes))
-    vmax = float(np.max(np.abs(v))) if v.size else 0.0
-    if vmax > bound * (1.0 + 1e-9) + 1e-13:
-        raise RuntimeError(f"drift bound violated: |V| = {vmax:g} > {bound:g}")
-    return v
+def apply_drift(operator: DriftOperator, field: DensityField) -> np.ndarray:
+    """Radial drift velocity of a field, V = operator.apply(u * vol)."""
+    if field.grid is not operator.grid and field.grid.key() != operator.grid.key():
+        raise ValueError("field and drift operator live on different grids")
+    return operator.apply(field.values * field.grid.cell_volumes)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +272,16 @@ def matrix_cache_key(matrix: InteractionMatrix) -> str:
 
 
 def save_interaction_matrix(matrix: InteractionMatrix, path) -> None:
-    """Write header (magic, version, key) + row-major float64 weights."""
+    """Write header (magic, version, key) + row-major float64 weights.
+
+    Only dense (N >= 2) matrices can be cached; a matrix-free 1-D operator
+    is rejected with ValueError.
+    """
+    if not isinstance(matrix, InteractionMatrix):
+        raise ValueError(
+            "only dense N >= 2 interaction matrices can be cached; "
+            f"the {matrix.grid.dimension}-D drift operator is matrix-free"
+        )
     key = matrix_cache_key(matrix).encode()
     with open(path, "wb") as fh:
         fh.write(MAGIC)

@@ -67,7 +67,7 @@ class RadialGrid:
 
 @dataclass(frozen=True)
 class DensityField:
-    """Nonnegative cell-averaged density snapshot at a given time."""
+    """Finite, nonnegative cell-averaged density snapshot at a given time."""
 
     grid: RadialGrid
     values: np.ndarray
@@ -77,6 +77,8 @@ class DensityField:
         values = np.ascontiguousarray(self.values, dtype=np.float64)
         if values.shape != (self.grid.n,):
             raise ValueError("values length must match the grid")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("density values must be finite")
         if np.any(values < 0.0):
             raise ValueError("density values must be nonnegative")
         object.__setattr__(self, "values", values)

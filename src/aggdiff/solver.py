@@ -10,7 +10,8 @@ mass that leaves through the rim is accounted for exactly, so
 holds to roundoff at every step in both diffusion modes. Diffusion is
 either explicit (stable under the parabolic CFL) or backward-Euler
 implicit via a tridiagonal solve; the drift velocity is refreshed from
-the interaction matrix every step and lags the update by one step.
+the drift operator every step and lags the update by one step. A step
+that produces a NaN or infinite state raises NonFiniteError.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import _accel
-from .drift import InteractionMatrix, apply_drift, build_interaction_matrix
+from .drift import DriftOperator, apply_drift, build_interaction_matrix
 from .grid import (
     DensityField,
     concentration_functional,
@@ -42,6 +43,23 @@ class CFLError(ValueError):
 
 class NegativityError(RuntimeError):
     """Update produced negative densities beyond the clip threshold."""
+
+
+class NonFiniteError(RuntimeError):
+    """A step produced a NaN or infinite density or outflow.
+
+    ``time`` is the time the step was advancing to; ``step`` counts the
+    steps of the run from 1 (None when the step was taken outside ``run``).
+    """
+
+    def __init__(self, time: float, step: Optional[int] = None):
+        super().__init__(time, step)
+        self.time = time
+        self.step = step
+
+    def __str__(self):
+        where = f"t = {self.time!r}" if self.step is None else f"step {self.step}, t = {self.time!r}"
+        return f"non-finite state at {where}"
 
 
 @dataclass(frozen=True)
@@ -158,17 +176,17 @@ def _implicit_diffusion(u_star, grid, epsilon, dt):
 def advance(field: DensityField, velocity: np.ndarray, config: SolverConfig, dt: float):
     """One conservative update; returns (new field, outflow mass, clipped cells)."""
     grid = field.grid
-    if config.diffusion_mode == "explicit":
-        u_new, outflux = _accel.explicit_update(
-            field.values, velocity, grid.face_areas, grid.cell_volumes,
-            grid.dr, config.epsilon, dt, True,
-        )
-    else:
-        u_star, outflux = _accel.explicit_update(
-            field.values, velocity, grid.face_areas, grid.cell_volumes,
-            grid.dr, config.epsilon, dt, False,
-        )
-        u_new, rim = _implicit_diffusion(u_star, grid, config.epsilon, dt)
+    explicit = config.diffusion_mode == "explicit"
+    u_new, outflux = _accel.explicit_update(
+        field.values, velocity, grid.face_areas, grid.cell_volumes,
+        grid.dr, config.epsilon, dt, explicit,
+    )
+    # The implicit solve maps finite data to finite data (diagonally
+    # dominant M-matrix), so checking the transport result covers both modes.
+    if not (np.all(np.isfinite(u_new)) and math.isfinite(outflux)):
+        raise NonFiniteError(field.time + dt)
+    if not explicit:
+        u_new, rim = _implicit_diffusion(u_new, grid, config.epsilon, dt)
         outflux += rim
     clipped = 0
     floor = float(np.min(u_new)) if u_new.size else 0.0
@@ -181,8 +199,8 @@ def advance(field: DensityField, velocity: np.ndarray, config: SolverConfig, dt:
     return field.with_values(u_new, field.time + dt), float(outflux), clipped
 
 
-def step(field: DensityField, matrix: Optional[InteractionMatrix], config: SolverConfig, dt: float) -> DensityField:
-    """Single step with CFL precondition checks; drift from the matrix."""
+def step(field: DensityField, matrix: Optional[DriftOperator], config: SolverConfig, dt: float) -> DensityField:
+    """Single step with CFL precondition checks; drift from the operator."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     velocity = apply_drift(matrix, field) if matrix is not None else np.zeros(field.grid.n)
@@ -199,14 +217,15 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
     ``scale`` parametrises the truncated-moment and concentration series.
     The step size honours the advertised CFL bounds, the exact positivity
     bound, dt_max, and lands exactly on the record grid, so repeated runs
-    are bit-reproducible.
+    are bit-reproducible. Raises NonFiniteError, carrying the step number
+    and time, at the first step that produces a non-finite state.
     """
     if scale <= 0.0:
         raise ValueError("scale must be positive")
     grid = u0.grid
-    matrix = None
+    drift = None
     if kernel.family is not KernelFamily.ZERO:
-        matrix = build_interaction_matrix(grid, kernel)
+        drift = build_interaction_matrix(grid, kernel)
     record_dt = config.record_interval
     if record_dt is None:
         record_dt = config.t_end / 200.0 if config.t_end > 0.0 else 1.0
@@ -228,9 +247,9 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
     t = 0.0
     outflow_total = 0.0
     clipped_total = 0
+    steps = 0
     next_record = record_dt
     vol = grid.cell_volumes
-    weights = matrix.weights if matrix is not None else None
     tiny = 1e-12 * max(config.t_end, record_dt)
 
     def sample(fld, t_now):
@@ -248,8 +267,8 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
             snaps.append(fld.values.copy())
 
     while t < config.t_end - tiny:
-        if weights is not None:
-            velocity = weights @ (current.values * vol)
+        if drift is not None:
+            velocity = drift.apply(current.values * vol)
         else:
             velocity = np.zeros(grid.n)
         dt = min(
@@ -261,7 +280,12 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
         )
         if not math.isfinite(dt) or dt <= 0.0:
             raise RuntimeError(f"degenerate step size {dt!r} at t = {t!r}")
-        current, outflux, clipped = advance(current, velocity, config, dt)
+        steps += 1
+        try:
+            current, outflux, clipped = advance(current, velocity, config, dt)
+        except NonFiniteError as exc:
+            exc.step = steps
+            raise
         t = current.time
         outflow_total += outflux
         clipped_total += clipped

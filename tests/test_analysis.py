@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -98,6 +99,16 @@ def test_loglog_fit_recovers_exact_power_law():
     fit = analysis.loglog_fit(x, y)
     assert fit.slope == pytest.approx(-0.5, abs=1e-12)
     assert fit.r_squared == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+def test_loglog_fit_quality_is_nan_for_non_finite_logs(bad):
+    x = np.array([0.1, 0.05, 0.02, 0.01])
+    y = 3.0 * x ** -0.5
+    y[2] = bad
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fit = analysis.loglog_fit(x, y)
+    assert not fit.r_squared >= 0.98
 
 
 def test_moment_inequality_clean_run_and_injected_fault():
@@ -239,3 +250,86 @@ def test_plan_grid_policy():
     assert g.r_max >= max(2.5, 20 * math.sqrt(0.02))
     fixed = analysis.plan_grid(2, 0.1, 1.0, 0.25, dr=0.01, r_max=3.0)
     assert fixed.dr == 0.01 and fixed.r_max == pytest.approx(3.0)
+
+
+def _synthetic_rows():
+    # Four rows that pass every verdict: sup ~ eps^(-1/2) (L^2) and eps^(-1)
+    # (sup norm), concentration integrals that do not decay.
+    rows = []
+    for eps in (0.1, 0.05, 0.02, 0.01):
+        rows.append(analysis.SweepRow(
+            epsilon=eps, dr=eps / 16, n_cells=100,
+            sup_lp={2.0: eps ** -0.5, math.inf: 1.0 / eps, 1.0: 1.0},
+            u0_lp={2.0: 0.1, math.inf: 0.1, 1.0: 1.0},
+            sup_h1=eps ** -1.5, u0_h1=0.1,
+            mass_error=1e-12, boundary_loss=0.0, domain_adequate=True,
+            moment_violations=0, weighted_integral=2.0, weighted_threshold=1.0,
+            weighted_ratio=2.0, ball_mass_integral=0.5, ball_p2_integral=eps ** -0.5,
+        ))
+    return rows
+
+
+def _verdicts(rows):
+    fits = {"2": -0.5, "inf": -1.0, "ball_p2": -0.5}
+    quality = {key: 1.0 for key in fits}
+    calibrated = {"lp_2": 1.5, "lp_inf": 1.5, "h1": 1.5}
+    constants = SimpleNamespace(total_mass=1.0)
+    return {v.name: v for v in analysis._sweep_verdicts(rows, fits, quality, calibrated, constants, 1)}
+
+
+@pytest.mark.parametrize(
+    "attribute, verdict",
+    [
+        ("mass_error", "mass_conservation"),
+        ("boundary_loss", "boundary_loss"),
+        ("weighted_ratio", "weighted_lower_bound"),
+        ("sup_h1", "upper_barrier_h1"),
+        ("ball_mass_integral", "concentration_positive"),
+        ("sup_lp_2", "upper_barrier_lp_2"),
+        ("sup_lp_inf", "upper_barrier_lp_inf"),
+    ],
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_sweep_verdicts_fail_on_non_finite_row(attribute, verdict, bad):
+    assert all(v.passed for v in _verdicts(_synthetic_rows()).values())
+    for index in (1, 3):  # never only the first row: max([x, nan]) == x
+        rows = _synthetic_rows()
+        if attribute.startswith("sup_lp_"):
+            p = math.inf if attribute.endswith("inf") else 2.0
+            rows[index].sup_lp[p] = bad
+        else:
+            setattr(rows[index], attribute, bad)
+        assert not _verdicts(rows)[verdict].passed, (attribute, index)
+
+
+def test_sweep_verdicts_fail_on_non_finite_last_row_ratios():
+    rows = _synthetic_rows()
+    rows[-1].ball_mass_integral = math.inf
+    rows[-1].sup_lp[2.0] = math.inf
+    verdicts = _verdicts(rows)
+    assert not verdicts["concentration_no_decay"].passed
+    assert not verdicts["barrier_saturation"].passed
+
+
+def test_parallel_sweep_uses_spawned_workers(monkeypatch):
+    # Forking after OpenMP or BLAS threads start can crash the pool; the
+    # workers must be spawned, and the rows must not depend on the jobs.
+    contexts = []
+
+    class Recording(analysis.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            contexts.append(kwargs.get("mp_context"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", Recording)
+    settings = analysis.SweepSettings(
+        dimension=1, epsilons=(0.2, 0.1, 0.05, 0.02), dr_max=0.02, dr_divisor=4.0, record_samples=20,
+    )
+    init = grid.GaussianBump(1.0, 0.25)
+    serial = analysis.epsilon_sweep(NEG_ABS, init, settings)
+    parallel = analysis.epsilon_sweep(NEG_ABS, init, replace(settings, jobs=2))
+    assert [c.get_start_method() for c in contexts] == ["spawn"]
+    assert parallel.rows == serial.rows
+    assert [(v.name, v.passed, v.margin) for v in parallel.verdicts] == [
+        (v.name, v.passed, v.margin) for v in serial.verdicts
+    ]

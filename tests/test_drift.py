@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from aggdiff import drift, grid, kernels
+from aggdiff import _accel, drift, grid, kernels
 
 
 def _field(g, values):
@@ -54,6 +55,49 @@ def test_1d_matrix_matches_direct_mirrored_convolution():
         )
         oracle[i] = float(np.sum(vals * w) * g.dr)
     assert np.max(np.abs(v - oracle)) < 1e-12
+
+
+def _oracle_kernels(g):
+    s = np.linspace(1e-3, 2.0 * g.r_max + 0.1, 400)
+    tabulated = kernels.tabulated_kernel(s, -np.exp(-s) * (1.0 + 0.2 * np.sin(3.0 * s)))
+    return [kernels.neg_abs_kernel(), kernels.exponential_kernel(), tabulated]
+
+
+@pytest.mark.parametrize("n", [3, 101, 2001])
+def test_1d_operator_matches_dense_matrix(n):
+    # The dense 1-D builder stays as the oracle for the matrix-free paths.
+    g = grid.RadialGrid(1, 0.01, n)
+    masses = np.random.default_rng(n).uniform(0.0, 1.0, n) * g.cell_volumes
+    for kern in _oracle_kernels(g):
+        op = drift.build_interaction_matrix(g, kern)
+        dense = _accel._build_matrix_1d_np(g.r_centers, kern.code, kern.s_nodes, kern.kprime_nodes)
+        expected = dense @ masses
+        gap = np.max(np.abs(op.apply(masses) - expected)) / np.max(np.abs(expected))
+        assert gap <= 1e-13, (kern.name(), gap)
+
+
+def test_1d_operator_holds_no_square_array():
+    g = grid.RadialGrid(1, 0.001, 2001)
+    for kern in _oracle_kernels(g) + [kernels.zero_kernel()]:
+        op = drift.build_interaction_matrix(g, kern)
+        arrays = [getattr(op, f.name) for f in dataclasses.fields(op)]
+        held = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+        assert held <= 64 * g.n, (kern.name(), held)
+
+
+def test_1d_zero_kernel_gives_zero_velocity():
+    g = grid.RadialGrid.make(1, 1.0, 0.05)
+    m = drift.build_interaction_matrix(g, kernels.zero_kernel())
+    assert np.all(drift.apply_drift(m, _field(g, np.ones(g.n))) == 0.0)
+
+
+def test_apply_rejects_non_finite_velocity():
+    g = grid.RadialGrid.make(1, 1.0, 0.05)
+    masses = np.ones(g.n)
+    masses[3] = np.nan
+    for kern in (kernels.neg_abs_kernel(), kernels.exponential_kernel()):
+        with pytest.raises(RuntimeError, match="drift bound"):
+            drift.build_interaction_matrix(g, kern).apply(masses)
 
 
 def test_2d_disc_matches_direct_quadrature():
@@ -196,3 +240,10 @@ def test_matrix_cache_rejects_mismatched_key(tmp_path):
     bogus.write_bytes(b"not a cache")
     with pytest.raises(ValueError):
         drift.load_interaction_matrix(bogus, g, kernels.exponential_kernel())
+
+
+def test_matrix_cache_rejects_1d_operator(tmp_path):
+    g = grid.RadialGrid.make(1, 1.0, 0.05)
+    m = drift.build_interaction_matrix(g, kernels.exponential_kernel())
+    with pytest.raises(ValueError, match="matrix-free"):
+        drift.save_interaction_matrix(m, tmp_path / "matrix.bin")

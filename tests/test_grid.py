@@ -59,6 +59,15 @@ def test_lp_norm_disc_indicator_sup():
     assert grid.lp_norm(f, math.inf) == 1.0
 
 
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_density_field_rejects_negative_and_non_finite_values(bad):
+    g = grid.RadialGrid.make(1, 1.0, 0.1)
+    values = np.ones(g.n)
+    values[4] = bad
+    with pytest.raises(ValueError):
+        grid.DensityField(g, values)
+
+
 def test_lp_norm_rejects_p_below_one():
     g = grid.RadialGrid.make(1, 1.0, 0.1)
     f = grid.DensityField(g, np.ones(g.n))

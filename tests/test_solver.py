@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -154,3 +155,21 @@ def test_run_rejects_nonpositive_scale():
     cfg = solver.SolverConfig(epsilon=0.1, t_end=0.1)
     with pytest.raises(ValueError):
         solver.run(f, kernels.zero_kernel(), cfg, scale=0.0)
+
+
+@pytest.mark.parametrize("mode", ["explicit", "implicit"])
+def test_run_stops_at_first_non_finite_step(mode):
+    # Finite but huge densities overflow the upwind flux in the first step.
+    g = grid.RadialGrid.make(1, 1.0, 0.01)
+    f = grid.DensityField(g, np.full(g.n, 1e200))
+    cfg = solver.SolverConfig(epsilon=0.1, t_end=0.1, diffusion_mode=mode)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(solver.NonFiniteError) as info:
+            solver.run(f, kernels.neg_abs_kernel(), cfg, scale=1.0)
+    err = info.value
+    assert err.step == 1
+    assert 0.0 < err.time < cfg.t_end
+    assert "step 1" in str(err)
+    # Sweep workers send exceptions back pickled.
+    copy = pickle.loads(pickle.dumps(err))
+    assert (copy.time, copy.step, str(copy)) == (err.time, err.step, str(err))
