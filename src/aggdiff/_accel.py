@@ -201,24 +201,41 @@ def _build_matrix_1d_nb_impl(r, kind, s_nodes, kp_nodes):
     return W
 
 
-def _build_matrix_nd_np(r, kind, s_nodes, kp_nodes, cos_t, wts, wsum):
-    # W_ij = angular average of k'(d) (r_i - rho_j cos t)/d over the sphere,
-    # d = sqrt(r_i^2 + rho_j^2 - 2 r_i rho_j cos t).  Rows are chunked to
-    # keep the (rows, n, q) temporaries small.
-    n = r.shape[0]
-    q = cos_t.shape[0]
-    W = np.empty((n, n))
-    chunk = max(1, int(2_000_000 / max(1, n * q)))
-    rj = r[None, :, None]
-    c = cos_t[None, None, :]
-    for a in range(0, n, chunk):
-        b = min(n, a + chunk)
-        ri = r[a:b, None, None]
-        d = np.sqrt(np.maximum(ri * ri + rj * rj - 2.0 * ri * rj * c, 0.0))
+def entries_nd(r_rows, rho_cols, kind, s_nodes, kp_nodes, cos_t, wts, wsum):
+    """N >= 2 drift-matrix entries W(r_i, rho_j), shape (len(r_rows), len(rho_cols)).
+
+    W(r, rho) is the angular average over the sphere of k'(d) (r - rho cos t)/d
+    on the quadrature nodes ``cos_t`` with weights ``wts`` summing to ``wsum``;
+    the chord length d = sqrt((r - rho cos t)^2 + (rho sin t)^2) is a sum of
+    squares, so it needs no clamp at zero. The quadrature axis comes first so
+    that the innermost loops run over the longer axes, and rows are chunked
+    so that the (q, rows, cols) temporaries stay in cache.
+    """
+    m, n, q = r_rows.shape[0], rho_cols.shape[0], cos_t.shape[0]
+    W = np.empty((m, n))
+    chunk = max(1, 65536 // max(1, n * q))
+    c = cos_t[:, None, None]
+    rho = rho_cols[None, None, :]
+    along = c * rho
+    across = (1.0 - c * c) * (rho * rho)
+    weights = wts / wsum
+    for a in range(0, m, chunk):
+        b = min(m, a + chunk)
+        t = r_rows[None, a:b, None] - along
+        d = t * t
+        d += across
+        np.sqrt(d, out=d)
         np.maximum(d, _D_FLOOR, out=d)
-        kp = kprime_array(kind, d, s_nodes, kp_nodes)
-        W[a:b] = np.einsum("ijk,k->ij", kp * (ri - rj * c) / d, wts) / wsum
+        t /= d
+        t *= kprime_array(kind, d, s_nodes, kp_nodes)
+        W[a:b] = (weights @ t.reshape(q, -1)).reshape(b - a, n)
     return W
+
+
+def _build_matrix_nd_np(r, kind, s_nodes, kp_nodes, cos_t, wts, wsum):
+    # The full square matrix. The solver never forms it (drift compresses
+    # it from single entries); it is the tests' reference.
+    return entries_nd(r, r, kind, s_nodes, kp_nodes, cos_t, wts, wsum)
 
 
 def _build_matrix_nd_nb_impl(r, kind, s_nodes, kp_nodes, cos_t, wts, wsum):

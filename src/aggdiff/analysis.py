@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -327,59 +329,44 @@ def heat_kernel_norm(epsilon: float, t: float, p, total_mass: float, dimension: 
     return total_mass * spread ** (-dimension * (p - 1.0) / (2.0 * p)) * p ** (-dimension / (2.0 * p))
 
 
-def lp_barrier(p, total_mass, u0_norm, coefficient, epsilon, dimension) -> float:
-    """Empirical sup-norm barrier max(M, |u0|, C M^a eps^-b) for L^p.
+def _lp_exponents(p, dimension) -> tuple:
+    """Exponents (a, b) of the L^p scaling M^a eps^-b.
 
-    Exponents a = (N(p-1)+p)/p and b = N(p-1)/p, taken in the limit for
-    p = inf (a = N+1, b = N).
+    a = (N(p-1)+p)/p and b = N(p-1)/p, taken in the limit for p = inf
+    (a = N+1, b = N).
     """
     if p == math.inf or p == "inf":
-        a, b = dimension + 1.0, float(dimension)
-    else:
-        p = float(p)
-        a = (dimension * (p - 1.0) + p) / p
-        b = dimension * (p - 1.0) / p
-    return max(total_mass, u0_norm, coefficient * total_mass ** a * epsilon ** (-b))
+        return dimension + 1.0, float(dimension)
+    p = float(p)
+    return (dimension * (p - 1.0) + p) / p, dimension * (p - 1.0) / p
+
+
+def lp_barrier(p, total_mass, u0_norm, coefficient, epsilon, dimension) -> float:
+    """Empirical sup-norm barrier max(M, |u0|, C M^a eps^-b) for L^p, with
+    (a, b) from ``_lp_exponents``; NaN when any term is NaN."""
+    a, b = _lp_exponents(p, dimension)
+    return float(np.max([total_mass, u0_norm, coefficient * total_mass ** a * epsilon ** (-b)]))
 
 
 def h1_barrier(total_mass, u0_h1, coefficient, epsilon) -> float:
-    """Empirical H^1 barrier max(|u0|_H1, C M^(5/2) eps^(-3/2))."""
-    return max(u0_h1, coefficient * total_mass ** 2.5 * epsilon ** -1.5)
+    """Empirical H^1 barrier max(|u0|_H1, C M^(5/2) eps^(-3/2)); NaN when any term is NaN."""
+    return float(np.max([u0_h1, coefficient * total_mass ** 2.5 * epsilon ** -1.5]))
 
 
 def calibrate_h1_coefficient(probe_runs: Sequence[TrajectoryRecord], safety: float = 1.5) -> float:
     """H^1 barrier coefficient from probe runs (one dimension only).
 
     The max over runs of sup_t |u|_H1 * eps^(3/2) / M^(5/2), times a
-    safety factor. At least three distinct diffusivities are required.
+    safety factor; NaN when any run's value is not finite. At least three
+    distinct diffusivities are required.
     """
     runs = list(probe_runs)
     if len(runs) < 3:
         raise ValueError("need at least 3 probe runs to calibrate the H^1 coefficient")
-    worst = 0.0
-    for traj in runs:
-        if traj.h1 is None:
-            raise ValueError("probe runs must carry the H^1 series (dimension 1)")
-        sup = float(np.max(traj.h1))
-        worst = max(worst, sup * traj.epsilon ** 1.5 / traj.initial_mass ** 2.5)
-    return safety * worst
-
-
-def calibrate_lp_coefficient(probe_runs: Sequence[TrajectoryRecord], p, safety: float = 1.5) -> float:
-    """L^p barrier coefficient from probe runs, analogous to the H^1 one."""
-    runs = list(probe_runs)
-    if not runs:
-        raise ValueError("need at least one probe run")
-    worst = 0.0
-    for traj in runs:
-        if p == math.inf or p == "inf":
-            a, b = traj.dimension + 1.0, float(traj.dimension)
-        else:
-            a = (traj.dimension * (p - 1.0) + p) / p
-            b = traj.dimension * (p - 1.0) / p
-        sup = float(np.max(traj.lp[p]))
-        worst = max(worst, sup * traj.epsilon ** b / traj.initial_mass ** a)
-    return safety * worst
+    if any(traj.h1 is None for traj in runs):
+        raise ValueError("probe runs must carry the H^1 series (dimension 1)")
+    ratios = [float(np.max(traj.h1)) * traj.epsilon ** 1.5 / traj.initial_mass ** 2.5 for traj in runs]
+    return safety * _worst(ratios, np.max)
 
 
 class FitResult(NamedTuple):
@@ -583,6 +570,12 @@ def _sweep_case(payload):
     return row, time.monotonic() - started
 
 
+def _main_script_importable() -> bool:
+    """Whether spawned workers can re-run ``__main__``: it has no path or an existing one."""
+    path = getattr(sys.modules["__main__"], "__file__", None)
+    return path is None or os.path.isfile(path)
+
+
 def epsilon_sweep(kernel: KernelSpec, init, settings: SweepSettings) -> SweepReport:
     """Run the verification battery over a set of diffusivities.
 
@@ -593,7 +586,9 @@ def epsilon_sweep(kernel: KernelSpec, init, settings: SweepSettings) -> SweepRep
     frozen constants. An exception in any row aborts the whole sweep and
     propagates to the caller. With ``jobs > 1`` the rows run in spawned
     worker processes: forking a process whose numeric libraries already
-    run threads (OpenMP, BLAS) can deadlock or crash the pool.
+    run threads (OpenMP, BLAS) can deadlock or crash the pool. A spawned
+    worker re-runs the main script, so when that script is no file (one
+    read from standard input) the rows run in this process instead.
     """
     epsilons = sorted(set(float(e) for e in settings.epsilons), reverse=True)
     if len(epsilons) < FIT_MIN_POINTS:
@@ -612,7 +607,7 @@ def epsilon_sweep(kernel: KernelSpec, init, settings: SweepSettings) -> SweepRep
     # large-diffusivity end.
     t_star = settings.t_star if settings.t_star is not None else 2.0 * constants.horizon
     payloads = [(kernel, init, settings, constants, e, t_star) for e in epsilons]
-    if settings.jobs > 1:
+    if settings.jobs > 1 and _main_script_importable():
         spawn = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=settings.jobs, mp_context=spawn) as pool:
             outcomes = list(pool.map(_sweep_case, payloads))
@@ -642,11 +637,8 @@ def epsilon_sweep(kernel: KernelSpec, init, settings: SweepSettings) -> SweepRep
         if settings.h1_coefficient is not None:
             calibrated["h1"] = settings.h1_coefficient
         else:
-            worst = max(
-                row.sup_h1 * row.epsilon ** 1.5 / constants.total_mass ** 2.5
-                for row in calibration_rows
-            )
-            calibrated["h1"] = settings.safety * worst
+            ratios = [row.sup_h1 * row.epsilon ** 1.5 / constants.total_mass ** 2.5 for row in calibration_rows]
+            calibrated["h1"] = settings.safety * _worst(ratios, np.max)
 
     verdicts = _sweep_verdicts(rows, fits, quality, calibrated, constants, dim)
     epsilon_star = None
@@ -677,16 +669,10 @@ def epsilon_sweep(kernel: KernelSpec, init, settings: SweepSettings) -> SweepRep
 
 
 def calibrate_lp_coefficient_rows(rows, p, dimension, safety) -> float:
-    if p == math.inf:
-        a, b = dimension + 1.0, float(dimension)
-    else:
-        a = (dimension * (p - 1.0) + p) / p
-        b = dimension * (p - 1.0) / p
-    worst = 0.0
-    for row in rows:
-        m0 = row.u0_lp[1.0]
-        worst = max(worst, row.sup_lp[p] * row.epsilon ** b / m0 ** a)
-    return safety * worst
+    """L^p barrier coefficient: safety times the max over sweep rows of
+    sup_t |u|_p * eps^b / M^a; NaN when any row's value is not finite."""
+    a, b = _lp_exponents(p, dimension)
+    return safety * _worst([row.sup_lp[p] * row.epsilon ** b / row.u0_lp[1.0] ** a for row in rows], np.max)
 
 
 def _worst(values, reduce) -> float:

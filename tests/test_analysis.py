@@ -1,5 +1,10 @@
 import math
+import os
+import pickle
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -333,3 +338,48 @@ def test_parallel_sweep_uses_spawned_workers(monkeypatch):
     assert [(v.name, v.passed, v.margin) for v in parallel.verdicts] == [
         (v.name, v.passed, v.margin) for v in serial.verdicts
     ]
+
+
+def test_calibration_is_nan_when_a_row_is_nan():
+    # A Python max drops NaN: max(0.0, 3.0, nan, 5.0) == 5.0.
+    def rows(sups):
+        return [
+            SimpleNamespace(epsilon=eps, sup_lp={2.0: sup}, u0_lp={1.0: 1.0}, sup_h1=sup)
+            for eps, sup in zip((0.2, 0.05, 0.02), sups)
+        ]
+
+    clean = analysis.calibrate_lp_coefficient_rows(rows((3.0, 4.0, 5.0)), 2.0, 1, 1.5)
+    assert clean == pytest.approx(1.5 * max(3.0 * 0.2**0.5, 4.0 * 0.05**0.5, 5.0 * 0.02**0.5))
+    assert math.isnan(analysis.calibrate_lp_coefficient_rows(rows((3.0, math.nan, 5.0)), 2.0, 1, 1.5))
+    runs = [
+        SimpleNamespace(epsilon=row.epsilon, h1=np.array([1.0, row.sup_h1]), initial_mass=1.0)
+        for row in rows((3.0, math.nan, 5.0))
+    ]
+    assert math.isnan(analysis.calibrate_h1_coefficient(runs))
+    # A NaN coefficient must not fall back to max(M, |u0|) in the barriers.
+    assert math.isnan(analysis.lp_barrier(2.0, 1.0, 0.5, math.nan, 0.01, 1))
+    assert math.isnan(analysis.h1_barrier(1.0, 0.5, math.nan, 0.01))
+
+
+def test_parallel_sweep_from_stdin_script_runs_in_process():
+    # Spawned workers re-run the main script, which a script read from
+    # standard input does not have on disk.
+    script = (
+        "import pickle, sys\n"
+        "from aggdiff import analysis, grid, kernels\n"
+        "settings = analysis.SweepSettings(dimension=1, epsilons=(0.2, 0.1, 0.05, 0.02),\n"
+        "    dr_max=0.02, dr_divisor=4.0, record_samples=20, jobs=2)\n"
+        "report = analysis.epsilon_sweep(kernels.neg_abs_kernel(), grid.GaussianBump(1.0, 0.25), settings)\n"
+        "sys.stdout.write(pickle.dumps(report.rows).hex())\n"
+    )
+    src = str(Path(analysis.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-"], input=script, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    settings = analysis.SweepSettings(
+        dimension=1, epsilons=(0.2, 0.1, 0.05, 0.02), dr_max=0.02, dr_divisor=4.0, record_samples=20,
+    )
+    serial = analysis.epsilon_sweep(NEG_ABS, grid.GaussianBump(1.0, 0.25), settings)
+    assert pickle.loads(bytes.fromhex(out.stdout)) == serial.rows

@@ -17,7 +17,7 @@ def _field(g, values):
 def test_zero_kernel_gives_zero_matrix():
     g = grid.RadialGrid.make(2, 1.0, 0.05)
     m = drift.build_interaction_matrix(g, kernels.zero_kernel())
-    assert np.all(m.weights == 0.0)
+    assert np.all(m.apply(np.ones(g.n)) == 0.0)
     assert m.quadrature_order == 0
 
 
@@ -76,6 +76,14 @@ def test_1d_operator_matches_dense_matrix(n):
         assert gap <= 1e-13, (kern.name(), gap)
 
 
+def _held_bytes(value):
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if isinstance(value, tuple):
+        return sum(_held_bytes(v) for v in value)
+    return 0
+
+
 def test_1d_operator_holds_no_square_array():
     g = grid.RadialGrid(1, 0.001, 2001)
     for kern in _oracle_kernels(g) + [kernels.zero_kernel()]:
@@ -83,6 +91,52 @@ def test_1d_operator_holds_no_square_array():
         arrays = [getattr(op, f.name) for f in dataclasses.fields(op)]
         held = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
         assert held <= 64 * g.n, (kern.name(), held)
+
+
+def test_nd_operator_holds_no_square_array():
+    # Dense leaves of at most 128 columns plus rank <= 22 factors on four
+    # levels: about 300 doubles per cell, where the dense matrix has n.
+    g = grid.RadialGrid(2, 0.0015, 2001)
+    for kern in (kernels.neg_abs_kernel(), kernels.exponential_kernel(), kernels.zero_kernel()):
+        op = drift.build_interaction_matrix(g, kern)
+        held = sum(_held_bytes(getattr(op, f.name)) for f in dataclasses.fields(op))
+        assert held <= 8 * 400 * g.n, (kern.name(), held)
+
+
+def _dense_order_rule(g, kern, rel_tol=1e-6):
+    # The order-doubling rule of build_interaction_matrix, on dense matrices.
+    r = g.r_centers
+    u_ref = np.exp(-((r / (0.25 * g.r_max)) ** 2)) * g.cell_volumes
+    order, v_prev = 16, None
+    while True:
+        cos_t, wts, wsum = drift._angular_nodes(g.dimension, order)
+        dense = _accel._build_matrix_nd_np(r, kern.code, kern.s_nodes, kern.kprime_nodes, cos_t, wts, wsum)
+        v = dense @ u_ref
+        if v_prev is not None and np.max(np.abs(v - v_prev)) <= rel_tol * np.max(np.abs(v)):
+            return order, dense
+        v_prev = v
+        order *= 2
+
+
+@pytest.mark.parametrize("dim, n", [(2, 300), (3, 300), (2, 2048), (3, 1100)])
+def test_nd_operator_matches_dense_matrix(dim, n):
+    # The dense N >= 2 builder stays as the oracle for the compressed operator.
+    g = grid.RadialGrid(dim, 3.0 / n, n)
+    for kern in _oracle_kernels(g):
+        op = drift.build_interaction_matrix(g, kern)
+        order, dense = _dense_order_rule(g, kern)
+        assert op.quadrature_order == order, kern.name()
+        for seed in range(3):
+            masses = np.random.default_rng(seed).uniform(0.0, 1.0, n) * g.cell_volumes
+            gap = np.max(np.abs(op.apply(masses) - dense @ masses))
+            assert gap <= 1e-10 * kern.kprime_sup_norm * np.sum(masses), (kern.name(), gap)
+
+
+def test_compression_probe_rejects_loose_tolerance(monkeypatch):
+    monkeypatch.setattr(drift, "_ACA_TOL", 1e-3)
+    g = grid.RadialGrid(2, 3.0 / 600, 600)
+    with pytest.raises(drift.CompressionError):
+        drift.build_interaction_matrix(g, kernels.exponential_kernel(), quadrature_order=32)
 
 
 def test_1d_zero_kernel_gives_zero_velocity():
@@ -188,7 +242,9 @@ def test_entries_depend_only_on_radii():
     m_small = drift.build_interaction_matrix(small, kern, quadrature_order=64)
     m_large = drift.build_interaction_matrix(large, kern, quadrature_order=64)
     n = small.n
-    assert np.allclose(m_small.weights, m_large.weights[:n, :n], rtol=0, atol=1e-15)
+    unit = np.zeros(large.n)
+    unit[:n] = 1.0
+    assert np.allclose(m_small.apply(np.ones(n)), m_large.apply(unit)[:n], rtol=0, atol=1e-13)
 
 
 def test_tabulated_kernel_range_enforced_in_build():
@@ -213,37 +269,3 @@ def test_jump_identity_selects_negative_sign():
         assert res.sign == -1
         assert res.residual < 5e-5
         assert res.attraction_limit == pytest.approx(1.0)
-
-
-def test_matrix_cache_round_trip(tmp_path):
-    g = grid.RadialGrid.make(2, 1.0, 0.05)
-    kern = kernels.exponential_kernel()
-    m = drift.build_interaction_matrix(g, kern, quadrature_order=32)
-    path = tmp_path / "matrix.bin"
-    drift.save_interaction_matrix(m, path)
-    loaded = drift.load_interaction_matrix(path, g, kern)
-    assert loaded.quadrature_order == 32
-    assert np.array_equal(loaded.weights, m.weights)
-
-
-def test_matrix_cache_rejects_mismatched_key(tmp_path):
-    g = grid.RadialGrid.make(2, 1.0, 0.05)
-    m = drift.build_interaction_matrix(g, kernels.exponential_kernel(), quadrature_order=32)
-    path = tmp_path / "matrix.bin"
-    drift.save_interaction_matrix(m, path)
-    with pytest.raises(ValueError):
-        drift.load_interaction_matrix(path, g, kernels.neg_abs_kernel())
-    other = grid.RadialGrid.make(2, 1.0, 0.04)
-    with pytest.raises(ValueError):
-        drift.load_interaction_matrix(path, other, kernels.exponential_kernel())
-    bogus = tmp_path / "bogus.bin"
-    bogus.write_bytes(b"not a cache")
-    with pytest.raises(ValueError):
-        drift.load_interaction_matrix(bogus, g, kernels.exponential_kernel())
-
-
-def test_matrix_cache_rejects_1d_operator(tmp_path):
-    g = grid.RadialGrid.make(1, 1.0, 0.05)
-    m = drift.build_interaction_matrix(g, kernels.exponential_kernel())
-    with pytest.raises(ValueError, match="matrix-free"):
-        drift.save_interaction_matrix(m, tmp_path / "matrix.bin")
