@@ -6,7 +6,4 @@ inequalities and small-diffusivity scaling laws on the computed
 trajectories. See the README for the CLI and the acceptance suite.
 """
 
-from ._accel import BACKEND, NUMBA_ENABLED
-
-__all__ = ["BACKEND", "NUMBA_ENABLED"]
 __version__ = "0.1.0"

@@ -1,46 +1,27 @@
-"""Hot numeric kernels: numba-compiled loops with a pure-NumPy fallback.
+"""Hot numeric kernels in NumPy (plus SciPy's banded solver).
 
-The backend is chosen once at import time from the environment variable
-``AGGDIFF_NUMBA`` ("1" by default). Set ``AGGDIFF_NUMBA=0`` to force the
-NumPy path, e.g. on machines without a working numba install or when
-benchmarking (see benchmarks/bench_backends.py).
-
-Every public name here is backend-agnostic; the two implementations of a
-kernel agree to floating-point roundoff (they are compared in the test
-suite). Kernel-family codes used by the scalar evaluators:
+The finite-volume update and the tridiagonal solve run on every step of
+every run; ``entries_nd`` samples the N >= 2 drift matrix for its
+compressed operator. ``build_matrix_1d`` and ``build_matrix_nd`` form the
+full drift matrices, which the solver never does: they are the tests'
+dense oracles. Kernel-family codes used by the evaluators:
 
     0 = gradient -1 everywhere          (K = -|x|)
     1 = gradient -exp(-s)               (K = exp(-|x|))
     2 = zero kernel
     3 = tabulated, piecewise-linear k'(s) on (s_nodes, kp_nodes)
 
-Tabulated evaluation below the first node is clamped to the first sample
+Tabulated evaluation is clamped to the end samples outside the nodes
 (k' is continuous at 0+ for admissible kernels); range checking against
 the last node is the caller's job.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-
-def _numba_requested() -> bool:
-    value = os.environ.get("AGGDIFF_NUMBA", "1").strip().lower()
-    return value not in ("0", "false", "off", "no")
-
-
-NUMBA_ENABLED = False
-if _numba_requested():
-    try:
-        from numba import njit, prange
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - exercised only without numba
-        NUMBA_ENABLED = False
-
-BACKEND = "numba" if NUMBA_ENABLED else "numpy"
+# Reported in the benchmark's machine block (perfbench/machine.py reads it).
+BACKEND = "numpy"
 
 FAMILY_NEG_ABS = 0
 FAMILY_EXPONENTIAL = 1
@@ -56,7 +37,7 @@ _D_FLOOR = 1e-12
 # ---------------------------------------------------------------------------
 
 def kprime_array(kind: int, s: np.ndarray, s_nodes: np.ndarray, kp_nodes: np.ndarray) -> np.ndarray:
-    """Vectorised k'(s) for a kernel-family code (NumPy path)."""
+    """Vectorised k'(s) for a kernel-family code."""
     s = np.asarray(s, dtype=np.float64)
     if kind == FAMILY_NEG_ABS:
         return np.full(s.shape, -1.0)
@@ -65,30 +46,6 @@ def kprime_array(kind: int, s: np.ndarray, s_nodes: np.ndarray, kp_nodes: np.nda
     if kind == FAMILY_ZERO:
         return np.zeros(s.shape)
     return np.interp(s, s_nodes, kp_nodes)
-
-
-def _kprime_scalar_py(kind, s, s_nodes, kp_nodes):
-    if kind == FAMILY_NEG_ABS:
-        return -1.0
-    if kind == FAMILY_EXPONENTIAL:
-        return -np.exp(-s)
-    if kind == FAMILY_ZERO:
-        return 0.0
-    m = s_nodes.shape[0]
-    if s <= s_nodes[0]:
-        return kp_nodes[0]
-    if s >= s_nodes[m - 1]:
-        return kp_nodes[m - 1]
-    lo = 0
-    hi = m - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if s_nodes[mid] <= s:
-            lo = mid
-        else:
-            hi = mid
-    w = (s - s_nodes[lo]) / (s_nodes[lo + 1] - s_nodes[lo])
-    return kp_nodes[lo] + w * (kp_nodes[lo + 1] - kp_nodes[lo])
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +58,7 @@ def _kprime_scalar_py(kind, s, s_nodes, kp_nodes):
 # that left through face n during the step, so total mass telescopes
 # exactly: sum(u_new * vol) = sum(u * vol) - outflux.
 
-def _explicit_update_np(u, cell_v, area, vol, dr, eps, dt, include_diffusion):
+def explicit_update(u, cell_v, area, vol, dr, eps, dt, include_diffusion):
     n = u.shape[0]
     flux = np.zeros(n + 1)
     vf = 0.5 * (cell_v[:-1] + cell_v[1:])
@@ -119,7 +76,9 @@ def _explicit_update_np(u, cell_v, area, vol, dr, eps, dt, include_diffusion):
     return u_new, dt * flux[n]
 
 
-def _thomas_np(sub, diag, sup, rhs):
+def thomas_solve(sub, diag, sup, rhs):
+    # Imported on first use: scipy.linalg takes about 0.2 s to import, and
+    # explicit-diffusion runs never need it.
     import scipy.linalg
 
     n = diag.shape[0]
@@ -130,49 +89,11 @@ def _thomas_np(sub, diag, sup, rhs):
     return scipy.linalg.solve_banded((1, 1), ab, rhs)
 
 
-def _explicit_update_nb_impl(u, cell_v, area, vol, dr, eps, dt, include_diffusion):
-    n = u.shape[0]
-    flux = np.zeros(n + 1)
-    for f in range(1, n):
-        vf = 0.5 * (cell_v[f - 1] + cell_v[f])
-        upwind = u[f - 1] if vf >= 0.0 else u[f]
-        inner = vf * upwind
-        if include_diffusion:
-            inner -= eps * (u[f] - u[f - 1]) / dr
-        flux[f] = area[f] * inner
-    v_out = cell_v[n - 1]
-    rim = v_out * u[n - 1] if v_out >= 0.0 else 0.0
-    if include_diffusion:
-        rim += eps * u[n - 1] / dr
-    flux[n] = area[n] * rim
-    u_new = np.empty(n)
-    for i in range(n):
-        u_new[i] = u[i] - dt * (flux[i + 1] - flux[i]) / vol[i]
-    return u_new, dt * flux[n]
-
-
-def _thomas_nb_impl(sub, diag, sup, rhs):
-    n = diag.shape[0]
-    cp = np.empty(n)
-    dp = np.empty(n)
-    cp[0] = sup[0] / diag[0]
-    dp[0] = rhs[0] / diag[0]
-    for i in range(1, n):
-        denom = diag[i] - sub[i] * cp[i - 1]
-        cp[i] = sup[i] / denom
-        dp[i] = (rhs[i] - sub[i] * dp[i - 1]) / denom
-    x = np.empty(n)
-    x[n - 1] = dp[n - 1]
-    for i in range(n - 2, -1, -1):
-        x[i] = dp[i] - cp[i] * x[i + 1]
-    return x
-
-
 # ---------------------------------------------------------------------------
 # interaction matrix builds
 # ---------------------------------------------------------------------------
 
-def _build_matrix_1d_np(r, kind, s_nodes, kp_nodes):
+def build_matrix_1d(r, kind, s_nodes, kp_nodes):
     # Full-line convolution of an even density, folded onto the half line:
     # W_ij = (k'(|r_i-r_j|) sign(r_i-r_j) + k'(r_i+r_j)) / 2, with the
     # principal-value diagonal sign(0) = 0. The solver never forms this
@@ -182,23 +103,6 @@ def _build_matrix_1d_np(r, kind, s_nodes, kp_nodes):
     near = kprime_array(kind, np.abs(diff), s_nodes, kp_nodes)
     mirror = kprime_array(kind, r[:, None] + r[None, :], s_nodes, kp_nodes)
     return 0.5 * (near * sgn + mirror)
-
-
-def _build_matrix_1d_nb_impl(r, kind, s_nodes, kp_nodes):
-    n = r.shape[0]
-    W = np.empty((n, n))
-    for i in prange(n):
-        ri = r[i]
-        for j in range(n):
-            d = ri - r[j]
-            if d > 0.0:
-                near = _kprime_scalar(kind, d, s_nodes, kp_nodes)
-            elif d < 0.0:
-                near = -_kprime_scalar(kind, -d, s_nodes, kp_nodes)
-            else:
-                near = 0.0
-            W[i, j] = 0.5 * (near + _kprime_scalar(kind, ri + r[j], s_nodes, kp_nodes))
-    return W
 
 
 def entries_nd(r_rows, rho_cols, kind, s_nodes, kp_nodes, cos_t, wts, wsum):
@@ -232,46 +136,7 @@ def entries_nd(r_rows, rho_cols, kind, s_nodes, kp_nodes, cos_t, wts, wsum):
     return W
 
 
-def _build_matrix_nd_np(r, kind, s_nodes, kp_nodes, cos_t, wts, wsum):
+def build_matrix_nd(r, kind, s_nodes, kp_nodes, cos_t, wts, wsum):
     # The full square matrix. The solver never forms it (drift compresses
     # it from single entries); it is the tests' reference.
     return entries_nd(r, r, kind, s_nodes, kp_nodes, cos_t, wts, wsum)
-
-
-def _build_matrix_nd_nb_impl(r, kind, s_nodes, kp_nodes, cos_t, wts, wsum):
-    n = r.shape[0]
-    q = cos_t.shape[0]
-    W = np.empty((n, n))
-    for i in prange(n):
-        ri = r[i]
-        for j in range(n):
-            rj = r[j]
-            acc = 0.0
-            for k in range(q):
-                c = cos_t[k]
-                d2 = ri * ri + rj * rj - 2.0 * ri * rj * c
-                d = np.sqrt(d2) if d2 > 0.0 else 0.0
-                if d < _D_FLOOR:
-                    d = _D_FLOOR
-                kp = _kprime_scalar(kind, d, s_nodes, kp_nodes)
-                acc += kp * (ri - rj * c) / d * wts[k]
-            W[i, j] = acc / wsum
-    return W
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-if NUMBA_ENABLED:
-    _kprime_scalar = njit(cache=True, inline="always")(_kprime_scalar_py)
-    explicit_update = njit(cache=True)(_explicit_update_nb_impl)
-    thomas_solve = njit(cache=True)(_thomas_nb_impl)
-    build_matrix_1d = njit(cache=True, parallel=True)(_build_matrix_1d_nb_impl)
-    build_matrix_nd = njit(cache=True, parallel=True)(_build_matrix_nd_nb_impl)
-else:
-    _kprime_scalar = _kprime_scalar_py
-    explicit_update = _explicit_update_np
-    thomas_solve = _thomas_np
-    build_matrix_1d = _build_matrix_1d_np
-    build_matrix_nd = _build_matrix_nd_np

@@ -91,13 +91,15 @@ def _merge_section(defaults, user, path):
     return out
 
 
-def _as_positive(value, name):
+def _as_positive(value, name, allow_zero=False):
+    """``value`` as a finite float > 0 (or >= 0 with ``allow_zero``)."""
+    requirement = "a finite number >= 0" if allow_zero else "a positive number"
     try:
         value = float(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a positive number") from None
-    if value <= 0.0 or not math.isfinite(value):
-        raise ConfigError(f"{name} must be a positive number")
+        raise ConfigError(f"{name} must be {requirement}") from None
+    if not math.isfinite(value) or value < 0.0 or (value == 0.0 and not allow_zero):
+        raise ConfigError(f"{name} must be {requirement}")
     return value
 
 
@@ -163,10 +165,14 @@ def parse_config(path) -> dict:
     if s["record_samples"] < 2:
         raise ConfigError("solver.record_samples must be >= 2")
     s["dt_max"] = _auto_or_positive(s["dt_max"], "solver.dt_max")
+    s["boundary_loss_tolerance"] = _as_positive(
+        s["boundary_loss_tolerance"], "solver.boundary_loss_tolerance"
+    )
     if s["store_snapshots"] not in ("auto", True, False):
         raise ConfigError("solver.store_snapshots must be auto, true or false")
     a = cfg["analysis"]
-    a["slack"] = float(a["slack"])
+    a["slack"] = _as_positive(a["slack"], "analysis.slack", allow_zero=True)
+    a["safety_factor"] = _as_positive(a["safety_factor"], "analysis.safety_factor")
     a["ball_factor"] = _as_positive(a["ball_factor"], "analysis.ball_factor")
     a["t_star"] = _auto_or_positive(a["t_star"], "analysis.t_star")
     if a["scan_objective"] not in ("level_per_time", "level"):
@@ -374,19 +380,8 @@ def echo_config(cfg, outdir: Path) -> None:
 # ---------------------------------------------------------------------------
 
 def run_verdicts(traj, constants, slack, loss_tol) -> list:
-    verdicts = []
-    mass_err = traj.mass_error()
-    verdicts.append(
-        analysis.Verdict(
-            "mass_conservation", mass_err <= 1e-6, 1e-6 - mass_err, f"max defect {mass_err:.3e}"
-        )
-    )
     loss = float(traj.outflow_cumulative[-1] / traj.initial_mass)
-    verdicts.append(
-        analysis.Verdict(
-            "boundary_loss", loss <= loss_tol, loss_tol - loss, f"relative rim loss {loss:.3e}"
-        )
-    )
+    verdicts = analysis.bookkeeping_verdicts([traj.mass_error()], [loss], loss_tol)
     if constants is not None and constants.attraction > 0.0:
         violations = analysis.check_moment_inequality(traj, constants, slack)
         verdicts.append(

@@ -197,20 +197,6 @@ def concentration_functional(field: DensityField, scale: float) -> float:
     return float((grid.dimension - 1) * np.sum(contrib))
 
 
-def ball_mass(field: DensityField, radius: float) -> float:
-    """Mass inside the ball of the given radius (center-inclusion rule)."""
-    inside = field.grid.r_centers < radius
-    return float(np.dot(field.values[inside], field.grid.cell_volumes[inside]))
-
-
-def ball_lp(field: DensityField, radius: float, p: float) -> float:
-    """(integral of u^p over the ball)^(1/p) with the center-inclusion rule."""
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
-    inside = field.grid.r_centers < radius
-    return float(np.dot(field.values[inside] ** p, field.grid.cell_volumes[inside]) ** (1.0 / p))
-
-
 # ---------------------------------------------------------------------------
 # initial conditions
 # ---------------------------------------------------------------------------

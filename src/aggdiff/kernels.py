@@ -68,7 +68,8 @@ class KernelSpec:
         return self.family is KernelFamily.TABULATED
 
     def name(self) -> str:
-        """Stable identifier, used e.g. in interaction-matrix cache keys."""
+        """Stable identifier written to run and sweep outputs; a tabulated kernel
+        is named by a digest of its table."""
         if not self.is_tabulated:
             return self.family.value
         digest = hashlib.sha256()

@@ -307,6 +307,18 @@ def test_sweep_verdicts_fail_on_non_finite_row(attribute, verdict, bad):
         assert not _verdicts(rows)[verdict].passed, (attribute, index)
 
 
+def test_bookkeeping_verdicts_judge_the_worst_run():
+    verdicts = {v.name: v for v in analysis.bookkeeping_verdicts([1e-12, 1e-9], [0.0, 2e-6], 1e-6)}
+    assert verdicts["mass_conservation"].passed
+    assert not verdicts["boundary_loss"].passed
+    assert verdicts["boundary_loss"].margin == pytest.approx(-1e-6)
+    assert all(v.passed for v in analysis.bookkeeping_verdicts([1e-9], [2e-6], 1e-5))
+    # A sweep row over the solver's default tolerance fails, as a run would.
+    rows = _synthetic_rows()
+    rows[2].boundary_loss = 2e-6
+    assert not _verdicts(rows)["boundary_loss"].passed
+
+
 def test_sweep_verdicts_fail_on_non_finite_last_row_ratios():
     rows = _synthetic_rows()
     rows[-1].ball_mass_integral = math.inf

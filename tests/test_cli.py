@@ -54,6 +54,19 @@ def test_parse_rejects_inconsistent_combos(tmp_path):
         cli.parse_config(_write(tmp_path, "{dimension: 2, analysis: {h1_coefficient: 0.5}}"))
     with pytest.raises(cli.ConfigError, match="epsilon"):
         cli.parse_config(_write(tmp_path, "{epsilon: [-0.1]}"))
+    for key, value in (
+        ("analysis.slack", ".nan"), ("analysis.slack", "-0.01"), ("analysis.slack", "abc"),
+        ("analysis.safety_factor", "-1"), ("analysis.safety_factor", "abc"),
+        ("solver.boundary_loss_tolerance", "-1.0e-6"), ("solver.boundary_loss_tolerance", "abc"),
+    ):
+        section, name = key.split(".")
+        with pytest.raises(cli.ConfigError, match=key):
+            cli.parse_config(_write(tmp_path, f"{{{section}: {{{name}: {value}}}}}"))
+    # PyYAML reads 1e-6 (no dot) as a string; the parser must still give a float.
+    cfg = cli.parse_config(_write(tmp_path, "{solver: {boundary_loss_tolerance: 1e-6}}"))
+    assert type(cfg["solver"]["boundary_loss_tolerance"]) is float
+    assert cfg["solver"]["boundary_loss_tolerance"] == 1e-6
+    assert cli.parse_config(_write(tmp_path, "{analysis: {slack: 0}}"))["analysis"]["slack"] == 0.0
 
 
 def test_config_echo_round_trips(tmp_path):

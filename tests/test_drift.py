@@ -70,7 +70,7 @@ def test_1d_operator_matches_dense_matrix(n):
     masses = np.random.default_rng(n).uniform(0.0, 1.0, n) * g.cell_volumes
     for kern in _oracle_kernels(g):
         op = drift.build_interaction_matrix(g, kern)
-        dense = _accel._build_matrix_1d_np(g.r_centers, kern.code, kern.s_nodes, kern.kprime_nodes)
+        dense = _accel.build_matrix_1d(g.r_centers, kern.code, kern.s_nodes, kern.kprime_nodes)
         expected = dense @ masses
         gap = np.max(np.abs(op.apply(masses) - expected)) / np.max(np.abs(expected))
         assert gap <= 1e-13, (kern.name(), gap)
@@ -110,7 +110,7 @@ def _dense_order_rule(g, kern, rel_tol=1e-6):
     order, v_prev = 16, None
     while True:
         cos_t, wts, wsum = drift._angular_nodes(g.dimension, order)
-        dense = _accel._build_matrix_nd_np(r, kern.code, kern.s_nodes, kern.kprime_nodes, cos_t, wts, wsum)
+        dense = _accel.build_matrix_nd(r, kern.code, kern.s_nodes, kern.kprime_nodes, cos_t, wts, wsum)
         v = dense @ u_ref
         if v_prev is not None and np.max(np.abs(v - v_prev)) <= rel_tol * np.max(np.abs(v)):
             return order, dense
