@@ -1,10 +1,12 @@
-"""Hot numeric kernels in NumPy (plus SciPy's banded solver).
+"""Hot numeric kernels in NumPy, plus LAPACK's tridiagonal solver.
 
-The finite-volume update and the tridiagonal solve run on every step of
-every run; ``entries_nd`` samples the N >= 2 drift matrix for its
-compressed operator. ``build_matrix_1d`` and ``build_matrix_nd`` form the
-full drift matrices, which the solver never does: they are the tests'
-dense oracles. Kernel-family codes used by the evaluators:
+The finite-volume update runs on every step of every run, and the
+tridiagonal solve (LAPACK ``gtsv`` with partial pivoting, reached through
+SciPy on the first implicit step) on every implicit step; ``entries_nd``
+samples the N >= 2 drift matrix for its compressed operator.
+``build_matrix_1d`` and ``build_matrix_nd`` form the full drift matrices,
+which the solver never does: they are the tests' dense oracles.
+Kernel-family codes used by the evaluators:
 
     0 = gradient -1 everywhere          (K = -|x|)
     1 = gradient -exp(-s)               (K = exp(-|x|))
@@ -17,6 +19,8 @@ the last node is the caller's job.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -76,17 +80,32 @@ def explicit_update(u, cell_v, area, vol, dr, eps, dt, include_diffusion):
     return u_new, dt * flux[n]
 
 
-def thomas_solve(sub, diag, sup, rhs):
+@functools.cache
+def _gtsv():
     # Imported on first use: scipy.linalg takes about 0.2 s to import, and
     # explicit-diffusion runs never need it.
-    import scipy.linalg
+    from scipy.linalg import lapack
 
-    n = diag.shape[0]
-    ab = np.zeros((3, n))
-    ab[0, 1:] = sup[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = sub[1:]
-    return scipy.linalg.solve_banded((1, 1), ab, rhs)
+    return lapack.dgtsv
+
+
+def thomas_solve(lower, diag, upper, rhs):
+    """Solve the tridiagonal system with bands ``lower`` (n-1), ``diag`` (n)
+    and ``upper`` (n-1) for the right-hand side ``rhs`` (n), n >= 2.
+
+    This is LAPACK ``gtsv`` (Gaussian elimination with partial pivoting),
+    the routine ``scipy.linalg.solve_banded`` picks for one sub- and one
+    super-diagonal, called without the banded copy and the finiteness
+    checks. It overwrites all four arguments (f2py works in place on
+    contiguous float64 arrays) and returns the solution in the storage of
+    ``rhs``. A zero pivot raises ``numpy.linalg.LinAlgError``.
+    (The Thomas algorithm is the same elimination without pivoting; the
+    name is kept because ``perfbench`` times the solve under it.)
+    """
+    _, _, _, x, info = _gtsv()(lower, diag, upper, rhs, True, True, True, True)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular tridiagonal matrix: zero pivot in row {info}")
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -524,8 +524,28 @@ def write_sweep_csv(report, path) -> None:
             fh.write(",".join(_fmt(v) for v in values) + "\n")
 
 
+# Keys a sweep cannot honour: each row plans its own grid, horizon and step
+# cap, and judges its rim loss by the solver's default tolerance.
+_SWEEP_IGNORED = (
+    ("t_end",), ("grid", "dr"), ("grid", "r_max"),
+    ("solver", "dt_max"), ("solver", "boundary_loss_tolerance"),
+)
+
+
+def _reject_sweep_ignored(cfg) -> None:
+    """Raise ConfigError when a key ``sweep`` would ignore is not at its default."""
+    for path in _SWEEP_IGNORED:
+        value, default = cfg, DEFAULTS
+        for key in path:
+            value, default = value[key], default[key]
+        if value != default:
+            name = ".".join(path)
+            raise ConfigError(f"{name} is not used by sweep (each row sets its own); remove it")
+
+
 def cmd_sweep(args) -> int:
     cfg = parse_config(args.config)
+    _reject_sweep_ignored(cfg)
     kernel = kernel_from_config(cfg)
     init = init_from_config(cfg)
     settings = analysis.SweepSettings(

@@ -140,35 +140,45 @@ def positivity_bound(grid, epsilon, velocity, cfl_number, diffusion_mode) -> flo
     near the origin where face-area/volume ratios peak."""
     area = grid.face_areas
     vol = grid.cell_volumes
+    n = grid.n
     vf = 0.5 * (velocity[:-1] + velocity[1:])
-    out = np.zeros(grid.n)
-    out[:-1] += area[1:-1] * np.maximum(vf, 0.0)
-    out[1:] += area[1:-1] * np.maximum(-vf, 0.0)
-    out[-1] += area[-1] * max(float(velocity[-1]), 0.0)
+    # out[i] sums cell i's outflow coefficients: rightward through face
+    # i+1, leftward through face i, and (last cell) out through the rim.
+    right = area[1:-1] * np.maximum(vf, 0.0)
+    left = area[1:-1] * np.maximum(-vf, 0.0)
+    out = np.empty(n)
+    out[0] = right[0]
+    np.add(right[1:], left[:-1], out=out[1:-1])
+    out[-1] = left[-1] + area[-1] * max(float(velocity[-1]), 0.0)
     if diffusion_mode == "explicit":
-        out[:-1] += epsilon * area[1:-1] / grid.dr
-        out[1:] += epsilon * area[1:-1] / grid.dr
+        diffusive = epsilon * area[1:-1] / grid.dr
+        out[:-1] += diffusive
+        out[1:] += diffusive
         out[-1] += epsilon * area[-1] / grid.dr
-    positive = out > 0.0
-    if not np.any(positive):
-        return math.inf
-    return float(cfl_number * np.min(vol[positive] / out[positive]))
+    ratio = np.divide(vol, out, out=np.full(n, math.inf), where=out > 0.0)
+    return float(cfl_number * ratio.min())
 
 
 def _implicit_diffusion(u_star, grid, epsilon, dt):
+    """Backward-Euler diffusion of ``u_star`` over dt; returns (u, rim outflow).
+
+    Row i of the system is u_i + (c/vol_i) (a_{i+1} (u_i - u_{i+1}) +
+    a_i (u_i - u_{i-1})) = u*_i with c = eps dt / dr, no flux through the
+    origin face and the ghost value outside the rim held at zero. The
+    three bands share the products -c a.
+    """
     area = grid.face_areas
     vol = grid.cell_volumes
-    n = grid.n
     c = epsilon * dt / grid.dr
-    sub = np.zeros(n)
-    sup = np.zeros(n)
-    diag = np.ones(n)
-    sub[1:] = -c * area[1:-1] / vol[1:]
-    sup[:-1] = -c * area[1:-1] / vol[:-1]
-    diag[:-1] += c * area[1:-1] / vol[:-1]
-    diag[1:] += c * area[1:-1] / vol[1:]
+    off = -c * area[1:-1]
+    lower = off / vol[1:]
+    upper = off / vol[:-1]
+    diag = np.empty(grid.n)
+    np.subtract(1.0, upper, out=diag[:-1])
+    diag[-1] = 1.0
+    diag[1:] -= lower
     diag[-1] += c * area[-1] / vol[-1]
-    u_new = _accel.thomas_solve(sub, diag, sup, u_star)
+    u_new = _accel.thomas_solve(lower, diag, upper, u_star)
     rim_flux_mass = epsilon * dt * area[-1] * u_new[-1] / grid.dr
     return u_new, rim_flux_mass
 

@@ -216,6 +216,33 @@ def test_sweep_rejects_insufficient_epsilons(tmp_path):
     assert cli.main(["sweep", "--config", str(config), "--out", str(tmp_path / "s")]) == 2
 
 
+@pytest.mark.parametrize("key, value", [
+    ("t_end", "2.0"),
+    ("grid.dr", "0.01"),
+    ("grid.r_max", "3.0"),
+    ("solver.dt_max", "1.0e-9"),
+    ("solver.boundary_loss_tolerance", "1.0e-80"),
+])
+def test_sweep_rejects_keys_it_would_ignore(tmp_path, key, value, capsys):
+    # Each sweep row plans its own grid, horizon and step cap, so these keys
+    # would be echoed into config.resolved without acting on the run.
+    *section, name = key.split(".")
+    entry = f"{name}: {value}" if not section else f"{section[0]}: {{{name}: {value}}}"
+    config = _write(tmp_path, f"{{kernel: neg_abs, epsilon: [0.2, 0.1, 0.05, 0.02], {entry}}}")
+    out = tmp_path / "s"
+    assert cli.main(["sweep", "--config", str(config), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_accepts_those_keys_at_their_defaults(tmp_path):
+    text = (
+        "{t_end: auto, grid: {dr: auto, r_max: auto},"
+        " solver: {dt_max: auto, boundary_loss_tolerance: 1e-6}}"
+    )
+    cli._reject_sweep_ignored(cli.parse_config(_write(tmp_path, text)))
+
+
 SWEEP_CONFIG = """
 kernel: neg_abs
 dimension: 1

@@ -1,10 +1,14 @@
 import math
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from aggdiff import analysis, drift, grid, kernels, solver
+from aggdiff import _accel, analysis, drift, grid, kernels, solver
 
 
 def _gaussian_field(g, width=0.25, mass=1.0):
@@ -173,3 +177,97 @@ def test_run_stops_at_first_non_finite_step(mode):
     # Sweep workers send exceptions back pickled.
     copy = pickle.loads(pickle.dumps(err))
     assert (copy.time, copy.step, str(copy)) == (err.time, err.step, str(err))
+
+
+@pytest.mark.parametrize("n", [3, 50, 2000])
+def test_thomas_solve_matches_dense_solve(n):
+    rng = np.random.default_rng(n)
+    lower = rng.uniform(-1.0, 1.0, n - 1)
+    upper = rng.uniform(-1.0, 1.0, n - 1)
+    diag = 2.0 + rng.uniform(0.0, 1.0, n)  # strictly diagonally dominant
+    rhs = rng.uniform(-1.0, 1.0, n)
+    dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+    expected = np.linalg.solve(dense, rhs)
+    x = _accel.thomas_solve(lower.copy(), diag.copy(), upper.copy(), rhs.copy())
+    assert x.shape == (n,)
+    assert np.max(np.abs(x - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_thomas_solve_raises_on_zero_pivot():
+    with pytest.raises(np.linalg.LinAlgError, match="pivot"):
+        _accel.thomas_solve(np.zeros(3), np.zeros(4), np.zeros(3), np.ones(4))
+
+
+def _positivity_bound_oracle(grid, epsilon, velocity, cfl_number, diffusion_mode):
+    # The bound by boolean gathers: accumulate onto zeros, divide the positive entries.
+    area = grid.face_areas
+    vol = grid.cell_volumes
+    vf = 0.5 * (velocity[:-1] + velocity[1:])
+    out = np.zeros(grid.n)
+    out[:-1] += area[1:-1] * np.maximum(vf, 0.0)
+    out[1:] += area[1:-1] * np.maximum(-vf, 0.0)
+    out[-1] += area[-1] * max(float(velocity[-1]), 0.0)
+    if diffusion_mode == "explicit":
+        out[:-1] += epsilon * area[1:-1] / grid.dr
+        out[1:] += epsilon * area[1:-1] / grid.dr
+        out[-1] += epsilon * area[-1] / grid.dr
+    positive = out > 0.0
+    if not np.any(positive):
+        return math.inf
+    return float(cfl_number * np.min(vol[positive] / out[positive]))
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["explicit", "implicit"])
+def test_positivity_bound_matches_gather_formula_bitwise(dimension, mode):
+    g = grid.RadialGrid.make(dimension, 2.0, 0.01)
+    rng = np.random.default_rng(dimension)
+    for trial in range(20):
+        velocity = rng.normal(scale=10.0 ** rng.uniform(-3, 2), size=g.n)
+        if trial % 4 == 1:
+            velocity = np.abs(velocity)  # every face flows outward
+        elif trial % 4 == 2:
+            velocity = -np.abs(velocity)  # every face flows inward, none out at the rim
+        elif trial % 4 == 3:
+            velocity[rng.uniform(size=g.n) < 0.5] = 0.0
+        got = solver.positivity_bound(g, 0.03, velocity, 0.5, mode)
+        assert got == _positivity_bound_oracle(g, 0.03, velocity, 0.5, mode)
+
+
+def test_positivity_bound_is_infinite_without_outflow():
+    g = grid.RadialGrid.make(2, 1.0, 0.01)
+    assert solver.positivity_bound(g, 0.1, np.zeros(g.n), 0.5, "implicit") == math.inf
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # The benchmark's setup_s runs from launch to the first step, so the
+    # scipy.linalg import (about 0.2 s) belongs to the first implicit solve.
+    src = Path(solver.__file__).resolve().parents[1]
+    code = "import sys, aggdiff.cli; print('scipy.linalg' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.stdout.strip() == "False"
+
+
+def test_run_calls_module_advance_once_per_implicit_solve(monkeypatch):
+    # The benchmark hooks solver.advance and _accel.thomas_solve by name.
+    calls = {"advance": 0, "solve": 0}
+    advance, thomas_solve = solver.advance, _accel.thomas_solve
+
+    def counted_advance(*args, **kwargs):
+        calls["advance"] += 1
+        return advance(*args, **kwargs)
+
+    def counted_solve(*args, **kwargs):
+        calls["solve"] += 1
+        return thomas_solve(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "advance", counted_advance)
+    monkeypatch.setattr(_accel, "thomas_solve", counted_solve)
+    g = grid.RadialGrid.make(1, 1.0, 0.01)
+    cfg = solver.SolverConfig(epsilon=0.05, t_end=0.05, record_interval=0.01)
+    solver.run(_gaussian_field(g, width=0.1), kernels.neg_abs_kernel(), cfg, scale=1.0)
+    assert calls["advance"] >= 1
+    assert calls["advance"] == calls["solve"]
