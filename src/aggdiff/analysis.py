@@ -44,7 +44,10 @@ from .solver import SolverConfig, TrajectoryRecord, run
 
 FIT_MIN_POINTS = 4
 MIN_BALL_SAMPLES = 20
-DR_DIVISOR = 16.0
+# Density above this fraction of the peak counts as support.
+SUPPORT_THRESHOLD = 1e-12
+# Log-spaced scales tried by select_scale.
+SCALE_SCAN_POINTS = 61
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +144,13 @@ def consistency_residual(constants: ConcentrationConstants) -> float:
     return abs(lhs - c.bound_level) / abs(c.bound_level)
 
 
-def field_support_radius(field: DensityField, rel_threshold: float = 1e-12) -> float:
-    """Largest radius carrying density above a relative threshold."""
+def field_support_radius(field: DensityField) -> float:
+    """Largest radius carrying density above SUPPORT_THRESHOLD times the peak."""
     u = field.values
     peak = float(np.max(u))
     if peak <= 0.0:
         raise ValueError("empty field has no support radius")
-    idx = np.nonzero(u > rel_threshold * peak)[0]
+    idx = np.nonzero(u > SUPPORT_THRESHOLD * peak)[0]
     return float(field.grid.r_centers[idx[-1]])
 
 
@@ -155,20 +158,19 @@ def select_scale(
     u0: DensityField,
     kernel: KernelSpec,
     objective: str = "level_per_time",
-    num: int = 61,
     h1_coefficient: Optional[float] = None,
 ) -> ConcentrationConstants:
     """Scan scales over a log grid and keep the best admissible one.
 
-    The grid spans [1e-2, 1e2] times the support radius of the data. The
-    default objective maximises bound_level / horizon, which keeps the
-    simulated window short; ``objective="level"`` maximises the bound
-    level alone.
+    The SCALE_SCAN_POINTS scales span [1e-2, 1e2] times the support
+    radius of the data. The default objective maximises bound_level /
+    horizon, which keeps the simulated window short; ``objective="level"``
+    maximises the bound level alone.
     """
     if objective not in ("level_per_time", "level"):
         raise ValueError("objective must be 'level_per_time' or 'level'")
     support = field_support_radius(u0)
-    scales = np.logspace(math.log10(0.01 * support), math.log10(100.0 * support), num)
+    scales = np.logspace(math.log10(0.01 * support), math.log10(100.0 * support), SCALE_SCAN_POINTS)
     best = None
     best_score = -math.inf
     for scale in scales:
@@ -358,8 +360,13 @@ def calibrate_h1_coefficient(probe_runs: Sequence[TrajectoryRecord], safety: flo
         raise ValueError("need at least 3 probe runs to calibrate the H^1 coefficient")
     if any(traj.h1 is None for traj in runs):
         raise ValueError("probe runs must carry the H^1 series (dimension 1)")
-    ratios = [float(np.max(traj.h1)) * traj.epsilon ** 1.5 / traj.initial_mass ** 2.5 for traj in runs]
+    ratios = [_h1_ratio(float(np.max(traj.h1)), traj.epsilon, traj.initial_mass) for traj in runs]
     return safety * _worst(ratios, np.max)
+
+
+def _h1_ratio(sup_h1, epsilon, total_mass) -> float:
+    """The H^1 coefficient one run needs: sup_t |u|_H1 * eps^(3/2) / M^(5/2)."""
+    return sup_h1 * epsilon ** 1.5 / total_mass ** 2.5
 
 
 class FitResult(NamedTuple):
@@ -390,15 +397,27 @@ def loglog_fit(x, y) -> FitResult:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class RunSettings:
+    """How one run is gridded and stepped; None means "auto" (see
+    ``plan_grid`` for dr and r_max, ``SolverConfig`` for dt_max)."""
+
+    diffusion_mode: str = "implicit"
+    cfl_number: float = 0.5
+    dr_max: float = 5e-3
+    dr_divisor: float = 16.0
+    record_samples: int = 200
+    dr: Optional[float] = None
+    r_max: Optional[float] = None
+    dt_max: Optional[float] = None
+    boundary_loss_tolerance: float = 1e-6
+
+
+@dataclass(frozen=True)
 class SweepSettings:
     dimension: int
     epsilons: tuple
     scale: Optional[float] = None
-    diffusion_mode: str = "implicit"
-    cfl_number: float = 0.5
-    dr_max: float = 5e-3
-    dr_divisor: float = DR_DIVISOR
-    record_samples: int = 200
+    run: RunSettings = RunSettings()
     slack: float = 0.01
     ball_factor: float = 0.5
     t_star: Optional[float] = None
@@ -457,18 +476,19 @@ class SweepReport:
         return all(v.passed for v in self.verdicts)
 
 
-def plan_grid(dimension, epsilon, t_end, support_radius, dr_max=5e-3, dr=None, r_max=None,
-              dr_divisor=DR_DIVISOR) -> RadialGrid:
-    """Per-run grid policy: dr resolves the diffusive scale (eps/16, capped
-    at dr_max) and r_max = max(10 support, 20 sqrt(eps t_end)).
+def plan_grid(dimension, epsilon, t_end, support_radius, settings=RunSettings()) -> RadialGrid:
+    """Per-run grid policy: unless ``settings`` fixes them, dr resolves the
+    diffusive scale (eps/dr_divisor, capped at dr_max) and r_max =
+    max(10 support, 20 sqrt(eps t_end)).
 
     eps/16 rather than the minimal eps/8: the first-order upwind bias
     lowers the equilibrium spike by about 2 (dr/eps) kappa M^2 / 2, and
     the stricter divisor keeps that deficit safely inside the 1% slack of
     the moment-inequality check at the smallest swept diffusivities.
     """
+    dr, r_max = settings.dr, settings.r_max
     if dr is None:
-        dr = min(dr_max, epsilon / dr_divisor)
+        dr = min(settings.dr_max, epsilon / settings.dr_divisor)
     if r_max is None:
         r_max = max(10.0 * support_radius, 20.0 * math.sqrt(epsilon * max(t_end, 0.0)))
     return RadialGrid.make(dimension, r_max, dr)
@@ -496,47 +516,35 @@ def run_case(
     init,
     dimension: int,
     epsilon: float,
-    constants: ConcentrationConstants,
-    *,
-    diffusion_mode: str = "implicit",
-    cfl_number: float = 0.5,
-    dr_max: float = 5e-3,
-    dr_divisor: float = DR_DIVISOR,
-    record_samples: int = 200,
-    store_snapshots: bool = True,
-    t_end: Optional[float] = None,
+    scale: float,
+    t_end: float,
+    settings: RunSettings = RunSettings(),
+    store_snapshots: bool = False,
 ) -> TrajectoryRecord:
-    """One policy-driven run of the given data at the given diffusivity."""
-    horizon = constants.horizon if t_end is None else t_end
-    grid = plan_grid(dimension, epsilon, horizon, init.support_radius, dr_max, dr_divisor=dr_divisor)
+    """One run of the given data at the given diffusivity to ``t_end``,
+    gridded by ``plan_grid``, sampled ``settings.record_samples`` times and
+    with truncated-moment and concentration series at ``scale``."""
+    grid = plan_grid(dimension, epsilon, t_end, init.support_radius, settings)
     u0 = make_initial_condition(init, grid)
     config = SolverConfig(
         epsilon=epsilon,
-        t_end=horizon,
-        cfl_number=cfl_number,
-        diffusion_mode=diffusion_mode,
-        record_interval=horizon / record_samples,
+        t_end=t_end,
+        cfl_number=settings.cfl_number,
+        diffusion_mode=settings.diffusion_mode,
+        record_interval=t_end / settings.record_samples if t_end > 0.0 else None,
+        boundary_loss_tolerance=settings.boundary_loss_tolerance,
+        dt_max=settings.dt_max,
         store_snapshots=store_snapshots,
     )
-    return run(u0, kernel, config, constants.scale)
+    return run(u0, kernel, config, scale)
 
 
 def _sweep_case(payload):
     kernel, init, settings, constants, epsilon, t_star = payload
     started = time.monotonic()
     traj = run_case(
-        kernel,
-        init,
-        settings.dimension,
-        epsilon,
-        constants,
-        diffusion_mode=settings.diffusion_mode,
-        cfl_number=settings.cfl_number,
-        dr_max=settings.dr_max,
-        dr_divisor=settings.dr_divisor,
-        record_samples=settings.record_samples,
-        store_snapshots=True,
-        t_end=max(constants.horizon, t_star),
+        kernel, init, settings.dimension, epsilon, constants.scale,
+        max(constants.horizon, t_star), settings.run, store_snapshots=True,
     )
     violations = check_moment_inequality(traj, constants, settings.slack)
     bound = weighted_concentration_integral(traj, constants)
@@ -630,10 +638,10 @@ def epsilon_sweep(kernel: KernelSpec, init, settings: SweepSettings) -> SweepRep
         if settings.h1_coefficient is not None:
             calibrated["h1"] = settings.h1_coefficient
         else:
-            ratios = [row.sup_h1 * row.epsilon ** 1.5 / constants.total_mass ** 2.5 for row in calibration_rows]
+            ratios = [_h1_ratio(row.sup_h1, row.epsilon, constants.total_mass) for row in calibration_rows]
             calibrated["h1"] = settings.safety * _worst(ratios, np.max)
 
-    verdicts = _sweep_verdicts(rows, fits, quality, calibrated, constants, dim)
+    verdicts = _sweep_verdicts(rows, fits, quality, calibrated, constants, settings)
     epsilon_star = None
     for row in rows:
         ok = (
@@ -695,13 +703,12 @@ def bookkeeping_verdicts(mass_errors, losses, loss_tol) -> list:
     ]
 
 
-def _sweep_verdicts(rows, fits, quality, calibrated, constants, dim) -> list:
-    # The rows ran with run_case's SolverConfig, so its default tolerance
-    # is the one their rim losses were judged by.
+def _sweep_verdicts(rows, fits, quality, calibrated, constants, settings) -> list:
+    dim = settings.dimension
     verdicts = bookkeeping_verdicts(
         [row.mass_error for row in rows],
         [row.boundary_loss for row in rows],
-        SolverConfig.boundary_loss_tolerance,
+        settings.run.boundary_loss_tolerance,
     )
 
     def add(name, passed, margin, detail):

@@ -10,8 +10,10 @@ anywhere, and no timestamps are written). Subcommands:
     aggdiff baseline  --config F --out D
     aggdiff calibrate --config F --out D
 
-Exit code 0 iff every verdict passes. The environment variable
-AGGDIFF_WORKERS overrides the sweep worker count.
+Exit code 0 iff every verdict passes. The sweep worker count is
+``--jobs`` if given, else the config's ``sweep.jobs``. Every command that
+runs the solver runs it through ``analysis.run_case`` with the settings of
+``run_settings``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import argparse
 import copy
 import json
 import math
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -183,6 +184,27 @@ def parse_config(path) -> dict:
             raise ConfigError("analysis.h1_coefficient applies to dimension 1 only")
     cfg["sweep"]["jobs"] = int(cfg["sweep"]["jobs"])
     return cfg
+
+
+def _auto(value):
+    """None for "auto", else the value."""
+    return None if value == "auto" else value
+
+
+def run_settings(cfg) -> analysis.RunSettings:
+    """The per-run ``grid`` and ``solver`` keys of a parsed config."""
+    g, s = cfg["grid"], cfg["solver"]
+    return analysis.RunSettings(
+        diffusion_mode=s["diffusion_mode"],
+        cfl_number=float(s["cfl"]),
+        dr_max=g["dr_max"],
+        dr_divisor=g["dr_divisor"],
+        record_samples=s["record_samples"],
+        dr=_auto(g["dr"]),
+        r_max=_auto(g["r_max"]),
+        dt_max=_auto(s["dt_max"]),
+        boundary_loss_tolerance=s["boundary_loss_tolerance"],
+    )
 
 
 def kernel_from_config(cfg) -> kernels.KernelSpec:
@@ -375,6 +397,15 @@ def echo_config(cfg, outdir: Path) -> None:
         yaml.safe_dump(cfg, fh, sort_keys=True, default_flow_style=False)
 
 
+def start_output(args, cfg) -> Path:
+    """Create the command's output directory with its manifest and resolved config."""
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    write_manifest(args.command, args.config, outdir)
+    echo_config(cfg, outdir)
+    return outdir
+
+
 # ---------------------------------------------------------------------------
 # per-run verdicts (simulate / check)
 # ---------------------------------------------------------------------------
@@ -405,18 +436,22 @@ def run_verdicts(traj, constants, slack, loss_tol) -> list:
     return verdicts
 
 
+def _diagnostics_scale(cfg, init) -> float:
+    """Scale of the moment and concentration series when no constants pick one."""
+    return cfg["scale"] if cfg["scale"] != "auto" else 10.0 * init.support_radius
+
+
 def _resolve_scale_and_constants(cfg, kernel, init):
     """Constants (or None for non-attractive kernels) plus the diagnostics scale."""
     if cfg["kernel"] == "zero":
         if cfg["t_end"] == "auto":
             raise ConfigError("t_end must be numeric for the zero kernel (no intrinsic horizon)")
-        scale = cfg["scale"] if cfg["scale"] != "auto" else 10.0 * init.support_radius
-        return None, scale
+        return None, _diagnostics_scale(cfg, init)
     constants = analysis.reference_constants(
         kernel,
         init,
         cfg["dimension"],
-        None if cfg["scale"] == "auto" else cfg["scale"],
+        _auto(cfg["scale"]),
         cfg["analysis"]["scan_objective"],
         cfg["analysis"]["h1_coefficient"],
     )
@@ -431,22 +466,6 @@ def _resolve_t_end(cfg, constants):
     return constants.horizon
 
 
-def _build_solver_config(cfg, epsilon, t_end, store_snapshots):
-    s = cfg["solver"]
-    record = t_end / s["record_samples"] if t_end > 0 else None
-    dt_max = None if s["dt_max"] == "auto" else s["dt_max"]
-    return solver.SolverConfig(
-        epsilon=epsilon,
-        t_end=t_end,
-        cfl_number=float(s["cfl"]),
-        diffusion_mode=s["diffusion_mode"],
-        record_interval=record,
-        boundary_loss_tolerance=s["boundary_loss_tolerance"],
-        dt_max=dt_max,
-        store_snapshots=store_snapshots,
-    )
-
-
 def cmd_simulate(args) -> int:
     cfg = parse_config(args.config)
     if len(cfg["epsilon"]) != 1:
@@ -456,21 +475,11 @@ def cmd_simulate(args) -> int:
     init = init_from_config(cfg)
     constants, scale = _resolve_scale_and_constants(cfg, kernel, init)
     t_end = _resolve_t_end(cfg, constants)
-    g = cfg["grid"]
-    grid = analysis.plan_grid(
-        cfg["dimension"], epsilon, t_end, init.support_radius, g["dr_max"],
-        None if g["dr"] == "auto" else g["dr"],
-        None if g["r_max"] == "auto" else g["r_max"],
-        dr_divisor=g["dr_divisor"],
+    traj = analysis.run_case(
+        kernel, init, cfg["dimension"], epsilon, scale, t_end, run_settings(cfg),
+        store_snapshots=cfg["solver"]["store_snapshots"] is True,
     )
-    u0 = gridmod.make_initial_condition(init, grid)
-    store = cfg["solver"]["store_snapshots"]
-    config = _build_solver_config(cfg, epsilon, t_end, store is True)
-    traj = solver.run(u0, kernel, config, scale)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_manifest("simulate", args.config, outdir)
-    echo_config(cfg, outdir)
+    outdir = start_output(args, cfg)
     emit_run(traj, constants, cfg, outdir)
     verdicts = run_verdicts(
         traj, constants, cfg["analysis"]["slack"], cfg["solver"]["boundary_loss_tolerance"]
@@ -480,12 +489,7 @@ def cmd_simulate(args) -> int:
 
 
 def _sweep_jobs(cfg, args) -> int:
-    env = os.environ.get("AGGDIFF_WORKERS")
-    if env:
-        return max(1, int(env))
-    if args.jobs is not None:
-        return max(1, args.jobs)
-    return max(1, cfg["sweep"]["jobs"])
+    return max(1, args.jobs if args.jobs is not None else cfg["sweep"]["jobs"])
 
 
 def sweep_report_payload(report) -> dict:
@@ -524,11 +528,12 @@ def write_sweep_csv(report, path) -> None:
             fh.write(",".join(_fmt(v) for v in values) + "\n")
 
 
-# Keys a sweep cannot honour: each row plans its own grid, horizon and step
-# cap, and judges its rim loss by the solver's default tolerance.
+# Keys a sweep refuses unless at their defaults: each row plans its own
+# grid, horizon and step cap from its diffusivity, judges its rim loss by
+# the default tolerance, and stores the snapshots its ball integrals need.
 _SWEEP_IGNORED = (
     ("t_end",), ("grid", "dr"), ("grid", "r_max"),
-    ("solver", "dt_max"), ("solver", "boundary_loss_tolerance"),
+    ("solver", "dt_max"), ("solver", "boundary_loss_tolerance"), ("solver", "store_snapshots"),
 )
 
 
@@ -551,25 +556,18 @@ def cmd_sweep(args) -> int:
     settings = analysis.SweepSettings(
         dimension=cfg["dimension"],
         epsilons=tuple(cfg["epsilon"]),
-        scale=None if cfg["scale"] == "auto" else cfg["scale"],
-        diffusion_mode=cfg["solver"]["diffusion_mode"],
-        cfl_number=float(cfg["solver"]["cfl"]),
-        dr_max=cfg["grid"]["dr_max"],
-        dr_divisor=cfg["grid"]["dr_divisor"],
-        record_samples=cfg["solver"]["record_samples"],
+        scale=_auto(cfg["scale"]),
+        run=run_settings(cfg),
         slack=cfg["analysis"]["slack"],
         ball_factor=cfg["analysis"]["ball_factor"],
-        t_star=None if cfg["analysis"]["t_star"] == "auto" else cfg["analysis"]["t_star"],
+        t_star=_auto(cfg["analysis"]["t_star"]),
         safety=cfg["analysis"]["safety_factor"],
         h1_coefficient=cfg["analysis"]["h1_coefficient"],
         scan_objective=cfg["analysis"]["scan_objective"],
         jobs=_sweep_jobs(cfg, args),
     )
     report = analysis.epsilon_sweep(kernel, init, settings)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_manifest("sweep", args.config, outdir)
-    echo_config(cfg, outdir)
+    outdir = start_output(args, cfg)
     _write_json(sweep_report_payload(report), outdir / "sweep.json")
     write_sweep_csv(report, outdir / "sweep.csv")
     write_verdicts(report.verdicts, outdir / "verdicts.txt")
@@ -604,19 +602,11 @@ def cmd_baseline(args) -> int:
         raise ConfigError("baseline expects exactly one epsilon")
     epsilon = cfg["epsilon"][0]
     t_end = cfg["t_end"]
-    kernel = kernels.zero_kernel()
     init = init_from_config(cfg)
-    g = cfg["grid"]
-    grid = analysis.plan_grid(
-        cfg["dimension"], epsilon, t_end, init.support_radius, g["dr_max"],
-        None if g["dr"] == "auto" else g["dr"],
-        None if g["r_max"] == "auto" else g["r_max"],
-        dr_divisor=g["dr_divisor"],
+    traj = analysis.run_case(
+        kernels.zero_kernel(), init, cfg["dimension"], epsilon,
+        _diagnostics_scale(cfg, init), t_end, run_settings(cfg),
     )
-    u0 = gridmod.make_initial_condition(init, grid)
-    config = _build_solver_config(cfg, epsilon, t_end, False)
-    scale = cfg["scale"] if cfg["scale"] != "auto" else 10.0 * init.support_radius
-    traj = solver.run(u0, kernel, config, scale)
     # A gaussian of this width is the spreading profile at offset time t0,
     # so the exact reference at clock time t is the profile at t + t0.
     t0 = init.width ** 2 / (2.0 * epsilon)
@@ -636,10 +626,7 @@ def cmd_baseline(args) -> int:
                 f"computed {got:.6g} vs exact {expected:.6g} (rel {rel:.2e})",
             )
         )
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_manifest("baseline", args.config, outdir)
-    echo_config(cfg, outdir)
+    outdir = start_output(args, cfg)
     _write_json(
         {"epsilon": epsilon, "t_end": t_end, "t_offset": t0, "norms": results},
         outdir / "baseline.json",
@@ -659,23 +646,11 @@ def cmd_calibrate(args) -> int:
     constants, _ = _resolve_scale_and_constants(cfg, kernel, init)
     if constants is None:
         raise ConfigError("calibrate requires an attractive kernel")
-    runs = [
-        analysis.run_case(
-            kernel, init, 1, e, constants,
-            diffusion_mode=cfg["solver"]["diffusion_mode"],
-            cfl_number=float(cfg["solver"]["cfl"]),
-            dr_max=cfg["grid"]["dr_max"],
-            dr_divisor=cfg["grid"]["dr_divisor"],
-            record_samples=cfg["solver"]["record_samples"],
-            store_snapshots=False,
-        )
-        for e in cfg["epsilon"]
-    ]
+    t_end = _resolve_t_end(cfg, constants)
+    settings = run_settings(cfg)
+    runs = [analysis.run_case(kernel, init, 1, e, constants.scale, t_end, settings) for e in cfg["epsilon"]]
     coefficient = analysis.calibrate_h1_coefficient(runs, cfg["analysis"]["safety_factor"])
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_manifest("calibrate", args.config, outdir)
-    echo_config(cfg, outdir)
+    outdir = start_output(args, cfg)
     _write_json(
         {
             "h1_coefficient": coefficient,

@@ -51,6 +51,11 @@ _LEAF = 128
 # Rank at which an off-diagonal block is given up as incompressible; the
 # blocks of neg_abs and exponential reach 22 at n = 8000 (N = 2).
 _MAX_RANK = 48
+# Gauss-Legendre order doubling: first order, last order allowed, and the
+# relative change of the reference velocity that counts as converged.
+_START_ORDER = 16
+_MAX_ORDER = 2048
+_ORDER_REL_TOL = 1e-6
 
 
 class QuadratureError(RuntimeError):
@@ -305,9 +310,6 @@ def _probe(op: HierarchicalDrift, kernel: KernelSpec) -> None:
 def build_interaction_matrix(
     grid: RadialGrid,
     kernel: KernelSpec,
-    rel_tol: float = 1e-6,
-    start_order: int = 16,
-    max_order: int = 2048,
     quadrature_order: int | None = None,
 ) -> DriftOperator:
     """Build the drift operator for a grid/kernel pair.
@@ -315,12 +317,13 @@ def build_interaction_matrix(
     In one dimension the operator is matrix-free and the quadrature
     arguments are ignored (the reported order is 0); so is the zero
     kernel's in every dimension. For N >= 2 it is a HODLR matrix whose
-    Gauss-Legendre order doubles from ``start_order`` until the velocity
+    Gauss-Legendre order doubles from ``_START_ORDER`` until the velocity
     it induces on a fixed smooth reference bump changes by less than
-    ``rel_tol`` (sup norm, relative); pass ``quadrature_order`` to pin the
-    order instead. Raises QuadratureError when ``max_order`` is reached
-    without convergence, and CompressionError when the final operator
-    misses exactly computed rows of W by more than 1e-10 |k'|_sup * mass.
+    ``_ORDER_REL_TOL`` (sup norm, relative); pass ``quadrature_order`` to
+    pin the order instead. Raises QuadratureError when ``_MAX_ORDER`` is
+    reached without convergence, and CompressionError when the final
+    operator misses exactly computed rows of W by more than
+    1e-10 |k'|_sup * mass.
     """
     _check_tabulated_range(kernel, grid)
     if kernel.family is KernelFamily.ZERO:
@@ -333,17 +336,17 @@ def build_interaction_matrix(
         op = _hierarchical_drift(grid, kernel, quadrature_order)
     else:
         u_ref = np.exp(-((grid.r_centers / (0.25 * grid.r_max)) ** 2)) * grid.cell_volumes
-        order = start_order
+        order = _START_ORDER
         op = _hierarchical_drift(grid, kernel, order)
         v_prev = op.apply(u_ref)
         while True:
-            if order * 2 > max_order:
-                raise QuadratureError(f"angular quadrature not converged at order {max_order}")
+            if order * 2 > _MAX_ORDER:
+                raise QuadratureError(f"angular quadrature not converged at order {_MAX_ORDER}")
             order *= 2
             op = _hierarchical_drift(grid, kernel, order)
             v_cur = op.apply(u_ref)
             change = float(np.max(np.abs(v_cur - v_prev)))
-            if change <= rel_tol * max(float(np.max(np.abs(v_cur))), 1e-30):
+            if change <= _ORDER_REL_TOL * max(float(np.max(np.abs(v_cur))), 1e-30):
                 break
             v_prev = v_cur
     _probe(op, kernel)

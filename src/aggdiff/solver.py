@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import _accel
-from .drift import DriftOperator, apply_drift, build_interaction_matrix
+from .drift import apply_drift, build_interaction_matrix
 from .grid import (
     DensityField,
     concentration_functional,
@@ -34,11 +34,8 @@ from .grid import (
 )
 from .kernels import KernelFamily, KernelSpec
 
-DEFAULT_LP_VALUES = (1.0, 2.0, math.inf)
-
-
-class CFLError(ValueError):
-    """Requested time step violates the advertised stability bounds."""
+# Exponents of the recorded L^p norm series.
+LP_VALUES = (1.0, 2.0, math.inf)
 
 
 class NegativityError(RuntimeError):
@@ -72,7 +69,6 @@ class SolverConfig:
     boundary_loss_tolerance: float = 1e-6
     dt_max: Optional[float] = None
     store_snapshots: bool = False
-    lp_values: tuple = DEFAULT_LP_VALUES
 
     def __post_init__(self):
         if self.epsilon <= 0.0:
@@ -209,18 +205,6 @@ def advance(field: DensityField, velocity: np.ndarray, config: SolverConfig, dt:
     return field.with_values(u_new, field.time + dt), float(outflux), clipped
 
 
-def step(field: DensityField, matrix: Optional[DriftOperator], config: SolverConfig, dt: float) -> DensityField:
-    """Single step with CFL precondition checks; drift from the operator."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    velocity = apply_drift(matrix, field) if matrix is not None else np.zeros(field.grid.n)
-    bound = stated_cfl_bound(field.grid, config.epsilon, velocity, config.cfl_number, config.diffusion_mode)
-    if dt > bound * (1.0 + 1e-12):
-        raise CFLError(f"dt = {dt:g} exceeds the stability bound {bound:g}")
-    new_field, _, _ = advance(field, velocity, config, dt)
-    return new_field
-
-
 def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float) -> TrajectoryRecord:
     """Advance to t_end with adaptive dt, recording diagnostics.
 
@@ -248,7 +232,7 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
     moments = [truncated_moment(u0, scale)]
     concentrations = [concentration_functional(u0, scale)]
     outflows = [0.0]
-    lp_series = {p: [lp_norm(u0, p)] for p in config.lp_values}
+    lp_series = {p: [lp_norm(u0, p)] for p in LP_VALUES}
     h1_series = [h1_seminorm(u0)] if grid.dimension == 1 else None
     snap_times = [0.0] if config.store_snapshots else None
     snaps = [u0.values.copy()] if config.store_snapshots else None
@@ -268,7 +252,7 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
         moments.append(truncated_moment(fld, scale))
         concentrations.append(concentration_functional(fld, scale))
         outflows.append(outflow_total)
-        for p in config.lp_values:
+        for p in LP_VALUES:
             lp_series[p].append(lp_norm(fld, p))
         if h1_series is not None:
             h1_series.append(h1_seminorm(fld))
@@ -278,7 +262,7 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
 
     while t < config.t_end - tiny:
         if drift is not None:
-            velocity = drift.apply(current.values * vol)
+            velocity = apply_drift(drift, current)
         else:
             velocity = np.zeros(grid.n)
         dt = min(

@@ -76,7 +76,7 @@ def test_02_heat_kernel_oracle():
     # matches the closed form at t + t0 in L1 within 1e-3, and the L2 norm
     # matches (4 pi eps t)^(-1/4) 2^(-1/4) M within 0.5%.
     eps, width, t_end, dr = 0.1, 0.2, 1.0, 2.5e-3
-    g = analysis.plan_grid(1, eps, t_end, width, dr=dr)
+    g = analysis.plan_grid(1, eps, t_end, width, analysis.RunSettings(dr=dr))
     u0 = grid.make_initial_condition(grid.GaussianBump(1.0, width), g)
     config = solver.SolverConfig(
         epsilon=eps, t_end=t_end, diffusion_mode="explicit",
@@ -211,8 +211,8 @@ def test_09_h1_barrier_on_held_out_diffusivities():
 
     def probe(eps):
         return analysis.run_case(
-            NEG_ABS, BUMP, 1, eps, constants,
-            record_samples=100, store_snapshots=False,
+            NEG_ABS, BUMP, 1, eps, constants.scale, constants.horizon,
+            analysis.RunSettings(record_samples=100),
         )
 
     calibration = [probe(e) for e in (0.1, 0.05, 0.02)]

@@ -14,6 +14,8 @@ from aggdiff import analysis, grid, kernels, solver
 
 
 NEG_ABS = kernels.neg_abs_kernel()
+# A coarse grid and few samples: sweeps in seconds, for tests of the sweep machinery.
+COARSE = analysis.RunSettings(dr_max=0.02, dr_divisor=4.0, record_samples=20)
 
 
 def _u0(dim=1, width=0.25, mass=1.0, r_max=2.5, dr=0.005):
@@ -21,13 +23,15 @@ def _u0(dim=1, width=0.25, mass=1.0, r_max=2.5, dr=0.005):
     return grid.make_initial_condition(grid.GaussianBump(mass, width), g)
 
 
-def _quick_traj(eps=0.05, constants=None, **kwargs):
+def _quick_traj(eps=0.05, constants=None, record_samples=80):
     init = grid.GaussianBump(1.0, 0.25)
     if constants is None:
         constants = analysis.reference_constants(NEG_ABS, init, 1)
-    defaults = dict(dr_max=0.01, dr_divisor=8.0, record_samples=80, store_snapshots=True)
-    defaults.update(kwargs)
-    return analysis.run_case(NEG_ABS, init, 1, eps, constants, **defaults), constants
+    settings = analysis.RunSettings(dr_max=0.01, dr_divisor=8.0, record_samples=record_samples)
+    traj = analysis.run_case(
+        NEG_ABS, init, 1, eps, constants.scale, constants.horizon, settings, store_snapshots=True,
+    )
+    return traj, constants
 
 
 def test_moment_rate_is_six_times_mass_for_unit_attraction():
@@ -253,7 +257,7 @@ def test_plan_grid_policy():
     g = analysis.plan_grid(1, 0.02, 1.0, 0.25)
     assert g.dr == pytest.approx(0.02 / 16)
     assert g.r_max >= max(2.5, 20 * math.sqrt(0.02))
-    fixed = analysis.plan_grid(2, 0.1, 1.0, 0.25, dr=0.01, r_max=3.0)
+    fixed = analysis.plan_grid(2, 0.1, 1.0, 0.25, analysis.RunSettings(dr=0.01, r_max=3.0))
     assert fixed.dr == 0.01 and fixed.r_max == pytest.approx(3.0)
 
 
@@ -274,12 +278,13 @@ def _synthetic_rows():
     return rows
 
 
-def _verdicts(rows):
+def _verdicts(rows, run=analysis.RunSettings()):
     fits = {"2": -0.5, "inf": -1.0, "ball_p2": -0.5}
     quality = {key: 1.0 for key in fits}
     calibrated = {"lp_2": 1.5, "lp_inf": 1.5, "h1": 1.5}
     constants = SimpleNamespace(total_mass=1.0)
-    return {v.name: v for v in analysis._sweep_verdicts(rows, fits, quality, calibrated, constants, 1)}
+    settings = analysis.SweepSettings(1, (), run=run)
+    return {v.name: v for v in analysis._sweep_verdicts(rows, fits, quality, calibrated, constants, settings)}
 
 
 @pytest.mark.parametrize(
@@ -313,10 +318,11 @@ def test_bookkeeping_verdicts_judge_the_worst_run():
     assert not verdicts["boundary_loss"].passed
     assert verdicts["boundary_loss"].margin == pytest.approx(-1e-6)
     assert all(v.passed for v in analysis.bookkeeping_verdicts([1e-9], [2e-6], 1e-5))
-    # A sweep row over the solver's default tolerance fails, as a run would.
+    # A sweep row over the tolerance its runs were given fails, as a run would.
     rows = _synthetic_rows()
     rows[2].boundary_loss = 2e-6
     assert not _verdicts(rows)["boundary_loss"].passed
+    assert _verdicts(rows, analysis.RunSettings(boundary_loss_tolerance=1e-5))["boundary_loss"].passed
 
 
 def test_sweep_verdicts_fail_on_non_finite_last_row_ratios():
@@ -339,9 +345,7 @@ def test_parallel_sweep_uses_spawned_workers(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(analysis, "ProcessPoolExecutor", Recording)
-    settings = analysis.SweepSettings(
-        dimension=1, epsilons=(0.2, 0.1, 0.05, 0.02), dr_max=0.02, dr_divisor=4.0, record_samples=20,
-    )
+    settings = analysis.SweepSettings(dimension=1, epsilons=(0.2, 0.1, 0.05, 0.02), run=COARSE)
     init = grid.GaussianBump(1.0, 0.25)
     serial = analysis.epsilon_sweep(NEG_ABS, init, settings)
     parallel = analysis.epsilon_sweep(NEG_ABS, init, replace(settings, jobs=2))
@@ -379,8 +383,8 @@ def test_parallel_sweep_from_stdin_script_runs_in_process():
     script = (
         "import pickle, sys\n"
         "from aggdiff import analysis, grid, kernels\n"
-        "settings = analysis.SweepSettings(dimension=1, epsilons=(0.2, 0.1, 0.05, 0.02),\n"
-        "    dr_max=0.02, dr_divisor=4.0, record_samples=20, jobs=2)\n"
+        "settings = analysis.SweepSettings(dimension=1, epsilons=(0.2, 0.1, 0.05, 0.02), jobs=2,\n"
+        "    run=analysis.RunSettings(dr_max=0.02, dr_divisor=4.0, record_samples=20))\n"
         "report = analysis.epsilon_sweep(kernels.neg_abs_kernel(), grid.GaussianBump(1.0, 0.25), settings)\n"
         "sys.stdout.write(pickle.dumps(report.rows).hex())\n"
     )
@@ -390,8 +394,6 @@ def test_parallel_sweep_from_stdin_script_runs_in_process():
         [sys.executable, "-"], input=script, env=env, capture_output=True, text=True, timeout=300,
     )
     assert out.returncode == 0, out.stderr
-    settings = analysis.SweepSettings(
-        dimension=1, epsilons=(0.2, 0.1, 0.05, 0.02), dr_max=0.02, dr_divisor=4.0, record_samples=20,
-    )
+    settings = analysis.SweepSettings(dimension=1, epsilons=(0.2, 0.1, 0.05, 0.02), run=COARSE)
     serial = analysis.epsilon_sweep(NEG_ABS, grid.GaussianBump(1.0, 0.25), settings)
     assert pickle.loads(bytes.fromhex(out.stdout)) == serial.rows

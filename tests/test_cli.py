@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from aggdiff import cli, solver
+from aggdiff import analysis, cli, solver
 
 
 TINY_SIMULATE = """
@@ -206,6 +206,38 @@ def test_calibrate_writes_coefficient(tmp_path):
     assert len(payload["probes"]) == 3
 
 
+RUN_KEYS = """
+t_end: 0.3
+grid: {dr: 0.02, r_max: 3.0}
+solver: {cfl: 0.4, diffusion_mode: explicit, record_samples: 10, dt_max: 0.01,
+         boundary_loss_tolerance: 1.0e-5}
+"""
+
+
+@pytest.mark.parametrize("command, head", [
+    ("simulate", "kernel: neg_abs\nepsilon: [0.2]"),
+    ("baseline", "kernel: zero\nepsilon: [0.2]"),
+    ("calibrate", "kernel: neg_abs\nepsilon: [0.2, 0.15, 0.1]"),
+])
+def test_commands_run_with_the_configs_run_keys(tmp_path, monkeypatch, command, head):
+    # calibrate used to run every probe to the horizon on the automatic grid.
+    seen = []
+    run = analysis.run
+
+    def recording_run(u0, kernel, config, scale):
+        seen.append((u0.grid, config))
+        return run(u0, kernel, config, scale)
+
+    monkeypatch.setattr(analysis, "run", recording_run)
+    config = _write(tmp_path, head + RUN_KEYS)
+    assert cli.main([command, "--config", str(config), "--out", str(tmp_path / "o")]) in (0, 1)
+    assert seen
+    for g, cfg in seen:
+        assert (g.dr, g.r_max) == (0.02, pytest.approx(3.0))
+        assert (cfg.t_end, cfg.record_interval, cfg.dt_max) == (0.3, 0.03, 0.01)
+        assert (cfg.cfl_number, cfg.diffusion_mode, cfg.boundary_loss_tolerance) == (0.4, "explicit", 1e-5)
+
+
 def test_calibrate_needs_three_probes(tmp_path):
     config = _write(tmp_path, "{kernel: neg_abs, epsilon: [0.1, 0.05]}")
     assert cli.main(["calibrate", "--config", str(config), "--out", str(tmp_path / "c")]) == 2
@@ -222,10 +254,12 @@ def test_sweep_rejects_insufficient_epsilons(tmp_path):
     ("grid.r_max", "3.0"),
     ("solver.dt_max", "1.0e-9"),
     ("solver.boundary_loss_tolerance", "1.0e-80"),
+    ("solver.store_snapshots", "false"),
 ])
 def test_sweep_rejects_keys_it_would_ignore(tmp_path, key, value, capsys):
-    # Each sweep row plans its own grid, horizon and step cap, so these keys
-    # would be echoed into config.resolved without acting on the run.
+    # Each sweep row plans its own grid, horizon and step cap and always
+    # stores snapshots, so these keys would be echoed into config.resolved
+    # without acting on the run.
     *section, name = key.split(".")
     entry = f"{name}: {value}" if not section else f"{section[0]}: {{{name}: {value}}}"
     config = _write(tmp_path, f"{{kernel: neg_abs, epsilon: [0.2, 0.1, 0.05, 0.02], {entry}}}")
@@ -238,7 +272,7 @@ def test_sweep_rejects_keys_it_would_ignore(tmp_path, key, value, capsys):
 def test_sweep_accepts_those_keys_at_their_defaults(tmp_path):
     text = (
         "{t_end: auto, grid: {dr: auto, r_max: auto},"
-        " solver: {dt_max: auto, boundary_loss_tolerance: 1e-6}}"
+        " solver: {dt_max: auto, boundary_loss_tolerance: 1e-6, store_snapshots: auto}}"
     )
     cli._reject_sweep_ignored(cli.parse_config(_write(tmp_path, text)))
 
@@ -265,16 +299,10 @@ def test_sweep_end_to_end(tmp_path):
     assert all(v["passed"] for v in payload["verdicts"])
     csv_lines = (out / "sweep.csv").read_text().splitlines()
     assert len(csv_lines) == 5 and csv_lines[0].startswith("epsilon,")
-    # env var overrides the worker count without changing results
-    import os
-
-    os.environ["AGGDIFF_WORKERS"] = "1"
-    try:
-        out2 = tmp_path / "sweep2"
-        assert cli.main(["sweep", "--config", str(config), "--out", str(out2)]) == 0
-        assert (out2 / "sweep.json").read_bytes() == (out / "sweep.json").read_bytes()
-    finally:
-        del os.environ["AGGDIFF_WORKERS"]
+    # --jobs overrides sweep.jobs without changing results
+    out2 = tmp_path / "sweep2"
+    assert cli.main(["sweep", "--config", str(config), "--out", str(out2), "--jobs", "1"]) == 0
+    assert (out2 / "sweep.json").read_bytes() == (out / "sweep.json").read_bytes()
 
 
 def test_zero_kernel_simulate_needs_numeric_t_end(tmp_path):

@@ -53,17 +53,24 @@ def test_constant_interior_unchanged_without_drift():
     assert new.values[-1] < 1.0
 
 
-def test_step_enforces_stated_cfl():
+@pytest.mark.parametrize("mode", ["explicit", "implicit"])
+def test_run_steps_within_stated_cfl_bound(mode, monkeypatch):
+    # Every step run takes honours the advertised bound for the velocity it
+    # advances with; the bound is active, not merely far above the steps.
+    ratios = []
+    advance = solver.advance
+
+    def checked_advance(field, velocity, config, dt):
+        bound = solver.stated_cfl_bound(field.grid, config.epsilon, velocity, config.cfl_number, mode)
+        ratios.append(dt / bound)
+        return advance(field, velocity, config, dt)
+
+    monkeypatch.setattr(solver, "advance", checked_advance)
     g = grid.RadialGrid.make(1, 2.0, 0.01)
-    f = _gaussian_field(g)
-    m = drift.build_interaction_matrix(g, kernels.neg_abs_kernel())
-    cfg = solver.SolverConfig(epsilon=0.05, t_end=1.0, diffusion_mode="explicit")
-    with pytest.raises(solver.CFLError):
-        solver.step(f, m, cfg, dt=1.0)
-    v = drift.apply_drift(m, f)
-    dt = 0.9 * solver.stated_cfl_bound(g, cfg.epsilon, v, cfg.cfl_number, "explicit")
-    stepped = solver.step(f, m, cfg, dt)
-    assert stepped.time == pytest.approx(dt)
+    cfg = solver.SolverConfig(epsilon=0.05, t_end=0.2, diffusion_mode=mode, record_interval=0.05)
+    solver.run(_gaussian_field(g), kernels.neg_abs_kernel(), cfg, scale=1.0)
+    assert ratios and max(ratios) <= 1.0 + 1e-12
+    assert max(ratios) >= 0.5
 
 
 @pytest.mark.parametrize("mode", ["explicit", "implicit"])
