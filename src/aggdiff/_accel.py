@@ -1,8 +1,9 @@
-"""Hot numeric kernels in NumPy, plus LAPACK's tridiagonal solver.
+"""Hot numeric kernels in NumPy, plus LAPACK's symmetric tridiagonal solver.
 
 The finite-volume update runs on every step of every run, and the
-tridiagonal solve (LAPACK ``gtsv`` with partial pivoting, reached through
-SciPy on the first implicit step) on every implicit step; ``entries_nd``
+tridiagonal solve (LAPACK ``ptsv``, an LDL^T factorisation of a symmetric
+positive definite matrix, reached through SciPy on the first implicit
+step) on every implicit step; ``entries_nd``
 samples the N >= 2 drift matrix for its compressed operator.
 ``build_matrix_1d`` and ``build_matrix_nd`` form the full drift matrices,
 which the solver never does: they are the tests' dense oracles.
@@ -59,52 +60,62 @@ def kprime_array(kind: int, s: np.ndarray, s_nodes: np.ndarray, kp_nodes: np.nda
 # Face indexing: face f sits between cells f-1 and f; face 0 is the origin
 # (zero flux by radial symmetry), face n is the outer rim where mass may
 # leave through a ghost cell held at zero. The returned outflux is the mass
-# that left through face n during the step, so total mass telescopes
-# exactly: sum(u_new * vol) = sum(u * vol) - outflux.
+# that left through face n during the step. Each interior flux leaves one
+# cell and enters its neighbour, so total mass telescopes to roundoff:
+# sum(u_new * vol) = sum(u * vol) - outflux.
 
-def explicit_update(u, cell_v, area, vol, dr, eps, dt, include_diffusion):
-    n = u.shape[0]
-    flux = np.zeros(n + 1)
-    vf = 0.5 * (cell_v[:-1] + cell_v[1:])
-    upwind = np.where(vf >= 0.0, u[:-1], u[1:])
-    inner = vf * upwind
+def explicit_update(u, cell_v, right, left, rim_area, dr, eps, dt, include_diffusion):
+    """One upwind (plus, if asked, centred diffusion) step; returns (u_new, outflux).
+
+    ``right`` holds a_{i+1}/vol_i (n entries, the last one the rim ratio
+    a_n/vol_{n-1}) and ``left`` holds a_i/vol_i for i >= 1 (n - 1 entries):
+    the grid's ``right_ratios`` and ``left_ratios``. ``rim_area`` is a_n.
+    """
+    vf = cell_v[:-1] + cell_v[1:]
+    vf *= 0.5
+    inner = np.where(vf >= 0.0, u[:-1], u[1:])
+    inner *= vf
     if include_diffusion:
-        inner = inner - eps * np.diff(u) / dr
-    flux[1:n] = area[1:n] * inner
-    v_out = cell_v[n - 1]
-    rim = v_out * u[n - 1] if v_out >= 0.0 else 0.0
+        inner -= eps * np.diff(u) / dr
+    v_out = cell_v[-1]
+    rim = v_out * u[-1] if v_out >= 0.0 else 0.0
     if include_diffusion:
-        rim += eps * u[n - 1] / dr
-    flux[n] = area[n] * rim
-    u_new = u - dt * np.diff(flux) / vol
-    return u_new, dt * flux[n]
+        rim += eps * u[-1] / dr
+    du = np.empty(u.shape[0])
+    np.multiply(right[:-1], inner, out=du[:-1])
+    du[-1] = right[-1] * rim
+    du[1:] -= left * inner
+    du *= dt
+    return u - du, dt * (rim_area * rim)
 
 
 @functools.cache
-def _gtsv():
+def _ptsv():
     # Imported on first use: scipy.linalg takes about 0.2 s to import, and
     # explicit-diffusion runs never need it.
     from scipy.linalg import lapack
 
-    return lapack.dgtsv
+    return lapack.dptsv
 
 
-def thomas_solve(lower, diag, upper, rhs):
-    """Solve the tridiagonal system with bands ``lower`` (n-1), ``diag`` (n)
-    and ``upper`` (n-1) for the right-hand side ``rhs`` (n), n >= 2.
+def thomas_solve(diag, off, rhs):
+    """Solve the symmetric tridiagonal system with diagonal ``diag`` (n) and
+    off-diagonal ``off`` (n-1) for the right-hand side ``rhs`` (n), n >= 2.
 
-    This is LAPACK ``gtsv`` (Gaussian elimination with partial pivoting),
-    the routine ``scipy.linalg.solve_banded`` picks for one sub- and one
-    super-diagonal, called without the banded copy and the finiteness
-    checks. It overwrites all four arguments (f2py works in place on
-    contiguous float64 arrays) and returns the solution in the storage of
-    ``rhs``. A zero pivot raises ``numpy.linalg.LinAlgError``.
-    (The Thomas algorithm is the same elimination without pivoting; the
-    name is kept because ``perfbench`` times the solve under it.)
+    The matrix must be positive definite. This is LAPACK ``ptsv``: an
+    LDL^T factorisation without pivoting, called without SciPy's
+    finiteness checks. It overwrites all three arguments (f2py works in
+    place on contiguous float64 arrays) and returns the solution in the
+    storage of ``rhs``. A matrix that is not positive definite raises
+    ``numpy.linalg.LinAlgError``. (The Thomas algorithm is the same
+    elimination; the name is kept because ``perfbench`` times the solve
+    under it.)
     """
-    _, _, _, x, info = _gtsv()(lower, diag, upper, rhs, True, True, True, True)
+    _, _, x, info = _ptsv()(diag, off, rhs, True, True, True)
     if info > 0:
-        raise np.linalg.LinAlgError(f"singular tridiagonal matrix: zero pivot in row {info}")
+        raise np.linalg.LinAlgError(
+            f"tridiagonal matrix not positive definite: pivot {info} is not positive"
+        )
     return x
 
 

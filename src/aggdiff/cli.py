@@ -594,6 +594,8 @@ def cmd_check(args) -> int:
 
 def cmd_baseline(args) -> int:
     cfg = parse_config(args.config)
+    if cfg["kernel"] != "zero":
+        raise ConfigError("baseline runs pure diffusion and requires kernel: zero")
     if cfg["initial"]["type"] != "gaussian":
         raise ConfigError("baseline requires gaussian initial data (closed-form reference)")
     if cfg["t_end"] == "auto":

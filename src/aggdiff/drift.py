@@ -82,7 +82,7 @@ class DriftOperator:
         """
         v = self._product(masses)
         bound = self.kprime_sup_norm * float(np.sum(masses))
-        vmax = float(np.max(np.abs(v))) if v.size else 0.0
+        vmax = max(float(v.max()), -float(v.min()))
         if not vmax <= bound * (1.0 + 1e-9) + 1e-13:
             raise RuntimeError(f"drift bound violated: |V| = {vmax:g} > {bound:g}")
         return v
@@ -355,7 +355,7 @@ def build_interaction_matrix(
 
 def apply_drift(operator: DriftOperator, field: DensityField) -> np.ndarray:
     """Radial drift velocity of a field, V = operator.apply(u * vol)."""
-    if field.grid is not operator.grid and field.grid.key() != operator.grid.key():
+    if field.grid != operator.grid:
         raise ValueError("field and drift operator live on different grids")
     return operator.apply(field.values * field.grid.cell_volumes)
 

@@ -22,15 +22,33 @@ def sphere_area(dimension: int) -> float:
     return 2.0 * math.pi ** (dimension / 2.0) / math.gamma(dimension / 2.0)
 
 
+def _derived():
+    # An array computed from (dimension, dr, n): left out of __init__, repr,
+    # equality and hash, so grids compare and hash by those three numbers.
+    return field(init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
 class RadialGrid:
+    """Uniform cell-centred radial mesh and the constants the step reuses.
+
+    Besides radii, face areas a_f and cell volumes vol_i, it holds
+    ``face_sums`` (a_i + a_{i+1}, without the origin face a_0 and with the
+    rim face a_n: the faces through which cell i diffuses), ``right_ratios``
+    (a_{i+1}/vol_i, the last entry the rim ratio a_n/vol_{n-1}) and
+    ``left_ratios`` (a_i/vol_i for i >= 1).
+    """
+
     dimension: int
     dr: float
     n: int
-    r_centers: np.ndarray = field(init=False, repr=False)
-    r_faces: np.ndarray = field(init=False, repr=False)
-    face_areas: np.ndarray = field(init=False, repr=False)
-    cell_volumes: np.ndarray = field(init=False, repr=False)
+    r_centers: np.ndarray = _derived()
+    r_faces: np.ndarray = _derived()
+    face_areas: np.ndarray = _derived()
+    cell_volumes: np.ndarray = _derived()
+    face_sums: np.ndarray = _derived()
+    right_ratios: np.ndarray = _derived()
+    left_ratios: np.ndarray = _derived()
 
     def __post_init__(self):
         if self.dimension not in (1, 2, 3):
@@ -42,10 +60,15 @@ class RadialGrid:
         centers = (np.arange(self.n, dtype=np.float64) + 0.5) * self.dr
         volumes = sigma * np.diff(faces ** self.dimension) / self.dimension
         areas = sigma * faces ** (self.dimension - 1)
+        sums = areas[1:].copy()
+        sums[1:] += areas[1:-1]
         object.__setattr__(self, "r_centers", centers)
         object.__setattr__(self, "r_faces", faces)
         object.__setattr__(self, "face_areas", areas)
         object.__setattr__(self, "cell_volumes", volumes)
+        object.__setattr__(self, "face_sums", sums)
+        object.__setattr__(self, "right_ratios", areas[1:] / volumes)
+        object.__setattr__(self, "left_ratios", areas[1:-1] / volumes[1:])
 
     @classmethod
     def make(cls, dimension: int, r_max: float, dr: float) -> "RadialGrid":
@@ -61,9 +84,6 @@ class RadialGrid:
     def sigma(self) -> float:
         return sphere_area(self.dimension)
 
-    def key(self) -> str:
-        return f"N{self.dimension}:dr{self.dr!r}:n{self.n}"
-
 
 @dataclass(frozen=True)
 class DensityField:
@@ -77,9 +97,12 @@ class DensityField:
         values = np.ascontiguousarray(self.values, dtype=np.float64)
         if values.shape != (self.grid.n,):
             raise ValueError("values length must match the grid")
-        if not np.all(np.isfinite(values)):
+        # min and max propagate NaN, so these two reductions see every
+        # non-finite value (a sum could overflow on finite data).
+        low, high = float(values.min()), float(values.max())
+        if not (math.isfinite(low) and math.isfinite(high)):
             raise ValueError("density values must be finite")
-        if np.any(values < 0.0):
+        if low < 0.0:
             raise ValueError("density values must be nonnegative")
         object.__setattr__(self, "values", values)
 

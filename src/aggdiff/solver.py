@@ -3,15 +3,22 @@
 Advances u_t = r^{1-N} d_r ( r^{N-1} ( eps u_r - u V ) ) with first-order
 upwind drift fluxes, centred diffusive fluxes, zero flux at the origin,
 and a monitored outflow face at r_max (ghost value zero). Every unit of
-mass that leaves through the rim is accounted for exactly, so
+mass that leaves through the rim is added to the recorded outflow, so
 
     mass(t) + cumulative_outflow(t) == mass(0)
 
 holds to roundoff at every step in both diffusion modes. Diffusion is
 either explicit (stable under the parabolic CFL) or backward-Euler
-implicit via a tridiagonal solve; the drift velocity is refreshed from
-the drift operator every step and lags the update by one step. A step
-that produces a NaN or infinite state raises NonFiniteError.
+implicit. The implicit system is solved in its volume-weighted form, row i
+
+    (vol_i + c (a_i + a_{i+1})) u_i - c a_{i+1} u_{i+1} - c a_i u_{i-1} = vol_i u*_i
+
+with c = eps dt / dr, face areas a, no origin term a_0 and the rim face a_n
+on the last row. That matrix is symmetric and strictly diagonally dominant
+with a positive diagonal, hence positive definite, and LAPACK ``ptsv``
+solves it. The drift velocity is refreshed from the drift operator every
+step and lags the update by one step. A step that produces a NaN or
+infinite state or outflow raises NonFiniteError.
 """
 
 from __future__ import annotations
@@ -158,46 +165,46 @@ def positivity_bound(grid, epsilon, velocity, cfl_number, diffusion_mode) -> flo
 def _implicit_diffusion(u_star, grid, epsilon, dt):
     """Backward-Euler diffusion of ``u_star`` over dt; returns (u, rim outflow).
 
-    Row i of the system is u_i + (c/vol_i) (a_{i+1} (u_i - u_{i+1}) +
-    a_i (u_i - u_{i-1})) = u*_i with c = eps dt / dr, no flux through the
-    origin face and the ghost value outside the rim held at zero. The
-    three bands share the products -c a.
+    Solves row i of (V + c A) u = V u*, the volume-weighted form
+    (vol_i + c (a_i + a_{i+1})) u_i - c a_{i+1} u_{i+1} - c a_i u_{i-1} =
+    vol_i u*_i with c = eps dt / dr: no flux through the origin face, and
+    the ghost value outside the rim held at zero, which adds c a_n to the
+    last diagonal entry. The diagonal is c times the grid's ``face_sums``
+    plus the volumes; both off-diagonals are -c a over the interior faces.
     """
     area = grid.face_areas
     vol = grid.cell_volumes
     c = epsilon * dt / grid.dr
-    off = -c * area[1:-1]
-    lower = off / vol[1:]
-    upper = off / vol[:-1]
-    diag = np.empty(grid.n)
-    np.subtract(1.0, upper, out=diag[:-1])
-    diag[-1] = 1.0
-    diag[1:] -= lower
-    diag[-1] += c * area[-1] / vol[-1]
-    u_new = _accel.thomas_solve(lower, diag, upper, u_star)
+    diag = c * grid.face_sums
+    diag += vol
+    u_new = _accel.thomas_solve(diag, -c * area[1:-1], vol * u_star)
     rim_flux_mass = epsilon * dt * area[-1] * u_new[-1] / grid.dr
     return u_new, rim_flux_mass
 
 
 def advance(field: DensityField, velocity: np.ndarray, config: SolverConfig, dt: float):
-    """One conservative update; returns (new field, outflow mass, clipped cells)."""
+    """One conservative update; returns (new field, outflow mass, clipped cells).
+
+    Raises NonFiniteError when the new state or the outflow is not finite,
+    and NegativityError when a density falls below the clip threshold.
+    """
     grid = field.grid
     explicit = config.diffusion_mode == "explicit"
     u_new, outflux = _accel.explicit_update(
-        field.values, velocity, grid.face_areas, grid.cell_volumes,
+        field.values, velocity, grid.right_ratios, grid.left_ratios, grid.face_areas[-1],
         grid.dr, config.epsilon, dt, explicit,
     )
-    # The implicit solve maps finite data to finite data (diagonally
-    # dominant M-matrix), so checking the transport result covers both modes.
-    if not (np.all(np.isfinite(u_new)) and math.isfinite(outflux)):
-        raise NonFiniteError(field.time + dt)
     if not explicit:
         u_new, rim = _implicit_diffusion(u_new, grid, config.epsilon, dt)
         outflux += rim
+    # min and max propagate NaN, so they check the final state in both
+    # modes; the negativity floor and the clip scale need them anyway.
+    floor, top = float(u_new.min()), float(u_new.max())
+    if not (math.isfinite(floor) and math.isfinite(top) and math.isfinite(outflux)):
+        raise NonFiniteError(field.time + dt)
     clipped = 0
-    floor = float(np.min(u_new)) if u_new.size else 0.0
     if floor < 0.0:
-        scale = max(float(np.max(u_new)), float(np.max(field.values)), 1.0)
+        scale = max(top, float(np.max(field.values)), 1.0)
         if floor < -1e-8 * scale:
             raise NegativityError(f"negative density {floor:g} beyond the clip threshold")
         clipped = int(np.count_nonzero(u_new < -1e-14))

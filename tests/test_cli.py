@@ -187,6 +187,16 @@ def test_baseline_requires_gaussian_and_t_end(tmp_path):
     assert cli.main(["baseline", "--config", str(bad2), "--out", str(tmp_path / "y")]) == 2
 
 
+@pytest.mark.parametrize("kernel", ["neg_abs", "exponential"])
+def test_baseline_rejects_a_kernel_it_would_ignore(tmp_path, capsys, kernel):
+    # baseline always runs pure diffusion, whatever the config's kernel.
+    config = _write(tmp_path, BASELINE_CONFIG.replace("kernel: zero", f"kernel: {kernel}"))
+    out = tmp_path / "base"
+    assert cli.main(["baseline", "--config", str(config), "--out", str(out)]) == 2
+    assert "kernel: zero" in capsys.readouterr().err
+    assert not out.exists()
+
+
 CALIBRATE_CONFIG = """
 kernel: neg_abs
 dimension: 1

@@ -59,13 +59,29 @@ def test_lp_norm_disc_indicator_sup():
     assert grid.lp_norm(f, math.inf) == 1.0
 
 
-@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, -math.inf])
 def test_density_field_rejects_negative_and_non_finite_values(bad):
     g = grid.RadialGrid.make(1, 1.0, 0.1)
     values = np.ones(g.n)
     values[4] = bad
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonnegative" if bad == -1.0 else "finite"):
         grid.DensityField(g, values)
+
+
+def test_density_field_rejects_all_nan_values():
+    g = grid.RadialGrid.make(1, 1.0, 0.1)
+    with pytest.raises(ValueError, match="finite"):
+        grid.DensityField(g, np.full(g.n, math.nan))
+
+
+def test_grids_compare_and_hash_by_dimension_spacing_and_size():
+    g = grid.RadialGrid.make(1, 1.0, 0.1)
+    same = grid.RadialGrid.make(1, 1.0, 0.1)
+    assert g == same and hash(g) == hash(same)
+    assert len({g, same}) == 1
+    for other in (grid.RadialGrid(2, g.dr, g.n), grid.RadialGrid(1, 0.05, g.n), grid.RadialGrid(1, g.dr, g.n + 1)):
+        assert g != other
+        assert len({g, other}) == 2
 
 
 def test_lp_norm_rejects_p_below_one():

@@ -28,17 +28,66 @@ def test_config_validation():
 
 @pytest.mark.parametrize("mode", ["explicit", "implicit"])
 def test_single_step_mass_telescopes_exactly(mode):
-    g = grid.RadialGrid.make(1, 2.0, 0.01)
-    rng = np.random.default_rng(7)
-    f = grid.DensityField(g, rng.uniform(0.0, 1.0, g.n))
-    m = drift.build_interaction_matrix(g, kernels.neg_abs_kernel())
-    v = drift.apply_drift(m, f)
-    cfg = solver.SolverConfig(epsilon=0.05, t_end=1.0, diffusion_mode=mode)
-    dt = 0.25 * solver.stated_cfl_bound(g, cfg.epsilon, v, cfg.cfl_number, mode)
-    new, outflux, _ = solver.advance(f, v, cfg, dt)
-    before = float(np.dot(f.values, g.cell_volumes))
-    after = float(np.dot(new.values, g.cell_volumes))
-    assert after + outflux == pytest.approx(before, rel=1e-13)
+    for dimension in (1, 2, 3):
+        g = grid.RadialGrid.make(dimension, 2.0, 0.01)
+        rng = np.random.default_rng(7)
+        f = grid.DensityField(g, rng.uniform(0.0, 1.0, g.n))
+        m = drift.build_interaction_matrix(g, kernels.neg_abs_kernel())
+        v = drift.apply_drift(m, f)
+        cfg = solver.SolverConfig(epsilon=0.05, t_end=1.0, diffusion_mode=mode)
+        dt = 0.25 * solver.stated_cfl_bound(g, cfg.epsilon, v, cfg.cfl_number, mode)
+        new, outflux, _ = solver.advance(f, v, cfg, dt)
+        assert outflux > 0.0
+        before = float(np.dot(f.values, g.cell_volumes))
+        after = float(np.dot(new.values, g.cell_volumes))
+        assert after + outflux == pytest.approx(before, rel=1e-13)
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+@pytest.mark.parametrize("diffusion", [False, True])
+def test_explicit_update_matches_flux_difference_formula(dimension, diffusion):
+    # Oracle: face fluxes F_f (zero at the origin), u - dt (a_{f+1} F_{f+1} - a_f F_f) / vol.
+    g = grid.RadialGrid.make(dimension, 2.0, 0.01)
+    rng = np.random.default_rng(dimension)
+    u = rng.uniform(0.0, 1.0, g.n)
+    for velocity in (rng.normal(size=g.n), -np.abs(rng.normal(size=g.n))):
+        eps, dt = 0.05, 1e-4
+        vf = 0.5 * (velocity[:-1] + velocity[1:])
+        flux = np.zeros(g.n + 1)
+        flux[1:-1] = vf * np.where(vf >= 0.0, u[:-1], u[1:])
+        flux[-1] = max(velocity[-1], 0.0) * u[-1]
+        if diffusion:
+            flux[1:-1] -= eps * np.diff(u) / g.dr
+            flux[-1] += eps * u[-1] / g.dr
+        flux *= g.face_areas
+        expected = u - dt * np.diff(flux) / g.cell_volumes
+        got, outflux = _accel.explicit_update(
+            u, velocity, g.right_ratios, g.left_ratios, g.face_areas[-1], g.dr, eps, dt, diffusion
+        )
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+        assert outflux == dt * flux[-1]
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_implicit_diffusion_matches_row_scaled_dense_solve(dimension):
+    # Oracle: (I + c V^-1 A) u = u* with c = eps dt / dr, A the face-area
+    # diffusion matrix (no origin face, ghost zero beyond the rim).
+    g = grid.RadialGrid.make(dimension, 2.0, 0.01)
+    eps, dt = 0.05, 2e-3
+    u_star = np.random.default_rng(dimension).uniform(0.0, 1.0, g.n)
+    a, vol, n = g.face_areas, g.cell_volumes, g.n
+    c = eps * dt / g.dr
+    A = np.zeros((n, n))
+    for f in range(1, n):  # interior face f between cells f-1 and f
+        A[f - 1, f - 1] += a[f]
+        A[f, f] += a[f]
+        A[f - 1, f] -= a[f]
+        A[f, f - 1] -= a[f]
+    A[n - 1, n - 1] += a[n]
+    expected = np.linalg.solve(np.eye(n) + c * A / vol[:, None], u_star)
+    got, rim = solver._implicit_diffusion(u_star, g, eps, dt)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+    assert rim == pytest.approx(eps * dt * a[n] * expected[-1] / g.dr, rel=1e-13)
 
 
 def test_constant_interior_unchanged_without_drift():
@@ -186,23 +235,44 @@ def test_run_stops_at_first_non_finite_step(mode):
     assert (copy.time, copy.step, str(copy)) == (err.time, err.step, str(err))
 
 
+def test_run_stops_when_the_volume_weighted_solve_overflows():
+    # Transport leaves u = 1e307 finite without drift; vol * u on the
+    # right-hand side of the implicit solve overflows near the rim.
+    g = grid.RadialGrid.make(3, 10.0, 0.1)
+    f = grid.DensityField(g, np.full(g.n, 1e307))
+    cfg = solver.SolverConfig(epsilon=0.1, t_end=0.1, diffusion_mode="implicit")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(solver.NonFiniteError) as info:
+            solver.run(f, kernels.zero_kernel(), cfg, scale=1.0)
+    assert info.value.step == 1
+
+
 @pytest.mark.parametrize("n", [3, 50, 2000])
 def test_thomas_solve_matches_dense_solve(n):
+    # Symmetric positive definite systems: a random diagonally dominant one
+    # and the implicit step's vol + c A on an N = 3 grid, whose diagonal
+    # spans decades (vol grows like r^2).
     rng = np.random.default_rng(n)
-    lower = rng.uniform(-1.0, 1.0, n - 1)
-    upper = rng.uniform(-1.0, 1.0, n - 1)
-    diag = 2.0 + rng.uniform(0.0, 1.0, n)  # strictly diagonally dominant
-    rhs = rng.uniform(-1.0, 1.0, n)
-    dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
-    expected = np.linalg.solve(dense, rhs)
-    x = _accel.thomas_solve(lower.copy(), diag.copy(), upper.copy(), rhs.copy())
-    assert x.shape == (n,)
-    assert np.max(np.abs(x - expected)) <= 1e-13 * np.max(np.abs(expected))
+    off = rng.uniform(-1.0, 1.0, n - 1)
+    diag = 2.0 + rng.uniform(0.0, 1.0, n)
+    g = grid.RadialGrid(3, 0.01, n)
+    c = 0.05 * 2e-3 / g.dr
+    systems = [(diag, off), (g.cell_volumes + c * g.face_sums, -c * g.face_areas[1:-1])]
+    for diag, off in systems:
+        rhs = rng.uniform(-1.0, 1.0, n)
+        dense = np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
+        expected = np.linalg.solve(dense, rhs)
+        x = _accel.thomas_solve(diag.copy(), off.copy(), rhs.copy())
+        assert x.shape == (n,)
+        assert np.max(np.abs(x - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def test_thomas_solve_raises_on_zero_pivot():
-    with pytest.raises(np.linalg.LinAlgError, match="pivot"):
-        _accel.thomas_solve(np.zeros(3), np.zeros(4), np.zeros(3), np.ones(4))
+    # ptsv factors without pivoting and needs a positive definite matrix.
+    with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
+        _accel.thomas_solve(np.zeros(4), np.zeros(3), np.ones(4))
+    with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
+        _accel.thomas_solve(np.array([1.0, 1.0, 1.0]), np.array([2.0, 0.0]), np.ones(3))
 
 
 def _positivity_bound_oracle(grid, epsilon, velocity, cfl_number, diffusion_mode):
