@@ -59,25 +59,29 @@ def kprime_array(kind: int, s: np.ndarray, s_nodes: np.ndarray, kp_nodes: np.nda
 #
 # Face indexing: face f sits between cells f-1 and f; face 0 is the origin
 # (zero flux by radial symmetry), face n is the outer rim where mass may
-# leave through a ghost cell held at zero. The returned outflux is the mass
-# that left through face n during the step. Each interior flux leaves one
-# cell and enters its neighbour, so total mass telescopes to roundoff:
-# sum(u_new * vol) = sum(u * vol) - outflux.
+# leave through a ghost cell held at zero. Face velocities (``faces``, n + 1
+# entries) and ``grid.face_areas`` share this indexing. The returned
+# outflux is the mass that left through face n during the step. Each
+# interior flux leaves one cell and enters its neighbour, so total mass
+# telescopes to roundoff: sum(u_new * vol) = sum(u * vol) - outflux.
 
-def explicit_update(u, cell_v, right, left, rim_area, dr, eps, dt, include_diffusion):
+def explicit_update(u, faces, right, left, rim_area, dr, eps, dt, include_diffusion):
     """One upwind (plus, if asked, centred diffusion) step; returns (u_new, outflux).
 
-    ``right`` holds a_{i+1}/vol_i (n entries, the last one the rim ratio
-    a_n/vol_{n-1}) and ``left`` holds a_i/vol_i for i >= 1 (n - 1 entries):
-    the grid's ``right_ratios`` and ``left_ratios``. ``rim_area`` is a_n.
+    ``faces`` holds the face velocities (n + 1 entries, the solver's
+    ``face_velocities``): ``faces[1:-1]`` on the interior faces and
+    ``faces[-1]`` at the rim; the origin entry is not read. ``right``
+    holds a_{i+1}/vol_i (n entries, the last one the rim ratio
+    a_n/vol_{n-1}) and ``left`` holds a_i/vol_i for i >= 1 (n - 1
+    entries): the grid's ``right_ratios`` and ``left_ratios``.
+    ``rim_area`` is a_n.
     """
-    vf = cell_v[:-1] + cell_v[1:]
-    vf *= 0.5
+    vf = faces[1:-1]
     inner = np.where(vf >= 0.0, u[:-1], u[1:])
     inner *= vf
     if include_diffusion:
         inner -= eps * np.diff(u) / dr
-    v_out = cell_v[-1]
+    v_out = faces[-1]
     rim = v_out * u[-1] if v_out >= 0.0 else 0.0
     if include_diffusion:
         rim += eps * u[-1] / dr

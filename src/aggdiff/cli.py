@@ -104,6 +104,29 @@ def _as_positive(value, name, allow_zero=False):
     return value
 
 
+def _as_int(value, name, low, high=None):
+    """``value`` as an int in [low, high]: a finite, integral number, not a bool.
+
+    Integral floats and numeric strings count (PyYAML reads 1e3 as a
+    string), so 2.0 and 1e3 give 2 and 1000; 2.9, .inf and true do not.
+    """
+    requirement = f"an integer >= {low}" if high is None else f"an integer from {low} to {high}"
+    error = ConfigError(f"{name} must be {requirement}")
+    if isinstance(value, bool):
+        raise error
+    if not isinstance(value, int):
+        try:
+            number = float(value)
+        except (TypeError, ValueError):
+            raise error from None
+        if not number.is_integer():
+            raise error
+        value = int(number)
+    if value < low or (high is not None and value > high):
+        raise error
+    return value
+
+
 def _auto_or_positive(value, name):
     if value == "auto":
         return "auto"
@@ -127,8 +150,7 @@ def parse_config(path) -> dict:
         raise ConfigError(f"kernel must be one of {_KERNEL_NAMES}")
     if cfg["kernel"] == "tabulated" and not cfg["kernel_table"]:
         raise ConfigError("tabulated kernel requires kernel_table: <path>")
-    if cfg["dimension"] not in (1, 2, 3):
-        raise ConfigError("dimension must be 1, 2 or 3 (unsupported dimension)")
+    cfg["dimension"] = _as_int(cfg["dimension"], "dimension", 1, 3)
     eps = cfg["epsilon"]
     if not isinstance(eps, (list, tuple)):
         eps = [eps]
@@ -160,11 +182,10 @@ def parse_config(path) -> dict:
     s = cfg["solver"]
     if s["diffusion_mode"] not in ("explicit", "implicit"):
         raise ConfigError("solver.diffusion_mode must be explicit or implicit")
-    if not (0.0 < float(s["cfl"]) <= 1.0):
+    s["cfl"] = _as_positive(s["cfl"], "solver.cfl")
+    if s["cfl"] > 1.0:
         raise ConfigError("solver.cfl must lie in (0, 1]")
-    s["record_samples"] = int(s["record_samples"])
-    if s["record_samples"] < 2:
-        raise ConfigError("solver.record_samples must be >= 2")
+    s["record_samples"] = _as_int(s["record_samples"], "solver.record_samples", 2)
     s["dt_max"] = _auto_or_positive(s["dt_max"], "solver.dt_max")
     s["boundary_loss_tolerance"] = _as_positive(
         s["boundary_loss_tolerance"], "solver.boundary_loss_tolerance"
@@ -182,7 +203,7 @@ def parse_config(path) -> dict:
         a["h1_coefficient"] = _as_positive(a["h1_coefficient"], "analysis.h1_coefficient")
         if cfg["dimension"] != 1:
             raise ConfigError("analysis.h1_coefficient applies to dimension 1 only")
-    cfg["sweep"]["jobs"] = int(cfg["sweep"]["jobs"])
+    cfg["sweep"]["jobs"] = _as_int(cfg["sweep"]["jobs"], "sweep.jobs", 1)
     return cfg
 
 
@@ -196,7 +217,7 @@ def run_settings(cfg) -> analysis.RunSettings:
     g, s = cfg["grid"], cfg["solver"]
     return analysis.RunSettings(
         diffusion_mode=s["diffusion_mode"],
-        cfl_number=float(s["cfl"]),
+        cfl_number=s["cfl"],
         dr_max=g["dr_max"],
         dr_divisor=g["dr_divisor"],
         record_samples=s["record_samples"],
@@ -489,7 +510,9 @@ def cmd_simulate(args) -> int:
 
 
 def _sweep_jobs(cfg, args) -> int:
-    return max(1, args.jobs if args.jobs is not None else cfg["sweep"]["jobs"])
+    if args.jobs is None:
+        return cfg["sweep"]["jobs"]
+    return _as_int(args.jobs, "--jobs", 1)
 
 
 def sweep_report_payload(report) -> dict:

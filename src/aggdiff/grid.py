@@ -106,11 +106,19 @@ class DensityField:
             raise ValueError("density values must be nonnegative")
         object.__setattr__(self, "values", values)
 
-    def with_values(self, values, time=None) -> "DensityField":
-        return DensityField(self.grid, values, self.time if time is None else time)
+    @classmethod
+    def _checked(cls, grid: RadialGrid, values: np.ndarray, time: float) -> "DensityField":
+        """A field of values the caller has already checked: a contiguous
+        float64 array of length grid.n, finite and nonnegative. Skips
+        ``__post_init__`` and its min/max pass over the values."""
+        new = object.__new__(cls)
+        object.__setattr__(new, "grid", grid)
+        object.__setattr__(new, "values", values)
+        object.__setattr__(new, "time", time)
+        return new
 
     def scaled(self, factor: float) -> "DensityField":
-        return self.with_values(self.values * factor)
+        return DensityField(self.grid, self.values * factor, self.time)
 
 
 # ---------------------------------------------------------------------------

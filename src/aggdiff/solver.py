@@ -17,8 +17,10 @@ with c = eps dt / dr, face areas a, no origin term a_0 and the rim face a_n
 on the last row. That matrix is symmetric and strictly diagonally dominant
 with a positive diagonal, hence positive definite, and LAPACK ``ptsv``
 solves it. The drift velocity is refreshed from the drift operator every
-step and lags the update by one step. A step that produces a NaN or
-infinite state or outflow raises NonFiniteError.
+step and lags the update by one step; each step averages it onto the
+faces once, and the positivity bound and the transport update both read
+those face velocities. A step that produces a NaN or infinite state or
+outflow raises NonFiniteError.
 """
 
 from __future__ import annotations
@@ -125,11 +127,28 @@ class TrajectoryRecord:
         return float(np.max(defect) / self.mass[0])
 
 
+def face_velocities(velocity: np.ndarray) -> np.ndarray:
+    """Face velocities F (n + 1 entries) of the cell velocities V (n entries).
+
+    Indexed like ``grid.face_areas``: F[0] = 0 at the origin face,
+    F[f] = (V[f-1] + V[f]) / 2 on the interior faces 1..n-1, and
+    F[n] = V[n-1] at the rim. The positivity bound and the transport
+    update both read F, so each step averages the cells once.
+    """
+    faces = np.empty(velocity.shape[0] + 1)
+    faces[0] = 0.0
+    inner = faces[1:-1]
+    np.add(velocity[:-1], velocity[1:], out=inner)
+    inner *= 0.5
+    faces[-1] = velocity[-1]
+    return faces
+
+
 def stated_cfl_bound(grid, epsilon, velocity, cfl_number, diffusion_mode) -> float:
-    """The advertised step bounds: advective cfl*dr/max|V| and, in
-    explicit mode, the parabolic cfl*dr^2/(2 N eps)."""
+    """The advertised step bounds for the cell velocities: advective
+    cfl*dr/max|V| and, in explicit mode, the parabolic cfl*dr^2/(2 N eps)."""
     bound = math.inf
-    vmax = float(np.max(np.abs(velocity))) if velocity.size else 0.0
+    vmax = max(float(velocity.max()), -float(velocity.min())) if velocity.size else 0.0
     if vmax > 0.0:
         bound = cfl_number * grid.dr / vmax
     if diffusion_mode == "explicit":
@@ -137,29 +156,30 @@ def stated_cfl_bound(grid, epsilon, velocity, cfl_number, diffusion_mode) -> flo
     return bound
 
 
-def positivity_bound(grid, epsilon, velocity, cfl_number, diffusion_mode) -> float:
-    """Exact convex-combination bound: dt such that every cell's outflow
-    coefficient stays below cfl * volume. Sharper than the stated bounds
-    near the origin where face-area/volume ratios peak."""
-    area = grid.face_areas
-    vol = grid.cell_volumes
-    n = grid.n
-    vf = 0.5 * (velocity[:-1] + velocity[1:])
-    # out[i] sums cell i's outflow coefficients: rightward through face
-    # i+1, leftward through face i, and (last cell) out through the rim.
-    right = area[1:-1] * np.maximum(vf, 0.0)
-    left = area[1:-1] * np.maximum(-vf, 0.0)
-    out = np.empty(n)
-    out[0] = right[0]
-    np.add(right[1:], left[:-1], out=out[1:-1])
-    out[-1] = left[-1] + area[-1] * max(float(velocity[-1]), 0.0)
+def positivity_bound(grid, epsilon, faces, cfl_number, diffusion_mode) -> float:
+    """Exact convex-combination bound cfl / (largest outflow rate per unit volume).
+
+    ``faces`` are the face velocities of ``face_velocities`` (n + 1
+    entries). Cell i loses a_{i+1} max(F_{i+1}, 0) / vol_i through its
+    right face (the rim for the last cell) and a_i max(-F_i, 0) / vol_i
+    through its left face, plus, in explicit mode, eps (a_i + a_{i+1}) /
+    (dr vol_i) by diffusion (``grid.face_sums``: no origin face): the
+    coefficient of u_i that the update subtracts per unit dt. Steps of at most cfl / max rate keep the
+    update a convex combination, so the new state stays nonnegative.
+    Sharper than the stated bounds near the origin, where the face-area
+    to volume ratios peak. Infinite when no cell has outflow.
+    """
+    rate = np.maximum(faces[1:], 0.0)
+    rate *= grid.right_ratios
+    # Subtracting a_i min(F_i, 0) / vol_i adds exactly a_i max(-F_i, 0) / vol_i
+    # and saves negating the faces into another temporary.
+    left = np.minimum(faces[1:-1], 0.0)
+    left *= grid.left_ratios
+    rate[1:] -= left
     if diffusion_mode == "explicit":
-        diffusive = epsilon * area[1:-1] / grid.dr
-        out[:-1] += diffusive
-        out[1:] += diffusive
-        out[-1] += epsilon * area[-1] / grid.dr
-    ratio = np.divide(vol, out, out=np.full(n, math.inf), where=out > 0.0)
-    return float(cfl_number * ratio.min())
+        rate += (epsilon / grid.dr) * grid.face_sums / grid.cell_volumes
+    top = float(rate.max())
+    return cfl_number / top if top > 0.0 else math.inf
 
 
 def _implicit_diffusion(u_star, grid, epsilon, dt):
@@ -182,16 +202,19 @@ def _implicit_diffusion(u_star, grid, epsilon, dt):
     return u_new, rim_flux_mass
 
 
-def advance(field: DensityField, velocity: np.ndarray, config: SolverConfig, dt: float):
+def advance(field: DensityField, faces: np.ndarray, config: SolverConfig, dt: float):
     """One conservative update; returns (new field, outflow mass, clipped cells).
 
-    Raises NonFiniteError when the new state or the outflow is not finite,
-    and NegativityError when a density falls below the clip threshold.
+    ``faces`` are the face velocities of ``face_velocities`` (n + 1
+    entries). Raises NonFiniteError when the new state or the outflow is
+    not finite, and NegativityError when a density falls below the clip
+    threshold; the new field is built from the checked values without
+    checking them again.
     """
     grid = field.grid
     explicit = config.diffusion_mode == "explicit"
     u_new, outflux = _accel.explicit_update(
-        field.values, velocity, grid.right_ratios, grid.left_ratios, grid.face_areas[-1],
+        field.values, faces, grid.right_ratios, grid.left_ratios, grid.face_areas[-1],
         grid.dr, config.epsilon, dt, explicit,
     )
     if not explicit:
@@ -209,7 +232,7 @@ def advance(field: DensityField, velocity: np.ndarray, config: SolverConfig, dt:
             raise NegativityError(f"negative density {floor:g} beyond the clip threshold")
         clipped = int(np.count_nonzero(u_new < -1e-14))
         u_new = np.maximum(u_new, 0.0)
-    return field.with_values(u_new, field.time + dt), float(outflux), clipped
+    return DensityField._checked(grid, u_new, field.time + dt), float(outflux), clipped
 
 
 def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float) -> TrajectoryRecord:
@@ -233,6 +256,9 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
     if record_dt <= 0.0:
         raise ValueError("record_interval must be positive")
     dt_cap = config.dt_max if config.dt_max is not None else record_dt
+    if drift is None:
+        velocity = np.zeros(grid.n)
+        faces = np.zeros(grid.n + 1)
 
     times = [0.0]
     masses = [mass(u0)]
@@ -270,11 +296,10 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
     while t < config.t_end - tiny:
         if drift is not None:
             velocity = apply_drift(drift, current)
-        else:
-            velocity = np.zeros(grid.n)
+            faces = face_velocities(velocity)
         dt = min(
             stated_cfl_bound(grid, config.epsilon, velocity, config.cfl_number, config.diffusion_mode),
-            positivity_bound(grid, config.epsilon, velocity, config.cfl_number, config.diffusion_mode),
+            positivity_bound(grid, config.epsilon, faces, config.cfl_number, config.diffusion_mode),
             dt_cap,
             next_record - t,
             config.t_end - t,
@@ -283,7 +308,7 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
             raise RuntimeError(f"degenerate step size {dt!r} at t = {t!r}")
         steps += 1
         try:
-            current, outflux, clipped = advance(current, velocity, config, dt)
+            current, outflux, clipped = advance(current, faces, config, dt)
         except NonFiniteError as exc:
             exc.step = steps
             raise

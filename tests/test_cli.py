@@ -58,10 +58,24 @@ def test_parse_rejects_inconsistent_combos(tmp_path):
         ("analysis.slack", ".nan"), ("analysis.slack", "-0.01"), ("analysis.slack", "abc"),
         ("analysis.safety_factor", "-1"), ("analysis.safety_factor", "abc"),
         ("solver.boundary_loss_tolerance", "-1.0e-6"), ("solver.boundary_loss_tolerance", "abc"),
+        ("solver.record_samples", ".inf"), ("solver.record_samples", "2.9"),
+        ("solver.record_samples", "1"), ("solver.record_samples", "true"),
+        ("sweep.jobs", "1.7"), ("sweep.jobs", "0"), ("sweep.jobs", "-2"), ("sweep.jobs", ".nan"),
+        ("solver.cfl", "1.5"), ("solver.cfl", "0"), ("solver.cfl", "abc"),
     ):
         section, name = key.split(".")
         with pytest.raises(cli.ConfigError, match=key):
             cli.parse_config(_write(tmp_path, f"{{{section}: {{{name}: {value}}}}}"))
+    for value in ("true", "2.5", "0", "4", ".inf"):
+        with pytest.raises(cli.ConfigError, match="dimension"):
+            cli.parse_config(_write(tmp_path, f"{{dimension: {value}}}"))
+    # Integral numbers in any spelling are stored as ints, cfl as a float.
+    cfg = cli.parse_config(
+        _write(tmp_path, "{dimension: 2.0, solver: {record_samples: 1e3, cfl: 5e-1}, sweep: {jobs: 2.0}}")
+    )
+    counts = (cfg["dimension"], cfg["solver"]["record_samples"], cfg["sweep"]["jobs"])
+    assert counts == (2, 1000, 2) and all(type(v) is int for v in counts)
+    assert cfg["solver"]["cfl"] == 0.5 and type(cfg["solver"]["cfl"]) is float
     # PyYAML reads 1e-6 (no dot) as a string; the parser must still give a float.
     cfg = cli.parse_config(_write(tmp_path, "{solver: {boundary_loss_tolerance: 1e-6}}"))
     assert type(cfg["solver"]["boundary_loss_tolerance"]) is float
@@ -313,6 +327,14 @@ def test_sweep_end_to_end(tmp_path):
     out2 = tmp_path / "sweep2"
     assert cli.main(["sweep", "--config", str(config), "--out", str(out2), "--jobs", "1"]) == 0
     assert (out2 / "sweep.json").read_bytes() == (out / "sweep.json").read_bytes()
+
+
+def test_sweep_rejects_fewer_than_one_job(tmp_path, capsys):
+    config = _write(tmp_path, SWEEP_CONFIG)
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", str(config), "--out", str(out), "--jobs", "0"]) == 2
+    assert "--jobs must be an integer >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_zero_kernel_simulate_needs_numeric_t_end(tmp_path):

@@ -36,7 +36,7 @@ def test_single_step_mass_telescopes_exactly(mode):
         v = drift.apply_drift(m, f)
         cfg = solver.SolverConfig(epsilon=0.05, t_end=1.0, diffusion_mode=mode)
         dt = 0.25 * solver.stated_cfl_bound(g, cfg.epsilon, v, cfg.cfl_number, mode)
-        new, outflux, _ = solver.advance(f, v, cfg, dt)
+        new, outflux, _ = solver.advance(f, solver.face_velocities(v), cfg, dt)
         assert outflux > 0.0
         before = float(np.dot(f.values, g.cell_volumes))
         after = float(np.dot(new.values, g.cell_volumes))
@@ -61,8 +61,9 @@ def test_explicit_update_matches_flux_difference_formula(dimension, diffusion):
             flux[-1] += eps * u[-1] / g.dr
         flux *= g.face_areas
         expected = u - dt * np.diff(flux) / g.cell_volumes
+        faces = solver.face_velocities(velocity)
         got, outflux = _accel.explicit_update(
-            u, velocity, g.right_ratios, g.left_ratios, g.face_areas[-1], g.dr, eps, dt, diffusion
+            u, faces, g.right_ratios, g.left_ratios, g.face_areas[-1], g.dr, eps, dt, diffusion
         )
         assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
         assert outflux == dt * flux[-1]
@@ -96,7 +97,7 @@ def test_constant_interior_unchanged_without_drift():
     cfg = solver.SolverConfig(epsilon=0.1, t_end=1.0, diffusion_mode="explicit")
     v = np.zeros(g.n)
     dt = 0.5 * solver.stated_cfl_bound(g, cfg.epsilon, v, cfg.cfl_number, "explicit")
-    new, _, _ = solver.advance(f, v, cfg, dt)
+    new, _, _ = solver.advance(f, solver.face_velocities(v), cfg, dt)
     # all interior fluxes vanish for constant data; only the rim cell loses
     assert np.max(np.abs(new.values[:-1] - 1.0)) == 0.0
     assert new.values[-1] < 1.0
@@ -107,13 +108,21 @@ def test_run_steps_within_stated_cfl_bound(mode, monkeypatch):
     # Every step run takes honours the advertised bound for the velocity it
     # advances with; the bound is active, not merely far above the steps.
     ratios = []
-    advance = solver.advance
+    cell_velocities = []
+    advance, stated_cfl_bound = solver.advance, solver.stated_cfl_bound
 
-    def checked_advance(field, velocity, config, dt):
-        bound = solver.stated_cfl_bound(field.grid, config.epsilon, velocity, config.cfl_number, mode)
+    def seen_cfl_bound(grid, epsilon, velocity, cfl_number, diffusion_mode):
+        cell_velocities.append(velocity.copy())
+        return stated_cfl_bound(grid, epsilon, velocity, cfl_number, diffusion_mode)
+
+    def checked_advance(field, faces, config, dt):
+        velocity = cell_velocities[-1]
+        assert np.array_equal(faces, solver.face_velocities(velocity))
+        bound = stated_cfl_bound(field.grid, config.epsilon, velocity, config.cfl_number, mode)
         ratios.append(dt / bound)
-        return advance(field, velocity, config, dt)
+        return advance(field, faces, config, dt)
 
+    monkeypatch.setattr(solver, "stated_cfl_bound", seen_cfl_bound)
     monkeypatch.setattr(solver, "advance", checked_advance)
     g = grid.RadialGrid.make(1, 2.0, 0.01)
     cfg = solver.SolverConfig(epsilon=0.05, t_end=0.2, diffusion_mode=mode, record_interval=0.05)
@@ -275,8 +284,26 @@ def test_thomas_solve_raises_on_zero_pivot():
         _accel.thomas_solve(np.array([1.0, 1.0, 1.0]), np.array([2.0, 0.0]), np.ones(3))
 
 
-def _positivity_bound_oracle(grid, epsilon, velocity, cfl_number, diffusion_mode):
-    # The bound by boolean gathers: accumulate onto zeros, divide the positive entries.
+def _positivity_bound_oracle(grid, epsilon, faces, cfl_number, diffusion_mode):
+    # The rate form by boolean gathers: each cell's outflow rate per unit
+    # volume accumulated onto zeros, right face first, then the largest.
+    area, vol = grid.face_areas, grid.cell_volumes
+    rate = np.zeros(grid.n)
+    out_right = faces[1:] > 0.0
+    rate[out_right] += area[1:][out_right] / vol[out_right] * faces[1:][out_right]
+    out_left = faces[1:-1] < 0.0
+    rate[1:][out_left] += area[1:-1][out_left] / vol[1:][out_left] * -faces[1:-1][out_left]
+    if diffusion_mode == "explicit":
+        sums = area[1:].copy()
+        sums[1:] += area[1:-1]
+        rate += (epsilon / grid.dr) * sums / vol
+    top = rate.max()
+    return cfl_number / top if top > 0.0 else math.inf
+
+
+def _volume_over_outflow_bound(grid, epsilon, velocity, cfl_number, diffusion_mode):
+    # The bound as cfl * min(vol / out), out summing each cell's outflow
+    # coefficients (area times face velocity), by boolean gathers.
     area = grid.face_areas
     vol = grid.cell_volumes
     vf = 0.5 * (velocity[:-1] + velocity[1:])
@@ -294,26 +321,82 @@ def _positivity_bound_oracle(grid, epsilon, velocity, cfl_number, diffusion_mode
     return float(cfl_number * np.min(vol[positive] / out[positive]))
 
 
+def _velocity_patterns(g, rng, trials=20):
+    """Cell velocities over five decades: mixed signs, all outward, all
+    inward (none out at the rim), and mixed with half the cells at rest."""
+    for trial in range(trials):
+        velocity = rng.normal(scale=10.0 ** rng.uniform(-3, 2), size=g.n)
+        if trial % 4 == 1:
+            velocity = np.abs(velocity)
+        elif trial % 4 == 2:
+            velocity = -np.abs(velocity)
+        elif trial % 4 == 3:
+            velocity[rng.uniform(size=g.n) < 0.5] = 0.0
+        yield velocity
+
+
 @pytest.mark.parametrize("dimension", [1, 2, 3])
 @pytest.mark.parametrize("mode", ["explicit", "implicit"])
 def test_positivity_bound_matches_gather_formula_bitwise(dimension, mode):
     g = grid.RadialGrid.make(dimension, 2.0, 0.01)
-    rng = np.random.default_rng(dimension)
-    for trial in range(20):
-        velocity = rng.normal(scale=10.0 ** rng.uniform(-3, 2), size=g.n)
-        if trial % 4 == 1:
-            velocity = np.abs(velocity)  # every face flows outward
-        elif trial % 4 == 2:
-            velocity = -np.abs(velocity)  # every face flows inward, none out at the rim
-        elif trial % 4 == 3:
-            velocity[rng.uniform(size=g.n) < 0.5] = 0.0
-        got = solver.positivity_bound(g, 0.03, velocity, 0.5, mode)
-        assert got == _positivity_bound_oracle(g, 0.03, velocity, 0.5, mode)
+    for velocity in _velocity_patterns(g, np.random.default_rng(dimension)):
+        faces = solver.face_velocities(velocity)
+        got = solver.positivity_bound(g, 0.03, faces, 0.5, mode)
+        assert got == _positivity_bound_oracle(g, 0.03, faces, 0.5, mode)
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["explicit", "implicit"])
+def test_positivity_bound_agrees_with_volume_over_outflow_form(dimension, mode):
+    # cfl / max(out / vol) and cfl * min(vol / out) differ by roundoff only.
+    g = grid.RadialGrid.make(dimension, 2.0, 0.01)
+    for velocity in _velocity_patterns(g, np.random.default_rng(10 + dimension)):
+        got = solver.positivity_bound(g, 0.03, solver.face_velocities(velocity), 0.5, mode)
+        expected = _volume_over_outflow_bound(g, 0.03, velocity, 0.5, mode)
+        assert abs(got - expected) <= 1e-15 * expected
 
 
 def test_positivity_bound_is_infinite_without_outflow():
     g = grid.RadialGrid.make(2, 1.0, 0.01)
-    assert solver.positivity_bound(g, 0.1, np.zeros(g.n), 0.5, "implicit") == math.inf
+    assert solver.positivity_bound(g, 0.1, np.zeros(g.n + 1), 0.5, "implicit") == math.inf
+
+
+def test_face_velocities_average_the_cells():
+    velocity = np.array([1.0, -3.0, 2.0, 4.0])
+    assert solver.face_velocities(velocity).tolist() == [0.0, -1.0, -0.5, 3.0, 4.0]
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["explicit", "implicit"])
+def test_step_at_the_positivity_bound_stays_nonnegative(dimension, mode):
+    # Cell velocities (-1)^i m_i with m increasing give face velocities of
+    # alternating sign, so every other cell loses mass through both faces.
+    g = grid.RadialGrid.make(dimension, 2.0, 0.01)
+    rng = np.random.default_rng(dimension)
+    explicit = mode == "explicit"
+    cfg = solver.SolverConfig(epsilon=0.03, t_end=1.0, cfl_number=1.0, diffusion_mode=mode)
+    for scale in (1e-2, 1.0, 1e2):
+        sign = np.where(np.arange(g.n) % 2 == 0, 1.0, -1.0)
+        velocity = scale * sign * np.cumsum(rng.uniform(0.5, 1.5, g.n))
+        faces = solver.face_velocities(velocity)
+        assert np.all(faces[2:-1:2] > 0.0) and np.all(faces[1:-1:2] < 0.0)
+        u = rng.uniform(0.0, 1.0, g.n)
+        dt = solver.positivity_bound(g, cfg.epsilon, faces, cfg.cfl_number, mode)
+        transported, _ = _accel.explicit_update(
+            u, faces, g.right_ratios, g.left_ratios, g.face_areas[-1], g.dr, cfg.epsilon, dt, explicit
+        )
+        assert transported.min() >= -1e-14 * u.max()
+        solver.advance(grid.DensityField(g, u), faces, cfg, dt)
+
+
+def test_cell_velocities_are_rejected_where_faces_are_expected():
+    g = grid.RadialGrid.make(1, 1.0, 0.01)
+    velocity = np.linspace(-1.0, 1.0, g.n)
+    cfg = solver.SolverConfig(epsilon=0.1, t_end=1.0)
+    with pytest.raises(ValueError):
+        solver.positivity_bound(g, cfg.epsilon, velocity, cfg.cfl_number, "implicit")
+    with pytest.raises(ValueError):
+        solver.advance(_gaussian_field(g), velocity, cfg, 1e-4)
 
 
 def test_import_leaves_scipy_linalg_unloaded():
@@ -329,22 +412,51 @@ def test_import_leaves_scipy_linalg_unloaded():
 
 
 def test_run_calls_module_advance_once_per_implicit_solve(monkeypatch):
-    # The benchmark hooks solver.advance and _accel.thomas_solve by name.
-    calls = {"advance": 0, "solve": 0}
+    # The benchmark hooks solver.stated_cfl_bound, solver.positivity_bound,
+    # solver.advance and _accel.thomas_solve by name, and tells which bound
+    # limited a step by comparing advance's fourth positional argument, dt,
+    # with the two bounds of that step.
+    events = []
+    solves = []
+    wrapped = {name: getattr(solver, name) for name in ("stated_cfl_bound", "positivity_bound")}
     advance, thomas_solve = solver.advance, _accel.thomas_solve
 
-    def counted_advance(*args, **kwargs):
-        calls["advance"] += 1
-        return advance(*args, **kwargs)
+    def recorded(name):
+        def bound(*args, **kwargs):
+            value = wrapped[name](*args, **kwargs)
+            events.append((name, value))
+            return value
+
+        return bound
+
+    def recorded_advance(*args, **kwargs):
+        assert len(args) == 4 and not kwargs
+        events.append(("advance", args[3]))
+        return advance(*args)
 
     def counted_solve(*args, **kwargs):
-        calls["solve"] += 1
+        solves.append(1)
         return thomas_solve(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "advance", counted_advance)
+    for name in wrapped:
+        monkeypatch.setattr(solver, name, recorded(name))
+    monkeypatch.setattr(solver, "advance", recorded_advance)
     monkeypatch.setattr(_accel, "thomas_solve", counted_solve)
     g = grid.RadialGrid.make(1, 1.0, 0.01)
-    cfg = solver.SolverConfig(epsilon=0.05, t_end=0.05, record_interval=0.01)
+    # The record interval 0.007 makes each of the three limits set some step.
+    cfg = solver.SolverConfig(epsilon=0.05, t_end=0.05, record_interval=0.007)
     solver.run(_gaussian_field(g, width=0.1), kernels.neg_abs_kernel(), cfg, scale=1.0)
-    assert calls["advance"] >= 1
-    assert calls["advance"] == calls["solve"]
+    assert events and len(events) % 3 == 0
+    limits = set()
+    for k in range(0, len(events), 3):
+        (n1, cfl), (n2, positivity), (n3, dt) = events[k:k + 3]
+        assert (n1, n2, n3) == ("stated_cfl_bound", "positivity_bound", "advance")
+        if dt == cfl:
+            limits.add("cfl")
+        elif dt == positivity:
+            limits.add("positivity")
+        else:
+            assert dt < min(cfl, positivity)
+            limits.add("cap")
+    assert limits == {"cfl", "positivity", "cap"}
+    assert len(solves) == len(events) // 3
