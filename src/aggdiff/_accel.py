@@ -2,9 +2,10 @@
 
 The finite-volume update runs on every step of every run, and the
 tridiagonal solve (LAPACK ``ptsv``, an LDL^T factorisation of a symmetric
-positive definite matrix, reached through SciPy on the first implicit
-step) on every implicit step; ``entries_nd``
-samples the N >= 2 drift matrix for its compressed operator.
+positive definite matrix) on every implicit step. ``ptsv`` comes from
+SciPy's compiled LAPACK wrappers, ``scipy.linalg._flapack``, loaded on its
+own on the first implicit step; ``scipy.linalg`` is never imported.
+``entries_nd`` samples the N >= 2 drift matrix for its compressed operator.
 ``build_matrix_1d`` and ``build_matrix_nd`` form the full drift matrices,
 which the solver never does: they are the tests' dense oracles.
 Kernel-family codes used by the evaluators:
@@ -22,6 +23,9 @@ the last node is the caller's job.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
+import os
 
 import numpy as np
 
@@ -93,13 +97,27 @@ def explicit_update(u, faces, right, left, rim_area, dr, eps, dt, include_diffus
     return u - du, dt * (rim_area * rim)
 
 
+_FLAPACK = "scipy.linalg._flapack"
+
+
 @functools.cache
 def _ptsv():
-    # Imported on first use: scipy.linalg takes about 0.2 s to import, and
-    # explicit-diffusion runs never need it.
-    from scipy.linalg import lapack
-
-    return lapack.dptsv
+    # Loaded on first use, and loaded alone: importing scipy.linalg takes
+    # 0.25-0.3 s and 26 MB (its array-API layer imports numpy.testing,
+    # numpy.f2py, unittest and email), the extension on its own about
+    # 10 ms and 3 MB. This is the module that scipy.linalg.lapack
+    # re-exports, so the routine is the same, and explicit-diffusion runs
+    # never load it.
+    scipy_spec = importlib.util.find_spec("scipy")
+    linalg = []
+    if scipy_spec is not None:
+        linalg = [os.path.join(path, "linalg") for path in scipy_spec.submodule_search_locations]
+    spec = importlib.machinery.PathFinder.find_spec(_FLAPACK, linalg)
+    if spec is None:
+        raise ImportError(f"cannot find the LAPACK wrappers {_FLAPACK}", name=_FLAPACK)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.dptsv
 
 
 def thomas_solve(diag, off, rhs):

@@ -272,7 +272,8 @@ def weighted_concentration_integral(
 def _ball_integral(traj: TrajectoryRecord, ball_factor: float, t_star: float, content) -> float:
     """Time integral over [0, t_star] of content(snapshots, cell volumes)
     on the cells of the ball of radius ball_factor * eps; refuses
-    unresolved balls (radius < 2 dr) and too few snapshots in the window."""
+    unresolved balls (radius < 2 dr), snapshots narrower than the ball and
+    too few snapshots in the window."""
     radius = ball_factor * traj.epsilon
     if radius < 2.0 * traj.grid_dr:
         raise ValueError(
@@ -285,7 +286,15 @@ def _ball_integral(traj: TrajectoryRecord, ball_factor: float, t_star: float, co
         raise ValueError(f"need at least {MIN_BALL_SAMPLES} snapshots inside the window")
     grid = RadialGrid(traj.dimension, traj.grid_dr, traj.grid_n)
     inside = grid.r_centers < radius
-    series = content(traj.snapshots[:, inside], grid.cell_volumes[inside])
+    width = traj.snapshots.shape[1]
+    cells = int(np.count_nonzero(inside))
+    if cells > width:
+        raise ValueError(
+            f"snapshots hold {width} cells but the ball of radius {radius:g} has {cells}"
+        )
+    # The cells inside are a prefix, so the same mask selects them from
+    # snapshots of any width that covers the ball.
+    series = content(traj.snapshots[:, inside[:width]], grid.cell_volumes[inside])
     ts, vs = _series_to(traj.snapshot_times, series, t_star)
     return float(np.trapezoid(vs, ts))
 
@@ -519,11 +528,12 @@ def run_case(
     scale: float,
     t_end: float,
     settings: RunSettings = RunSettings(),
-    store_snapshots: bool = False,
+    snapshot_radius: Optional[float] = None,
 ) -> TrajectoryRecord:
     """One run of the given data at the given diffusivity to ``t_end``,
     gridded by ``plan_grid``, sampled ``settings.record_samples`` times and
-    with truncated-moment and concentration series at ``scale``."""
+    with truncated-moment and concentration series at ``scale``; it keeps
+    the snapshots that ``snapshot_radius`` selects (see ``SolverConfig``)."""
     grid = plan_grid(dimension, epsilon, t_end, init.support_radius, settings)
     u0 = make_initial_condition(init, grid)
     config = SolverConfig(
@@ -534,7 +544,7 @@ def run_case(
         record_interval=t_end / settings.record_samples if t_end > 0.0 else None,
         boundary_loss_tolerance=settings.boundary_loss_tolerance,
         dt_max=settings.dt_max,
-        store_snapshots=store_snapshots,
+        snapshot_radius=snapshot_radius,
     )
     return run(u0, kernel, config, scale)
 
@@ -544,7 +554,8 @@ def _sweep_case(payload):
     started = time.monotonic()
     traj = run_case(
         kernel, init, settings.dimension, epsilon, constants.scale,
-        max(constants.horizon, t_star), settings.run, store_snapshots=True,
+        max(constants.horizon, t_star), settings.run,
+        snapshot_radius=settings.ball_factor * epsilon,
     )
     violations = check_moment_inequality(traj, constants, settings.slack)
     bound = weighted_concentration_integral(traj, constants)

@@ -498,7 +498,7 @@ def cmd_simulate(args) -> int:
     t_end = _resolve_t_end(cfg, constants)
     traj = analysis.run_case(
         kernel, init, cfg["dimension"], epsilon, scale, t_end, run_settings(cfg),
-        store_snapshots=cfg["solver"]["store_snapshots"] is True,
+        snapshot_radius=math.inf if cfg["solver"]["store_snapshots"] is True else None,
     )
     outdir = start_output(args, cfg)
     emit_run(traj, constants, cfg, outdir)

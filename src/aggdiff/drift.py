@@ -336,9 +336,10 @@ def build_interaction_matrix(
         op = _hierarchical_drift(grid, kernel, quadrature_order)
     else:
         u_ref = np.exp(-((grid.r_centers / (0.25 * grid.r_max)) ** 2)) * grid.cell_volumes
+        # Each order's operator is dropped before the next one is built:
+        # only its reference velocity is compared.
         order = _START_ORDER
-        op = _hierarchical_drift(grid, kernel, order)
-        v_prev = op.apply(u_ref)
+        v_prev = _hierarchical_drift(grid, kernel, order).apply(u_ref)
         while True:
             if order * 2 > _MAX_ORDER:
                 raise QuadratureError(f"angular quadrature not converged at order {_MAX_ORDER}")
@@ -349,6 +350,7 @@ def build_interaction_matrix(
             if change <= _ORDER_REL_TOL * max(float(np.max(np.abs(v_cur))), 1e-30):
                 break
             v_prev = v_cur
+            del op
     _probe(op, kernel)
     return op
 

@@ -117,9 +117,6 @@ class DensityField:
         object.__setattr__(new, "time", time)
         return new
 
-    def scaled(self, factor: float) -> "DensityField":
-        return DensityField(self.grid, self.values * factor, self.time)
-
 
 # ---------------------------------------------------------------------------
 # functionals
@@ -180,14 +177,6 @@ def cutoff_profile(s):
     mid = 1.0 - 0.5 * (1.5 - s) ** 2
     out = np.where(s <= 0.5, s, np.where(s >= 1.5, 1.0, mid))
     out = np.minimum(out, np.minimum(np.maximum(s, 0.0), 1.0))
-    return float(out) if out.ndim == 0 else out
-
-
-def cutoff_profile_slope(s):
-    """Derivative of the moment cutoff: 1, then 3/2 - s, then 0."""
-    s = np.asarray(s, dtype=np.float64)
-    out = np.where(s <= 0.5, 1.0, np.where(s >= 1.5, 0.0, 1.5 - s))
-    out = np.clip(out, 0.0, 1.0)
     return float(out) if out.ndim == 0 else out
 
 

@@ -70,6 +70,13 @@ class NonFiniteError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Settings of one run.
+
+    ``snapshot_radius`` selects the density snapshots kept at every record
+    time: None keeps none, a radius r keeps the prefix of cells whose
+    centres lie below r, and ``math.inf`` keeps every cell.
+    """
+
     epsilon: float
     t_end: float
     cfl_number: float = 0.5
@@ -77,7 +84,7 @@ class SolverConfig:
     record_interval: Optional[float] = None
     boundary_loss_tolerance: float = 1e-6
     dt_max: Optional[float] = None
-    store_snapshots: bool = False
+    snapshot_radius: Optional[float] = None
 
     def __post_init__(self):
         if self.epsilon <= 0.0:
@@ -96,6 +103,9 @@ class TrajectoryRecord:
 
     ``outflow_cumulative`` tracks the mass lost through the outer rim;
     ``lp`` maps the exponent (inf included) to the norm series.
+    ``snapshots`` holds one row per entry of ``snapshot_times``: the
+    densities of the innermost cells, as many as the run's
+    ``snapshot_radius`` selected (every cell for ``math.inf``).
     """
 
     dimension: int
@@ -267,8 +277,12 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
     outflows = [0.0]
     lp_series = {p: [lp_norm(u0, p)] for p in LP_VALUES}
     h1_series = [h1_seminorm(u0)] if grid.dimension == 1 else None
-    snap_times = [0.0] if config.store_snapshots else None
-    snaps = [u0.values.copy()] if config.store_snapshots else None
+    snap_times = snaps = None
+    if config.snapshot_radius is not None:
+        # r_centers increase, so the cells below the radius are a prefix.
+        snap_cells = int(np.searchsorted(grid.r_centers, config.snapshot_radius))
+        snap_times = [0.0]
+        snaps = [u0.values[:snap_cells].copy()]
 
     current = u0
     t = 0.0
@@ -291,7 +305,7 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
             h1_series.append(h1_seminorm(fld))
         if snaps is not None:
             snap_times.append(t_now)
-            snaps.append(fld.values.copy())
+            snaps.append(fld.values[:snap_cells].copy())
 
     while t < config.t_end - tiny:
         if drift is not None:

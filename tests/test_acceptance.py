@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from aggdiff import analysis, cli, drift, grid, kernels, solver
+from test_grid import cutoff_profile_slope
 
 NEG_ABS = kernels.neg_abs_kernel()
 BUMP = grid.GaussianBump(1.0, 0.25)
@@ -80,7 +81,7 @@ def test_02_heat_kernel_oracle():
     u0 = grid.make_initial_condition(grid.GaussianBump(1.0, width), g)
     config = solver.SolverConfig(
         epsilon=eps, t_end=t_end, diffusion_mode="explicit",
-        record_interval=t_end / 20, store_snapshots=True,
+        record_interval=t_end / 20, snapshot_radius=math.inf,
     )
     traj = solver.run(u0, kernels.zero_kernel(), config, scale=1.0)
     t_eff = t_end + width**2 / (2 * eps)
@@ -125,7 +126,7 @@ def test_04_cutoff_profile_properties():
         np.array([0.0, 0.5, 1.5, 1e9]),
     ])
     value = grid.cutoff_profile(s)
-    slope = grid.cutoff_profile_slope(s)
+    slope = cutoff_profile_slope(s)
     ok = (
         s.size == 100_000
         and bool(np.all(value >= 0.0))

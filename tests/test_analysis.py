@@ -29,7 +29,8 @@ def _quick_traj(eps=0.05, constants=None, record_samples=80):
         constants = analysis.reference_constants(NEG_ABS, init, 1)
     settings = analysis.RunSettings(dr_max=0.01, dr_divisor=8.0, record_samples=record_samples)
     traj = analysis.run_case(
-        NEG_ABS, init, 1, eps, constants.scale, constants.horizon, settings, store_snapshots=True,
+        NEG_ABS, init, 1, eps, constants.scale, constants.horizon, settings,
+        snapshot_radius=math.inf,
     )
     return traj, constants
 
@@ -207,6 +208,43 @@ def test_ball_integral_refuses_unresolved_ball():
     missing = replace(traj, snapshot_times=None, snapshots=None)
     with pytest.raises(ValueError):
         analysis.ball_mass_integral(missing, 40.0, 1.0)
+    narrow = replace(traj, snapshots=snaps[:, :3])
+    with pytest.raises(ValueError, match="snapshots hold 3 cells"):
+        analysis.ball_mass_integral(narrow, 40.0, 1.0)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_ball_radius_snapshots_give_the_full_grid_integrals_bitwise(dimension):
+    init = grid.GaussianBump(1.0, 0.25)
+    eps, ball_factor, t_end = 0.1, 0.5, 0.2
+    full, ball = (
+        analysis.run_case(NEG_ABS, init, dimension, eps, 1.0, t_end, COARSE, snapshot_radius=radius)
+        for radius in (math.inf, ball_factor * eps)
+    )
+    width = ball.snapshots.shape[1]
+    assert full.snapshots.shape[1] == full.grid_n > width
+    assert np.array_equal(ball.snapshots, full.snapshots[:, :width])
+    for integral in (
+        lambda traj: analysis.ball_mass_integral(traj, ball_factor, t_end),
+        lambda traj: analysis.ball_lp_integral(traj, ball_factor, 2.0, t_end),
+    ):
+        assert integral(ball) == integral(full)
+
+
+def test_sweep_rows_keep_only_the_ball_cells(monkeypatch):
+    kept = []
+
+    def recording_run(u0, kernel, config, scale):
+        traj = solver.run(u0, kernel, config, scale)
+        ball = int(np.count_nonzero(u0.grid.r_centers < 0.5 * config.epsilon))
+        kept.append((traj.snapshots.shape[1], ball))
+        return traj
+
+    monkeypatch.setattr(analysis, "run", recording_run)
+    settings = analysis.SweepSettings(dimension=1, epsilons=(0.2, 0.1, 0.05, 0.02), run=COARSE)
+    analysis.epsilon_sweep(NEG_ABS, grid.GaussianBump(1.0, 0.25), settings)
+    assert len(kept) == 4
+    assert all(width == ball for width, ball in kept)
 
 
 def _fake_run(eps, sup_h1, m0=1.0):

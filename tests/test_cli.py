@@ -162,6 +162,17 @@ def test_check_reverifies_and_detects_tampering(tmp_path):
     assert cli.main(["check", "--traj", str(out)]) == 1
 
 
+def test_check_reports_the_ball_mass_of_a_run_that_stored_every_cell(tmp_path, capsys):
+    config = _write(tmp_path, TINY_SIMULATE)
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    traj, _, _ = cli.load_run(out)
+    assert traj.snapshots.shape == (len(traj.times), traj.grid_n)
+    capsys.readouterr()
+    assert cli.main(["check", "--traj", str(out)]) == 0
+    assert "INFO  ball_mass_integral           value=" in capsys.readouterr().out
+
+
 def test_verdicts_file_format(tmp_path):
     config = _write(tmp_path, TINY_SIMULATE)
     out = tmp_path / "run"
