@@ -5,7 +5,8 @@ tridiagonal solve (LAPACK ``ptsv``, an LDL^T factorisation of a symmetric
 positive definite matrix) on every implicit step. ``ptsv`` comes from
 SciPy's compiled LAPACK wrappers, ``scipy.linalg._flapack``, loaded on its
 own on the first implicit step; ``scipy.linalg`` is never imported.
-``entries_nd`` samples the N >= 2 drift matrix for its compressed operator.
+``entries_nd`` samples the N >= 2 drift matrix for its compressed operator,
+from the per-build column geometry of ``chord_geometry``.
 ``build_matrix_1d`` and ``build_matrix_nd`` form the full drift matrices,
 which the solver never does: they are the tests' dense oracles.
 Kernel-family codes used by the evaluators:
@@ -39,6 +40,8 @@ FAMILY_TABULATED = 3
 
 _EMPTY = np.empty(0, dtype=np.float64)
 _D_FLOOR = 1e-12
+# Largest (quadrature, rows, columns) temporary of one entries_nd chunk.
+_CHUNK = 65536
 
 
 # ---------------------------------------------------------------------------
@@ -157,38 +160,54 @@ def build_matrix_1d(r, kind, s_nodes, kp_nodes):
     return 0.5 * (near * sgn + mirror)
 
 
-def entries_nd(r_rows, rho_cols, kind, s_nodes, kp_nodes, cos_t, wts, wsum):
-    """N >= 2 drift-matrix entries W(r_i, rho_j), shape (len(r_rows), len(rho_cols)).
+def chord_geometry(rho, cos_t):
+    """The column parts of the chord, (c rho, (1 - c^2) rho^2), shape (q, len(rho)).
+
+    With c = cos t on the quadrature nodes ``cos_t``, the squared chord from
+    radius r to a source at rho is (r - c rho)^2 + (1 - c^2) rho^2. A build
+    forms these once for every cell and slices them per sampled block.
+    """
+    c = cos_t[:, None]
+    return c * rho, (1.0 - c * c) * (rho * rho)
+
+
+def entries_nd(r_rows, along, across, kind, s_nodes, kp_nodes, weights):
+    """N >= 2 drift-matrix entries W(r_i, rho_j), shape (len(r_rows), along.shape[1]).
 
     W(r, rho) is the angular average over the sphere of k'(d) (r - rho cos t)/d
-    on the quadrature nodes ``cos_t`` with weights ``wts`` summing to ``wsum``;
-    the chord length d = sqrt((r - rho cos t)^2 + (rho sin t)^2) is a sum of
-    squares, so it needs no clamp at zero. The quadrature axis comes first so
-    that the innermost loops run over the longer axes, and rows are chunked
-    so that the (q, rows, cols) temporaries stay in cache.
+    on q quadrature nodes with normalised ``weights`` (summing to 1).
+    ``along`` and ``across`` are the columns' ``chord_geometry``; the chord
+    length d = sqrt((r - rho cos t)^2 + (rho sin t)^2) is a sum of squares,
+    so it needs no clamp at zero. A constant gradient k' = -1 is folded into
+    the weights, which is exact. The quadrature axis comes first so that
+    the innermost loops run over the longer axes, and the (q, rows, cols)
+    temporaries are chunked to at most _CHUNK entries, by rows and, for a
+    row longer than that, by columns.
     """
-    m, n, q = r_rows.shape[0], rho_cols.shape[0], cos_t.shape[0]
+    m, (q, n) = r_rows.shape[0], along.shape
+    if kind == FAMILY_NEG_ABS:
+        weights = -weights
     W = np.empty((m, n))
-    chunk = max(1, 65536 // max(1, n * q))
-    c = cos_t[:, None, None]
-    rho = rho_cols[None, None, :]
-    along = c * rho
-    across = (1.0 - c * c) * (rho * rho)
-    weights = wts / wsum
-    for a in range(0, m, chunk):
-        b = min(m, a + chunk)
-        t = r_rows[None, a:b, None] - along
-        d = t * t
-        d += across
-        np.sqrt(d, out=d)
-        np.maximum(d, _D_FLOOR, out=d)
-        t /= d
-        t *= kprime_array(kind, d, s_nodes, kp_nodes)
-        W[a:b] = (weights @ t.reshape(q, -1)).reshape(b - a, n)
+    rows = max(1, _CHUNK // max(1, n * q))
+    cols = max(1, n if n * q <= _CHUNK else _CHUNK // q)
+    for a in range(0, m, rows):
+        b = min(m, a + rows)
+        for c0 in range(0, n, cols):
+            c1 = min(n, c0 + cols)
+            t = r_rows[None, a:b, None] - along[:, None, c0:c1]
+            d = t * t
+            d += across[:, None, c0:c1]
+            np.sqrt(d, out=d)
+            np.maximum(d, _D_FLOOR, out=d)
+            t /= d
+            if kind != FAMILY_NEG_ABS:
+                t *= kprime_array(kind, d, s_nodes, kp_nodes)
+            W[a:b, c0:c1] = (weights @ t.reshape(q, -1)).reshape(b - a, c1 - c0)
     return W
 
 
 def build_matrix_nd(r, kind, s_nodes, kp_nodes, cos_t, wts, wsum):
     # The full square matrix. The solver never forms it (drift compresses
     # it from single entries); it is the tests' reference.
-    return entries_nd(r, r, kind, s_nodes, kp_nodes, cos_t, wts, wsum)
+    along, across = chord_geometry(r, cos_t)
+    return entries_nd(r, along, across, kind, s_nodes, kp_nodes, wts / wsum)

@@ -21,11 +21,9 @@ on runs not used for calibration.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -620,6 +618,10 @@ def epsilon_sweep(kernel: KernelSpec, init, settings: SweepSettings) -> SweepRep
     t_star = settings.t_star if settings.t_star is not None else 2.0 * constants.horizon
     payloads = [(kernel, init, settings, constants, e, t_star) for e in epsilons]
     if settings.jobs > 1 and _main_script_importable():
+        # Imported here: a serial sweep never loads the pool (about 20 ms).
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         spawn = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=settings.jobs, mp_context=spawn) as pool:
             outcomes = list(pool.map(_sweep_case, payloads))

@@ -18,7 +18,10 @@ approximation from single sampled rows and columns. The quadrature order
 doubles until the compressed operator's velocity on a fixed smooth
 reference bump changes by less than a relative tolerance, and a probe at
 the end of the build compares one exactly computed row per dense leaf with
-the operator.
+the operator. Each apply is windowed to the cells that carry mass: cells
+past the last one with mass above eps M / n (eps the machine epsilon, M
+the mass sum) are dropped, which moves V by at most eps |k'|_sup M, and
+only the blocks that meet the remaining cells are read.
 
 In one dimension the convolution over the mirrored line is exact for even
 data, and on the uniform cell-centred grid W_ij =
@@ -31,6 +34,7 @@ once per grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +60,8 @@ _MAX_RANK = 48
 _START_ORDER = 16
 _MAX_ORDER = 2048
 _ORDER_REL_TOL = 1e-6
+_EPS = float(np.finfo(np.float64).eps)
+_GOLDEN = 0.5 * (1.0 + math.sqrt(5.0))
 
 
 class QuadratureError(RuntimeError):
@@ -78,16 +84,21 @@ class DriftOperator:
     def apply(self, masses: np.ndarray) -> np.ndarray:
         """V_i = sum_j W_ij masses_j, post-checked against |V| <= |k'|_sup * mass.
 
-        A non-finite V fails the check.
+        The masses are the nonnegative cell masses of a density. A NaN or
+        infinite mass sum raises before the product, and a non-finite V
+        fails the check.
         """
-        v = self._product(masses)
-        bound = self.kprime_sup_norm * float(np.sum(masses))
+        total = float(np.sum(masses))
+        if not math.isfinite(total):
+            raise RuntimeError(f"drift bound violated: the mass sum is {total:g}")
+        v = self._product(masses, total)
+        bound = self.kprime_sup_norm * total
         vmax = max(float(v.max()), -float(v.min()))
         if not vmax <= bound * (1.0 + 1e-9) + 1e-13:
             raise RuntimeError(f"drift bound violated: |V| = {vmax:g} > {bound:g}")
         return v
 
-    def _product(self, masses: np.ndarray) -> np.ndarray:
+    def _product(self, masses: np.ndarray, total: float) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -98,28 +109,50 @@ class HierarchicalDrift(DriftOperator):
     The padded range is halved ``depth`` times. ``leaves`` (2**depth, leaf,
     leaf) holds the dense diagonal blocks. ``levels[l]`` is (U, Vt) of
     shapes (2**l, 2, h, k) and (2**l, 2, k, h), h the half size at level
-    l: [p, s] is the off-diagonal block of node p that reads half s and
-    writes half 1 - s, approximated by U @ Vt (zero-padded to the level's
-    largest rank k). ``dense`` holds (row start, row stop, column start,
-    column stop, block) for any off-diagonal block that did not compress;
-    its (U, Vt) slot is zero. Padded rows and columns are zero.
+    l. The off-diagonal block of node p that reads half s and writes half
+    1 - s is approximated by U[p, 1 - s] @ Vt[p, s] (zero-padded to the
+    level's largest rank k): U is stored under the half it writes and Vt
+    under the half it reads, so each level adds to one contiguous prefix
+    of V. ``dense`` holds (row start, row stop, column start, column stop,
+    block) for any off-diagonal block that did not compress; its U and Vt
+    slots are zero. Padded rows and columns are zero.
+
+    The product is windowed to the cells that carry mass. With M the mass
+    sum and n the cell count, J is one past the last cell whose mass
+    exceeds eps M / n (eps the float64 machine epsilon), and the cells from
+    J on are dropped. Their mass sums to at most eps M, so V moves by at
+    most eps |k'|_sup M, roundoff of the bound |V| <= |k'|_sup M. Only the
+    leaves, the level nodes and the dense-block columns that meet [0, J)
+    are read; every row of V is still computed.
     """
 
     leaves: np.ndarray = field(repr=False)
     levels: tuple = field(repr=False)
     dense: tuple = field(repr=False)
 
-    def _product(self, masses):
+    def _product(self, masses, total):
+        n = masses.shape[0]
         count, leaf = self.leaves.shape[:2]
+        v = np.zeros(count * leaf)
+        above = masses > _EPS * total / n
+        tail = int(np.argmax(above[::-1]))
+        if not above[n - 1 - tail]:
+            return v[:n]
+        window = n - tail
         x = np.zeros(count * leaf)
-        x[: masses.shape[0]] = masses
-        v = np.matmul(self.leaves, x.reshape(count, leaf, 1)).reshape(-1)
+        x[:window] = masses[:window]
+        stop = -(-window // leaf) * leaf
+        np.matmul(self.leaves[: stop // leaf], x[:stop].reshape(-1, leaf, 1), out=v[:stop].reshape(-1, leaf, 1))
         for u, vt in self.levels:
-            halves = x.reshape(u.shape[0], 2, u.shape[2], 1)
-            v.reshape(u.shape[0], 2, u.shape[2])[:, ::-1] += (u @ (vt @ halves))[..., 0]
-        v = v[: masses.shape[0]]
+            half = u.shape[2]
+            nodes = -(-window // (2 * half))
+            halves = x[: nodes * 2 * half].reshape(nodes, 2, half, 1)
+            v[: nodes * 2 * half] += (u[:nodes] @ (vt[:nodes] @ halves)[:, ::-1]).reshape(-1)
+        v = v[:n]
         for r0, r1, c0, c1, block in self.dense:
-            v[r0:r1] += block @ masses[c0:c1]
+            if c0 < window:
+                c1 = min(c1, window)
+                v[r0:r1] += block[:, : c1 - c0] @ masses[c0:c1]
         return v
 
 
@@ -133,7 +166,7 @@ class ConstantGradientDrift(DriftOperator):
 
     kprime: float
 
-    def _product(self, masses):
+    def _product(self, masses, total):
         return self.kprime * (np.cumsum(masses) - 0.5 * masses)
 
 
@@ -152,7 +185,7 @@ class SpectralDrift(DriftOperator):
     mirror_spectrum: np.ndarray = field(repr=False)
     size: int
 
-    def _product(self, masses):
+    def _product(self, masses, total):
         n = masses.shape[0]
         spectrum = (
             self.near_spectrum * np.fft.rfft(masses, self.size)
@@ -190,18 +223,29 @@ def _check_tabulated_range(kernel: KernelSpec, grid: RadialGrid):
         )
 
 
-def _entry_sampler(dimension: int, kernel: KernelSpec, order: int):
-    """entries(r_rows, rho_cols) -> W at those radii, at a quadrature order."""
-    cos_t, wts, wsum = _angular_nodes(dimension, order)
+def _entry_sampler(grid: RadialGrid, kernel: KernelSpec, order: int):
+    """entries(rows, cols) -> W on the cells r[rows] x r[cols], at a quadrature order.
 
-    def entries(r_rows, rho_cols):
-        return _accel.entries_nd(r_rows, rho_cols, kernel.code, kernel.s_nodes, kernel.kprime_nodes, cos_t, wts, wsum)
+    ``rows`` is a slice or an index array and ``cols`` a slice; the
+    columns' chord geometry is formed once, here.
+    """
+    cos_t, wts, wsum = _angular_nodes(grid.dimension, order)
+    r = grid.r_centers
+    along, across = _accel.chord_geometry(r, cos_t)
+    weights = wts / wsum
+
+    def entries(rows, cols):
+        return _accel.entries_nd(
+            r[rows], along[:, cols], across[:, cols], kernel.code, kernel.s_nodes, kernel.kprime_nodes, weights
+        )
 
     return entries
 
 
-def _cross_approximation(entries, r_rows, rho_cols, tol):
-    """(U, Vt) with entries(r_rows, rho_cols) ~ U @ Vt: ACA with partial pivoting.
+def _cross_approximation(entries, rows, cols, tol):
+    """(U, Vt) with entries(rows, cols) ~ U @ Vt: ACA with partial pivoting.
+
+    ``rows`` and ``cols`` are (start, stop) cell ranges.
 
     Each step samples one residual row, pivots on its largest entry and
     samples that column; the next row is the unused one where the column
@@ -212,7 +256,8 @@ def _cross_approximation(entries, r_rows, rho_cols, tol):
     as the dense block: such a block (a tabulated k' with kinks, say) is
     stored dense.
     """
-    m, n = r_rows.size, rho_cols.size
+    (r0, r1), (c0, c1) = rows, cols
+    m, n = r1 - r0, c1 - c0
     max_rank = min(_MAX_RANK, m * n // (2 * (m + n)))
     us, vs = [], []
     unused = np.ones(m, dtype=bool)
@@ -221,11 +266,11 @@ def _cross_approximation(entries, r_rows, rho_cols, tol):
         if len(us) >= max_rank:
             return None
         unused[i] = False
-        row = entries(r_rows[i : i + 1], rho_cols)[0]
+        row = entries(slice(r0 + i, r0 + i + 1), slice(c0, c1))[0]
         if us:
             row -= np.array([u[i] for u in us]) @ np.array(vs)
         j = int(np.argmax(np.abs(row)))
-        col = entries(r_rows, rho_cols[j : j + 1])[:, 0]
+        col = entries(slice(r0, r1), slice(c0 + j, c0 + j + 1))[:, 0]
         if us:
             col -= np.array(us).T @ np.array([v[j] for v in vs])
         if np.max(np.abs(col)) <= tol:  # |row[j]| = max |row| <= max |col|
@@ -242,8 +287,8 @@ def _cross_approximation(entries, r_rows, rho_cols, tol):
 
 def _hierarchical_drift(grid: RadialGrid, kernel: KernelSpec, order: int) -> HierarchicalDrift:
     """The HODLR operator of W at a quadrature order, from sampled entries only."""
-    entries = _entry_sampler(grid.dimension, kernel, order)
-    r, n = grid.r_centers, grid.n
+    entries = _entry_sampler(grid, kernel, order)
+    n = grid.n
     tol = _ACA_TOL * kernel.kprime_sup_norm
     depth = 0
     while -(-n // 2**depth) > _LEAF:
@@ -257,7 +302,7 @@ def _hierarchical_drift(grid: RadialGrid, kernel: KernelSpec, order: int) -> Hie
     leaves = np.zeros((2**depth, leaf, leaf))
     for p in range(2**depth):
         a, b = span(p * leaf, leaf)
-        leaves[p, : b - a, : b - a] = entries(r[a:b], r[a:b])
+        leaves[p, : b - a, : b - a] = entries(slice(a, b), slice(a, b))
     levels, dense = [], []
     for level in range(depth):
         half = size >> (level + 1)
@@ -268,16 +313,16 @@ def _hierarchical_drift(grid: RadialGrid, kernel: KernelSpec, order: int) -> Hie
                 cols = span((2 * p + s) * half, half)
                 if rows[0] == rows[1] or cols[0] == cols[1]:
                     continue
-                uv = _cross_approximation(entries, r[slice(*rows)], r[slice(*cols)], tol)
+                uv = _cross_approximation(entries, rows, cols, tol)
                 if uv is None:
-                    dense.append(rows + cols + (entries(r[slice(*rows)], r[slice(*cols)]),))
+                    dense.append(rows + cols + (entries(slice(*rows), slice(*cols)),))
                 else:
                     factors[p, s] = uv
         rank = max((u.shape[1] for u, _ in factors.values()), default=0)
         u_all = np.zeros((2**level, 2, half, rank))
         vt_all = np.zeros((2**level, 2, rank, half))
         for (p, s), (u, vt) in factors.items():
-            u_all[p, s, : u.shape[0], : u.shape[1]] = u
+            u_all[p, 1 - s, : u.shape[0], : u.shape[1]] = u
             vt_all[p, s, : vt.shape[0], : vt.shape[1]] = vt
         levels.append((u_all, vt_all))
     return HierarchicalDrift(
@@ -289,16 +334,17 @@ def _probe(op: HierarchicalDrift, kernel: KernelSpec) -> None:
     """Compare exactly computed rows of W with the operator on positive masses.
 
     One row from the middle of each leaf, so every block of the operator
-    meets a probe row. The masses are positive with a fixed pseudo-random
-    spread, so that block errors cannot cancel by symmetry. Raises
-    CompressionError when the gap exceeds _APPLY_TOL |k'|_sup * mass.
+    meets a probe row. The masses are positive with a fixed irregular
+    spread in [0.5, 1.5), 0.5 + frac(i phi) with phi the golden ratio, so
+    that block errors cannot cancel by symmetry. Raises CompressionError
+    when the gap exceeds _APPLY_TOL |k'|_sup * mass.
     """
     grid = op.grid
-    r = grid.r_centers
     count, leaf = op.leaves.shape[:2]
     rows = np.unique(np.minimum(np.arange(leaf // 2, count * leaf, leaf), grid.n - 1))
-    masses = grid.cell_volumes * np.random.default_rng(0).uniform(0.5, 1.5, grid.n)
-    exact = _entry_sampler(grid.dimension, kernel, op.quadrature_order)(r[rows], r) @ masses
+    spread = 0.5 + np.modf(np.arange(grid.n) * _GOLDEN)[0]
+    masses = grid.cell_volumes * spread
+    exact = _entry_sampler(grid, kernel, op.quadrature_order)(rows, slice(None)) @ masses
     gap = float(np.max(np.abs(op.apply(masses)[rows] - exact)))
     bound = _APPLY_TOL * op.kprime_sup_norm * float(np.sum(masses))
     if not gap <= bound:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import os
 import pickle
@@ -377,12 +378,12 @@ def test_parallel_sweep_uses_spawned_workers(monkeypatch):
     # workers must be spawned, and the rows must not depend on the jobs.
     contexts = []
 
-    class Recording(analysis.ProcessPoolExecutor):
+    class Recording(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             contexts.append(kwargs.get("mp_context"))
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
     settings = analysis.SweepSettings(dimension=1, epsilons=(0.2, 0.1, 0.05, 0.02), run=COARSE)
     init = grid.GaussianBump(1.0, 0.25)
     serial = analysis.epsilon_sweep(NEG_ABS, init, settings)

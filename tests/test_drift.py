@@ -132,6 +132,61 @@ def test_nd_operator_matches_dense_matrix(dim, n):
             assert gap <= 1e-10 * kern.kprime_sup_norm * np.sum(masses), (kern.name(), gap)
 
 
+def _unwindowed_product(op, masses):
+    # The HODLR product over every cell, in the operator's arithmetic: the
+    # U factor of the block that reads half s is stored in slot 1 - s.
+    n = masses.shape[0]
+    count, leaf = op.leaves.shape[:2]
+    x = np.zeros(count * leaf)
+    x[:n] = masses
+    v = np.matmul(op.leaves, x.reshape(count, leaf, 1)).reshape(-1)
+    for u, vt in op.levels:
+        halves = x.reshape(u.shape[0], 2, u.shape[2], 1)
+        v += (u @ (vt @ halves)[:, ::-1]).reshape(-1)
+    v = v[:n]
+    for r0, r1, c0, c1, block in op.dense:
+        v[r0:r1] += block @ masses[c0:c1]
+    return v
+
+
+@pytest.mark.parametrize("dim, n", [(2, 700), (3, 700), (2, 300), (3, 300)])
+def test_windowed_apply_matches_dense_and_unwindowed_products(dim, n):
+    # The apply reads only the cells up to the last one with mass above
+    # eps * M / n. At n = 300 the tabulated kernel stores every off-diagonal
+    # block dense, so the trimmed dense blocks run; at n = 700 the neg_abs
+    # and exponential operators have three levels of low-rank blocks.
+    g = grid.RadialGrid(dim, 3.0 / n, n)
+    r = g.r_centers
+    kerns = [k for k in _oracle_kernels(g) if (k.code == _accel.FAMILY_TABULATED) == (n == 300)]
+    for kern in kerns:
+        op = drift.build_interaction_matrix(g, kern)
+        count, leaf = op.leaves.shape[:2]
+        if n == 300:
+            assert op.dense
+        else:
+            assert len(op.levels) == 3 and not op.dense
+        cos_t, wts, wsum = drift._angular_nodes(dim, op.quadrature_order)
+        dense = _accel.build_matrix_nd(r, kern.code, kern.s_nodes, kern.kprime_nodes, cos_t, wts, wsum)
+        spread = np.random.default_rng(n).uniform(0.5, 1.5, n) * g.cell_volumes
+        point = np.zeros(n)
+        point[0] = 1.0
+        cases = {
+            "point mass in cell 0": point,
+            "narrow Gaussian": np.exp(-((r / 0.1) ** 2)) * g.cell_volumes,
+            "zero inside a leaf": np.where(np.arange(n) < leaf + leaf // 2, spread, 0.0),
+            "zero past a quarter": np.where(np.arange(n) < count * leaf // 4, spread, 0.0),
+            "zero past the top half": np.where(np.arange(n) < count * leaf // 2, spread, 0.0),
+            "full support": spread,
+        }
+        for name, masses in cases.items():
+            scale = kern.kprime_sup_norm * np.sum(masses)
+            v = op.apply(masses)
+            assert np.max(np.abs(v - dense @ masses)) <= 1e-10 * scale, (kern.name(), name)
+            gap = np.max(np.abs(v - _unwindowed_product(op, masses)))
+            assert gap <= 4.0 * np.finfo(float).eps * scale, (kern.name(), name, gap / scale)
+        assert np.all(op.apply(np.zeros(n)) == 0.0)
+
+
 def test_compression_probe_rejects_loose_tolerance(monkeypatch):
     monkeypatch.setattr(drift, "_ACA_TOL", 1e-3)
     g = grid.RadialGrid(2, 3.0 / 600, 600)
@@ -146,12 +201,18 @@ def test_1d_zero_kernel_gives_zero_velocity():
 
 
 def test_apply_rejects_non_finite_velocity():
-    g = grid.RadialGrid.make(1, 1.0, 0.05)
-    masses = np.ones(g.n)
-    masses[3] = np.nan
-    for kern in (kernels.neg_abs_kernel(), kernels.exponential_kernel()):
-        with pytest.raises(RuntimeError, match="drift bound"):
-            drift.build_interaction_matrix(g, kern).apply(masses)
+    # A NaN or infinite mass fails in every dimension, also in the last
+    # cell behind cells of zero mass, which the N >= 2 window drops.
+    for dim in (1, 2, 3):
+        g = grid.RadialGrid.make(dim, 1.0, 0.05)
+        for kern in (kernels.neg_abs_kernel(), kernels.exponential_kernel()):
+            op = drift.build_interaction_matrix(g, kern)
+            for bad in (np.nan, np.inf):
+                for cell in (3, g.n - 1):
+                    masses = np.where(np.arange(g.n) < 5, 1.0, 0.0)
+                    masses[cell] = bad
+                    with pytest.raises(RuntimeError, match="drift bound"):
+                        op.apply(masses)
 
 
 def test_2d_disc_matches_direct_quadrature():

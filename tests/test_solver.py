@@ -435,6 +435,35 @@ def test_import_leaves_scipy_linalg_unloaded():
     assert result.stdout.split() == ["False", "False", "True"]
 
 
+_SERIAL_SWEEP_PROBE = """
+import sys
+import aggdiff.cli
+from aggdiff import analysis, grid, kernels
+
+run = analysis.RunSettings(dr_max=0.02, dr_divisor=4.0, record_samples=20)
+settings = analysis.SweepSettings(dimension=2, epsilons=(0.2, 0.1, 0.05, 0.02), run=run, jobs=1)
+analysis.epsilon_sweep(kernels.neg_abs_kernel(), grid.GaussianBump(1.0, 0.25), settings)
+for name in ('numpy.random', 'multiprocessing', 'concurrent.futures', 'scipy.linalg'):
+    print(name, name in sys.modules)
+"""
+
+
+def test_serial_2d_sweep_leaves_pool_and_random_unloaded():
+    # A serial sweep never starts the pool, and the drift probe draws no
+    # random numbers: importing multiprocessing and concurrent.futures
+    # costs about 20 ms per process, numpy.random 16 ms and 6 MB.
+    src = Path(solver.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", _SERIAL_SWEEP_PROBE], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    loaded = dict(line.split() for line in result.stdout.splitlines())
+    assert loaded == {
+        "numpy.random": "False", "multiprocessing": "False",
+        "concurrent.futures": "False", "scipy.linalg": "False",
+    }
+
+
 def test_run_calls_module_advance_once_per_implicit_solve(monkeypatch):
     # The benchmark hooks solver.stated_cfl_bound, solver.positivity_bound,
     # solver.advance and _accel.thomas_solve by name, and tells which bound
