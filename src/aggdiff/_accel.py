@@ -5,8 +5,10 @@ tridiagonal solve (LAPACK ``ptsv``, an LDL^T factorisation of a symmetric
 positive definite matrix) on every implicit step. ``ptsv`` comes from
 SciPy's compiled LAPACK wrappers, ``scipy.linalg._flapack``, loaded on its
 own on the first implicit step; ``scipy.linalg`` is never imported.
-``entries_nd`` samples the N >= 2 drift matrix for its compressed operator,
-from the per-build column geometry of ``chord_geometry``.
+``entries_nd`` samples the N >= 2 drift matrix for its compressed operator
+by angular quadrature, from the per-build column geometry of
+``chord_geometry``; ``entries_neg_abs_2d`` samples the closed form of
+K = -|x| in two dimensions, and ``agm_steps`` sets its step count.
 ``build_matrix_1d`` and ``build_matrix_nd`` form the full drift matrices,
 which the solver never does: they are the tests' dense oracles.
 Kernel-family codes used by the evaluators:
@@ -26,6 +28,7 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
+import math
 import os
 
 import numpy as np
@@ -39,6 +42,7 @@ FAMILY_ZERO = 2
 FAMILY_TABULATED = 3
 
 _EMPTY = np.empty(0, dtype=np.float64)
+_EPS = float(np.finfo(np.float64).eps)
 _D_FLOOR = 1e-12
 # Largest (quadrature, rows, columns) temporary of one entries_nd chunk.
 _CHUNK = 65536
@@ -178,15 +182,12 @@ def entries_nd(r_rows, along, across, kind, s_nodes, kp_nodes, weights):
     on q quadrature nodes with normalised ``weights`` (summing to 1).
     ``along`` and ``across`` are the columns' ``chord_geometry``; the chord
     length d = sqrt((r - rho cos t)^2 + (rho sin t)^2) is a sum of squares,
-    so it needs no clamp at zero. A constant gradient k' = -1 is folded into
-    the weights, which is exact. The quadrature axis comes first so that
+    so it needs no clamp at zero. The quadrature axis comes first so that
     the innermost loops run over the longer axes, and the (q, rows, cols)
     temporaries are chunked to at most _CHUNK entries, by rows and, for a
     row longer than that, by columns.
     """
     m, (q, n) = r_rows.shape[0], along.shape
-    if kind == FAMILY_NEG_ABS:
-        weights = -weights
     W = np.empty((m, n))
     rows = max(1, _CHUNK // max(1, n * q))
     cols = max(1, n if n * q <= _CHUNK else _CHUNK // q)
@@ -200,9 +201,81 @@ def entries_nd(r_rows, along, across, kind, s_nodes, kp_nodes, weights):
             np.sqrt(d, out=d)
             np.maximum(d, _D_FLOOR, out=d)
             t /= d
-            if kind != FAMILY_NEG_ABS:
-                t *= kprime_array(kind, d, s_nodes, kp_nodes)
+            t *= kprime_array(kind, d, s_nodes, kp_nodes)
             W[a:b, c0:c1] = (weights @ t.reshape(q, -1)).reshape(b - a, c1 - c0)
+    return W
+
+
+def agm_steps(q):
+    """AGM steps after which |a - b| <= eps a for AGM(1, q), 0 < q <= 1.
+
+    eps is the float64 machine epsilon. From there a is the mean to
+    roundoff, and the next term of the E sum, 2^k ((a - b)/2)^2, is below
+    eps^2. The AGM converges faster for larger q, so the step count of
+    the smallest q of a grid serves all its entries.
+    """
+    a, b, steps = 1.0, float(q), 0
+    while abs(a - b) > _EPS * a:
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        steps += 1
+    return steps
+
+
+def entries_neg_abs_2d(r_rows, rho, steps):
+    """N = 2 drift-matrix entries W(r_i, rho_j) of K = -|x| in closed form.
+
+    The angular average of -(r - rho cos t)/d over the circle is
+    W = -((r + rho) E(m) + (r - rho) K(m)) / (pi r), m = 4 r rho/(r + rho)^2,
+    with K and E the complete elliptic integrals of the first and second
+    kind (parameter m). Both come from the arithmetic-geometric mean of
+    1 and |q|, q = (r - rho)/(r + rho) = 2x - 1 with x = r/(r + rho):
+    K = pi/(2 a_k) and E = K (1 - sum_{n >= 0} 2^(n-1) c_n^2), c_0^2 = m
+    and c_n = (a_{n-1} - b_{n-1})/2 (Abramowitz & Stegun 17.6). The
+    first step is taken in closed form, c_1 = min(x, 1 - x), a_1 =
+    1 - c_1, and the two leading terms are merged:
+    W = -(2 x^2 - sum_{n >= 1} 2^(n-1) c_n^2) / (2 x a_k). That sum stays
+    free of cancellation when rho >> r, where the formula with E and K
+    subtracts terms of size rho/r. ``steps`` AGM steps are taken in all
+    (``agm_steps`` of the smallest |q| sampled), with no convergence test.
+    At rho = r, where K is infinite and x = 1/2 exactly, E(1) = 1 and the
+    (r - rho) K term vanishes: W = -2/pi. Temporaries are chunked by rows
+    to at most _CHUNK entries.
+    """
+    m, n = r_rows.shape[0], rho.shape[0]
+    W = np.empty((m, n))
+    rows = max(1, _CHUNK // max(1, n))
+    for i0 in range(0, m, rows):
+        i1 = min(m, i0 + rows)
+        r = r_rows[i0:i1, None]
+        x = r + rho
+        np.divide(r, x, out=x)
+        c = np.subtract(1.0, x)
+        np.minimum(c, x, out=c)
+        a = np.subtract(1.0, c)
+        b = np.add(x, x)
+        b -= 1.0
+        np.abs(b, out=b)
+        np.sqrt(b, out=b)
+        total = W[i0:i1]
+        np.multiply(x, x, out=total)
+        total += total
+        term = c * c
+        total -= term
+        weight = 1.0
+        for _ in range(steps - 1):
+            np.subtract(a, b, out=c)
+            c *= 0.5
+            b *= a
+            np.sqrt(b, out=b)
+            a -= c
+            weight *= 2.0
+            np.multiply(c, c, out=term)
+            term *= weight
+            total -= term
+        a *= x
+        a *= -2.0
+        total /= a
+        total[x == 0.5] = -2.0 / math.pi
     return W
 
 

@@ -489,9 +489,9 @@ def plan_grid(dimension, epsilon, t_end, support_radius, settings=RunSettings())
     max(10 support, 20 sqrt(eps t_end)).
 
     eps/16 rather than the minimal eps/8: the first-order upwind bias
-    lowers the equilibrium spike by about 2 (dr/eps) kappa M^2 / 2, and
-    the stricter divisor keeps that deficit safely inside the 1% slack of
-    the moment-inequality check at the smallest swept diffusivities.
+    lowers the equilibrium spike by about 2 (dr/eps) kappa M^2 / 2. For
+    eps >= 0.01 that deficit stays inside the 1% slack of the
+    moment-inequality check; at eps = 0.002 it does not (1-D excess 1.57%).
     """
     dr, r_max = settings.dr, settings.r_max
     if dr is None:

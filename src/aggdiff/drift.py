@@ -3,33 +3,46 @@
 The drift is a linear operator on the cell masses m_j = u_j vol_j:
 V_i = sum_j W_ij m_j. ``build_interaction_matrix`` returns it as a
 ``DriftOperator`` whose ``apply(masses)`` computes V and post-checks the
-convolution bound |V| <= |k'|_sup * mass.
+convolution bound |V| <= |k'|_sup * mass. W is never formed.
 
 For N >= 2, W_ij is the angular average over the unit sphere of
 k'(d) (r - rho cos t)/d with d the chord distance to a source at radius
-rho. The angular integral uses Gauss-Legendre nodes on [0, pi]; no special
-diagonal split is needed: at r = rho the integrand reduces to
-k'(2 r sin(t/2)) sin(t/2) sin^{N-2} t, which is smooth for smooth k'; the
-chord distance is floored at 1e-12 only to protect the 0/0 ratio. W is
-never formed. The operator is a HODLR matrix (hierarchical off-diagonal low
-rank): the index range is halved recursively down to dense diagonal leaves,
-and each off-diagonal block is stored as U Vt, found by adaptive cross
-approximation from single sampled rows and columns. The quadrature order
-doubles until the compressed operator's velocity on a fixed smooth
-reference bump changes by less than a relative tolerance, and a probe at
-the end of the build compares one exactly computed row per dense leaf with
-the operator. Each apply is windowed to the cells that carry mass: cells
-past the last one with mass above eps M / n (eps the machine epsilon, M
-the mass sum) are dropped, which moves V by at most eps |k'|_sup M, and
-only the blocks that meet the remaining cells are read.
+rho. For the paper's kernel K = -|x| (k' = -1, ``neg_abs``) that average
+has a closed form in every dimension, and no quadrature is used:
+
+- N = 3: W = -(1 - rho^2/(3 r^2)) for rho < r, -2 r/(3 rho) for rho > r
+  and -2/3 on the diagonal. Each side of the diagonal is a sum of
+  products of a function of r and one of rho, so V is three prefix sums,
+  O(n) per apply with no build (``ShellDrift``).
+- N = 2: W = -((r + rho) E(m) + (r - rho) K(m))/(pi r), m = 4 r rho/(r +
+  rho)^2, with the complete elliptic integrals computed by a fixed number
+  of arithmetic-geometric mean steps (``_accel.entries_neg_abs_2d``).
+
+For the other kernels the angular integral uses Gauss-Legendre nodes on
+[0, pi]; no special diagonal split is needed: at r = rho the integrand
+reduces to k'(2 r sin(t/2)) sin(t/2) sin^{N-2} t, which is smooth for
+smooth k'; the chord distance is floored at 1e-12 only to protect the 0/0
+ratio. The quadrature order doubles until the compressed operator's
+velocity on a fixed smooth reference bump changes by less than a relative
+tolerance.
+
+Every N >= 2 operator other than ``ShellDrift`` is a HODLR matrix
+(hierarchical off-diagonal low rank): the index range is halved
+recursively down to dense diagonal leaves, and each off-diagonal block is
+stored as U Vt, found by adaptive cross approximation from single sampled
+rows and columns, whether the entries come from quadrature or from the
+closed form. A probe at the end of the build compares one exactly computed
+row per dense leaf with the operator. Each apply is windowed to the cells
+that carry mass: cells past the last one with mass above eps M / n (eps
+the machine epsilon, M the mass sum) are dropped, which moves V by at most
+eps |k'|_sup M, and only the blocks that meet the remaining cells are read.
 
 In one dimension the convolution over the mirrored line is exact for even
 data, and on the uniform cell-centred grid W_ij =
 (k'(|r_i - r_j|) sign(r_i - r_j) + k'(r_i + r_j))/2 is Toeplitz in i - j
-plus Hankel in i + j. It is never formed either. A constant gradient
-k' = c (``neg_abs``, and the zero kernel) gives V = c (cumsum(m) - m/2) in
-O(n); any other kernel goes through FFT convolutions with spectra computed
-once per grid.
+plus Hankel in i + j. A constant gradient k' = c (``neg_abs``, and the
+zero kernel) gives V = c (cumsum(m) - m/2) in O(n); any other kernel goes
+through FFT convolutions with spectra computed once per grid.
 """
 
 from __future__ import annotations
@@ -171,6 +184,26 @@ class ConstantGradientDrift(DriftOperator):
 
 
 @dataclass(frozen=True)
+class ShellDrift(DriftOperator):
+    """3-D drift of K = -|x| (k' = -1): O(n) prefix sums.
+
+    W(r, rho) = -(1 - rho^2/(3 r^2)) for rho < r, -2 r/(3 rho) for rho > r
+    and -2/3 at rho = r, so V_i = -(A_i - B_i/(3 r_i^2)) - 2 (m_i + r_i C_i)/3
+    with A_i and B_i the sums of m_j and rho_j^2 m_j over the cells inside
+    cell i and C_i the sum of m_j/rho_j over the cells outside it.
+    """
+
+    def _product(self, masses, total):
+        r = self.grid.r_centers
+        second = masses * (r * r)
+        reciprocal = masses / r
+        inside = np.cumsum(masses) - masses
+        inside -= (np.cumsum(second) - second) / (3.0 * r * r)
+        outside = np.cumsum(reciprocal[::-1])[::-1] - reciprocal
+        return -inside - (2.0 / 3.0) * (masses + r * outside)
+
+
+@dataclass(frozen=True)
 class SpectralDrift(DriftOperator):
     """1-D drift of a general kernel as two FFT convolutions.
 
@@ -224,13 +257,24 @@ def _check_tabulated_range(kernel: KernelSpec, grid: RadialGrid):
 
 
 def _entry_sampler(grid: RadialGrid, kernel: KernelSpec, order: int):
-    """entries(rows, cols) -> W on the cells r[rows] x r[cols], at a quadrature order.
+    """entries(rows, cols) -> W on the cells r[rows] x r[cols].
 
-    ``rows`` is a slice or an index array and ``cols`` a slice; the
+    ``rows`` is a slice or an index array and ``cols`` a slice. For
+    ``neg_abs`` (N = 2) the entries are the closed form with the AGM step
+    count of the grid's closest pair of cells, and ``order`` is not read.
+    Otherwise they are Gauss-Legendre quadrature of that order, and the
     columns' chord geometry is formed once, here.
     """
-    cos_t, wts, wsum = _angular_nodes(grid.dimension, order)
     r = grid.r_centers
+    if kernel.family is KernelFamily.NEG_ABS:
+        steps = _accel.agm_steps(float(np.min(np.diff(r) / (r[1:] + r[:-1]))))
+
+        def entries(rows, cols):
+            return _accel.entries_neg_abs_2d(r[rows], r[cols], steps)
+
+        return entries
+
+    cos_t, wts, wsum = _angular_nodes(grid.dimension, order)
     along, across = _accel.chord_geometry(r, cos_t)
     weights = wts / wsum
 
@@ -254,39 +298,47 @@ def _cross_approximation(entries, rows, cols, tol):
     already that small adds no term. Returns None once the rank reaches
     _MAX_RANK or mn / (2 (m + n)), where U and Vt would cost half as much
     as the dense block: such a block (a tabulated k' with kinks, say) is
-    stored dense.
+    stored dense. The factors are written into arrays preallocated at
+    that largest rank.
     """
     (r0, r1), (c0, c1) = rows, cols
     m, n = r1 - r0, c1 - c0
     max_rank = min(_MAX_RANK, m * n // (2 * (m + n)))
-    us, vs = [], []
+    us = np.empty((max_rank, m))  # the columns of U, one per row
+    vs = np.empty((max_rank, n))
+    rank = 0
     unused = np.ones(m, dtype=bool)
     i = 0
     while True:
-        if len(us) >= max_rank:
+        if rank >= max_rank:
             return None
         unused[i] = False
         row = entries(slice(r0 + i, r0 + i + 1), slice(c0, c1))[0]
-        if us:
-            row -= np.array([u[i] for u in us]) @ np.array(vs)
+        if rank:
+            row -= us[:rank, i] @ vs[:rank]
         j = int(np.argmax(np.abs(row)))
         col = entries(slice(r0, r1), slice(c0 + j, c0 + j + 1))[:, 0]
-        if us:
-            col -= np.array(us).T @ np.array([v[j] for v in vs])
+        if rank:
+            col -= us[:rank].T @ vs[:rank, j]
         if np.max(np.abs(col)) <= tol:  # |row[j]| = max |row| <= max |col|
             break
         if abs(row[j]) > tol:
-            us.append(col)
-            vs.append(row / row[j])
+            us[rank] = col
+            np.divide(row, row[j], out=vs[rank])
+            rank += 1
         candidates = np.where(unused, np.abs(col), -1.0)
         i = int(np.argmax(candidates))
         if candidates[i] < 0.0:
             break
-    return np.array(us).reshape(-1, m).T, np.array(vs).reshape(-1, n)
+    return us[:rank].T, vs[:rank]
 
 
 def _hierarchical_drift(grid: RadialGrid, kernel: KernelSpec, order: int) -> HierarchicalDrift:
-    """The HODLR operator of W at a quadrature order, from sampled entries only."""
+    """The HODLR operator of W from sampled entries only.
+
+    ``order`` is the quadrature order of the entries, 0 for the closed form
+    of ``neg_abs`` (see ``_entry_sampler``); the operator reports it.
+    """
     entries = _entry_sampler(grid, kernel, order)
     n = grid.n
     tol = _ACA_TOL * kernel.kprime_sup_norm
@@ -333,8 +385,11 @@ def _hierarchical_drift(grid: RadialGrid, kernel: KernelSpec, order: int) -> Hie
 def _probe(op: HierarchicalDrift, kernel: KernelSpec) -> None:
     """Compare exactly computed rows of W with the operator on positive masses.
 
-    One row from the middle of each leaf, so every block of the operator
-    meets a probe row. The masses are positive with a fixed irregular
+    The rows come from the same entry sampler as the operator: the closed
+    form for ``neg_abs``, quadrature at the operator's order for the other
+    kernels. So the probe checks the compression, not the quadrature. One
+    row from the middle of each leaf, so every block of the operator meets
+    a probe row. The masses are positive with a fixed irregular
     spread in [0.5, 1.5), 0.5 + frac(i phi) with phi the golden ratio, so
     that block errors cannot cancel by symmetry. Raises CompressionError
     when the gap exceeds _APPLY_TOL |k'|_sup * mass.
@@ -360,25 +415,31 @@ def build_interaction_matrix(
 ) -> DriftOperator:
     """Build the drift operator for a grid/kernel pair.
 
-    In one dimension the operator is matrix-free and the quadrature
-    arguments are ignored (the reported order is 0); so is the zero
-    kernel's in every dimension. For N >= 2 it is a HODLR matrix whose
-    Gauss-Legendre order doubles from ``_START_ORDER`` until the velocity
-    it induces on a fixed smooth reference bump changes by less than
-    ``_ORDER_REL_TOL`` (sup norm, relative); pass ``quadrature_order`` to
-    pin the order instead. Raises QuadratureError when ``_MAX_ORDER`` is
-    reached without convergence, and CompressionError when the final
-    operator misses exactly computed rows of W by more than
-    1e-10 |k'|_sup * mass.
+    No quadrature is used, ``quadrature_order`` is ignored and the
+    reported order is 0 for the zero kernel and for ``neg_abs`` in every
+    dimension, and for every kernel in one dimension. ``neg_abs`` is exact:
+    prefix sums in one and three dimensions, and in two a HODLR matrix
+    compressed from closed-form entries. Every other kernel in N >= 2 is a
+    HODLR matrix of Gauss-Legendre quadrature whose order doubles from
+    ``_START_ORDER`` until the velocity it induces on a fixed smooth
+    reference bump changes by less than ``_ORDER_REL_TOL`` (sup norm,
+    relative); pass ``quadrature_order`` to pin the order instead. Raises
+    QuadratureError when ``_MAX_ORDER`` is reached without convergence.
+    Every HODLR operator is probed: CompressionError when it misses
+    exactly computed rows of W by more than 1e-10 |k'|_sup * mass.
     """
     _check_tabulated_range(kernel, grid)
     if kernel.family is KernelFamily.ZERO:
         return ConstantGradientDrift(grid, kernel.name(), 0.0, 0, 0.0)
-    if grid.dimension == 1:
-        if kernel.family is KernelFamily.NEG_ABS:
+    if kernel.family is KernelFamily.NEG_ABS:
+        if grid.dimension == 1:
             return ConstantGradientDrift(grid, kernel.name(), kernel.kprime_sup_norm, 0, -1.0)
+        if grid.dimension == 3:
+            return ShellDrift(grid, kernel.name(), kernel.kprime_sup_norm, 0)
+        op = _hierarchical_drift(grid, kernel, 0)
+    elif grid.dimension == 1:
         return _spectral_drift(grid, kernel)
-    if quadrature_order is not None:
+    elif quadrature_order is not None:
         op = _hierarchical_drift(grid, kernel, quadrature_order)
     else:
         u_ref = np.exp(-((grid.r_centers / (0.25 * grid.r_max)) ** 2)) * grid.cell_volumes

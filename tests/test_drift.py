@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from aggdiff import _accel, drift, grid, kernels
 
@@ -118,18 +118,115 @@ def _dense_order_rule(g, kern, rel_tol=1e-6):
         order *= 2
 
 
+def _neg_abs_dense(g):
+    # The dense W of K = -|x| in closed form, independent of the AGM in
+    # aggdiff: N = 2 from SciPy's complete elliptic integrals (K through
+    # ellipkm1, which takes 1 - m and stays accurate near the diagonal),
+    # N = 3 from the shell sums.
+    r = g.r_centers[:, None]
+    rho = g.r_centers[None, :]
+    if g.dimension == 3:
+        w = np.where(rho < r, -(1.0 - rho**2 / (3.0 * r**2)), -2.0 * r / (3.0 * rho))
+        np.fill_diagonal(w, -2.0 / 3.0)
+        return w
+    p = ((r - rho) / (r + rho)) ** 2
+    with np.errstate(invalid="ignore"):
+        w = -((r + rho) * special.ellipe(1.0 - p) + (r - rho) * special.ellipkm1(p)) / (np.pi * r)
+    np.fill_diagonal(w, -2.0 / np.pi)
+    return w
+
+
+def _is_neg_abs(kern):
+    return kern.family is kernels.KernelFamily.NEG_ABS
+
+
 @pytest.mark.parametrize("dim, n", [(2, 300), (3, 300), (2, 2048), (3, 1100)])
 def test_nd_operator_matches_dense_matrix(dim, n):
-    # The dense N >= 2 builder stays as the oracle for the compressed operator.
+    # neg_abs is exact and checked against its dense closed form; the other
+    # kernels against the dense quadrature matrix under the same order
+    # doubling as the compressed operator.
     g = grid.RadialGrid(dim, 3.0 / n, n)
     for kern in _oracle_kernels(g):
         op = drift.build_interaction_matrix(g, kern)
-        order, dense = _dense_order_rule(g, kern)
-        assert op.quadrature_order == order, kern.name()
+        if _is_neg_abs(kern):
+            assert op.quadrature_order == 0
+            dense = _neg_abs_dense(g)
+        else:
+            order, dense = _dense_order_rule(g, kern)
+            assert op.quadrature_order == order, kern.name()
         for seed in range(3):
             masses = np.random.default_rng(seed).uniform(0.0, 1.0, n) * g.cell_volumes
             gap = np.max(np.abs(op.apply(masses) - dense @ masses))
             assert gap <= 1e-10 * kern.kprime_sup_norm * np.sum(masses), (kern.name(), gap)
+
+
+def _quadrature_rows(g, rows, order):
+    # neg_abs rows of W by Gauss-Legendre quadrature at a high order.
+    r = g.r_centers
+    cos_t, wts, wsum = drift._angular_nodes(g.dimension, order)
+    along, across = _accel.chord_geometry(r, cos_t)
+    return _accel.entries_nd(r[rows], along, across, _accel.FAMILY_NEG_ABS, _accel._EMPTY, _accel._EMPTY, wts / wsum)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_neg_abs_closed_forms_match_high_order_quadrature(dim):
+    # The first rows, the middle and the rows at the rim, each over every
+    # column: the diagonal, the first off-diagonals, where N = 2 has its
+    # smallest (r - rho)/(r + rho), and the far pairs.
+    n = 2048
+    g = grid.RadialGrid(dim, 3.0 / n, n)
+    rows = np.array([0, 1, 2, n // 2 - 1, n // 2, n - 3, n - 2, n - 1])
+    quadrature = _quadrature_rows(g, rows, 1024)
+    if dim == 2:
+        closed = drift._entry_sampler(g, kernels.neg_abs_kernel(), 0)(rows, slice(None))
+        assert np.max(np.abs(closed - _neg_abs_dense(g)[rows])) <= 1e-12
+    else:
+        closed = _neg_abs_dense(g)[rows]
+    assert np.max(np.abs(closed - quadrature)) <= 1e-12
+    diagonal = -2.0 / np.pi if dim == 2 else -2.0 / 3.0
+    assert np.all(closed[np.arange(rows.size), rows] == diagonal)
+
+
+def test_agm_step_count_is_converged_at_fine_grids():
+    # The step count comes from the grid's closest pair of cells. At
+    # n = 1e5 four more AGM steps change no entry, and two fewer do.
+    n = 10**5
+    g = grid.RadialGrid(2, 3.0 / n, n)
+    r = g.r_centers
+    steps = _accel.agm_steps(float(np.min(np.diff(r) / (r[1:] + r[:-1]))))
+    assert steps == 7
+    rows = np.array([0, 1, n // 2, n - 2, n - 1])
+    sampled = drift._entry_sampler(g, kernels.neg_abs_kernel(), 0)(rows, slice(None))
+    converged = _accel.entries_neg_abs_2d(r[rows], r, steps + 4)
+    assert np.max(np.abs(sampled - converged)) <= 4.0 * np.finfo(float).eps
+    short = _accel.entries_neg_abs_2d(r[rows], r, steps - 2)
+    assert np.max(np.abs(short - converged)) > 1e-10
+
+
+def test_neg_abs_ignores_a_pinned_order():
+    g = grid.RadialGrid(2, 3.0 / 400, 400)
+    masses = np.random.default_rng(4).uniform(0.0, 1.0, g.n) * g.cell_volumes
+    exact = drift.build_interaction_matrix(g, kernels.neg_abs_kernel())
+    pinned = drift.build_interaction_matrix(g, kernels.neg_abs_kernel(), quadrature_order=16)
+    assert pinned.quadrature_order == 0
+    assert np.array_equal(pinned.apply(masses), exact.apply(masses))
+
+
+@pytest.mark.parametrize("n", [3, 300, 1100])
+def test_3d_prefix_sums_match_dense_closed_form(n):
+    # Random masses, a point mass at the origin and one at the rim, and a
+    # mass past a gap of empty cells.
+    g = grid.RadialGrid(3, 3.0 / n, n)
+    op = drift.build_interaction_matrix(g, kernels.neg_abs_kernel())
+    assert isinstance(op, drift.ShellDrift) and op.quadrature_order == 0
+    dense = _neg_abs_dense(g)
+    rng = np.random.default_rng(n)
+    first, last, gap = np.zeros(n), np.zeros(n), np.zeros(n)
+    first[0], last[-1] = 1.0, 1.0
+    gap[0], gap[-1] = 0.5, 0.5
+    for masses in (rng.uniform(0.0, 1.0, n) * g.cell_volumes, first, last, gap):
+        total = np.sum(masses)
+        assert np.max(np.abs(op.apply(masses) - dense @ masses)) <= 1e-13 * total
 
 
 def _unwindowed_product(op, masses):
@@ -158,6 +255,8 @@ def test_windowed_apply_matches_dense_and_unwindowed_products(dim, n):
     g = grid.RadialGrid(dim, 3.0 / n, n)
     r = g.r_centers
     kerns = [k for k in _oracle_kernels(g) if (k.code == _accel.FAMILY_TABULATED) == (n == 300)]
+    if dim == 3:  # neg_abs has no HODLR operator in three dimensions
+        kerns = [k for k in kerns if not _is_neg_abs(k)]
     for kern in kerns:
         op = drift.build_interaction_matrix(g, kern)
         count, leaf = op.leaves.shape[:2]
@@ -165,8 +264,11 @@ def test_windowed_apply_matches_dense_and_unwindowed_products(dim, n):
             assert op.dense
         else:
             assert len(op.levels) == 3 and not op.dense
-        cos_t, wts, wsum = drift._angular_nodes(dim, op.quadrature_order)
-        dense = _accel.build_matrix_nd(r, kern.code, kern.s_nodes, kern.kprime_nodes, cos_t, wts, wsum)
+        if _is_neg_abs(kern):
+            dense = _neg_abs_dense(g)
+        else:
+            cos_t, wts, wsum = drift._angular_nodes(dim, op.quadrature_order)
+            dense = _accel.build_matrix_nd(r, kern.code, kern.s_nodes, kern.kprime_nodes, cos_t, wts, wsum)
         spread = np.random.default_rng(n).uniform(0.5, 1.5, n) * g.cell_volumes
         point = np.zeros(n)
         point[0] = 1.0
