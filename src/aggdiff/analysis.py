@@ -3,8 +3,7 @@
 Implements the verification harness around the solver:
 
 * explicit constants attached to admissible initial data (attraction
-  floor, moment growth rate, guaranteed level, time horizon, ball factor)
-  and their algebraic self-consistency;
+  floor, moment growth rate, guaranteed level, time horizon, ball factor);
 * the truncated-moment differential inequality checked pointwise along a
   recorded trajectory;
 * the weighted concentration lower bound over the time horizon;
@@ -125,21 +124,6 @@ def compute_constants(
         ball_factor=ball,
         h1_coefficient=h1_coefficient,
     )
-
-
-def consistency_residual(constants: ConcentrationConstants) -> float:
-    """Relative defect of the closed-form identity defining the horizon.
-
-    Substituting the horizon into kappa M^2/(2 rate) (1 - exp(-rate T /
-    scale)) - I(0) must reproduce the bound level exactly.
-    """
-    c = constants
-    lhs = (
-        c.attraction * c.total_mass ** 2 / (2.0 * c.moment_rate)
-        * (1.0 - math.exp(-c.moment_rate * c.horizon / c.scale))
-        - c.initial_moment
-    )
-    return abs(lhs - c.bound_level) / abs(c.bound_level)
 
 
 def field_support_radius(field: DensityField) -> float:

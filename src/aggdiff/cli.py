@@ -93,14 +93,17 @@ def _merge_section(defaults, user, path):
 
 
 def _as_positive(value, name, allow_zero=False):
-    """``value`` as a finite float > 0 (or >= 0 with ``allow_zero``)."""
+    """``value`` as a finite float > 0 (or >= 0 with ``allow_zero``); not a bool."""
     requirement = "a finite number >= 0" if allow_zero else "a positive number"
+    error = ConfigError(f"{name} must be {requirement}")
+    if isinstance(value, bool):
+        raise error
     try:
         value = float(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be {requirement}") from None
+        raise error from None
     if not math.isfinite(value) or value < 0.0 or (value == 0.0 and not allow_zero):
-        raise ConfigError(f"{name} must be {requirement}")
+        raise error
     return value
 
 
@@ -164,8 +167,8 @@ def parse_config(path) -> dict:
         init["width"] = _as_positive(init["width"], "initial.width")
     if init["type"] == "annulus":
         init["r_outer"] = _as_positive(init["r_outer"], "initial.r_outer")
-        init["r_inner"] = float(init["r_inner"])
-        if not 0.0 <= init["r_inner"] < init["r_outer"]:
+        init["r_inner"] = _as_positive(init["r_inner"], "initial.r_inner", allow_zero=True)
+        if not init["r_inner"] < init["r_outer"]:
             raise ConfigError("initial annulus needs 0 <= r_inner < r_outer")
     if init["type"] == "tabulated" and not init["path"]:
         raise ConfigError("tabulated initial data requires initial.path")
@@ -551,13 +554,9 @@ def write_sweep_csv(report, path) -> None:
             fh.write(",".join(_fmt(v) for v in values) + "\n")
 
 
-# Keys a sweep refuses unless at their defaults: each row plans its own
-# grid, horizon and step cap from its diffusivity, judges its rim loss by
-# the default tolerance, and stores the snapshots its ball integrals need.
-_SWEEP_IGNORED = (
-    ("t_end",), ("grid", "dr"), ("grid", "r_max"),
-    ("solver", "dt_max"), ("solver", "boundary_loss_tolerance"), ("solver", "store_snapshots"),
-)
+# Keys a sweep refuses unless at their defaults: each row runs to its own
+# horizon and stores the snapshots its ball integrals need.
+_SWEEP_IGNORED = (("t_end",), ("solver", "store_snapshots"))
 
 
 def _reject_sweep_ignored(cfg) -> None:

@@ -54,7 +54,7 @@ import numpy as np
 
 from . import _accel
 from .grid import DensityField, RadialGrid
-from .kernels import KernelFamily, KernelSpec, kdoubleprime, min_attraction_limit
+from .kernels import KernelFamily, KernelSpec
 
 # Every entry of W is at most |k'|_sup in size, so an entrywise error e
 # gives |V_H - W m| <= e * mass. The cross approximation stops at an
@@ -90,7 +90,6 @@ class DriftOperator:
     """Linear map from cell masses to the radial drift velocity."""
 
     grid: RadialGrid
-    kernel_name: str
     kprime_sup_norm: float
     quadrature_order: int
 
@@ -235,7 +234,7 @@ def _spectral_drift(grid: RadialGrid, kernel: KernelSpec) -> SpectralDrift:
     near = _accel.kprime_array(kernel.code, np.abs(offsets) * dr, kernel.s_nodes, kernel.kprime_nodes)
     mirror = _accel.kprime_array(kernel.code, sums * dr, kernel.s_nodes, kernel.kprime_nodes)
     return SpectralDrift(
-        grid, kernel.name(), kernel.kprime_sup_norm, 0,
+        grid, kernel.kprime_sup_norm, 0,
         np.fft.rfft(near * np.sign(offsets), size), np.fft.rfft(mirror, size), size,
     )
 
@@ -377,9 +376,7 @@ def _hierarchical_drift(grid: RadialGrid, kernel: KernelSpec, order: int) -> Hie
             u_all[p, 1 - s, : u.shape[0], : u.shape[1]] = u
             vt_all[p, s, : vt.shape[0], : vt.shape[1]] = vt
         levels.append((u_all, vt_all))
-    return HierarchicalDrift(
-        grid, kernel.name(), kernel.kprime_sup_norm, order, leaves, tuple(levels), tuple(dense)
-    )
+    return HierarchicalDrift(grid, kernel.kprime_sup_norm, order, leaves, tuple(levels), tuple(dense))
 
 
 def _probe(op: HierarchicalDrift, kernel: KernelSpec) -> None:
@@ -408,39 +405,32 @@ def _probe(op: HierarchicalDrift, kernel: KernelSpec) -> None:
         )
 
 
-def build_interaction_matrix(
-    grid: RadialGrid,
-    kernel: KernelSpec,
-    quadrature_order: int | None = None,
-) -> DriftOperator:
+def build_interaction_matrix(grid: RadialGrid, kernel: KernelSpec) -> DriftOperator:
     """Build the drift operator for a grid/kernel pair.
 
-    No quadrature is used, ``quadrature_order`` is ignored and the
-    reported order is 0 for the zero kernel and for ``neg_abs`` in every
-    dimension, and for every kernel in one dimension. ``neg_abs`` is exact:
-    prefix sums in one and three dimensions, and in two a HODLR matrix
-    compressed from closed-form entries. Every other kernel in N >= 2 is a
-    HODLR matrix of Gauss-Legendre quadrature whose order doubles from
-    ``_START_ORDER`` until the velocity it induces on a fixed smooth
-    reference bump changes by less than ``_ORDER_REL_TOL`` (sup norm,
-    relative); pass ``quadrature_order`` to pin the order instead. Raises
+    No quadrature is used and the reported order is 0 for the zero kernel
+    and for ``neg_abs`` in every dimension, and for every kernel in one
+    dimension. ``neg_abs`` is exact: prefix sums in one and three
+    dimensions, and in two a HODLR matrix compressed from closed-form
+    entries. Every other kernel in N >= 2 is a HODLR matrix of
+    Gauss-Legendre quadrature whose order doubles from ``_START_ORDER``
+    until the velocity it induces on a fixed smooth reference bump changes
+    by less than ``_ORDER_REL_TOL`` (sup norm, relative). Raises
     QuadratureError when ``_MAX_ORDER`` is reached without convergence.
     Every HODLR operator is probed: CompressionError when it misses
     exactly computed rows of W by more than 1e-10 |k'|_sup * mass.
     """
     _check_tabulated_range(kernel, grid)
     if kernel.family is KernelFamily.ZERO:
-        return ConstantGradientDrift(grid, kernel.name(), 0.0, 0, 0.0)
+        return ConstantGradientDrift(grid, 0.0, 0, 0.0)
     if kernel.family is KernelFamily.NEG_ABS:
         if grid.dimension == 1:
-            return ConstantGradientDrift(grid, kernel.name(), kernel.kprime_sup_norm, 0, -1.0)
+            return ConstantGradientDrift(grid, kernel.kprime_sup_norm, 0, -1.0)
         if grid.dimension == 3:
-            return ShellDrift(grid, kernel.name(), kernel.kprime_sup_norm, 0)
+            return ShellDrift(grid, kernel.kprime_sup_norm, 0)
         op = _hierarchical_drift(grid, kernel, 0)
     elif grid.dimension == 1:
         return _spectral_drift(grid, kernel)
-    elif quadrature_order is not None:
-        op = _hierarchical_drift(grid, kernel, quadrature_order)
     else:
         u_ref = np.exp(-((grid.r_centers / (0.25 * grid.r_max)) ** 2)) * grid.cell_volumes
         # Each order's operator is dropped before the next one is built:
@@ -467,50 +457,3 @@ def apply_drift(operator: DriftOperator, field: DensityField) -> np.ndarray:
     if field.grid != operator.grid:
         raise ValueError("field and drift operator live on different grids")
     return operator.apply(field.values * field.grid.cell_volumes)
-
-
-# ---------------------------------------------------------------------------
-# gradient-jump identity (dimension 1)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class JumpIdentityResult:
-    residual: float
-    sign: int
-    attraction_limit: float
-
-
-def jump_identity_residual(kernel: KernelSpec, v: DensityField) -> JumpIdentityResult:
-    """Residual of d/dx (K' * v) = s * 2 kappa * v + k''(|.|) * v, s in {+1,-1}.
-
-    K'(x) = k'(|x|) sign(x) jumps at the origin by twice the small-scale
-    attraction limit kappa; the identity is checked on the even extension
-    of ``v`` with the sign chosen to minimise the sup-norm residual, and
-    both the residual and the selected sign are reported.
-    """
-    if v.grid.dimension != 1:
-        raise ValueError("the jump identity is one-dimensional")
-    _check_tabulated_range(kernel, v.grid)
-    grid = v.grid
-    dr = grid.dr
-    m = 2 * grid.n
-    vals = np.concatenate([v.values[::-1], v.values])
-    offsets = np.arange(-(m - 1), m, dtype=np.float64) * dr
-    kp_line = np.where(
-        offsets == 0.0,
-        0.0,
-        _accel.kprime_array(kernel.code, np.abs(offsets), kernel.s_nodes, kernel.kprime_nodes)
-        * np.sign(offsets),
-    )
-    kpp_line = kdoubleprime(kernel, np.maximum(np.abs(offsets), 1e-300))
-    conv_kp = np.convolve(vals, kp_line, mode="full")[m - 1 : 2 * m - 1] * dr
-    conv_kpp = np.convolve(vals, kpp_line, mode="full")[m - 1 : 2 * m - 1] * dr
-    deriv = (conv_kp[2:] - conv_kp[:-2]) / (2.0 * dr)
-    kappa = min_attraction_limit(kernel).value
-    best = None
-    for sign in (1, -1):
-        candidate = sign * 2.0 * kappa * vals[1:-1] + conv_kpp[1:-1]
-        residual = float(np.max(np.abs(deriv - candidate)))
-        if best is None or residual < best[0]:
-            best = (residual, sign)
-    return JumpIdentityResult(best[0], best[1], kappa)

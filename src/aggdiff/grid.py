@@ -80,10 +80,6 @@ class RadialGrid:
     def r_max(self) -> float:
         return self.n * self.dr
 
-    @property
-    def sigma(self) -> float:
-        return sphere_area(self.dimension)
-
 
 @dataclass(frozen=True)
 class DensityField:

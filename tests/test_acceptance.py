@@ -13,7 +13,9 @@ import time
 import numpy as np
 import pytest
 
-from aggdiff import analysis, cli, drift, grid, kernels, solver
+from aggdiff import analysis, cli, grid, kernels, solver
+from test_analysis import consistency_residual
+from test_drift import jump_identity_residual
 from test_grid import cutoff_profile_slope
 
 NEG_ABS = kernels.neg_abs_kernel()
@@ -106,7 +108,7 @@ def test_03_jump_identity_convergence():
         for dr in (1e-2, 5e-3, 2.5e-3):
             g = grid.RadialGrid.make(1, 10.0, dr)
             v = grid.make_initial_condition(grid.GaussianBump(1.0, 1.0), g)
-            res = drift.jump_identity_residual(kern, v)
+            res = jump_identity_residual(kern, v)
             residuals.append(res.residual)
             signs.append(res.sign)
         orders = [math.log2(residuals[i] / residuals[i + 1]) for i in range(2)]
@@ -245,7 +247,7 @@ def test_10_constants_self_consistency():
         for scale in (3.0, 7.0, 20.0):
             c = analysis.compute_constants(u0, NEG_ABS, scale)
             if c.admissible:
-                worst = max(worst, analysis.consistency_residual(c))
+                worst = max(worst, consistency_residual(c))
             rate_ok = rate_ok and c.moment_rate == pytest.approx(6.0 * mass_total, rel=1e-13)
     ok = worst <= 1e-12 and rate_ok
     assert _report(

@@ -43,12 +43,26 @@ def test_moment_rate_is_six_times_mass_for_unit_attraction():
         assert c.moment_rate == pytest.approx(6.0 * m0, rel=1e-12)
 
 
+def consistency_residual(c):
+    """Relative defect of the closed-form identity defining the horizon.
+
+    Substituting the horizon into kappa M^2/(2 rate) (1 - exp(-rate T /
+    scale)) - I(0) must reproduce the bound level exactly.
+    """
+    lhs = (
+        c.attraction * c.total_mass ** 2 / (2.0 * c.moment_rate)
+        * (1.0 - math.exp(-c.moment_rate * c.horizon / c.scale))
+        - c.initial_moment
+    )
+    return abs(lhs - c.bound_level) / abs(c.bound_level)
+
+
 def test_constants_self_consistency_machine_precision():
     u0 = _u0()
     for scale in (3.0, 5.0, 12.0):
         c = analysis.compute_constants(u0, NEG_ABS, scale)
         assert c.admissible
-        assert analysis.consistency_residual(c) <= 1e-12
+        assert consistency_residual(c) <= 1e-12
 
 
 def test_inadmissible_data_reported_not_raised():

@@ -56,6 +56,7 @@ def test_parse_rejects_inconsistent_combos(tmp_path):
         cli.parse_config(_write(tmp_path, "{epsilon: [-0.1]}"))
     for key, value in (
         ("analysis.slack", ".nan"), ("analysis.slack", "-0.01"), ("analysis.slack", "abc"),
+        ("analysis.slack", "true"), ("initial.mass", "true"),
         ("analysis.safety_factor", "-1"), ("analysis.safety_factor", "abc"),
         ("solver.boundary_loss_tolerance", "-1.0e-6"), ("solver.boundary_loss_tolerance", "abc"),
         ("solver.record_samples", ".inf"), ("solver.record_samples", "2.9"),
@@ -66,6 +67,16 @@ def test_parse_rejects_inconsistent_combos(tmp_path):
         section, name = key.split(".")
         with pytest.raises(cli.ConfigError, match=key):
             cli.parse_config(_write(tmp_path, f"{{{section}: {{{name}: {value}}}}}"))
+    # Booleans are not numbers, and r_inner is parsed like every other length.
+    for text, key in (
+        ("{epsilon: true}", "epsilon"),
+        ("{epsilon: [0.1, yes]}", "epsilon"),
+        ("{initial: {type: annulus, r_inner: abc}}", "initial.r_inner"),
+        ("{initial: {type: annulus, r_inner: yes}}", "initial.r_inner"),
+        ("{initial: {type: annulus, r_inner: -0.1}}", "initial.r_inner"),
+    ):
+        with pytest.raises(cli.ConfigError, match=key):
+            cli.parse_config(_write(tmp_path, text))
     for value in ("true", "2.5", "0", "4", ".inf"):
         with pytest.raises(cli.ConfigError, match="dimension"):
             cli.parse_config(_write(tmp_path, f"{{dimension: {value}}}"))
@@ -283,6 +294,13 @@ def test_sweep_rejects_insufficient_epsilons(tmp_path):
     assert cli.main(["sweep", "--config", str(config), "--out", str(tmp_path / "s")]) == 2
 
 
+# Keys every sweep row runs with, mapped to their RunSettings field.
+SWEEP_HONOURED = {
+    "grid.dr": "dr", "grid.r_max": "r_max",
+    "solver.dt_max": "dt_max", "solver.boundary_loss_tolerance": "boundary_loss_tolerance",
+}
+
+
 @pytest.mark.parametrize("key, value", [
     ("t_end", "2.0"),
     ("grid.dr", "0.01"),
@@ -292,12 +310,18 @@ def test_sweep_rejects_insufficient_epsilons(tmp_path):
     ("solver.store_snapshots", "false"),
 ])
 def test_sweep_rejects_keys_it_would_ignore(tmp_path, key, value, capsys):
-    # Each sweep row plans its own grid, horizon and step cap and always
-    # stores snapshots, so these keys would be echoed into config.resolved
-    # without acting on the run.
+    # Each sweep row runs to its own horizon and always stores snapshots,
+    # so those keys would be echoed into config.resolved without acting on
+    # the run. The grid and step keys do act on every row, so sweep keeps
+    # them and hands them to the row settings.
     *section, name = key.split(".")
     entry = f"{name}: {value}" if not section else f"{section[0]}: {{{name}: {value}}}"
     config = _write(tmp_path, f"{{kernel: neg_abs, epsilon: [0.2, 0.1, 0.05, 0.02], {entry}}}")
+    if key in SWEEP_HONOURED:
+        cfg = cli.parse_config(config)
+        cli._reject_sweep_ignored(cfg)
+        assert getattr(cli.run_settings(cfg), SWEEP_HONOURED[key]) == float(value)
+        return
     out = tmp_path / "s"
     assert cli.main(["sweep", "--config", str(config), "--out", str(out)]) == 2
     assert key in capsys.readouterr().err
@@ -305,11 +329,38 @@ def test_sweep_rejects_keys_it_would_ignore(tmp_path, key, value, capsys):
 
 
 def test_sweep_accepts_those_keys_at_their_defaults(tmp_path):
-    text = (
-        "{t_end: auto, grid: {dr: auto, r_max: auto},"
-        " solver: {dt_max: auto, boundary_loss_tolerance: 1e-6, store_snapshots: auto}}"
-    )
+    text = "{t_end: auto, solver: {store_snapshots: auto}}"
     cli._reject_sweep_ignored(cli.parse_config(_write(tmp_path, text)))
+
+
+SWEEP_RUN_KEYS = """
+kernel: neg_abs
+epsilon: [0.4, 0.2, 0.1, 0.04]
+grid: {dr: 0.01, r_max: 3.0}
+solver: {dt_max: 0.01, boundary_loss_tolerance: 1.0e-5}
+"""
+
+
+def test_sweep_runs_with_the_configs_run_keys(tmp_path, monkeypatch):
+    seen = []
+    run = analysis.run
+
+    def recording_run(u0, kernel, config, scale):
+        seen.append((u0.grid, config))
+        return run(u0, kernel, config, scale)
+
+    monkeypatch.setattr(analysis, "run", recording_run)
+    config = _write(tmp_path, SWEEP_RUN_KEYS)
+    out = tmp_path / "s"
+    assert cli.main(["sweep", "--config", str(config), "--out", str(out)]) in (0, 1)
+    assert len(seen) == 4
+    for g, cfg in seen:
+        assert (g.dr, g.r_max) == (0.01, pytest.approx(3.0))
+        assert (cfg.dt_max, cfg.boundary_loss_tolerance) == (0.01, 1e-5)
+    payload = json.loads((out / "sweep.json").read_text())
+    worst = max(row["boundary_loss"] for row in payload["rows"])
+    loss = payload["verdicts"][1]
+    assert loss["name"] == "boundary_loss" and loss["margin"] == 1e-5 - worst
 
 
 SWEEP_CONFIG = """
@@ -351,6 +402,21 @@ def test_sweep_rejects_fewer_than_one_job(tmp_path, capsys):
 def test_zero_kernel_simulate_needs_numeric_t_end(tmp_path):
     config = _write(tmp_path, "{kernel: zero, epsilon: [0.1]}")
     assert cli.main(["simulate", "--config", str(config), "--out", str(tmp_path / "z")]) == 2
+
+
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+def test_simulate_refuses_a_kernel_table_with_a_non_finite_sample(tmp_path, capsys, bad):
+    # The run never reads k'(20) on [0, 2]. Yet an infinite sample made
+    # |k'|_sup and the moment rate infinite, so the moment inequality
+    # passed vacuously, and a NaN one crashed the drift bound check.
+    s = np.linspace(0.01, 20.0, 400)
+    rows = [f"{si!r} {-math.exp(-si)!r}" for si in s[:-1].tolist()] + [f"20.0 {bad}"]
+    (tmp_path / "kernel.txt").write_text("\n".join(rows) + "\n")
+    text = TINY_SIMULATE.replace("kernel: neg_abs", f"kernel: tabulated\nkernel_table: {tmp_path / 'kernel.txt'}")
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(_write(tmp_path, text)), "--out", str(out)]) == 2
+    assert f"k'(s) = {bad}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_config_reports_error(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aggdiff import kernels
+from aggdiff import _accel, kernels
 
 
 ALL_FAMILIES = [
@@ -15,17 +15,14 @@ ALL_FAMILIES = [
 ]
 
 
+def _kprime(kernel, s):
+    return _accel.kprime_array(kernel.code, np.array([s]), kernel.s_nodes, kernel.kprime_nodes)[0]
+
+
 def test_kprime_closed_forms():
-    assert kernels.kprime(kernels.neg_abs_kernel(), 0.7) == -1.0
-    assert kernels.kprime(kernels.exponential_kernel(), 1.0) == pytest.approx(-math.exp(-1))
-    assert kernels.kprime(kernels.zero_kernel(), 3.2) == 0.0
-
-
-def test_kprime_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        kernels.kprime(kernels.neg_abs_kernel(), 0.0)
-    with pytest.raises(ValueError):
-        kernels.kprime(kernels.exponential_kernel(), np.array([0.5, -1.0]))
+    assert _kprime(kernels.neg_abs_kernel(), 0.7) == -1.0
+    assert _kprime(kernels.exponential_kernel(), 1.0) == pytest.approx(-math.exp(-1))
+    assert _kprime(kernels.zero_kernel(), 3.2) == 0.0
 
 
 def test_min_attraction_values():
@@ -36,13 +33,6 @@ def test_min_attraction_values():
     zero = kernels.min_attraction(kernels.zero_kernel(), 1.0)
     assert zero.value == 0.0
     assert not zero.attractive
-
-
-def test_min_attraction_limit_values():
-    assert kernels.min_attraction_limit(kernels.neg_abs_kernel()).value == 1.0
-    assert kernels.min_attraction_limit(kernels.exponential_kernel()).value == 1.0
-    zero = kernels.min_attraction_limit(kernels.zero_kernel())
-    assert zero.value == 0.0 and not zero.attractive
 
 
 @given(
@@ -70,15 +60,10 @@ def test_tabulated_matches_exponential():
     tab = _exponential_table()
     est = kernels.min_attraction(tab, 1.0)
     assert est.value == pytest.approx(math.exp(-1), abs=1e-4)
-    limit = kernels.min_attraction_limit(tab)
-    assert limit.converged
-    assert limit.value == pytest.approx(1.0, abs=1e-3)
 
 
 def test_tabulated_rejects_out_of_range():
     tab = _exponential_table(n=100, s_max=2.0)
-    with pytest.raises(ValueError):
-        kernels.kprime(tab, 3.0)
     with pytest.raises(ValueError):
         kernels.min_attraction(tab, 1e-6)
 
@@ -90,6 +75,20 @@ def test_tabulated_requires_increasing_samples():
         kernels.tabulated_kernel([0.0, 1.0], [-1.0, -1.0])
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_tabulated_rejects_non_finite_samples(tmp_path, bad):
+    # A sample the drift never reads still poisons |k'|_sup, and with it
+    # the moment rate and the drift bound.
+    with pytest.raises(ValueError, match=f"k'\\(s\\) = {bad:g}"):
+        kernels.tabulated_kernel([1.0, 2.0, 20.0], [-1.0, -0.5, bad])
+    with pytest.raises(ValueError, match=f"s = {bad:g}"):
+        kernels.tabulated_kernel([1.0, bad], [-1.0, -0.5])
+    path = tmp_path / "kernel.txt"
+    path.write_text(f"1.0 -1.0\n20.0 {bad}\n")
+    with pytest.raises(ValueError, match="finite"):
+        kernels.load_tabulated_kernel(path)
+
+
 def test_tabulated_file_round_trip(tmp_path):
     path = tmp_path / "kernel.txt"
     s = np.linspace(0.01, 4.0, 50)
@@ -98,44 +97,7 @@ def test_tabulated_file_round_trip(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     tab = kernels.load_tabulated_kernel(path)
     assert tab.kprime_sup_norm == pytest.approx(math.exp(-0.01))
-    assert kernels.kprime(tab, 1.0) == pytest.approx(-math.exp(-1), abs=1e-3)
-
-
-def test_kdoubleprime():
-    assert kernels.kdoubleprime(kernels.neg_abs_kernel(), 1.0) == 0.0
-    assert kernels.kdoubleprime(kernels.exponential_kernel(), 2.0) == pytest.approx(math.exp(-2))
-    tab = kernels.tabulated_kernel([1.0, 2.0, 3.0], [-1.0, -0.5, -0.25])
-    assert kernels.kdoubleprime(tab, 1.5) == pytest.approx(0.5)
-    assert kernels.kdoubleprime(tab, 2.5) == pytest.approx(0.25)
-
-
-def test_kdoubleprime_l1_totals():
-    assert kernels.neg_abs_kernel().kdoubleprime_l1 == 0.0
-    assert kernels.exponential_kernel().kdoubleprime_l1 == 1.0
-    tab = _exponential_table()
-    assert tab.kdoubleprime_l1 == pytest.approx(1.0, abs=1e-3)
-
-
-def test_validate_hypotheses_neg_abs():
-    report = kernels.validate_hypotheses(kernels.neg_abs_kernel(), 2)
-    assert report.all_passed
-    assert not any(c.name == "kdoubleprime_integrable" for c in report.checks)
-    report1 = kernels.validate_hypotheses(kernels.neg_abs_kernel(), 1)
-    assert report1.all_passed
-    k2 = [c for c in report1.checks if c.name == "kdoubleprime_integrable"]
-    assert len(k2) == 1 and "0" in k2[0].detail
-
-
-def test_validate_hypotheses_zero_fails_attraction():
-    report = kernels.validate_hypotheses(kernels.zero_kernel(), 2)
-    assert not report.all_passed
-    failing = {c.name for c in report.checks if not c.passed}
-    assert any(name.startswith("attractive") for name in failing)
-
-
-def test_validate_hypotheses_rejects_bad_dimension():
-    with pytest.raises(ValueError):
-        kernels.validate_hypotheses(kernels.neg_abs_kernel(), 4)
+    assert _kprime(tab, 1.0) == pytest.approx(-math.exp(-1), abs=1e-3)
 
 
 def test_kernel_names_stable():
