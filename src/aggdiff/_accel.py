@@ -71,10 +71,11 @@ def kprime_array(kind: int, s: np.ndarray, s_nodes: np.ndarray, kp_nodes: np.nda
 # Face indexing: face f sits between cells f-1 and f; face 0 is the origin
 # (zero flux by radial symmetry), face n is the outer rim where mass may
 # leave through a ghost cell held at zero. Face velocities (``faces``, n + 1
-# entries) and ``grid.face_areas`` share this indexing. The returned
-# outflux is the mass that left through face n during the step. Each
-# interior flux leaves one cell and enters its neighbour, so total mass
-# telescopes to roundoff: sum(u_new * vol) = sum(u * vol) - outflux.
+# entries) and ``grid.face_areas`` share this indexing. The update may also
+# cover the first W < n cells only, with face W closed. The returned
+# outflux is the mass that left through the last face during the step.
+# Each interior flux leaves one cell and enters its neighbour, so total
+# mass telescopes to roundoff: sum(u_new * vol) = sum(u * vol) - outflux.
 
 def explicit_update(u, faces, right, left, rim_area, dr, eps, dt, include_diffusion):
     """One upwind (plus, if asked, centred diffusion) step; returns (u_new, outflux).
@@ -85,7 +86,9 @@ def explicit_update(u, faces, right, left, rim_area, dr, eps, dt, include_diffus
     holds a_{i+1}/vol_i (n entries, the last one the rim ratio
     a_n/vol_{n-1}) and ``left`` holds a_i/vol_i for i >= 1 (n - 1
     entries): the grid's ``right_ratios`` and ``left_ratios``.
-    ``rim_area`` is a_n.
+    ``rim_area`` is a_n. For a window of the first n cells of a larger
+    grid, ``rim_area`` is 0.0 and ``faces[-1]`` is 0: the last face is
+    closed, and neither transport nor diffusion crosses it.
     """
     vf = faces[1:-1]
     inner = np.where(vf >= 0.0, u[:-1], u[1:])
@@ -94,7 +97,7 @@ def explicit_update(u, faces, right, left, rim_area, dr, eps, dt, include_diffus
         inner -= eps * np.diff(u) / dr
     v_out = faces[-1]
     rim = v_out * u[-1] if v_out >= 0.0 else 0.0
-    if include_diffusion:
+    if include_diffusion and rim_area:
         rim += eps * u[-1] / dr
     du = np.empty(u.shape[0])
     np.multiply(right[:-1], inner, out=du[:-1])

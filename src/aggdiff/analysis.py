@@ -174,13 +174,6 @@ def select_scale(
 # trajectory checks
 # ---------------------------------------------------------------------------
 
-class MomentViolation(NamedTuple):
-    time: float
-    lhs: float
-    rhs: float
-    excess: float
-
-
 def check_moment_inequality(
     traj: TrajectoryRecord,
     constants: ConcentrationConstants,
@@ -189,9 +182,9 @@ def check_moment_inequality(
     """Pointwise check of the truncated-moment differential inequality.
 
     scale * dI/dt <= eps * D - kappa M^2 / 2 + rate * I at interior
-    samples, with centred differences for dI/dt. Exceedances beyond
-    slack * kappa M^2 / 2 are returned as violations; an unattractive
-    kernel (zero attraction floor) is refused.
+    samples, with centred differences for dI/dt. The times of the
+    samples that exceed it by more than slack * kappa M^2 / 2 are
+    returned; an unattractive kernel (zero attraction floor) is refused.
     """
     if constants.attraction <= 0.0:
         raise ValueError("moment inequality applies to attractive kernels only")
@@ -207,7 +200,7 @@ def check_moment_inequality(
         lhs = constants.scale * (moment[k + 1] - moment[k - 1]) / (t[k + 1] - t[k - 1])
         rhs = traj.epsilon * traj.concentration[k] - drop + constants.moment_rate * moment[k]
         if lhs - rhs > tol:
-            violations.append(MomentViolation(float(t[k]), float(lhs), float(rhs), float(lhs - rhs)))
+            violations.append(float(t[k]))
     return violations
 
 
@@ -362,12 +355,11 @@ def _h1_ratio(sup_h1, epsilon, total_mass) -> float:
 
 class FitResult(NamedTuple):
     slope: float
-    intercept: float
     r_squared: float
 
 
 def loglog_fit(x, y) -> FitResult:
-    """Ordinary least squares on (log x, log y)."""
+    """Slope and R^2 of ordinary least squares on (log x, log y)."""
     lx = np.log(np.asarray(x, dtype=np.float64))
     ly = np.log(np.asarray(y, dtype=np.float64))
     if lx.size < 2:
@@ -380,7 +372,7 @@ def loglog_fit(x, y) -> FitResult:
     # A constant series fits exactly; a non-finite point leaves ss_tot NaN,
     # and R^2 must then stay NaN so that no fit-quality gate passes.
     r2 = 1.0 - ss_res / ss_tot if ss_tot != 0.0 else 1.0
-    return FitResult(float(coef[0]), float(coef[1]), r2)
+    return FitResult(float(coef[0]), r2)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 The drift is a linear operator on the cell masses m_j = u_j vol_j:
 V_i = sum_j W_ij m_j. ``build_interaction_matrix`` returns it as a
-``DriftOperator`` whose ``apply(masses)`` computes V and post-checks the
-convolution bound |V| <= |k'|_sup * mass. W is never formed.
+``DriftOperator`` whose ``velocity(masses, total, window)`` computes V and
+post-checks the convolution bound |V| <= |k'|_sup * mass (``apply(masses)``
+takes the sum and the window itself). W is never formed.
 
 For N >= 2, W_ij is the angular average over the unit sphere of
 k'(d) (r - rho cos t)/d with d the chord distance to a source at radius
@@ -31,11 +32,12 @@ Every N >= 2 operator other than ``ShellDrift`` is a HODLR matrix
 recursively down to dense diagonal leaves, and each off-diagonal block is
 stored as U Vt, found by adaptive cross approximation from single sampled
 rows and columns, whether the entries come from quadrature or from the
-closed form. A probe at the end of the build compares one exactly computed
-row per dense leaf with the operator. Each apply is windowed to the cells
-that carry mass: cells past the last one with mass above eps M / n (eps
-the machine epsilon, M the mass sum) are dropped, which moves V by at most
-eps |k'|_sup M, and only the blocks that meet the remaining cells are read.
+closed form. A probe at the end of the build compares one row per dense
+leaf, computed from the same entries, with the operator. Each apply is windowed to the cells
+that carry mass (``mass_window``): cells past the last one with mass above
+eps M / n (eps the machine epsilon, M the mass sum) are dropped, which
+moves V by at most eps |k'|_sup M, and only the blocks that meet the
+remaining cells are read.
 
 In one dimension the convolution over the mirrored line is exact for even
 data, and on the uniform cell-centred grid W_ij =
@@ -53,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _accel
-from .grid import DensityField, RadialGrid
+from .grid import RadialGrid
 from .kernels import KernelFamily, KernelSpec
 
 # Every entry of W is at most |k'|_sup in size, so an entrywise error e
@@ -85,6 +87,22 @@ class CompressionError(RuntimeError):
     """The compressed N >= 2 drift operator missed its accuracy bound."""
 
 
+def mass_window(masses: np.ndarray, total: float) -> int:
+    """One past the last cell whose mass exceeds eps * total / n.
+
+    eps is the float64 machine epsilon and n the cell count. The cells
+    from the window on carry at most eps * total together. A total that
+    is not finite (an overflowed or NaN mass sum) gives n: nothing can be
+    dropped then. A zero total gives 0.
+    """
+    n = masses.shape[0]
+    if not math.isfinite(total):
+        return n
+    above = masses[::-1] > _EPS * total / n  # from the last cell inwards
+    tail = int(above.argmax())
+    return n - tail if above[tail] else 0
+
+
 @dataclass(frozen=True)
 class DriftOperator:
     """Linear map from cell masses to the radial drift velocity."""
@@ -94,23 +112,32 @@ class DriftOperator:
     quadrature_order: int
 
     def apply(self, masses: np.ndarray) -> np.ndarray:
-        """V_i = sum_j W_ij masses_j, post-checked against |V| <= |k'|_sup * mass.
+        """V_i = sum_j W_ij masses_j; see ``velocity``."""
+        total = float(masses.sum())
+        return self.velocity(masses, total, mass_window(masses, total))[0]
 
-        The masses are the nonnegative cell masses of a density. A NaN or
-        infinite mass sum raises before the product, and a non-finite V
-        fails the check.
+    def velocity(self, masses: np.ndarray, total: float, window: int):
+        """(V, max |V|) for the nonnegative cell masses of a density.
+
+        ``total`` is ``masses.sum()`` and ``window`` its ``mass_window``,
+        which the solver computes once per step for the step as well. V is
+        post-checked against |V| <= |k'|_sup * total, and the largest |V|
+        of that check is returned with it. Masses of another length than
+        the grid raise ValueError; a NaN or infinite mass sum raises before
+        the product, and a non-finite V fails the check.
         """
-        total = float(np.sum(masses))
+        if masses.shape != (self.grid.n,):
+            raise ValueError("masses and drift operator live on different grids")
         if not math.isfinite(total):
             raise RuntimeError(f"drift bound violated: the mass sum is {total:g}")
-        v = self._product(masses, total)
+        v = self._product(masses, window)
         bound = self.kprime_sup_norm * total
         vmax = max(float(v.max()), -float(v.min()))
         if not vmax <= bound * (1.0 + 1e-9) + 1e-13:
             raise RuntimeError(f"drift bound violated: |V| = {vmax:g} > {bound:g}")
-        return v
+        return v, vmax
 
-    def _product(self, masses: np.ndarray, total: float) -> np.ndarray:
+    def _product(self, masses: np.ndarray, window: int) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -129,28 +156,25 @@ class HierarchicalDrift(DriftOperator):
     block) for any off-diagonal block that did not compress; its U and Vt
     slots are zero. Padded rows and columns are zero.
 
-    The product is windowed to the cells that carry mass. With M the mass
-    sum and n the cell count, J is one past the last cell whose mass
-    exceeds eps M / n (eps the float64 machine epsilon), and the cells from
-    J on are dropped. Their mass sums to at most eps M, so V moves by at
-    most eps |k'|_sup M, roundoff of the bound |V| <= |k'|_sup M. Only the
-    leaves, the level nodes and the dense-block columns that meet [0, J)
-    are read; every row of V is still computed.
+    The product is windowed to the cells that carry mass. The window J is
+    passed in (``mass_window``: one past the last cell whose mass exceeds
+    eps M / n), and the cells from J on are dropped. Their mass sums to at
+    most eps M, so V moves by at most eps |k'|_sup M, roundoff of the
+    bound |V| <= |k'|_sup M. Only the leaves, the level nodes and the
+    dense-block columns that meet [0, J) are read; every row of V is still
+    computed.
     """
 
     leaves: np.ndarray = field(repr=False)
     levels: tuple = field(repr=False)
     dense: tuple = field(repr=False)
 
-    def _product(self, masses, total):
+    def _product(self, masses, window):
         n = masses.shape[0]
         count, leaf = self.leaves.shape[:2]
         v = np.zeros(count * leaf)
-        above = masses > _EPS * total / n
-        tail = int(np.argmax(above[::-1]))
-        if not above[n - 1 - tail]:
+        if window == 0:
             return v[:n]
-        window = n - tail
         x = np.zeros(count * leaf)
         x[:window] = masses[:window]
         stop = -(-window // leaf) * leaf
@@ -178,7 +202,7 @@ class ConstantGradientDrift(DriftOperator):
 
     kprime: float
 
-    def _product(self, masses, total):
+    def _product(self, masses, window):
         return self.kprime * (np.cumsum(masses) - 0.5 * masses)
 
 
@@ -192,7 +216,7 @@ class ShellDrift(DriftOperator):
     cell i and C_i the sum of m_j/rho_j over the cells outside it.
     """
 
-    def _product(self, masses, total):
+    def _product(self, masses, window):
         r = self.grid.r_centers
         second = masses * (r * r)
         reciprocal = masses / r
@@ -217,7 +241,7 @@ class SpectralDrift(DriftOperator):
     mirror_spectrum: np.ndarray = field(repr=False)
     size: int
 
-    def _product(self, masses, total):
+    def _product(self, masses, window):
         n = masses.shape[0]
         spectrum = (
             self.near_spectrum * np.fft.rfft(masses, self.size)
@@ -417,8 +441,15 @@ def build_interaction_matrix(grid: RadialGrid, kernel: KernelSpec) -> DriftOpera
     until the velocity it induces on a fixed smooth reference bump changes
     by less than ``_ORDER_REL_TOL`` (sup norm, relative). Raises
     QuadratureError when ``_MAX_ORDER`` is reached without convergence.
-    Every HODLR operator is probed: CompressionError when it misses
-    exactly computed rows of W by more than 1e-10 |k'|_sup * mass.
+    Every HODLR operator is probed: CompressionError when it misses rows
+    of W computed from the same entries it was compressed from by more
+    than 1e-10 |k'|_sup * mass. For ``neg_abs`` those rows are the exact
+    W. For the exponential and tabulated kernels they are quadrature at
+    the chosen order, so the probe checks the compression and not the
+    quadrature, whose near-diagonal error the bump test does not see
+    either: at N = 2, n = 2599 the exponential kernel gets order 64, and
+    its V on uniform random masses is 7.6e-8 |k'|_sup M off order-1024
+    quadrature.
     """
     _check_tabulated_range(kernel, grid)
     if kernel.family is KernelFamily.ZERO:
@@ -450,10 +481,3 @@ def build_interaction_matrix(grid: RadialGrid, kernel: KernelSpec) -> DriftOpera
             del op
     _probe(op, kernel)
     return op
-
-
-def apply_drift(operator: DriftOperator, field: DensityField) -> np.ndarray:
-    """Radial drift velocity of a field, V = operator.apply(u * vol)."""
-    if field.grid != operator.grid:
-        raise ValueError("field and drift operator live on different grids")
-    return operator.apply(field.values * field.grid.cell_volumes)

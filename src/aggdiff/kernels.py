@@ -47,8 +47,10 @@ _SUP_REL_TOL = 1e-6
 class KernelSpec:
     """Immutable description of an interaction kernel.
 
-    ``kprime_sup_norm`` is exact for the built-in families and the sample
-    maximum (a lower estimate) for tabulated kernels.
+    ``kprime_sup_norm`` is the exact sup of |k'| for every family. For a
+    tabulated kernel it is the largest |k'| sample: ``_accel.kprime_array``
+    interpolates linearly between samples and clamps to the end samples
+    outside them, so |k'| never exceeds it.
     """
 
     family: KernelFamily

@@ -17,10 +17,23 @@ with c = eps dt / dr, face areas a, no origin term a_0 and the rim face a_n
 on the last row. That matrix is symmetric and strictly diagonally dominant
 with a positive diagonal, hence positive definite, and LAPACK ``ptsv``
 solves it. The drift velocity is refreshed from the drift operator every
-step and lags the update by one step; each step averages it onto the
-faces once, and the positivity bound and the transport update both read
-those face velocities. A step that produces a NaN or infinite state or
-outflow raises NonFiniteError.
+step and lags the update by one step. A step that produces a NaN or
+infinite state or outflow raises NonFiniteError.
+
+Each step works on a window of cells that carry mass. From the cell
+masses and their sum M, computed once per step, J is one past the last
+cell with mass above eps M / n (``drift.mass_window``, eps the machine
+epsilon) and W = min(n, J + _PAD). The drift product reads the cells
+below J; the drift V and its largest |V|, which sets the stated CFL
+bound, cover every cell. The face velocities, the positivity bound, the
+upwind update and the implicit solve cover the cells below W only. When
+W < n, face W is closed: no transport or diffusion flux crosses it, the
+cells beyond keep their values and the step has no outflow, so mass
+still telescopes exactly. When W = n the step is the full-grid step with
+the rim outflow face. An implicit solve can carry mass past the pad in
+one step; when the last window cell ends the step with mass above
+eps / n times the window's mass, that step's diffusion is solved again
+on the whole grid.
 """
 
 from __future__ import annotations
@@ -32,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from . import _accel
-from .drift import apply_drift, build_interaction_matrix
+from .drift import build_interaction_matrix, mass_window
 from .grid import (
     DensityField,
     concentration_functional,
@@ -43,8 +56,17 @@ from .grid import (
 )
 from .kernels import KernelFamily, KernelSpec
 
+_EPS = float(np.finfo(np.float64).eps)
 # Exponents of the recorded L^p norm series.
 LP_VALUES = (1.0, 2.0, math.inf)
+# Cells a step keeps beyond the mass window J. Explicit transport and
+# diffusion move mass one cell per step, so one cell lets the window grow.
+# An implicit solve spreads further, and a pad too short for it costs a
+# second, full-grid solve: on the benchmark's seed-0 sweeps (6800 steps
+# each) pads of 1 and 4 cells needed about 1400 and 8 of them, a pad of 8
+# none. 32 keeps a factor of 4 over that for about 1.5% of n more cells
+# per step.
+_PAD = 32
 
 
 class NegativityError(RuntimeError):
@@ -137,28 +159,46 @@ class TrajectoryRecord:
         return float(np.max(defect) / self.mass[0])
 
 
-def face_velocities(velocity: np.ndarray) -> np.ndarray:
-    """Face velocities F (n + 1 entries) of the cell velocities V (n entries).
+def face_velocities(velocity: np.ndarray, cells: int) -> np.ndarray:
+    """Face velocities F of the cell velocities V (n entries) on the window
+    of the first ``cells`` cells, 2 <= cells <= n: cells + 1 entries.
 
-    Indexed like ``grid.face_areas``: F[0] = 0 at the origin face,
-    F[f] = (V[f-1] + V[f]) / 2 on the interior faces 1..n-1, and
-    F[n] = V[n-1] at the rim. The positivity bound and the transport
-    update both read F, so each step averages the cells once.
+    Indexed like ``grid.face_areas``: F[0] = 0 at the origin face and
+    F[f] = (V[f-1] + V[f]) / 2 on the faces 1..cells-1 between window
+    cells. The last entry is F[n] = V[n-1] at the rim when the window is
+    the whole grid, and 0 at the closed face ``cells`` otherwise. The
+    positivity bound and the transport update both read F, so each step
+    averages the cells once.
     """
-    faces = np.empty(velocity.shape[0] + 1)
+    faces = np.empty(cells + 1)
     faces[0] = 0.0
     inner = faces[1:-1]
-    np.add(velocity[:-1], velocity[1:], out=inner)
+    np.add(velocity[: cells - 1], velocity[1:cells], out=inner)
     inner *= 0.5
-    faces[-1] = velocity[-1]
+    faces[-1] = velocity[-1] if cells == velocity.shape[0] else 0.0
     return faces
 
 
-def stated_cfl_bound(grid, epsilon, velocity, cfl_number, diffusion_mode) -> float:
-    """The advertised step bounds for the cell velocities: advective
-    cfl*dr/max|V| and, in explicit mode, the parabolic cfl*dr^2/(2 N eps)."""
+def _window(grid, faces) -> int:
+    """The cell count W of a window's face velocities (W + 1 entries).
+
+    W is n, or 2 <= W < n with a closed last face, whose velocity is 0.
+    Anything else, cell velocities included, raises ValueError.
+    """
+    cells = faces.shape[0] - 1
+    if cells == grid.n or (2 <= cells < grid.n and faces[-1] == 0.0):
+        return cells
+    raise ValueError(
+        f"expected the face velocities of a window of at most {grid.n} cells, "
+        f"closed when shorter; got {faces.shape[0]} entries"
+    )
+
+
+def stated_cfl_bound(grid, epsilon, vmax, cfl_number, diffusion_mode) -> float:
+    """The advertised step bounds for the largest cell speed ``vmax`` =
+    max |V| over every cell: advective cfl*dr/vmax and, in explicit mode,
+    the parabolic cfl*dr^2/(2 N eps)."""
     bound = math.inf
-    vmax = max(float(velocity.max()), -float(velocity.min())) if velocity.size else 0.0
     if vmax > 0.0:
         bound = cfl_number * grid.dr / vmax
     if diffusion_mode == "explicit":
@@ -169,25 +209,32 @@ def stated_cfl_bound(grid, epsilon, velocity, cfl_number, diffusion_mode) -> flo
 def positivity_bound(grid, epsilon, faces, cfl_number, diffusion_mode) -> float:
     """Exact convex-combination bound cfl / (largest outflow rate per unit volume).
 
-    ``faces`` are the face velocities of ``face_velocities`` (n + 1
-    entries). Cell i loses a_{i+1} max(F_{i+1}, 0) / vol_i through its
-    right face (the rim for the last cell) and a_i max(-F_i, 0) / vol_i
-    through its left face, plus, in explicit mode, eps (a_i + a_{i+1}) /
-    (dr vol_i) by diffusion (``grid.face_sums``: no origin face): the
-    coefficient of u_i that the update subtracts per unit dt. Steps of at most cfl / max rate keep the
+    ``faces`` are the face velocities of ``face_velocities`` on a window of
+    W cells (W + 1 entries); only those cells are bounded. Cell i loses
+    a_{i+1} max(F_{i+1}, 0) / vol_i through its right face (the rim for the
+    last cell of the grid, nothing through a closed face) and
+    a_i max(-F_i, 0) / vol_i through its left face, plus, in explicit mode,
+    eps (a_i + a_{i+1}) / (dr vol_i) by diffusion (``grid.face_sums``: no
+    origin face, and no closed face): the coefficient of u_i that the
+    update subtracts per unit dt. Steps of at most cfl / max rate keep the
     update a convex combination, so the new state stays nonnegative.
     Sharper than the stated bounds near the origin, where the face-area
     to volume ratios peak. Infinite when no cell has outflow.
     """
+    cells = _window(grid, faces)
     rate = np.maximum(faces[1:], 0.0)
-    rate *= grid.right_ratios
+    rate *= grid.right_ratios[:cells]
     # Subtracting a_i min(F_i, 0) / vol_i adds exactly a_i max(-F_i, 0) / vol_i
     # and saves negating the faces into another temporary.
     left = np.minimum(faces[1:-1], 0.0)
-    left *= grid.left_ratios
+    left *= grid.left_ratios[: cells - 1]
     rate[1:] -= left
     if diffusion_mode == "explicit":
-        rate += (epsilon / grid.dr) * grid.face_sums / grid.cell_volumes
+        diffusion = (epsilon / grid.dr) * grid.face_sums[:cells]
+        if cells < grid.n:
+            diffusion[-1] = (epsilon / grid.dr) * grid.face_areas[cells - 1]
+        diffusion /= grid.cell_volumes[:cells]
+        rate += diffusion
     top = float(rate.max())
     return cfl_number / top if top > 0.0 else math.inf
 
@@ -195,19 +242,26 @@ def positivity_bound(grid, epsilon, faces, cfl_number, diffusion_mode) -> float:
 def _implicit_diffusion(u_star, grid, epsilon, dt):
     """Backward-Euler diffusion of ``u_star`` over dt; returns (u, rim outflow).
 
-    Solves row i of (V + c A) u = V u*, the volume-weighted form
-    (vol_i + c (a_i + a_{i+1})) u_i - c a_{i+1} u_{i+1} - c a_i u_{i-1} =
-    vol_i u*_i with c = eps dt / dr: no flux through the origin face, and
-    the ghost value outside the rim held at zero, which adds c a_n to the
-    last diagonal entry. The diagonal is c times the grid's ``face_sums``
-    plus the volumes; both off-diagonals are -c a over the interior faces.
+    ``u_star`` holds the first W cells. Solves row i of (V + c A) u = V u*,
+    the volume-weighted form (vol_i + c (a_i + a_{i+1})) u_i -
+    c a_{i+1} u_{i+1} - c a_i u_{i-1} = vol_i u*_i with c = eps dt / dr: no
+    flux through the origin face. When W = n the ghost value outside the
+    rim is held at zero, which adds c a_n to the last diagonal entry; when
+    W < n face W is closed, the last row has no a_W term and the outflow
+    is 0. The diagonal is c times the grid's ``face_sums`` plus the
+    volumes; both off-diagonals are -c a over the faces between cells.
     """
+    cells = u_star.shape[0]
     area = grid.face_areas
-    vol = grid.cell_volumes
+    vol = grid.cell_volumes[:cells]
     c = epsilon * dt / grid.dr
-    diag = c * grid.face_sums
+    diag = c * grid.face_sums[:cells]
+    if cells < grid.n:
+        diag[-1] = c * area[cells - 1]
     diag += vol
-    u_new = _accel.thomas_solve(diag, -c * area[1:-1], vol * u_star)
+    u_new = _accel.thomas_solve(diag, -c * area[1:cells], vol * u_star)
+    if cells < grid.n:
+        return u_new, 0.0
     rim_flux_mass = epsilon * dt * area[-1] * u_new[-1] / grid.dr
     return u_new, rim_flux_mass
 
@@ -215,20 +269,33 @@ def _implicit_diffusion(u_star, grid, epsilon, dt):
 def advance(field: DensityField, faces: np.ndarray, config: SolverConfig, dt: float):
     """One conservative update; returns (new field, outflow mass, clipped cells).
 
-    ``faces`` are the face velocities of ``face_velocities`` (n + 1
-    entries). Raises NonFiniteError when the new state or the outflow is
-    not finite, and NegativityError when a density falls below the clip
-    threshold; the new field is built from the checked values without
-    checking them again.
+    ``faces`` are the face velocities of ``face_velocities`` on a window of
+    W cells (W + 1 entries). The update covers those cells; when W < n,
+    face W is closed and the cells beyond keep their values. In implicit
+    mode, a solve that leaves the last window cell with mass above eps / n
+    (eps the machine epsilon) times the window's mass has carried mass
+    past the window: the diffusion is then solved again on the whole grid,
+    from the transported window and the unchanged cells beyond it. Raises
+    NonFiniteError when the new state or the outflow is not finite, and
+    NegativityError when a density falls below the clip threshold; the new
+    field is built from the checked values without checking them again.
     """
     grid = field.grid
+    cells = _window(grid, faces)
     explicit = config.diffusion_mode == "explicit"
     u_new, outflux = _accel.explicit_update(
-        field.values, faces, grid.right_ratios, grid.left_ratios, grid.face_areas[-1],
-        grid.dr, config.epsilon, dt, explicit,
+        field.values[:cells], faces, grid.right_ratios[:cells], grid.left_ratios[: cells - 1],
+        grid.face_areas[-1] if cells == grid.n else 0.0, grid.dr, config.epsilon, dt, explicit,
     )
     if not explicit:
-        u_new, rim = _implicit_diffusion(u_new, grid, config.epsilon, dt)
+        u_star = u_new
+        u_new, rim = _implicit_diffusion(u_star, grid, config.epsilon, dt)
+        if cells < grid.n:
+            vol = grid.cell_volumes[:cells]
+            if u_new[-1] * vol[-1] > _EPS * float(np.dot(u_new, vol)) / grid.n:
+                u_star = np.concatenate((u_star, field.values[cells:]))
+                u_new, rim = _implicit_diffusion(u_star, grid, config.epsilon, dt)
+                cells = grid.n
         outflux += rim
     # min and max propagate NaN, so they check the final state in both
     # modes; the negativity floor and the clip scale need them anyway.
@@ -242,6 +309,8 @@ def advance(field: DensityField, faces: np.ndarray, config: SolverConfig, dt: fl
             raise NegativityError(f"negative density {floor:g} beyond the clip threshold")
         clipped = int(np.count_nonzero(u_new < -1e-14))
         u_new = np.maximum(u_new, 0.0)
+    if cells < grid.n:
+        u_new = np.concatenate((u_new, field.values[cells:]))
     return DensityField._checked(grid, u_new, field.time + dt), float(outflux), clipped
 
 
@@ -250,8 +319,8 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
 
     ``scale`` parametrises the truncated-moment and concentration series.
     The step size honours the advertised CFL bounds, the exact positivity
-    bound, dt_max, and lands exactly on the record grid, so repeated runs
-    are bit-reproducible. Raises NonFiniteError, carrying the step number
+    bound of the step's window, dt_max, and lands exactly on the record
+    grid, so repeated runs are bit-reproducible. Raises NonFiniteError, carrying the step number
     and time, at the first step that produces a non-finite state.
     """
     if scale <= 0.0:
@@ -266,9 +335,7 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
     if record_dt <= 0.0:
         raise ValueError("record_interval must be positive")
     dt_cap = config.dt_max if config.dt_max is not None else record_dt
-    if drift is None:
-        velocity = np.zeros(grid.n)
-        faces = np.zeros(grid.n + 1)
+    velocity, vmax = np.zeros(grid.n), 0.0  # the zero kernel's drift
 
     times = [0.0]
     masses = [mass(u0)]
@@ -308,11 +375,14 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
             snaps.append(fld.values[:snap_cells].copy())
 
     while t < config.t_end - tiny:
+        cell_mass = current.values * vol
+        total = float(cell_mass.sum())
+        window = mass_window(cell_mass, total)
         if drift is not None:
-            velocity = apply_drift(drift, current)
-            faces = face_velocities(velocity)
+            velocity, vmax = drift.velocity(cell_mass, total, window)
+        faces = face_velocities(velocity, min(grid.n, window + _PAD))
         dt = min(
-            stated_cfl_bound(grid, config.epsilon, velocity, config.cfl_number, config.diffusion_mode),
+            stated_cfl_bound(grid, config.epsilon, vmax, config.cfl_number, config.diffusion_mode),
             positivity_bound(grid, config.epsilon, faces, config.cfl_number, config.diffusion_mode),
             dt_cap,
             next_record - t,

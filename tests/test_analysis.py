@@ -147,7 +147,7 @@ def test_moment_inequality_clean_run_and_injected_fault():
     moments[k] *= 1.1
     corrupted = replace(traj, truncated_moment=moments)
     violations = analysis.check_moment_inequality(corrupted, c, slack=0.01)
-    assert violations and any(abs(v.time - traj.times[k - 1]) < 1e-12 for v in violations)
+    assert violations and any(abs(time - traj.times[k - 1]) < 1e-12 for time in violations)
 
 
 def test_moment_inequality_rejects_scale_mismatch():

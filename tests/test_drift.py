@@ -15,6 +15,10 @@ def _field(g, values):
     return grid.DensityField(g, values)
 
 
+def _velocity(op, f):
+    return op.apply(f.values * f.grid.cell_volumes)
+
+
 def test_zero_kernel_gives_zero_matrix():
     g = grid.RadialGrid.make(2, 1.0, 0.05)
     m = drift.build_interaction_matrix(g, kernels.zero_kernel())
@@ -31,7 +35,7 @@ def test_1d_point_mass_drifts_inward_at_unit_speed():
     u[:4] = mass_total / (4 * g.cell_volumes[0])
     f = _field(g, u)
     m = drift.build_interaction_matrix(g, kernels.neg_abs_kernel())
-    v = drift.apply_drift(m, f)
+    v = _velocity(m, f)
     far = g.r_centers > 0.1
     assert np.max(np.abs(v[far] + mass_total)) < 1e-12
 
@@ -44,7 +48,7 @@ def test_1d_matrix_matches_direct_mirrored_convolution():
     f = _field(g, u)
     kern = kernels.exponential_kernel()
     m = drift.build_interaction_matrix(g, kern)
-    v = drift.apply_drift(m, f)
+    v = _velocity(m, f)
 
     x = np.concatenate([-g.r_centers[::-1], g.r_centers])
     w = np.concatenate([u[::-1], u])
@@ -298,7 +302,7 @@ def test_compression_probe_rejects_loose_tolerance(monkeypatch):
 def test_1d_zero_kernel_gives_zero_velocity():
     g = grid.RadialGrid.make(1, 1.0, 0.05)
     m = drift.build_interaction_matrix(g, kernels.zero_kernel())
-    assert np.all(drift.apply_drift(m, _field(g, np.ones(g.n))) == 0.0)
+    assert np.all(_velocity(m, _field(g, np.ones(g.n))) == 0.0)
 
 
 def test_apply_rejects_non_finite_velocity():
@@ -323,7 +327,7 @@ def test_2d_disc_matches_direct_quadrature():
     g = grid.RadialGrid.make(2, 3.0, dr)
     f = _field(g, np.where(g.r_centers < 1.0, 1.0 / math.pi, 0.0))
     m = drift.build_interaction_matrix(g, kernels.neg_abs_kernel())
-    v = drift.apply_drift(m, f)
+    v = _velocity(m, f)
     i = int(np.argmin(np.abs(g.r_centers - 2.0)))
     r_eval = float(g.r_centers[i])
 
@@ -339,7 +343,7 @@ def test_2d_disc_matches_direct_quadrature():
 def test_apply_zero_field_gives_zero_velocity():
     g = grid.RadialGrid.make(2, 1.0, 0.02)
     m = drift.build_interaction_matrix(g, kernels.neg_abs_kernel())
-    v = drift.apply_drift(m, _field(g, np.zeros(g.n)))
+    v = _velocity(m, _field(g, np.zeros(g.n)))
     assert np.all(v == 0.0)
 
 
@@ -352,7 +356,7 @@ def test_velocity_bound_random_fields(seed, dim):
     m = drift.build_interaction_matrix(g, kern)
     u = rng.uniform(0.0, 2.0, g.n)
     f = _field(g, u)
-    v = drift.apply_drift(m, f)
+    v = _velocity(m, f)
     total = grid.mass(f)
     assert np.max(np.abs(v)) <= kern.kprime_sup_norm * total * (1 + 1e-12)
 
@@ -368,10 +372,10 @@ def test_drift_points_inward(seed, dim):
     g = grid.RadialGrid.make(dim, 1.0, 0.05)
     m_const = drift.build_interaction_matrix(g, kernels.neg_abs_kernel())
     f_any = _field(g, rng.uniform(0.0, 2.0, g.n))
-    assert np.all(drift.apply_drift(m_const, f_any) <= 1e-12)
+    assert np.all(_velocity(m_const, f_any) <= 1e-12)
     m_exp = drift.build_interaction_matrix(g, kernels.exponential_kernel())
     decreasing = np.sort(rng.uniform(0.0, 2.0, g.n))[::-1].copy()
-    assert np.all(drift.apply_drift(m_exp, _field(g, decreasing)) <= 1e-12)
+    assert np.all(_velocity(m_exp, _field(g, decreasing)) <= 1e-12)
 
 
 def test_apply_rejects_grid_mismatch():
@@ -379,7 +383,7 @@ def test_apply_rejects_grid_mismatch():
     g2 = grid.RadialGrid.make(1, 1.0, 0.04)
     m = drift.build_interaction_matrix(g1, kernels.neg_abs_kernel())
     with pytest.raises(ValueError):
-        drift.apply_drift(m, _field(g2, np.zeros(g2.n)))
+        _velocity(m, _field(g2, np.zeros(g2.n)))
 
 
 def test_quadrature_order_doubling_converges():
@@ -387,8 +391,8 @@ def test_quadrature_order_doubling_converges():
     f = grid.make_initial_condition(grid.GaussianBump(1.0, 0.3), g)
     m_lo = _at_order(g, kernels.exponential_kernel(), 64)
     m_hi = _at_order(g, kernels.exponential_kernel(), 128)
-    v_lo = drift.apply_drift(m_lo, f)
-    v_hi = drift.apply_drift(m_hi, f)
+    v_lo = _velocity(m_lo, f)
+    v_hi = _velocity(m_hi, f)
     change = np.max(np.abs(v_hi - v_lo)) / np.max(np.abs(v_hi))
     assert change < 1e-6
     auto = drift.build_interaction_matrix(g, kernels.exponential_kernel())
@@ -479,3 +483,18 @@ def test_jump_identity_selects_negative_sign():
         res = jump_identity_residual(kern, v)
         assert res.sign == -1
         assert res.residual < 5e-5
+
+
+def test_mass_window_is_one_past_the_last_cell_above_the_threshold():
+    n = 10
+    masses = np.zeros(n)
+    assert drift.mass_window(masses, 0.0) == 0
+    masses[:4] = 1.0
+    threshold = np.finfo(float).eps * 4.0 / n
+    masses[6] = threshold  # not above it
+    assert drift.mass_window(masses, float(np.sum(masses))) == 4
+    masses[7] = 2.0 * threshold
+    assert drift.mass_window(masses, float(np.sum(masses))) == 8
+    # An overflowed or NaN sum drops nothing.
+    for total in (math.inf, math.nan):
+        assert drift.mass_window(masses, total) == n

@@ -225,6 +225,25 @@ def test_concentration_functional_homogeneous():
     )
 
 
+def test_scale_diagnostics_match_their_direct_formulas_bitwise():
+    # The weights and the ball are cached per (grid, scale): alternating
+    # grids and scales must still give the formulas' bits.
+    rng = np.random.default_rng(5)
+    fields = [
+        grid.DensityField(g, rng.uniform(0.0, 1.0, g.n))
+        for g in (grid.RadialGrid.make(2, 2.0, 0.01), grid.RadialGrid.make(2, 2.0, 0.02))
+    ]
+    for _ in range(2):
+        for f in fields:
+            r, vol = f.grid.r_centers, f.grid.cell_volumes
+            for scale in (0.3, 0.7):
+                moment = float(np.dot(grid.cutoff_profile(r / scale) * f.values, vol))
+                inside = r < 1.5 * scale
+                ball = float(np.sum(f.values[inside] / r[inside] * vol[inside]))
+                assert grid.truncated_moment(f, scale) == moment
+                assert grid.concentration_functional(f, scale) == ball
+
+
 def test_density_field_rejects_negative_values():
     g = grid.RadialGrid.make(1, 1.0, 0.1)
     with pytest.raises(ValueError):

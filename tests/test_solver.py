@@ -33,10 +33,10 @@ def test_single_step_mass_telescopes_exactly(mode):
         rng = np.random.default_rng(7)
         f = grid.DensityField(g, rng.uniform(0.0, 1.0, g.n))
         m = drift.build_interaction_matrix(g, kernels.neg_abs_kernel())
-        v = drift.apply_drift(m, f)
+        v = m.apply(f.values * g.cell_volumes)
         cfg = solver.SolverConfig(epsilon=0.05, t_end=1.0, diffusion_mode=mode)
-        dt = 0.25 * solver.stated_cfl_bound(g, cfg.epsilon, v, cfg.cfl_number, mode)
-        new, outflux, _ = solver.advance(f, solver.face_velocities(v), cfg, dt)
+        dt = 0.25 * solver.stated_cfl_bound(g, cfg.epsilon, np.max(np.abs(v)), cfg.cfl_number, mode)
+        new, outflux, _ = solver.advance(f, solver.face_velocities(v, g.n), cfg, dt)
         assert outflux > 0.0
         before = float(np.dot(f.values, g.cell_volumes))
         after = float(np.dot(new.values, g.cell_volumes))
@@ -61,7 +61,7 @@ def test_explicit_update_matches_flux_difference_formula(dimension, diffusion):
             flux[-1] += eps * u[-1] / g.dr
         flux *= g.face_areas
         expected = u - dt * np.diff(flux) / g.cell_volumes
-        faces = solver.face_velocities(velocity)
+        faces = solver.face_velocities(velocity, g.n)
         got, outflux = _accel.explicit_update(
             u, faces, g.right_ratios, g.left_ratios, g.face_areas[-1], g.dr, eps, dt, diffusion
         )
@@ -91,13 +91,35 @@ def test_implicit_diffusion_matches_row_scaled_dense_solve(dimension):
     assert rim == pytest.approx(eps * dt * a[n] * expected[-1] / g.dr, rel=1e-13)
 
 
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_implicit_diffusion_on_a_window_matches_closed_dense_solve(dimension):
+    # Oracle: the dense solve on the first W cells with no flux through
+    # face W; the window's mass is conserved and nothing flows out.
+    g = grid.RadialGrid.make(dimension, 2.0, 0.01)
+    eps, dt, n = 0.05, 2e-3, 120
+    u_star = np.random.default_rng(dimension).uniform(0.5, 1.5, n)
+    a, vol = g.face_areas, g.cell_volumes[:n]
+    c = eps * dt / g.dr
+    A = np.zeros((n, n))
+    for f in range(1, n):
+        A[f - 1, f - 1] += a[f]
+        A[f, f] += a[f]
+        A[f - 1, f] -= a[f]
+        A[f, f - 1] -= a[f]
+    expected = np.linalg.solve(np.diag(vol) + c * A, vol * u_star)
+    got, rim = solver._implicit_diffusion(u_star, g, eps, dt)
+    assert rim == 0.0
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+    assert float(np.dot(got, vol)) == pytest.approx(float(np.dot(u_star, vol)), rel=1e-13)
+
+
 def test_constant_interior_unchanged_without_drift():
     g = grid.RadialGrid.make(2, 1.0, 0.02)
     f = grid.DensityField(g, np.ones(g.n))
     cfg = solver.SolverConfig(epsilon=0.1, t_end=1.0, diffusion_mode="explicit")
     v = np.zeros(g.n)
-    dt = 0.5 * solver.stated_cfl_bound(g, cfg.epsilon, v, cfg.cfl_number, "explicit")
-    new, _, _ = solver.advance(f, solver.face_velocities(v), cfg, dt)
+    dt = 0.5 * solver.stated_cfl_bound(g, cfg.epsilon, 0.0, cfg.cfl_number, "explicit")
+    new, _, _ = solver.advance(f, solver.face_velocities(v, g.n), cfg, dt)
     # all interior fluxes vanish for constant data; only the rim cell loses
     assert np.max(np.abs(new.values[:-1] - 1.0)) == 0.0
     assert new.values[-1] < 1.0
@@ -107,24 +129,27 @@ def test_constant_interior_unchanged_without_drift():
 def test_run_steps_within_stated_cfl_bound(mode, monkeypatch):
     # Every step run takes honours the advertised bound for the velocity it
     # advances with; the bound is active, not merely far above the steps.
+    # The step's |V|max and faces are those of the field's drift velocity.
     ratios = []
-    cell_velocities = []
+    speeds = []
     advance, stated_cfl_bound = solver.advance, solver.stated_cfl_bound
+    g = grid.RadialGrid.make(1, 2.0, 0.01)
+    op = drift.build_interaction_matrix(g, kernels.neg_abs_kernel())
 
-    def seen_cfl_bound(grid, epsilon, velocity, cfl_number, diffusion_mode):
-        cell_velocities.append(velocity.copy())
-        return stated_cfl_bound(grid, epsilon, velocity, cfl_number, diffusion_mode)
+    def seen_cfl_bound(grid, epsilon, vmax, cfl_number, diffusion_mode):
+        speeds.append(vmax)
+        return stated_cfl_bound(grid, epsilon, vmax, cfl_number, diffusion_mode)
 
     def checked_advance(field, faces, config, dt):
-        velocity = cell_velocities[-1]
-        assert np.array_equal(faces, solver.face_velocities(velocity))
-        bound = stated_cfl_bound(field.grid, config.epsilon, velocity, config.cfl_number, mode)
+        velocity = op.apply(field.values * g.cell_volumes)
+        assert speeds[-1] == np.max(np.abs(velocity))
+        assert np.array_equal(faces, solver.face_velocities(velocity, faces.shape[0] - 1))
+        bound = stated_cfl_bound(field.grid, config.epsilon, speeds[-1], config.cfl_number, mode)
         ratios.append(dt / bound)
         return advance(field, faces, config, dt)
 
     monkeypatch.setattr(solver, "stated_cfl_bound", seen_cfl_bound)
     monkeypatch.setattr(solver, "advance", checked_advance)
-    g = grid.RadialGrid.make(1, 2.0, 0.01)
     cfg = solver.SolverConfig(epsilon=0.05, t_end=0.2, diffusion_mode=mode, record_interval=0.05)
     solver.run(_gaussian_field(g), kernels.neg_abs_kernel(), cfg, scale=1.0)
     assert ratios and max(ratios) <= 1.0 + 1e-12
@@ -287,14 +312,18 @@ def test_thomas_solve_raises_on_zero_pivot():
 def _positivity_bound_oracle(grid, epsilon, faces, cfl_number, diffusion_mode):
     # The rate form by boolean gathers: each cell's outflow rate per unit
     # volume accumulated onto zeros, right face first, then the largest.
-    area, vol = grid.face_areas, grid.cell_volumes
-    rate = np.zeros(grid.n)
+    # On a window of W < n cells face W is closed: no diffusion through it.
+    cells = faces.shape[0] - 1
+    area, vol = grid.face_areas[: cells + 1], grid.cell_volumes[:cells]
+    rate = np.zeros(cells)
     out_right = faces[1:] > 0.0
     rate[out_right] += area[1:][out_right] / vol[out_right] * faces[1:][out_right]
     out_left = faces[1:-1] < 0.0
     rate[1:][out_left] += area[1:-1][out_left] / vol[1:][out_left] * -faces[1:-1][out_left]
     if diffusion_mode == "explicit":
         sums = area[1:].copy()
+        if cells < grid.n:
+            sums[-1] = 0.0
         sums[1:] += area[1:-1]
         rate += (epsilon / grid.dr) * sums / vol
     top = rate.max()
@@ -340,9 +369,20 @@ def _velocity_patterns(g, rng, trials=20):
 def test_positivity_bound_matches_gather_formula_bitwise(dimension, mode):
     g = grid.RadialGrid.make(dimension, 2.0, 0.01)
     for velocity in _velocity_patterns(g, np.random.default_rng(dimension)):
-        faces = solver.face_velocities(velocity)
+        faces = solver.face_velocities(velocity, g.n)
         got = solver.positivity_bound(g, 0.03, faces, 0.5, mode)
         assert got == _positivity_bound_oracle(g, 0.03, faces, 0.5, mode)
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["explicit", "implicit"])
+def test_positivity_bound_on_a_window_matches_gather_formula_bitwise(dimension, mode):
+    g = grid.RadialGrid.make(dimension, 2.0, 0.01)
+    for velocity in _velocity_patterns(g, np.random.default_rng(20 + dimension)):
+        for cells in (2, 37, g.n - 1):
+            faces = solver.face_velocities(velocity, cells)
+            got = solver.positivity_bound(g, 0.03, faces, 0.5, mode)
+            assert got == _positivity_bound_oracle(g, 0.03, faces, 0.5, mode)
 
 
 @pytest.mark.parametrize("dimension", [1, 2, 3])
@@ -351,7 +391,7 @@ def test_positivity_bound_agrees_with_volume_over_outflow_form(dimension, mode):
     # cfl / max(out / vol) and cfl * min(vol / out) differ by roundoff only.
     g = grid.RadialGrid.make(dimension, 2.0, 0.01)
     for velocity in _velocity_patterns(g, np.random.default_rng(10 + dimension)):
-        got = solver.positivity_bound(g, 0.03, solver.face_velocities(velocity), 0.5, mode)
+        got = solver.positivity_bound(g, 0.03, solver.face_velocities(velocity, g.n), 0.5, mode)
         expected = _volume_over_outflow_bound(g, 0.03, velocity, 0.5, mode)
         assert abs(got - expected) <= 1e-15 * expected
 
@@ -363,7 +403,9 @@ def test_positivity_bound_is_infinite_without_outflow():
 
 def test_face_velocities_average_the_cells():
     velocity = np.array([1.0, -3.0, 2.0, 4.0])
-    assert solver.face_velocities(velocity).tolist() == [0.0, -1.0, -0.5, 3.0, 4.0]
+    assert solver.face_velocities(velocity, 4).tolist() == [0.0, -1.0, -0.5, 3.0, 4.0]
+    # A shorter window ends at a closed face.
+    assert solver.face_velocities(velocity, 3).tolist() == [0.0, -1.0, -0.5, 0.0]
 
 
 @pytest.mark.parametrize("dimension", [1, 2, 3])
@@ -378,7 +420,7 @@ def test_step_at_the_positivity_bound_stays_nonnegative(dimension, mode):
     for scale in (1e-2, 1.0, 1e2):
         sign = np.where(np.arange(g.n) % 2 == 0, 1.0, -1.0)
         velocity = scale * sign * np.cumsum(rng.uniform(0.5, 1.5, g.n))
-        faces = solver.face_velocities(velocity)
+        faces = solver.face_velocities(velocity, g.n)
         assert np.all(faces[2:-1:2] > 0.0) and np.all(faces[1:-1:2] < 0.0)
         u = rng.uniform(0.0, 1.0, g.n)
         dt = solver.positivity_bound(g, cfg.epsilon, faces, cfg.cfl_number, mode)
@@ -513,3 +555,122 @@ def test_run_calls_module_advance_once_per_implicit_solve(monkeypatch):
             limits.add("cap")
     assert limits == {"cfl", "positivity", "cap"}
     assert len(solves) == len(events) // 3
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["explicit", "implicit"])
+def test_windowed_step_closes_its_last_face(dimension, mode):
+    # The run's window (mass window J plus the pad) on a Gaussian, and in
+    # explicit mode also a window that ends at J on unit densities with a
+    # tail far below the threshold: the cells beyond the window keep their
+    # bits and nothing crosses the closed face. (On the unit densities an
+    # implicit solve spreads past the pad and is redone on the whole grid.)
+    g = grid.RadialGrid.make(dimension, 2.0, 0.01)
+    vol = g.cell_volumes
+    rng = np.random.default_rng(dimension)
+    banded = rng.uniform(0.5, 1.5, g.n)
+    banded[60:] *= 1e-40
+    fields = [(_gaussian_field(g, width=0.1), solver._PAD)]
+    if mode == "explicit":
+        fields.append((grid.DensityField(g, banded), 0))
+    cfg = solver.SolverConfig(epsilon=0.05, t_end=1.0, diffusion_mode=mode)
+    for f, pad in fields:
+        masses = f.values * vol
+        cells = drift.mass_window(masses, float(np.sum(masses))) + pad
+        assert cells < g.n
+        velocity = drift.build_interaction_matrix(g, kernels.neg_abs_kernel()).apply(masses)
+        faces = solver.face_velocities(velocity, cells)
+        assert faces.shape == (cells + 1,) and faces[-1] == 0.0
+        dt = min(
+            solver.stated_cfl_bound(g, cfg.epsilon, np.max(np.abs(velocity)), cfg.cfl_number, mode),
+            solver.positivity_bound(g, cfg.epsilon, faces, cfg.cfl_number, mode),
+        )
+        new, outflux, clipped = solver.advance(f, faces, cfg, dt)
+        assert outflux == 0.0 and clipped == 0
+        assert new.values[cells:].tobytes() == f.values[cells:].tobytes()
+        assert float(np.dot(new.values[:cells], vol[:cells])) == pytest.approx(
+            float(np.dot(f.values[:cells], vol[:cells])), rel=1e-13
+        )
+        assert float(np.dot(new.values, vol)) == pytest.approx(float(np.dot(f.values, vol)), rel=1e-13)
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["explicit", "implicit"])
+def test_whole_grid_window_is_the_full_grid_step_bitwise(dimension, mode):
+    # A window of every cell ends at the rim: the step is the upwind update
+    # and ptsv solve over the whole grid with the ghost-zero outflow face.
+    g = grid.RadialGrid.make(dimension, 1.0, 0.01)
+    f = _gaussian_field(g, width=0.3)
+    masses = f.values * g.cell_volumes
+    assert drift.mass_window(masses, float(np.sum(masses))) == g.n
+    velocity = drift.build_interaction_matrix(g, kernels.neg_abs_kernel()).apply(masses)
+    faces = solver.face_velocities(velocity, g.n)
+    cfg = solver.SolverConfig(epsilon=0.05, t_end=1.0, diffusion_mode=mode)
+    eps, explicit = cfg.epsilon, mode == "explicit"
+    dt = 0.5 * solver.positivity_bound(g, eps, faces, cfg.cfl_number, mode)
+    expected, outflux = _accel.explicit_update(
+        f.values, faces, g.right_ratios, g.left_ratios, g.face_areas[-1], g.dr, eps, dt, explicit
+    )
+    if not explicit:
+        c = eps * dt / g.dr
+        expected = _accel.thomas_solve(
+            c * g.face_sums + g.cell_volumes, -c * g.face_areas[1:-1], g.cell_volumes * expected
+        )
+        outflux += eps * dt * g.face_areas[-1] * expected[-1] / g.dr
+    new, got_outflux, _ = solver.advance(f, faces, cfg, dt)
+    assert new.values.tobytes() == expected.tobytes()
+    assert got_outflux == outflux > 0.0
+
+
+def test_implicit_support_outgrowing_the_pad_matches_the_full_grid_run(monkeypatch):
+    # Zero kernel, steps of 0.1 at eps = 0.1: each backward-Euler solve
+    # spreads the bump by about 10 cells per e-fold, so its support (cells
+    # with mass above eps M / n) grows by far more than the pad per step.
+    g = grid.RadialGrid.make(1, 4.0, 0.01)
+    cfg = solver.SolverConfig(
+        epsilon=0.1, t_end=1.0, dt_max=0.1, record_interval=0.1, snapshot_radius=math.inf
+    )
+    steps = []
+    advance = solver.advance
+
+    def recorded_advance(field, faces, config, dt):
+        new, outflux, clipped = advance(field, faces, config, dt)
+        masses = new.values * g.cell_volumes
+        steps.append((faces.shape[0] - 1, drift.mass_window(masses, float(np.sum(masses)))))
+        return new, outflux, clipped
+
+    monkeypatch.setattr(solver, "advance", recorded_advance)
+    windowed = solver.run(_gaussian_field(g, width=0.1), kernels.zero_kernel(), cfg, scale=1.0)
+    assert any(window < g.n and grown > window for window, grown in steps)
+    monkeypatch.setattr(solver, "_PAD", g.n)  # every window is the whole grid
+    full = solver.run(_gaussian_field(g, width=0.1), kernels.zero_kernel(), cfg, scale=1.0)
+    m0 = full.initial_mass
+    assert np.array_equal(windowed.times, full.times)
+    gaps = np.abs(windowed.snapshots - full.snapshots) @ g.cell_volumes
+    assert np.max(gaps) <= 1e-12 * m0
+    assert np.max(np.abs(windowed.outflow_cumulative - full.outflow_cumulative)) <= 1e-12 * m0
+
+
+def test_run_with_mass_at_the_rim_records_outflow_and_fails_boundary_loss(monkeypatch):
+    g = grid.RadialGrid.make(2, 1.0, 0.01)
+    f = grid.make_initial_condition(grid.AnnulusBump(1.0, 0.7, 1.0), g)
+    windows = []
+    advance = solver.advance
+
+    def recorded_advance(field, faces, config, dt):
+        windows.append(faces.shape[0] - 1)
+        return advance(field, faces, config, dt)
+
+    monkeypatch.setattr(solver, "advance", recorded_advance)
+    cfg = solver.SolverConfig(epsilon=0.1, t_end=0.05, record_interval=0.01)
+    traj = solver.run(f, kernels.neg_abs_kernel(), cfg, scale=0.5)
+    assert windows[0] == g.n
+    loss = float(traj.outflow_cumulative[-1] / traj.initial_mass)
+    assert loss > cfg.boundary_loss_tolerance
+    assert traj.mass_error() <= 1e-12
+    assert not traj.domain_adequate
+    verdicts = {
+        v.name: v.passed
+        for v in analysis.bookkeeping_verdicts([traj.mass_error()], [loss], cfg.boundary_loss_tolerance)
+    }
+    assert verdicts == {"mass_conservation": True, "boundary_loss": False}

@@ -1,4 +1,5 @@
-"""Every public top-level function and class in ``src/aggdiff`` has a caller there.
+"""Every public top-level function and class in ``src/aggdiff`` has a caller
+there, and every field of its dataclasses and NamedTuples has a reader.
 
 A name that only the tests reach is test code: it belongs in ``tests/``.
 """
@@ -52,3 +53,48 @@ def test_every_public_definition_has_a_caller_in_src():
             ):
                 unreferenced.append(f"{module}.{node.name}")
     assert not unreferenced, f"public names that nothing in src/ uses: {unreferenced}"
+
+
+# Fields that no attribute access in src/ reads, each with its reason.
+UNREAD_FIELDS = {
+    # cli writes the constants into run.json and sweep.json with
+    # dataclasses.asdict, which reads every field.
+    "analysis.ConcentrationConstants.capped_moment": "written by asdict",
+    "analysis.ConcentrationConstants.initial_moment": "written by asdict",
+    # Computed but never written; ROADMAP item 1 moves it into timings.json.
+    "analysis.SweepReport.row_seconds": "ROADMAP item 1",
+    # ROADMAP item 4 builds the grid from its faces.
+    "grid.RadialGrid.r_faces": "ROADMAP item 4",
+}
+
+
+def _is_record(node):
+    """A class decorated with ``dataclass`` or derived from ``NamedTuple``."""
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return any(isinstance(base, ast.Name) and base.id == "NamedTuple" for base in node.bases)
+
+
+def test_every_record_field_is_read_in_src():
+    # By name: a field counts as read when any attribute load in src/ has
+    # its name, whatever the object.
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ClassDef) and _is_record(node)):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    name = f"{module}.{node.name}.{item.target.id}"
+                    if item.target.id not in read and name not in UNREAD_FIELDS:
+                        unread.append(name)
+    assert not unread, f"record fields that nothing in src/ reads: {unread}"
