@@ -428,6 +428,7 @@ class SweepRow:
     weighted_ratio: float
     ball_mass_integral: float
     ball_p2_integral: float
+    full_grid_solves: int
 
 
 @dataclass
@@ -552,6 +553,7 @@ def _sweep_case(payload):
         weighted_ratio=bound.ratio,
         ball_mass_integral=conc_mass,
         ball_p2_integral=conc_p2,
+        full_grid_solves=traj.full_grid_solves,
     )
     return row, time.monotonic() - started
 

@@ -327,6 +327,7 @@ def emit_run(traj, constants, cfg, outdir: Path, extras=None) -> None:
         "grid": {"dr": traj.grid_dr, "n": traj.grid_n},
         "initial_mass": traj.initial_mass,
         "clipped_cells": traj.clipped_cells,
+        "full_grid_solves": traj.full_grid_solves,
         "domain_adequate": traj.domain_adequate,
         "boundary_loss_tolerance": cfg["solver"]["boundary_loss_tolerance"],
         "slack": cfg["analysis"]["slack"],
@@ -385,6 +386,7 @@ def load_run(outdir: Path):
         snapshot_times=snapshot_times,
         snapshots=snapshots,
         clipped_cells=int(meta["clipped_cells"]),
+        full_grid_solves=int(meta["full_grid_solves"]),
         domain_adequate=bool(meta["domain_adequate"]),
     )
     constants = None
@@ -539,7 +541,7 @@ def write_sweep_csv(report, path) -> None:
         "epsilon", "dr", "n_cells", "sup_lp2", "sup_lpinf", "sup_h1",
         "mass_error", "boundary_loss", "moment_violations",
         "weighted_integral", "weighted_threshold", "weighted_ratio",
-        "ball_mass_integral", "ball_p2_integral",
+        "ball_mass_integral", "ball_p2_integral", "full_grid_solves",
     ]
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
@@ -549,7 +551,7 @@ def write_sweep_csv(report, path) -> None:
                 row.sup_h1 if row.sup_h1 is not None else math.nan,
                 row.mass_error, row.boundary_loss, row.moment_violations,
                 row.weighted_integral, row.weighted_threshold, row.weighted_ratio,
-                row.ball_mass_integral, row.ball_p2_integral,
+                row.ball_mass_integral, row.ball_p2_integral, row.full_grid_solves,
             ]
             fh.write(",".join(_fmt(v) for v in values) + "\n")
 

@@ -2,9 +2,10 @@
 
 The drift is a linear operator on the cell masses m_j = u_j vol_j:
 V_i = sum_j W_ij m_j. ``build_interaction_matrix`` returns it as a
-``DriftOperator`` whose ``velocity(masses, total, window)`` computes V and
-post-checks the convolution bound |V| <= |k'|_sup * mass (``apply(masses)``
-takes the sum and the window itself). W is never formed.
+``DriftOperator``. ``velocity(masses, total, window, cells)`` returns V on
+the first ``cells`` cells and the largest |V| over every cell, post-checked
+against the convolution bound |V| <= |k'|_sup * mass; ``apply(masses)``
+returns every row. W is never formed.
 
 For N >= 2, W_ij is the angular average over the unit sphere of
 k'(d) (r - rho cos t)/d with d the chord distance to a source at radius
@@ -37,7 +38,10 @@ leaf, computed from the same entries, with the operator. Each apply is windowed 
 that carry mass (``mass_window``): cells past the last one with mass above
 eps M / n (eps the machine epsilon, M the mass sum) are dropped, which
 moves V by at most eps |k'|_sup M, and only the blocks that meet the
-remaining cells are read.
+remaining cells are read. For ``neg_abs`` only the first ``cells`` rows
+are computed as well: for r > rho, |W(r, rho)| grows with r (from 2/pi
+to 1), so no row past the masses exceeds |V| at the last cell, which one
+stored row of W gives exactly. The other kernels compute every row.
 
 In one dimension the convolution over the mirrored line is exact for even
 data, and on the uniform cell-centred grid W_ij =
@@ -110,34 +114,42 @@ class DriftOperator:
     grid: RadialGrid
     kprime_sup_norm: float
     quadrature_order: int
+    rim = None  # row n - 1 of W where only the rows asked for are computed
 
     def apply(self, masses: np.ndarray) -> np.ndarray:
-        """V_i = sum_j W_ij masses_j; see ``velocity``."""
+        """V_i = sum_j W_ij masses_j on every cell; see ``velocity``."""
         total = float(masses.sum())
-        return self.velocity(masses, total, mass_window(masses, total))[0]
+        return self.velocity(masses, total, mass_window(masses, total), self.grid.n)[0]
 
-    def velocity(self, masses: np.ndarray, total: float, window: int):
-        """(V, max |V|) for the nonnegative cell masses of a density.
+    def velocity(self, masses: np.ndarray, total: float, window: int, cells: int):
+        """(V on the first ``cells`` cells, max |V| over every cell).
 
-        ``total`` is ``masses.sum()`` and ``window`` its ``mass_window``,
-        which the solver computes once per step for the step as well. V is
-        post-checked against |V| <= |k'|_sup * total, and the largest |V|
-        of that check is returned with it. Masses of another length than
-        the grid raise ValueError; a NaN or infinite mass sum raises before
-        the product, and a non-finite V fails the check.
+        ``masses`` are nonnegative, ``total`` is their sum and ``window``
+        their ``mass_window``, which the solver computes once per step.
+        With a ``rim`` row only the rows below max(cells, window) are
+        computed, and |V| at the last cell, rim . masses, bounds every row
+        past them; otherwise every row is. Those |V| are post-checked
+        against |k'|_sup * total. Masses of another length than the grid
+        raise ValueError; a NaN or infinite mass sum raises before the
+        product, and a non-finite V fails the check.
         """
-        if masses.shape != (self.grid.n,):
+        n = self.grid.n
+        if masses.shape != (n,):
             raise ValueError("masses and drift operator live on different grids")
         if not math.isfinite(total):
             raise RuntimeError(f"drift bound violated: the mass sum is {total:g}")
-        v = self._product(masses, window)
+        rows = n if self.rim is None else max(cells, window)
+        v = self._product(masses, window, rows)
+        vmax = max(float(v.max()), -float(v.min()))  # NaN when V has one
+        if rows < n:
+            vmax = max(vmax, abs(float(self.rim[:window] @ masses[:window])))
         bound = self.kprime_sup_norm * total
-        vmax = max(float(v.max()), -float(v.min()))
         if not vmax <= bound * (1.0 + 1e-9) + 1e-13:
             raise RuntimeError(f"drift bound violated: |V| = {vmax:g} > {bound:g}")
-        return v, vmax
+        return v[:cells], vmax
 
-    def _product(self, masses: np.ndarray, window: int) -> np.ndarray:
+    def _product(self, masses: np.ndarray, window: int, cells: int) -> np.ndarray:
+        """V on at least the first ``cells`` cells, from the masses below ``window``."""
         raise NotImplementedError
 
 
@@ -160,35 +172,43 @@ class HierarchicalDrift(DriftOperator):
     passed in (``mass_window``: one past the last cell whose mass exceeds
     eps M / n), and the cells from J on are dropped. Their mass sums to at
     most eps M, so V moves by at most eps |k'|_sup M, roundoff of the
-    bound |V| <= |k'|_sup M. Only the leaves, the level nodes and the
-    dense-block columns that meet [0, J) are read; every row of V is still
-    computed.
+    bound |V| <= |k'|_sup M. Only the leaves, the level blocks and the
+    dense-block columns that read [0, J) are used, and of those only the
+    blocks that write rows below the row bound.
     """
 
     leaves: np.ndarray = field(repr=False)
     levels: tuple = field(repr=False)
     dense: tuple = field(repr=False)
+    rim: np.ndarray = field(default=None, repr=False)
 
-    def _product(self, masses, window):
-        n = masses.shape[0]
+    def _product(self, masses, window, cells):
         count, leaf = self.leaves.shape[:2]
         v = np.zeros(count * leaf)
         if window == 0:
-            return v[:n]
+            return v[:cells]
         x = np.zeros(count * leaf)
         x[:window] = masses[:window]
         stop = -(-window // leaf) * leaf
         np.matmul(self.leaves[: stop // leaf], x[:stop].reshape(-1, leaf, 1), out=v[:stop].reshape(-1, leaf, 1))
         for u, vt in self.levels:
             half = u.shape[2]
-            nodes = -(-window // (2 * half))
-            halves = x[: nodes * 2 * half].reshape(nodes, 2, half, 1)
-            v[: nodes * 2 * half] += (u[:nodes] @ (vt[:nodes] @ halves)[:, ::-1]).reshape(-1)
-        v = v[:n]
+            reads = -(-window // half)  # halves that meet [0, J)
+            full = reads // 2  # nodes whose two halves both do
+            if full:
+                halves = x[: full * 2 * half].reshape(full, 2, half, 1)
+                v[: full * 2 * half] += (u[:full] @ (vt[:full] @ halves)[:, ::-1]).reshape(-1)
+            start = reads * half
+            if reads % 2 and start < cells:
+                # Node ``full`` has mass in its first half only: one block,
+                # which writes its second half from ``start``.
+                rows = min(half, cells - start)
+                v[start : start + rows] += u[full, 1, :rows] @ (vt[full, 0] @ x[start - half : start])
+        v = v[:cells]
         for r0, r1, c0, c1, block in self.dense:
-            if c0 < window:
-                c1 = min(c1, window)
-                v[r0:r1] += block[:, : c1 - c0] @ masses[c0:c1]
+            if c0 < window and r0 < cells:
+                r1, c1 = min(r1, cells), min(c1, window)
+                v[r0:r1] += block[: r1 - r0, : c1 - c0] @ masses[c0:c1]
         return v
 
 
@@ -202,7 +222,7 @@ class ConstantGradientDrift(DriftOperator):
 
     kprime: float
 
-    def _product(self, masses, window):
+    def _product(self, masses, window, cells):
         return self.kprime * (np.cumsum(masses) - 0.5 * masses)
 
 
@@ -216,7 +236,7 @@ class ShellDrift(DriftOperator):
     cell i and C_i the sum of m_j/rho_j over the cells outside it.
     """
 
-    def _product(self, masses, window):
+    def _product(self, masses, window, cells):
         r = self.grid.r_centers
         second = masses * (r * r)
         reciprocal = masses / r
@@ -241,7 +261,7 @@ class SpectralDrift(DriftOperator):
     mirror_spectrum: np.ndarray = field(repr=False)
     size: int
 
-    def _product(self, masses, window):
+    def _product(self, masses, window, cells):
         n = masses.shape[0]
         spectrum = (
             self.near_spectrum * np.fft.rfft(masses, self.size)
@@ -400,7 +420,8 @@ def _hierarchical_drift(grid: RadialGrid, kernel: KernelSpec, order: int) -> Hie
             u_all[p, 1 - s, : u.shape[0], : u.shape[1]] = u
             vt_all[p, s, : vt.shape[0], : vt.shape[1]] = vt
         levels.append((u_all, vt_all))
-    return HierarchicalDrift(grid, kernel.kprime_sup_norm, order, leaves, tuple(levels), tuple(dense))
+    rim = entries(slice(n - 1, n), slice(None))[0] if kernel.family is KernelFamily.NEG_ABS else None
+    return HierarchicalDrift(grid, kernel.kprime_sup_norm, order, leaves, tuple(levels), tuple(dense), rim)
 
 
 def _probe(op: HierarchicalDrift, kernel: KernelSpec) -> None:

@@ -24,16 +24,16 @@ Each step works on a window of cells that carry mass. From the cell
 masses and their sum M, computed once per step, J is one past the last
 cell with mass above eps M / n (``drift.mass_window``, eps the machine
 epsilon) and W = min(n, J + _PAD). The drift product reads the cells
-below J; the drift V and its largest |V|, which sets the stated CFL
-bound, cover every cell. The face velocities, the positivity bound, the
-upwind update and the implicit solve cover the cells below W only. When
-W < n, face W is closed: no transport or diffusion flux crosses it, the
-cells beyond keep their values and the step has no outflow, so mass
-still telescopes exactly. When W = n the step is the full-grid step with
-the rim outflow face. An implicit solve can carry mass past the pad in
-one step; when the last window cell ends the step with mass above
-eps / n times the window's mass, that step's diffusion is solved again
-on the whole grid.
+below J and returns V on the cells below W, with the largest |V| over
+every cell, which sets the stated CFL bound. The face velocities, the
+positivity bound, the upwind update and the implicit solve cover the
+cells below W only. When W < n, face W is closed: no transport or
+diffusion flux crosses it, the cells beyond keep their values and the
+step has no outflow, so mass still telescopes exactly. When W = n the
+step is the full-grid step with the rim outflow face. An implicit solve
+can carry mass past the pad in one step; when the last window cell ends
+the step with mass above eps / n times the window's mass, that step's
+diffusion is solved again on the whole grid, and the run counts it.
 """
 
 from __future__ import annotations
@@ -74,10 +74,12 @@ class NegativityError(RuntimeError):
 
 
 class NonFiniteError(RuntimeError):
-    """A step produced a NaN or infinite density or outflow.
+    """A step produced a NaN or infinite density or outflow, or started
+    from densities whose cell-mass sum overflows.
 
-    ``time`` is the time the step was advancing to; ``step`` counts the
-    steps of the run from 1 (None when the step was taken outside ``run``).
+    ``time`` is the time the step was advancing to (started from, for an
+    overflowed sum); ``step`` counts the steps of the run from 1 (None
+    when the step was taken outside ``run``).
     """
 
     def __init__(self, time: float, step: Optional[int] = None):
@@ -128,6 +130,8 @@ class TrajectoryRecord:
     ``snapshots`` holds one row per entry of ``snapshot_times``: the
     densities of the innermost cells, as many as the run's
     ``snapshot_radius`` selected (every cell for ``math.inf``).
+    ``full_grid_solves`` counts the steps whose implicit solve outgrew the
+    step's window and was redone on the whole grid.
     """
 
     dimension: int
@@ -147,6 +151,7 @@ class TrajectoryRecord:
     snapshot_times: Optional[np.ndarray] = None
     snapshots: Optional[np.ndarray] = None
     clipped_cells: int = 0
+    full_grid_solves: int = 0
     domain_adequate: bool = True
 
     @property
@@ -159,23 +164,24 @@ class TrajectoryRecord:
         return float(np.max(defect) / self.mass[0])
 
 
-def face_velocities(velocity: np.ndarray, cells: int) -> np.ndarray:
-    """Face velocities F of the cell velocities V (n entries) on the window
-    of the first ``cells`` cells, 2 <= cells <= n: cells + 1 entries.
+def face_velocities(velocity: np.ndarray, cells: int, n: int) -> np.ndarray:
+    """Face velocities F on the window of the first ``cells`` cells of a
+    grid of n cells, 2 <= cells <= n, from the cell velocities V on at
+    least those cells: cells + 1 entries.
 
     Indexed like ``grid.face_areas``: F[0] = 0 at the origin face and
     F[f] = (V[f-1] + V[f]) / 2 on the faces 1..cells-1 between window
     cells. The last entry is F[n] = V[n-1] at the rim when the window is
-    the whole grid, and 0 at the closed face ``cells`` otherwise. The
-    positivity bound and the transport update both read F, so each step
-    averages the cells once.
+    the whole grid (cells == n), and 0 at the closed face ``cells``
+    otherwise. The positivity bound and the transport update both read F,
+    so each step averages the cells once.
     """
     faces = np.empty(cells + 1)
     faces[0] = 0.0
     inner = faces[1:-1]
     np.add(velocity[: cells - 1], velocity[1:cells], out=inner)
     inner *= 0.5
-    faces[-1] = velocity[-1] if cells == velocity.shape[0] else 0.0
+    faces[-1] = velocity[n - 1] if cells == n else 0.0
     return faces
 
 
@@ -196,8 +202,9 @@ def _window(grid, faces) -> int:
 
 def stated_cfl_bound(grid, epsilon, vmax, cfl_number, diffusion_mode) -> float:
     """The advertised step bounds for the largest cell speed ``vmax`` =
-    max |V| over every cell: advective cfl*dr/vmax and, in explicit mode,
-    the parabolic cfl*dr^2/(2 N eps)."""
+    max |V| over every cell, as the drift's ``velocity`` returns it:
+    advective cfl*dr/vmax and, in explicit mode, the parabolic
+    cfl*dr^2/(2 N eps)."""
     bound = math.inf
     if vmax > 0.0:
         bound = cfl_number * grid.dr / vmax
@@ -267,7 +274,8 @@ def _implicit_diffusion(u_star, grid, epsilon, dt):
 
 
 def advance(field: DensityField, faces: np.ndarray, config: SolverConfig, dt: float):
-    """One conservative update; returns (new field, outflow mass, clipped cells).
+    """One conservative update; returns (new field, outflow mass, clipped
+    cells, whether the diffusion was solved again on the whole grid).
 
     ``faces`` are the face velocities of ``face_velocities`` on a window of
     W cells (W + 1 entries). The update covers those cells; when W < n,
@@ -287,6 +295,7 @@ def advance(field: DensityField, faces: np.ndarray, config: SolverConfig, dt: fl
         field.values[:cells], faces, grid.right_ratios[:cells], grid.left_ratios[: cells - 1],
         grid.face_areas[-1] if cells == grid.n else 0.0, grid.dr, config.epsilon, dt, explicit,
     )
+    resolved = False
     if not explicit:
         u_star = u_new
         u_new, rim = _implicit_diffusion(u_star, grid, config.epsilon, dt)
@@ -295,7 +304,7 @@ def advance(field: DensityField, faces: np.ndarray, config: SolverConfig, dt: fl
             if u_new[-1] * vol[-1] > _EPS * float(np.dot(u_new, vol)) / grid.n:
                 u_star = np.concatenate((u_star, field.values[cells:]))
                 u_new, rim = _implicit_diffusion(u_star, grid, config.epsilon, dt)
-                cells = grid.n
+                cells, resolved = grid.n, True
         outflux += rim
     # min and max propagate NaN, so they check the final state in both
     # modes; the negativity floor and the clip scale need them anyway.
@@ -311,7 +320,7 @@ def advance(field: DensityField, faces: np.ndarray, config: SolverConfig, dt: fl
         u_new = np.maximum(u_new, 0.0)
     if cells < grid.n:
         u_new = np.concatenate((u_new, field.values[cells:]))
-    return DensityField._checked(grid, u_new, field.time + dt), float(outflux), clipped
+    return DensityField._checked(grid, u_new, field.time + dt), float(outflux), clipped, resolved
 
 
 def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float) -> TrajectoryRecord:
@@ -320,8 +329,9 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
     ``scale`` parametrises the truncated-moment and concentration series.
     The step size honours the advertised CFL bounds, the exact positivity
     bound of the step's window, dt_max, and lands exactly on the record
-    grid, so repeated runs are bit-reproducible. Raises NonFiniteError, carrying the step number
-    and time, at the first step that produces a non-finite state.
+    grid, so repeated runs are bit-reproducible. Raises NonFiniteError,
+    carrying the step number and time, at the first step that produces a
+    non-finite state or starts from a state whose cell-mass sum overflows.
     """
     if scale <= 0.0:
         raise ValueError("scale must be positive")
@@ -355,6 +365,7 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
     t = 0.0
     outflow_total = 0.0
     clipped_total = 0
+    full_grid_solves = 0
     steps = 0
     next_record = record_dt
     vol = grid.cell_volumes
@@ -377,10 +388,13 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
     while t < config.t_end - tiny:
         cell_mass = current.values * vol
         total = float(cell_mass.sum())
+        if not math.isfinite(total):
+            raise NonFiniteError(t, steps + 1)
         window = mass_window(cell_mass, total)
+        cells = min(grid.n, window + _PAD)
         if drift is not None:
-            velocity, vmax = drift.velocity(cell_mass, total, window)
-        faces = face_velocities(velocity, min(grid.n, window + _PAD))
+            velocity, vmax = drift.velocity(cell_mass, total, window, cells)
+        faces = face_velocities(velocity, cells, grid.n)
         dt = min(
             stated_cfl_bound(grid, config.epsilon, vmax, config.cfl_number, config.diffusion_mode),
             positivity_bound(grid, config.epsilon, faces, config.cfl_number, config.diffusion_mode),
@@ -392,13 +406,14 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
             raise RuntimeError(f"degenerate step size {dt!r} at t = {t!r}")
         steps += 1
         try:
-            current, outflux, clipped = advance(current, faces, config, dt)
+            current, outflux, clipped, resolved = advance(current, faces, config, dt)
         except NonFiniteError as exc:
             exc.step = steps
             raise
         t = current.time
         outflow_total += outflux
         clipped_total += clipped
+        full_grid_solves += resolved
         if t >= next_record - tiny:
             sample(current, t)
             next_record += record_dt
@@ -424,5 +439,6 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
         snapshot_times=np.asarray(snap_times) if snap_times is not None else None,
         snapshots=np.asarray(snaps) if snaps is not None else None,
         clipped_cells=clipped_total,
+        full_grid_solves=full_grid_solves,
         domain_adequate=bool(loss <= config.boundary_loss_tolerance),
     )

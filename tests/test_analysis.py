@@ -327,6 +327,7 @@ def _synthetic_rows():
             mass_error=1e-12, boundary_loss=0.0, domain_adequate=True,
             moment_violations=0, weighted_integral=2.0, weighted_threshold=1.0,
             weighted_ratio=2.0, ball_mass_integral=0.5, ball_p2_integral=eps ** -0.5,
+            full_grid_solves=0,
         ))
     return rows
 

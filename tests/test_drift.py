@@ -498,3 +498,88 @@ def test_mass_window_is_one_past_the_last_cell_above_the_threshold():
     # An overflowed or NaN sum drops nothing.
     for total in (math.inf, math.nan):
         assert drift.mass_window(masses, total) == n
+
+
+def _confined_masses(g, window):
+    # Random masses, a point mass in the last cell, and a narrow Gaussian,
+    # each zero from cell ``window`` on.
+    r = g.r_centers
+    inside = np.arange(g.n) < window
+    point = np.zeros(g.n)
+    point[window - 1] = 1.0
+    return {
+        "random": np.where(inside, np.random.default_rng(window).uniform(0.0, 1.0, g.n), 0.0),
+        "point mass": point,
+        "narrow Gaussian": np.where(inside, np.exp(-((r / (0.25 * r[window])) ** 2)), 0.0),
+    }
+
+
+@pytest.mark.parametrize("window", [40, 333, 1200])
+def test_2d_neg_abs_rows_past_the_masses_peak_at_the_rim(window):
+    # For r > rho, |W(r, rho)| grows strictly with r (dense closed form from
+    # SciPy), so with masses below the window |V| grows from the window on
+    # and its largest value there is |V| at the last cell.
+    n = 1500
+    g = grid.RadialGrid(2, 3.0 / n, n)
+    dense = _neg_abs_dense(g)
+    assert np.all(np.diff(np.abs(np.tril(dense, -1)), axis=0)[window:, :window] > 0.0)
+    for name, masses in _confined_masses(g, window).items():
+        far = np.abs(dense @ masses)[window:]
+        assert np.all(np.diff(far) > 0.0), name
+        assert np.max(far) == far[-1], name
+
+
+def test_2d_neg_abs_velocity_on_the_window_matches_apply():
+    # n = 700: leaves of 88 cells and halves of 352, 176 and 88 on three
+    # levels. The masses end inside the first leaf (at 80 the row bound
+    # 112 cuts the second half of level 2 short), in an even (0) and an
+    # odd (1) half of level 0, and next to the rim.
+    n = 700
+    g = grid.RadialGrid(2, 3.0 / n, n)
+    op = drift.build_interaction_matrix(g, kernels.neg_abs_kernel())
+    count, leaf = op.leaves.shape[:2]
+    assert (count, leaf) == (8, 88) and op.rim.shape == (n,)
+    for window in (50, 80, 300, 400, n - 10):
+        for name, masses in _confined_masses(g, window).items():
+            total = float(np.sum(masses))
+            assert drift.mass_window(masses, total) == window
+            full = op.apply(masses)
+            for cells in sorted({window, min(n, window + 32), n}):
+                v, vmax = op.velocity(masses, total, window, cells)
+                assert v.shape == (cells,)
+                gap = np.max(np.abs(v - full[:cells]))
+                assert gap <= 4.0 * np.finfo(float).eps * total, (window, cells, name, gap)
+                assert abs(vmax - np.max(np.abs(full))) <= 1e-13 * total, (window, cells, name)
+
+
+def test_operators_without_a_rim_row_compute_every_row_bitwise():
+    # The 1-D, 3-D and tabulated or exponential N = 2 operators compute
+    # every row, so V and |V|max on a window are the bits of ``apply``.
+    cases = []
+    for dim in (1, 2, 3):
+        g = grid.RadialGrid(dim, 3.0 / 300, 300)
+        cases += [(g, kern) for kern in _oracle_kernels(g) + [kernels.zero_kernel()]]
+    for g, kern in cases:
+        op = drift.build_interaction_matrix(g, kern)
+        if op.rim is not None:
+            assert g.dimension == 2 and _is_neg_abs(kern)
+            continue
+        for window in (40, 200):
+            masses = _confined_masses(g, window)["random"]
+            total = float(np.sum(masses))
+            full = op.apply(masses)
+            v, vmax = op.velocity(masses, total, window, window + 32)
+            assert v.tobytes() == full[: window + 32].tobytes(), (g.dimension, kern.name())
+            assert vmax == np.max(np.abs(full)), (g.dimension, kern.name())
+
+
+def test_2d_exponential_velocity_past_the_masses_does_not_peak_at_the_rim():
+    # The exponential kernel's pull decays with distance: past a concentrated
+    # mass |V| is largest next to it, so this operator keeps every row.
+    n = 700
+    g = grid.RadialGrid(2, 3.0 / n, n)
+    op = drift.build_interaction_matrix(g, kernels.exponential_kernel())
+    assert op.rim is None
+    window = 50
+    far = np.abs(op.apply(_confined_masses(g, window)["narrow Gaussian"]))[window:]
+    assert np.argmax(far) < far.size // 4 and far[-1] < 0.5 * np.max(far)

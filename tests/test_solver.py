@@ -36,7 +36,7 @@ def test_single_step_mass_telescopes_exactly(mode):
         v = m.apply(f.values * g.cell_volumes)
         cfg = solver.SolverConfig(epsilon=0.05, t_end=1.0, diffusion_mode=mode)
         dt = 0.25 * solver.stated_cfl_bound(g, cfg.epsilon, np.max(np.abs(v)), cfg.cfl_number, mode)
-        new, outflux, _ = solver.advance(f, solver.face_velocities(v, g.n), cfg, dt)
+        new, outflux, _, _ = solver.advance(f, solver.face_velocities(v, g.n, g.n), cfg, dt)
         assert outflux > 0.0
         before = float(np.dot(f.values, g.cell_volumes))
         after = float(np.dot(new.values, g.cell_volumes))
@@ -61,7 +61,7 @@ def test_explicit_update_matches_flux_difference_formula(dimension, diffusion):
             flux[-1] += eps * u[-1] / g.dr
         flux *= g.face_areas
         expected = u - dt * np.diff(flux) / g.cell_volumes
-        faces = solver.face_velocities(velocity, g.n)
+        faces = solver.face_velocities(velocity, g.n, g.n)
         got, outflux = _accel.explicit_update(
             u, faces, g.right_ratios, g.left_ratios, g.face_areas[-1], g.dr, eps, dt, diffusion
         )
@@ -119,21 +119,20 @@ def test_constant_interior_unchanged_without_drift():
     cfg = solver.SolverConfig(epsilon=0.1, t_end=1.0, diffusion_mode="explicit")
     v = np.zeros(g.n)
     dt = 0.5 * solver.stated_cfl_bound(g, cfg.epsilon, 0.0, cfg.cfl_number, "explicit")
-    new, _, _ = solver.advance(f, solver.face_velocities(v, g.n), cfg, dt)
+    new, _, _, _ = solver.advance(f, solver.face_velocities(v, g.n, g.n), cfg, dt)
     # all interior fluxes vanish for constant data; only the rim cell loses
     assert np.max(np.abs(new.values[:-1] - 1.0)) == 0.0
     assert new.values[-1] < 1.0
 
 
-@pytest.mark.parametrize("mode", ["explicit", "implicit"])
-def test_run_steps_within_stated_cfl_bound(mode, monkeypatch):
+def _check_steps_within_stated_cfl_bound(monkeypatch, g, mode, rel):
     # Every step run takes honours the advertised bound for the velocity it
     # advances with; the bound is active, not merely far above the steps.
-    # The step's |V|max and faces are those of the field's drift velocity.
+    # The step's |V|max and faces are those of the field's drift velocity,
+    # to ``rel`` times |V|max.
     ratios = []
     speeds = []
     advance, stated_cfl_bound = solver.advance, solver.stated_cfl_bound
-    g = grid.RadialGrid.make(1, 2.0, 0.01)
     op = drift.build_interaction_matrix(g, kernels.neg_abs_kernel())
 
     def seen_cfl_bound(grid, epsilon, vmax, cfl_number, diffusion_mode):
@@ -142,8 +141,10 @@ def test_run_steps_within_stated_cfl_bound(mode, monkeypatch):
 
     def checked_advance(field, faces, config, dt):
         velocity = op.apply(field.values * g.cell_volumes)
-        assert speeds[-1] == np.max(np.abs(velocity))
-        assert np.array_equal(faces, solver.face_velocities(velocity, faces.shape[0] - 1))
+        vmax = np.max(np.abs(velocity))
+        assert abs(speeds[-1] - vmax) <= rel * vmax
+        expected = solver.face_velocities(velocity, faces.shape[0] - 1, g.n)
+        assert np.max(np.abs(faces - expected)) <= rel * vmax
         bound = stated_cfl_bound(field.grid, config.epsilon, speeds[-1], config.cfl_number, mode)
         ratios.append(dt / bound)
         return advance(field, faces, config, dt)
@@ -154,6 +155,21 @@ def test_run_steps_within_stated_cfl_bound(mode, monkeypatch):
     solver.run(_gaussian_field(g), kernels.neg_abs_kernel(), cfg, scale=1.0)
     assert ratios and max(ratios) <= 1.0 + 1e-12
     assert max(ratios) >= 0.5
+
+
+@pytest.mark.parametrize("mode", ["explicit", "implicit"])
+def test_run_steps_within_stated_cfl_bound(mode, monkeypatch):
+    _check_steps_within_stated_cfl_bound(monkeypatch, grid.RadialGrid.make(1, 2.0, 0.01), mode, 0.0)
+
+
+@pytest.mark.parametrize("mode", ["explicit", "implicit"])
+def test_2d_run_steps_within_stated_cfl_bound(mode, monkeypatch):
+    # The 2-D drift computes V on the step's window only and |V|max from
+    # the rim row: both agree with the whole-grid product to roundoff.
+    g = grid.RadialGrid.make(2, 4.0, 0.02)
+    masses = _gaussian_field(g).values * g.cell_volumes
+    assert drift.mass_window(masses, float(np.sum(masses))) + solver._PAD < g.n
+    _check_steps_within_stated_cfl_bound(monkeypatch, g, mode, 1e-12)
 
 
 @pytest.mark.parametrize("mode", ["explicit", "implicit"])
@@ -269,6 +285,20 @@ def test_run_stops_at_first_non_finite_step(mode):
     assert (copy.time, copy.step, str(copy)) == (err.time, err.step, str(err))
 
 
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_run_stops_when_the_cell_mass_sum_overflows(dimension):
+    # Every density and cell mass is finite, but their sum is not: the run
+    # names the step instead of failing in the drift's bound check.
+    g = grid.RadialGrid.make(dimension, 10.0, 0.1)
+    f = grid.DensityField(g, np.full(g.n, 0.5 * np.finfo(float).max / g.cell_volumes[-1]))
+    assert np.all(np.isfinite(f.values * g.cell_volumes))
+    cfg = solver.SolverConfig(epsilon=0.1, t_end=0.1)
+    with np.errstate(over="ignore"):
+        with pytest.raises(solver.NonFiniteError) as info:
+            solver.run(f, kernels.neg_abs_kernel(), cfg, scale=1.0)
+    assert (info.value.step, info.value.time) == (1, 0.0)
+
+
 def test_run_stops_when_the_volume_weighted_solve_overflows():
     # Transport leaves u = 1e307 finite without drift; vol * u on the
     # right-hand side of the implicit solve overflows near the rim.
@@ -369,7 +399,7 @@ def _velocity_patterns(g, rng, trials=20):
 def test_positivity_bound_matches_gather_formula_bitwise(dimension, mode):
     g = grid.RadialGrid.make(dimension, 2.0, 0.01)
     for velocity in _velocity_patterns(g, np.random.default_rng(dimension)):
-        faces = solver.face_velocities(velocity, g.n)
+        faces = solver.face_velocities(velocity, g.n, g.n)
         got = solver.positivity_bound(g, 0.03, faces, 0.5, mode)
         assert got == _positivity_bound_oracle(g, 0.03, faces, 0.5, mode)
 
@@ -380,7 +410,7 @@ def test_positivity_bound_on_a_window_matches_gather_formula_bitwise(dimension, 
     g = grid.RadialGrid.make(dimension, 2.0, 0.01)
     for velocity in _velocity_patterns(g, np.random.default_rng(20 + dimension)):
         for cells in (2, 37, g.n - 1):
-            faces = solver.face_velocities(velocity, cells)
+            faces = solver.face_velocities(velocity, cells, g.n)
             got = solver.positivity_bound(g, 0.03, faces, 0.5, mode)
             assert got == _positivity_bound_oracle(g, 0.03, faces, 0.5, mode)
 
@@ -391,7 +421,7 @@ def test_positivity_bound_agrees_with_volume_over_outflow_form(dimension, mode):
     # cfl / max(out / vol) and cfl * min(vol / out) differ by roundoff only.
     g = grid.RadialGrid.make(dimension, 2.0, 0.01)
     for velocity in _velocity_patterns(g, np.random.default_rng(10 + dimension)):
-        got = solver.positivity_bound(g, 0.03, solver.face_velocities(velocity, g.n), 0.5, mode)
+        got = solver.positivity_bound(g, 0.03, solver.face_velocities(velocity, g.n, g.n), 0.5, mode)
         expected = _volume_over_outflow_bound(g, 0.03, velocity, 0.5, mode)
         assert abs(got - expected) <= 1e-15 * expected
 
@@ -403,9 +433,11 @@ def test_positivity_bound_is_infinite_without_outflow():
 
 def test_face_velocities_average_the_cells():
     velocity = np.array([1.0, -3.0, 2.0, 4.0])
-    assert solver.face_velocities(velocity, 4).tolist() == [0.0, -1.0, -0.5, 3.0, 4.0]
-    # A shorter window ends at a closed face.
-    assert solver.face_velocities(velocity, 3).tolist() == [0.0, -1.0, -0.5, 0.0]
+    assert solver.face_velocities(velocity, 4, 4).tolist() == [0.0, -1.0, -0.5, 3.0, 4.0]
+    # A shorter window ends at a closed face, whether V covers the grid or
+    # only the window.
+    assert solver.face_velocities(velocity, 3, 4).tolist() == [0.0, -1.0, -0.5, 0.0]
+    assert solver.face_velocities(velocity[:3], 3, 4).tolist() == [0.0, -1.0, -0.5, 0.0]
 
 
 @pytest.mark.parametrize("dimension", [1, 2, 3])
@@ -420,7 +452,7 @@ def test_step_at_the_positivity_bound_stays_nonnegative(dimension, mode):
     for scale in (1e-2, 1.0, 1e2):
         sign = np.where(np.arange(g.n) % 2 == 0, 1.0, -1.0)
         velocity = scale * sign * np.cumsum(rng.uniform(0.5, 1.5, g.n))
-        faces = solver.face_velocities(velocity, g.n)
+        faces = solver.face_velocities(velocity, g.n, g.n)
         assert np.all(faces[2:-1:2] > 0.0) and np.all(faces[1:-1:2] < 0.0)
         u = rng.uniform(0.0, 1.0, g.n)
         dt = solver.positivity_bound(g, cfg.epsilon, faces, cfg.cfl_number, mode)
@@ -579,14 +611,14 @@ def test_windowed_step_closes_its_last_face(dimension, mode):
         cells = drift.mass_window(masses, float(np.sum(masses))) + pad
         assert cells < g.n
         velocity = drift.build_interaction_matrix(g, kernels.neg_abs_kernel()).apply(masses)
-        faces = solver.face_velocities(velocity, cells)
+        faces = solver.face_velocities(velocity, cells, g.n)
         assert faces.shape == (cells + 1,) and faces[-1] == 0.0
         dt = min(
             solver.stated_cfl_bound(g, cfg.epsilon, np.max(np.abs(velocity)), cfg.cfl_number, mode),
             solver.positivity_bound(g, cfg.epsilon, faces, cfg.cfl_number, mode),
         )
-        new, outflux, clipped = solver.advance(f, faces, cfg, dt)
-        assert outflux == 0.0 and clipped == 0
+        new, outflux, clipped, resolved = solver.advance(f, faces, cfg, dt)
+        assert outflux == 0.0 and clipped == 0 and not resolved
         assert new.values[cells:].tobytes() == f.values[cells:].tobytes()
         assert float(np.dot(new.values[:cells], vol[:cells])) == pytest.approx(
             float(np.dot(f.values[:cells], vol[:cells])), rel=1e-13
@@ -604,7 +636,7 @@ def test_whole_grid_window_is_the_full_grid_step_bitwise(dimension, mode):
     masses = f.values * g.cell_volumes
     assert drift.mass_window(masses, float(np.sum(masses))) == g.n
     velocity = drift.build_interaction_matrix(g, kernels.neg_abs_kernel()).apply(masses)
-    faces = solver.face_velocities(velocity, g.n)
+    faces = solver.face_velocities(velocity, g.n, g.n)
     cfg = solver.SolverConfig(epsilon=0.05, t_end=1.0, diffusion_mode=mode)
     eps, explicit = cfg.epsilon, mode == "explicit"
     dt = 0.5 * solver.positivity_bound(g, eps, faces, cfg.cfl_number, mode)
@@ -617,9 +649,10 @@ def test_whole_grid_window_is_the_full_grid_step_bitwise(dimension, mode):
             c * g.face_sums + g.cell_volumes, -c * g.face_areas[1:-1], g.cell_volumes * expected
         )
         outflux += eps * dt * g.face_areas[-1] * expected[-1] / g.dr
-    new, got_outflux, _ = solver.advance(f, faces, cfg, dt)
+    new, got_outflux, _, resolved = solver.advance(f, faces, cfg, dt)
     assert new.values.tobytes() == expected.tobytes()
     assert got_outflux == outflux > 0.0
+    assert not resolved
 
 
 def test_implicit_support_outgrowing_the_pad_matches_the_full_grid_run(monkeypatch):
@@ -634,16 +667,19 @@ def test_implicit_support_outgrowing_the_pad_matches_the_full_grid_run(monkeypat
     advance = solver.advance
 
     def recorded_advance(field, faces, config, dt):
-        new, outflux, clipped = advance(field, faces, config, dt)
+        new, outflux, clipped, resolved = advance(field, faces, config, dt)
         masses = new.values * g.cell_volumes
-        steps.append((faces.shape[0] - 1, drift.mass_window(masses, float(np.sum(masses)))))
-        return new, outflux, clipped
+        steps.append((faces.shape[0] - 1, drift.mass_window(masses, float(np.sum(masses))), resolved))
+        return new, outflux, clipped, resolved
 
     monkeypatch.setattr(solver, "advance", recorded_advance)
     windowed = solver.run(_gaussian_field(g, width=0.1), kernels.zero_kernel(), cfg, scale=1.0)
-    assert any(window < g.n and grown > window for window, grown in steps)
+    assert any(window < g.n and grown > window for window, grown, _ in steps)
+    # Every step that redid its solve on the whole grid is counted.
+    assert windowed.full_grid_solves == sum(resolved for _, _, resolved in steps) > 0
     monkeypatch.setattr(solver, "_PAD", g.n)  # every window is the whole grid
     full = solver.run(_gaussian_field(g, width=0.1), kernels.zero_kernel(), cfg, scale=1.0)
+    assert full.full_grid_solves == 0
     m0 = full.initial_mass
     assert np.array_equal(windowed.times, full.times)
     gaps = np.abs(windowed.snapshots - full.snapshots) @ g.cell_volumes
@@ -674,3 +710,17 @@ def test_run_with_mass_at_the_rim_records_outflow_and_fails_boundary_loss(monkey
         for v in analysis.bookkeeping_verdicts([traj.mass_error()], [loss], cfg.boundary_loss_tolerance)
     }
     assert verdicts == {"mass_conservation": True, "boundary_loss": False}
+
+
+def test_2d_benchmark_like_row_needs_no_full_grid_solve():
+    # The first row of the benchmark's 2-D sweep (mass 1.5, width 0.25,
+    # eps 0.2, dr = eps / 8 capped at 0.01): the implicit solve never
+    # outgrows the 32-cell pad.
+    bump = grid.GaussianBump(1.5, 0.25)
+    settings = analysis.RunSettings(dr_divisor=8.0, dr_max=0.01)
+    constants = analysis.reference_constants(kernels.neg_abs_kernel(), bump, 2)
+    traj = analysis.run_case(
+        kernels.neg_abs_kernel(), bump, 2, 0.2, constants.scale, constants.horizon, settings
+    )
+    assert traj.diffusion_mode == "implicit" and len(traj.times) > 100
+    assert traj.full_grid_solves == 0
