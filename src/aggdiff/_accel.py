@@ -1,10 +1,10 @@
 """Hot numeric kernels in NumPy, plus LAPACK's symmetric tridiagonal solver.
 
-The finite-volume update runs on every step of every run, and the
-tridiagonal solve (LAPACK ``ptsv``, an LDL^T factorisation of a symmetric
-positive definite matrix) on every implicit step. ``ptsv`` comes from
-SciPy's compiled LAPACK wrappers, ``scipy.linalg._flapack``, loaded on its
-own on the first implicit step; ``scipy.linalg`` is never imported.
+The upwind transport update and the diffusion's tridiagonal solve (LAPACK
+``ptsv``, an LDL^T factorisation of a symmetric positive definite matrix)
+run on every step of every run. ``ptsv`` comes from SciPy's compiled
+LAPACK wrappers, ``scipy.linalg._flapack``, loaded on its own on the first
+step; ``scipy.linalg`` is never imported.
 ``entries_nd`` samples the N >= 2 drift matrix for its compressed operator
 by angular quadrature, from the per-build column geometry of
 ``chord_geometry``; ``entries_neg_abs_2d`` samples the closed form of
@@ -65,7 +65,7 @@ def kprime_array(kind: int, s: np.ndarray, s_nodes: np.ndarray, kp_nodes: np.nda
 
 
 # ---------------------------------------------------------------------------
-# finite-volume update (upwind advection + centred diffusion)
+# finite-volume transport update (first-order upwind)
 # ---------------------------------------------------------------------------
 #
 # Face indexing: face f sits between cells f-1 and f; face 0 is the origin
@@ -77,8 +77,8 @@ def kprime_array(kind: int, s: np.ndarray, s_nodes: np.ndarray, kp_nodes: np.nda
 # Each interior flux leaves one cell and enters its neighbour, so total
 # mass telescopes to roundoff: sum(u_new * vol) = sum(u * vol) - outflux.
 
-def explicit_update(u, faces, right, left, rim_area, dr, eps, dt, include_diffusion):
-    """One upwind (plus, if asked, centred diffusion) step; returns (u_new, outflux).
+def explicit_update(u, faces, right, left, rim_area, dt):
+    """One upwind transport step; returns (u_new, outflux).
 
     ``faces`` holds the face velocities (n + 1 entries, the solver's
     ``face_velocities``): ``faces[1:-1]`` on the interior faces and
@@ -88,17 +88,13 @@ def explicit_update(u, faces, right, left, rim_area, dr, eps, dt, include_diffus
     entries): the grid's ``right_ratios`` and ``left_ratios``.
     ``rim_area`` is a_n. For a window of the first n cells of a larger
     grid, ``rim_area`` is 0.0 and ``faces[-1]`` is 0: the last face is
-    closed, and neither transport nor diffusion crosses it.
+    closed, and no mass crosses it.
     """
     vf = faces[1:-1]
     inner = np.where(vf >= 0.0, u[:-1], u[1:])
     inner *= vf
-    if include_diffusion:
-        inner -= eps * np.diff(u) / dr
     v_out = faces[-1]
     rim = v_out * u[-1] if v_out >= 0.0 else 0.0
-    if include_diffusion and rim_area:
-        rim += eps * u[-1] / dr
     du = np.empty(u.shape[0])
     np.multiply(right[:-1], inner, out=du[:-1])
     du[-1] = right[-1] * rim
@@ -116,8 +112,8 @@ def _ptsv():
     # 0.25-0.3 s and 26 MB (its array-API layer imports numpy.testing,
     # numpy.f2py, unittest and email), the extension on its own about
     # 10 ms and 3 MB. This is the module that scipy.linalg.lapack
-    # re-exports, so the routine is the same, and explicit-diffusion runs
-    # never load it.
+    # re-exports, so the routine is the same. Every run loads it on its
+    # first step.
     scipy_spec = importlib.util.find_spec("scipy")
     linalg = []
     if scipy_spec is not None:

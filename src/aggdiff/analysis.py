@@ -139,18 +139,14 @@ def field_support_radius(field: DensityField) -> float:
 def select_scale(
     u0: DensityField,
     kernel: KernelSpec,
-    objective: str = "level_per_time",
     h1_coefficient: Optional[float] = None,
 ) -> ConcentrationConstants:
     """Scan scales over a log grid and keep the best admissible one.
 
     The SCALE_SCAN_POINTS scales span [1e-2, 1e2] times the support
-    radius of the data. The default objective maximises bound_level /
-    horizon, which keeps the simulated window short; ``objective="level"``
-    maximises the bound level alone.
+    radius of the data. The best scale maximises bound_level / horizon,
+    which keeps the simulated window short.
     """
-    if objective not in ("level_per_time", "level"):
-        raise ValueError("objective must be 'level_per_time' or 'level'")
     support = field_support_radius(u0)
     scales = np.logspace(math.log10(0.01 * support), math.log10(100.0 * support), SCALE_SCAN_POINTS)
     best = None
@@ -162,7 +158,7 @@ def select_scale(
             continue
         if not (c.admissible and c.bound_level > 0.0 and c.horizon > 0.0):
             continue
-        score = c.bound_level / c.horizon if objective == "level_per_time" else c.bound_level
+        score = c.bound_level / c.horizon
         if score > best_score:
             best, best_score = c, score
     if best is None:
@@ -384,7 +380,6 @@ class RunSettings:
     """How one run is gridded and stepped; None means "auto" (see
     ``plan_grid`` for dr and r_max, ``SolverConfig`` for dt_max)."""
 
-    diffusion_mode: str = "implicit"
     cfl_number: float = 0.5
     dr_max: float = 5e-3
     dr_divisor: float = 16.0
@@ -406,7 +401,6 @@ class SweepSettings:
     t_star: Optional[float] = None
     safety: float = 1.5
     h1_coefficient: Optional[float] = None
-    scan_objective: str = "level_per_time"
     jobs: int = 1
 
 
@@ -483,7 +477,6 @@ def reference_constants(
     init,
     dimension: int,
     scale=None,
-    scan_objective: str = "level_per_time",
     h1_coefficient=None,
 ) -> ConcentrationConstants:
     """Constants evaluated on a fine reference grid of the initial data."""
@@ -492,7 +485,7 @@ def reference_constants(
     u0 = make_initial_condition(init, grid)
     if scale is not None:
         return compute_constants(u0, kernel, float(scale), h1_coefficient)
-    return select_scale(u0, kernel, scan_objective, h1_coefficient=h1_coefficient)
+    return select_scale(u0, kernel, h1_coefficient)
 
 
 def run_case(
@@ -515,7 +508,6 @@ def run_case(
         epsilon=epsilon,
         t_end=t_end,
         cfl_number=settings.cfl_number,
-        diffusion_mode=settings.diffusion_mode,
         record_interval=t_end / settings.record_samples if t_end > 0.0 else None,
         boundary_loss_tolerance=settings.boundary_loss_tolerance,
         dt_max=settings.dt_max,
@@ -584,8 +576,7 @@ def epsilon_sweep(kernel: KernelSpec, init, settings: SweepSettings) -> SweepRep
     if epsilons[0] / epsilons[-1] < 10.0 * (1.0 - 1e-12):
         raise ValueError("diffusivities must span at least one decade")
     constants = reference_constants(
-        kernel, init, settings.dimension, settings.scale,
-        settings.scan_objective, settings.h1_coefficient,
+        kernel, init, settings.dimension, settings.scale, settings.h1_coefficient,
     )
     if not constants.admissible:
         raise ValueError("initial data is not admissible at the selected scale")

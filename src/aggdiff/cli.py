@@ -57,7 +57,6 @@ DEFAULTS = {
     "grid": {"dr": "auto", "dr_max": 0.005, "dr_divisor": 16.0, "r_max": "auto"},
     "solver": {
         "cfl": 0.5,
-        "diffusion_mode": "implicit",
         "record_samples": 200,
         "boundary_loss_tolerance": 1.0e-6,
         "dt_max": "auto",
@@ -69,7 +68,6 @@ DEFAULTS = {
         "t_star": "auto",
         "h1_coefficient": None,
         "safety_factor": 1.5,
-        "scan_objective": "level_per_time",
     },
     "sweep": {"jobs": 1},
 }
@@ -183,8 +181,6 @@ def parse_config(path) -> dict:
         raise ConfigError("grid.dr_divisor must be >= 8 (dr <= epsilon/8)")
     g["r_max"] = _auto_or_positive(g["r_max"], "grid.r_max")
     s = cfg["solver"]
-    if s["diffusion_mode"] not in ("explicit", "implicit"):
-        raise ConfigError("solver.diffusion_mode must be explicit or implicit")
     s["cfl"] = _as_positive(s["cfl"], "solver.cfl")
     if s["cfl"] > 1.0:
         raise ConfigError("solver.cfl must lie in (0, 1]")
@@ -200,8 +196,6 @@ def parse_config(path) -> dict:
     a["safety_factor"] = _as_positive(a["safety_factor"], "analysis.safety_factor")
     a["ball_factor"] = _as_positive(a["ball_factor"], "analysis.ball_factor")
     a["t_star"] = _auto_or_positive(a["t_star"], "analysis.t_star")
-    if a["scan_objective"] not in ("level_per_time", "level"):
-        raise ConfigError("analysis.scan_objective must be level_per_time or level")
     if a["h1_coefficient"] is not None:
         a["h1_coefficient"] = _as_positive(a["h1_coefficient"], "analysis.h1_coefficient")
         if cfg["dimension"] != 1:
@@ -219,7 +213,6 @@ def run_settings(cfg) -> analysis.RunSettings:
     """The per-run ``grid`` and ``solver`` keys of a parsed config."""
     g, s = cfg["grid"], cfg["solver"]
     return analysis.RunSettings(
-        diffusion_mode=s["diffusion_mode"],
         cfl_number=s["cfl"],
         dr_max=g["dr_max"],
         dr_divisor=g["dr_divisor"],
@@ -323,7 +316,6 @@ def emit_run(traj, constants, cfg, outdir: Path, extras=None) -> None:
         "epsilon": traj.epsilon,
         "scale": traj.scale,
         "kernel": traj.kernel_name,
-        "diffusion_mode": traj.diffusion_mode,
         "grid": {"dr": traj.grid_dr, "n": traj.grid_n},
         "initial_mass": traj.initial_mass,
         "clipped_cells": traj.clipped_cells,
@@ -373,7 +365,6 @@ def load_run(outdir: Path):
         epsilon=float(meta["epsilon"]),
         scale=float(meta["scale"]),
         kernel_name=meta["kernel"],
-        diffusion_mode=meta["diffusion_mode"],
         grid_dr=float(meta["grid"]["dr"]),
         grid_n=int(meta["grid"]["n"]),
         times=cols["t"],
@@ -478,7 +469,6 @@ def _resolve_scale_and_constants(cfg, kernel, init):
         init,
         cfg["dimension"],
         _auto(cfg["scale"]),
-        cfg["analysis"]["scan_objective"],
         cfg["analysis"]["h1_coefficient"],
     )
     return constants, constants.scale
@@ -587,7 +577,6 @@ def cmd_sweep(args) -> int:
         t_star=_auto(cfg["analysis"]["t_star"]),
         safety=cfg["analysis"]["safety_factor"],
         h1_coefficient=cfg["analysis"]["h1_coefficient"],
-        scan_objective=cfg["analysis"]["scan_objective"],
         jobs=_sweep_jobs(cfg, args),
     )
     report = analysis.epsilon_sweep(kernel, init, settings)

@@ -7,9 +7,10 @@ mass that leaves through the rim is added to the recorded outflow, so
 
     mass(t) + cumulative_outflow(t) == mass(0)
 
-holds to roundoff at every step in both diffusion modes. Diffusion is
-either explicit (stable under the parabolic CFL) or backward-Euler
-implicit. The implicit system is solved in its volume-weighted form, row i
+holds to roundoff at every step. Each step is an explicit upwind
+transport update followed by one backward-Euler diffusion solve, which is
+first order in time: a heat run needs a stated dt_max to match its exact
+profile. The implicit system is solved in its volume-weighted form, row i
 
     (vol_i + c (a_i + a_{i+1})) u_i - c a_{i+1} u_{i+1} - c a_i u_{i-1} = vol_i u*_i
 
@@ -30,7 +31,7 @@ positivity bound, the upwind update and the implicit solve cover the
 cells below W only. When W < n, face W is closed: no transport or
 diffusion flux crosses it, the cells beyond keep their values and the
 step has no outflow, so mass still telescopes exactly. When W = n the
-step is the full-grid step with the rim outflow face. An implicit solve
+step is the full-grid step with the rim outflow face. The diffusion solve
 can carry mass past the pad in one step; when the last window cell ends
 the step with mass above eps / n times the window's mass, that step's
 diffusion is solved again on the whole grid, and the run counts it.
@@ -59,9 +60,9 @@ from .kernels import KernelFamily, KernelSpec
 _EPS = float(np.finfo(np.float64).eps)
 # Exponents of the recorded L^p norm series.
 LP_VALUES = (1.0, 2.0, math.inf)
-# Cells a step keeps beyond the mass window J. Explicit transport and
-# diffusion move mass one cell per step, so one cell lets the window grow.
-# An implicit solve spreads further, and a pad too short for it costs a
+# Cells a step keeps beyond the mass window J. Upwind transport moves mass
+# one cell per step, so one cell lets the window grow. The implicit
+# diffusion solve spreads further, and a pad too short for it costs a
 # second, full-grid solve: on the benchmark's seed-0 sweeps (6800 steps
 # each) pads of 1 and 4 cells needed about 1400 and 8 of them, a pad of 8
 # none. 32 keeps a factor of 4 over that for about 1.5% of n more cells
@@ -104,7 +105,6 @@ class SolverConfig:
     epsilon: float
     t_end: float
     cfl_number: float = 0.5
-    diffusion_mode: str = "implicit"
     record_interval: Optional[float] = None
     boundary_loss_tolerance: float = 1e-6
     dt_max: Optional[float] = None
@@ -117,8 +117,6 @@ class SolverConfig:
             raise ValueError("t_end must be nonnegative")
         if not (0.0 < self.cfl_number <= 1.0):
             raise ValueError("cfl_number must lie in (0, 1]")
-        if self.diffusion_mode not in ("explicit", "implicit"):
-            raise ValueError("diffusion_mode must be 'explicit' or 'implicit'")
 
 
 @dataclass
@@ -138,7 +136,6 @@ class TrajectoryRecord:
     epsilon: float
     scale: float
     kernel_name: str
-    diffusion_mode: str
     grid_dr: float
     grid_n: int
     times: np.ndarray
@@ -200,33 +197,26 @@ def _window(grid, faces) -> int:
     )
 
 
-def stated_cfl_bound(grid, epsilon, vmax, cfl_number, diffusion_mode) -> float:
-    """The advertised step bounds for the largest cell speed ``vmax`` =
-    max |V| over every cell, as the drift's ``velocity`` returns it:
-    advective cfl*dr/vmax and, in explicit mode, the parabolic
-    cfl*dr^2/(2 N eps)."""
-    bound = math.inf
-    if vmax > 0.0:
-        bound = cfl_number * grid.dr / vmax
-    if diffusion_mode == "explicit":
-        bound = min(bound, cfl_number * grid.dr ** 2 / (2.0 * grid.dimension * epsilon))
-    return bound
+def stated_cfl_bound(grid, vmax, cfl_number) -> float:
+    """The advertised advective step bound cfl*dr/vmax for the largest
+    cell speed ``vmax`` = max |V| over every cell, as the drift's
+    ``velocity`` returns it; infinite when nothing moves."""
+    return cfl_number * grid.dr / vmax if vmax > 0.0 else math.inf
 
 
-def positivity_bound(grid, epsilon, faces, cfl_number, diffusion_mode) -> float:
+def positivity_bound(grid, faces, cfl_number) -> float:
     """Exact convex-combination bound cfl / (largest outflow rate per unit volume).
 
     ``faces`` are the face velocities of ``face_velocities`` on a window of
     W cells (W + 1 entries); only those cells are bounded. Cell i loses
     a_{i+1} max(F_{i+1}, 0) / vol_i through its right face (the rim for the
     last cell of the grid, nothing through a closed face) and
-    a_i max(-F_i, 0) / vol_i through its left face, plus, in explicit mode,
-    eps (a_i + a_{i+1}) / (dr vol_i) by diffusion (``grid.face_sums``: no
-    origin face, and no closed face): the coefficient of u_i that the
-    update subtracts per unit dt. Steps of at most cfl / max rate keep the
-    update a convex combination, so the new state stays nonnegative.
-    Sharper than the stated bounds near the origin, where the face-area
-    to volume ratios peak. Infinite when no cell has outflow.
+    a_i max(-F_i, 0) / vol_i through its left face: the coefficient of u_i
+    that the upwind update subtracts per unit dt. Steps of at most
+    cfl / max rate keep the update a convex combination, so the
+    transported state stays nonnegative (the backward-Euler solve keeps
+    it so). Sharper than the stated bound near the origin, where the
+    face-area to volume ratios peak. Infinite when no cell has outflow.
     """
     cells = _window(grid, faces)
     rate = np.maximum(faces[1:], 0.0)
@@ -236,12 +226,6 @@ def positivity_bound(grid, epsilon, faces, cfl_number, diffusion_mode) -> float:
     left = np.minimum(faces[1:-1], 0.0)
     left *= grid.left_ratios[: cells - 1]
     rate[1:] -= left
-    if diffusion_mode == "explicit":
-        diffusion = (epsilon / grid.dr) * grid.face_sums[:cells]
-        if cells < grid.n:
-            diffusion[-1] = (epsilon / grid.dr) * grid.face_areas[cells - 1]
-        diffusion /= grid.cell_volumes[:cells]
-        rate += diffusion
     top = float(rate.max())
     return cfl_number / top if top > 0.0 else math.inf
 
@@ -278,36 +262,34 @@ def advance(field: DensityField, faces: np.ndarray, config: SolverConfig, dt: fl
     cells, whether the diffusion was solved again on the whole grid).
 
     ``faces`` are the face velocities of ``face_velocities`` on a window of
-    W cells (W + 1 entries). The update covers those cells; when W < n,
-    face W is closed and the cells beyond keep their values. In implicit
-    mode, a solve that leaves the last window cell with mass above eps / n
-    (eps the machine epsilon) times the window's mass has carried mass
-    past the window: the diffusion is then solved again on the whole grid,
-    from the transported window and the unchanged cells beyond it. Raises
+    W cells (W + 1 entries). The update, upwind transport and then the
+    backward-Euler diffusion solve, covers those cells; when W < n, face W
+    is closed and the cells beyond keep their values. A solve that leaves
+    the last window cell with mass above eps / n (eps the machine epsilon)
+    times the window's mass has carried mass past the window: the
+    diffusion is then solved again on the whole grid, from the transported
+    window and the unchanged cells beyond it. Raises
     NonFiniteError when the new state or the outflow is not finite, and
     NegativityError when a density falls below the clip threshold; the new
     field is built from the checked values without checking them again.
     """
     grid = field.grid
     cells = _window(grid, faces)
-    explicit = config.diffusion_mode == "explicit"
-    u_new, outflux = _accel.explicit_update(
+    u_star, outflux = _accel.explicit_update(
         field.values[:cells], faces, grid.right_ratios[:cells], grid.left_ratios[: cells - 1],
-        grid.face_areas[-1] if cells == grid.n else 0.0, grid.dr, config.epsilon, dt, explicit,
+        grid.face_areas[-1] if cells == grid.n else 0.0, dt,
     )
+    u_new, rim = _implicit_diffusion(u_star, grid, config.epsilon, dt)
     resolved = False
-    if not explicit:
-        u_star = u_new
-        u_new, rim = _implicit_diffusion(u_star, grid, config.epsilon, dt)
-        if cells < grid.n:
-            vol = grid.cell_volumes[:cells]
-            if u_new[-1] * vol[-1] > _EPS * float(np.dot(u_new, vol)) / grid.n:
-                u_star = np.concatenate((u_star, field.values[cells:]))
-                u_new, rim = _implicit_diffusion(u_star, grid, config.epsilon, dt)
-                cells, resolved = grid.n, True
-        outflux += rim
-    # min and max propagate NaN, so they check the final state in both
-    # modes; the negativity floor and the clip scale need them anyway.
+    if cells < grid.n:
+        vol = grid.cell_volumes[:cells]
+        if u_new[-1] * vol[-1] > _EPS * float(np.dot(u_new, vol)) / grid.n:
+            u_star = np.concatenate((u_star, field.values[cells:]))
+            u_new, rim = _implicit_diffusion(u_star, grid, config.epsilon, dt)
+            cells, resolved = grid.n, True
+    outflux += rim
+    # min and max propagate NaN, so they check the final state; the
+    # negativity floor and the clip scale need them anyway.
     floor, top = float(u_new.min()), float(u_new.max())
     if not (math.isfinite(floor) and math.isfinite(top) and math.isfinite(outflux)):
         raise NonFiniteError(field.time + dt)
@@ -327,7 +309,7 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
     """Advance to t_end with adaptive dt, recording diagnostics.
 
     ``scale`` parametrises the truncated-moment and concentration series.
-    The step size honours the advertised CFL bounds, the exact positivity
+    The step size honours the advertised CFL bound, the exact positivity
     bound of the step's window, dt_max, and lands exactly on the record
     grid, so repeated runs are bit-reproducible. Raises NonFiniteError,
     carrying the step number and time, at the first step that produces a
@@ -396,8 +378,8 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
             velocity, vmax = drift.velocity(cell_mass, total, window, cells)
         faces = face_velocities(velocity, cells, grid.n)
         dt = min(
-            stated_cfl_bound(grid, config.epsilon, vmax, config.cfl_number, config.diffusion_mode),
-            positivity_bound(grid, config.epsilon, faces, config.cfl_number, config.diffusion_mode),
+            stated_cfl_bound(grid, vmax, config.cfl_number),
+            positivity_bound(grid, faces, config.cfl_number),
             dt_cap,
             next_record - t,
             config.t_end - t,
@@ -426,7 +408,6 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
         epsilon=config.epsilon,
         scale=scale,
         kernel_name=kernel.name(),
-        diffusion_mode=config.diffusion_mode,
         grid_dr=grid.dr,
         grid_n=grid.n,
         times=np.asarray(times),

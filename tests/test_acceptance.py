@@ -74,27 +74,35 @@ def test_01_mass_conservation_2048_cells(sweep_1d, sweep_2d):
 
 
 def test_02_heat_kernel_oracle():
-    # Zero kernel, N=1, eps=0.1, dr=2.5e-3: the run starting from a
-    # gaussian (the exact spreading profile at offset t0 = w^2/(2 eps))
-    # matches the closed form at t + t0 in L1 within 1e-3, and the L2 norm
-    # matches (4 pi eps t)^(-1/4) 2^(-1/4) M within 0.5%.
+    # Zero kernel, N=1, eps=0.1, dr=2.5e-3, dt <= 0.002: the run starting
+    # from a gaussian (the exact spreading profile at offset
+    # t0 = w^2/(2 eps)) matches the closed form at t + t0 in L1 within
+    # 1e-3, and the L2 norm matches (4 pi eps t)^(-1/4) 2^(-1/4) M within
+    # 0.5%. Backward-Euler diffusion is first order in time: doubling the
+    # step to 0.004 doubles the L1 error, to within a factor in [1.8, 2.2].
     eps, width, t_end, dr = 0.1, 0.2, 1.0, 2.5e-3
     g = analysis.plan_grid(1, eps, t_end, width, analysis.RunSettings(dr=dr))
     u0 = grid.make_initial_condition(grid.GaussianBump(1.0, width), g)
-    config = solver.SolverConfig(
-        epsilon=eps, t_end=t_end, diffusion_mode="explicit",
-        record_interval=t_end / 20, snapshot_radius=math.inf,
-    )
-    traj = solver.run(u0, kernels.zero_kernel(), config, scale=1.0)
     t_eff = t_end + width**2 / (2 * eps)
     exact = np.exp(-g.r_centers**2 / (4 * eps * t_eff)) / math.sqrt(4 * math.pi * eps * t_eff)
-    l1_error = float(np.dot(np.abs(traj.snapshots[-1] - exact), g.cell_volumes))
+
+    def heat_run(dt_max):
+        config = solver.SolverConfig(
+            epsilon=eps, t_end=t_end, dt_max=dt_max,
+            record_interval=t_end / 20, snapshot_radius=math.inf,
+        )
+        traj = solver.run(u0, kernels.zero_kernel(), config, scale=1.0)
+        return traj, float(np.dot(np.abs(traj.snapshots[-1] - exact), g.cell_volumes))
+
+    traj, l1_error = heat_run(0.002)
+    _, l1_coarse = heat_run(0.004)
+    ratio = l1_coarse / l1_error
     l2_expected = (4 * math.pi * eps * t_eff) ** -0.25 * 2.0 ** -0.25
     l2_rel = abs(traj.lp[2.0][-1] - l2_expected) / l2_expected
-    ok = l1_error <= 1e-3 and l2_rel <= 5e-3
+    ok = l1_error <= 1e-3 and l2_rel <= 5e-3 and 1.8 <= ratio <= 2.2
     assert _report(
         2, ok, f"heat profile L1 error {l1_error:.2e} (tol 1e-3), "
-        f"L2 rel error {l2_rel:.2e} (tol 5e-3)",
+        f"L2 rel error {l2_rel:.2e} (tol 5e-3), L1 ratio at 2 dt {ratio:.3f} (1.8-2.2)",
     )
 
 

@@ -101,8 +101,6 @@ def test_select_scale_returns_admissible_feasible_constants():
     u0 = _u0()
     c = analysis.select_scale(u0, NEG_ABS)
     assert c.admissible and c.bound_level > 0 and c.horizon > 0
-    best_level = analysis.select_scale(u0, NEG_ABS, objective="level")
-    assert best_level.bound_level >= c.bound_level - 1e-12
 
 
 def test_heat_kernel_norm_closed_forms():
@@ -190,7 +188,7 @@ def test_ball_integrals_on_synthetic_trajectories():
     snaps = np.tile(u, (21, 1))
     traj = solver.TrajectoryRecord(
         dimension=1, epsilon=0.1, scale=1.0, kernel_name="neg_abs",
-        diffusion_mode="implicit", grid_dr=g.dr, grid_n=g.n,
+        grid_dr=g.dr, grid_n=g.n,
         times=times, mass=np.full(21, 1.0), truncated_moment=np.zeros(21),
         concentration=np.zeros(21), outflow_cumulative=np.zeros(21),
         lp={}, snapshot_times=times, snapshots=snaps,
@@ -210,7 +208,7 @@ def test_ball_integral_refuses_unresolved_ball():
     snaps = np.ones((21, g.n))
     traj = solver.TrajectoryRecord(
         dimension=1, epsilon=0.1, scale=1.0, kernel_name="neg_abs",
-        diffusion_mode="implicit", grid_dr=g.dr, grid_n=g.n,
+        grid_dr=g.dr, grid_n=g.n,
         times=times, mass=np.ones(21), truncated_moment=np.zeros(21),
         concentration=np.zeros(21), outflow_cumulative=np.zeros(21),
         lp={}, snapshot_times=times, snapshots=snaps,
@@ -266,7 +264,7 @@ def _fake_run(eps, sup_h1, m0=1.0):
     n = 5
     return solver.TrajectoryRecord(
         dimension=1, epsilon=eps, scale=1.0, kernel_name="neg_abs",
-        diffusion_mode="implicit", grid_dr=0.01, grid_n=10,
+        grid_dr=0.01, grid_n=10,
         times=np.linspace(0, 1, n), mass=np.full(n, m0),
         truncated_moment=np.zeros(n), concentration=np.zeros(n),
         outflow_cumulative=np.zeros(n),

@@ -29,17 +29,25 @@ def _write(tmp_path, text, name="config.yaml"):
 
 def test_parse_minimal_config_fills_defaults(tmp_path):
     cfg = cli.parse_config(_write(tmp_path, "{kernel: neg_abs, dimension: 1, epsilon: [0.1]}"))
-    assert cfg["solver"]["diffusion_mode"] == "implicit"
+    assert cfg["solver"]["dt_max"] == "auto"
     assert cfg["grid"]["dr"] == "auto"
     assert cfg["analysis"]["ball_factor"] == 0.5
     assert cfg["epsilon"] == [0.1]
 
 
-def test_parse_rejects_unknown_keys(tmp_path):
+def test_parse_rejects_unknown_keys(tmp_path, capsys):
     with pytest.raises(cli.ConfigError, match="unknown config key"):
         cli.parse_config(_write(tmp_path, "{kernel: neg_abs, epsilonn: [0.1]}"))
     with pytest.raises(cli.ConfigError, match="unknown config key"):
         cli.parse_config(_write(tmp_path, "{solver: {cfll: 0.5}}"))
+    # Options that were removed: an old config that still sets one exits 2.
+    for text, key in (
+        ("{solver: {diffusion_mode: explicit}}", "solver.diffusion_mode"),
+        ("{analysis: {scan_objective: level}}", "analysis.scan_objective"),
+    ):
+        config = _write(tmp_path, text)
+        assert cli.main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert f"unknown config key: {key}" in capsys.readouterr().err
 
 
 def test_parse_rejects_unsupported_dimension(tmp_path):
@@ -144,7 +152,7 @@ def test_trajectory_round_trip_exact(tmp_path):
 def test_empty_trajectory_written_as_header_only(tmp_path):
     traj = solver.TrajectoryRecord(
         dimension=2, epsilon=0.1, scale=1.0, kernel_name="zero",
-        diffusion_mode="implicit", grid_dr=0.01, grid_n=5,
+        grid_dr=0.01, grid_n=5,
         times=np.zeros(0), mass=np.zeros(0), truncated_moment=np.zeros(0),
         concentration=np.zeros(0), outflow_cumulative=np.zeros(0),
         lp={1.0: np.zeros(0), 2.0: np.zeros(0), math.inf: np.zeros(0)},
@@ -203,7 +211,7 @@ epsilon: [0.2]
 initial: {type: gaussian, mass: 1.0, width: 0.15}
 t_end: 0.5
 grid: {dr: 0.005, r_max: 4.0}
-solver: {diffusion_mode: explicit, record_samples: 10}
+solver: {dt_max: 0.002, record_samples: 10}
 """
 
 
@@ -214,6 +222,24 @@ def test_baseline_matches_exact_heat_norms(tmp_path):
     payload = json.loads((out / "baseline.json").read_text())
     for key in ("1", "2", "inf"):
         assert payload["norms"][key]["rel_error"] < 0.01
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def test_shipped_configs_parse_and_the_baseline_passes(tmp_path):
+    # The baseline's dt_max keeps first-order backward Euler within the
+    # 1% tolerance of every heat_norm verdict.
+    paths = sorted(CONFIGS.glob("*.yaml"))
+    assert {path.stem for path in paths} >= {"baseline", "calibrate", "simulate", "sweep"}
+    for path in paths:
+        cli.parse_config(path)
+    out = tmp_path / "base"
+    assert cli.main(["baseline", "--config", str(CONFIGS / "baseline.yaml"), "--out", str(out)]) == 0
+    verdicts = (out / "verdicts.txt").read_text().splitlines()
+    assert [line.split()[:2] for line in verdicts] == [
+        ["PASS", "heat_norm_p1"], ["PASS", "heat_norm_p2"], ["PASS", "heat_norm_pinf"],
+    ]
 
 
 def test_baseline_requires_gaussian_and_t_end(tmp_path):
@@ -255,8 +281,7 @@ def test_calibrate_writes_coefficient(tmp_path):
 RUN_KEYS = """
 t_end: 0.3
 grid: {dr: 0.02, r_max: 3.0}
-solver: {cfl: 0.4, diffusion_mode: explicit, record_samples: 10, dt_max: 0.01,
-         boundary_loss_tolerance: 1.0e-5}
+solver: {cfl: 0.4, record_samples: 10, dt_max: 0.01, boundary_loss_tolerance: 1.0e-5}
 """
 
 
@@ -281,7 +306,7 @@ def test_commands_run_with_the_configs_run_keys(tmp_path, monkeypatch, command, 
     for g, cfg in seen:
         assert (g.dr, g.r_max) == (0.02, pytest.approx(3.0))
         assert (cfg.t_end, cfg.record_interval, cfg.dt_max) == (0.3, 0.03, 0.01)
-        assert (cfg.cfl_number, cfg.diffusion_mode, cfg.boundary_loss_tolerance) == (0.4, "explicit", 1e-5)
+        assert (cfg.cfl_number, cfg.boundary_loss_tolerance) == (0.4, 1e-5)
 
 
 def test_calibrate_needs_three_probes(tmp_path):

@@ -15,6 +15,11 @@ def _gaussian_field(g, width=0.25, mass=1.0):
     return grid.make_initial_condition(grid.GaussianBump(mass, width), g)
 
 
+# Case ids keep the names these tests had while the solver also offered an
+# explicit-diffusion scheme; every step now diffuses by backward Euler.
+IMPLICIT_IDS = ["implicit-1", "implicit-2", "implicit-3"]
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         solver.SolverConfig(epsilon=0.0, t_end=1.0)
@@ -22,20 +27,18 @@ def test_config_validation():
         solver.SolverConfig(epsilon=0.1, t_end=-1.0)
     with pytest.raises(ValueError):
         solver.SolverConfig(epsilon=0.1, t_end=1.0, cfl_number=1.5)
-    with pytest.raises(ValueError):
-        solver.SolverConfig(epsilon=0.1, t_end=1.0, diffusion_mode="magic")
 
 
-@pytest.mark.parametrize("mode", ["explicit", "implicit"])
-def test_single_step_mass_telescopes_exactly(mode):
+@pytest.mark.parametrize("epsilon", [0.05], ids=["implicit"])
+def test_single_step_mass_telescopes_exactly(epsilon):
     for dimension in (1, 2, 3):
         g = grid.RadialGrid.make(dimension, 2.0, 0.01)
         rng = np.random.default_rng(7)
         f = grid.DensityField(g, rng.uniform(0.0, 1.0, g.n))
         m = drift.build_interaction_matrix(g, kernels.neg_abs_kernel())
         v = m.apply(f.values * g.cell_volumes)
-        cfg = solver.SolverConfig(epsilon=0.05, t_end=1.0, diffusion_mode=mode)
-        dt = 0.25 * solver.stated_cfl_bound(g, cfg.epsilon, np.max(np.abs(v)), cfg.cfl_number, mode)
+        cfg = solver.SolverConfig(epsilon=epsilon, t_end=1.0)
+        dt = 0.25 * solver.stated_cfl_bound(g, np.max(np.abs(v)), cfg.cfl_number)
         new, outflux, _, _ = solver.advance(f, solver.face_velocities(v, g.n, g.n), cfg, dt)
         assert outflux > 0.0
         before = float(np.dot(f.values, g.cell_volumes))
@@ -43,28 +46,24 @@ def test_single_step_mass_telescopes_exactly(mode):
         assert after + outflux == pytest.approx(before, rel=1e-13)
 
 
-@pytest.mark.parametrize("dimension", [1, 2, 3])
-@pytest.mark.parametrize("diffusion", [False, True])
-def test_explicit_update_matches_flux_difference_formula(dimension, diffusion):
+# The ids name the update without diffusion, as when it also had an
+# explicit-diffusion branch.
+@pytest.mark.parametrize("dimension", [1, 2, 3], ids=["False-1", "False-2", "False-3"])
+def test_explicit_update_matches_flux_difference_formula(dimension):
     # Oracle: face fluxes F_f (zero at the origin), u - dt (a_{f+1} F_{f+1} - a_f F_f) / vol.
     g = grid.RadialGrid.make(dimension, 2.0, 0.01)
     rng = np.random.default_rng(dimension)
     u = rng.uniform(0.0, 1.0, g.n)
     for velocity in (rng.normal(size=g.n), -np.abs(rng.normal(size=g.n))):
-        eps, dt = 0.05, 1e-4
+        dt = 1e-4
         vf = 0.5 * (velocity[:-1] + velocity[1:])
         flux = np.zeros(g.n + 1)
         flux[1:-1] = vf * np.where(vf >= 0.0, u[:-1], u[1:])
         flux[-1] = max(velocity[-1], 0.0) * u[-1]
-        if diffusion:
-            flux[1:-1] -= eps * np.diff(u) / g.dr
-            flux[-1] += eps * u[-1] / g.dr
         flux *= g.face_areas
         expected = u - dt * np.diff(flux) / g.cell_volumes
         faces = solver.face_velocities(velocity, g.n, g.n)
-        got, outflux = _accel.explicit_update(
-            u, faces, g.right_ratios, g.left_ratios, g.face_areas[-1], g.dr, eps, dt, diffusion
-        )
+        got, outflux = _accel.explicit_update(u, faces, g.right_ratios, g.left_ratios, g.face_areas[-1], dt)
         assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
         assert outflux == dt * flux[-1]
 
@@ -114,18 +113,22 @@ def test_implicit_diffusion_on_a_window_matches_closed_dense_solve(dimension):
 
 
 def test_constant_interior_unchanged_without_drift():
+    # All interior fluxes vanish for constant data: mass leaves through the
+    # rim only. The backward-Euler solve spreads that loss inward, shrinking
+    # by a factor of about 40 per cell here, so the inner half of the cells
+    # keeps 1 to roundoff and the deficit grows towards the rim.
     g = grid.RadialGrid.make(2, 1.0, 0.02)
     f = grid.DensityField(g, np.ones(g.n))
-    cfg = solver.SolverConfig(epsilon=0.1, t_end=1.0, diffusion_mode="explicit")
+    cfg = solver.SolverConfig(epsilon=0.1, t_end=1.0)
     v = np.zeros(g.n)
-    dt = 0.5 * solver.stated_cfl_bound(g, cfg.epsilon, 0.0, cfg.cfl_number, "explicit")
-    new, _, _, _ = solver.advance(f, solver.face_velocities(v, g.n, g.n), cfg, dt)
-    # all interior fluxes vanish for constant data; only the rim cell loses
-    assert np.max(np.abs(new.values[:-1] - 1.0)) == 0.0
-    assert new.values[-1] < 1.0
+    new, outflux, _, _ = solver.advance(f, solver.face_velocities(v, g.n, g.n), cfg, 1e-4)
+    deficit = 1.0 - new.values
+    assert np.max(np.abs(deficit[: g.n // 2])) <= 1e-15
+    assert np.all(np.diff(deficit[-8:]) > 0.0) and deficit[-1] > 0.0
+    assert float(np.dot(deficit, g.cell_volumes)) == pytest.approx(outflux, rel=1e-10)
 
 
-def _check_steps_within_stated_cfl_bound(monkeypatch, g, mode, rel):
+def _check_steps_within_stated_cfl_bound(monkeypatch, g, rel, epsilon):
     # Every step run takes honours the advertised bound for the velocity it
     # advances with; the bound is active, not merely far above the steps.
     # The step's |V|max and faces are those of the field's drift velocity,
@@ -135,9 +138,9 @@ def _check_steps_within_stated_cfl_bound(monkeypatch, g, mode, rel):
     advance, stated_cfl_bound = solver.advance, solver.stated_cfl_bound
     op = drift.build_interaction_matrix(g, kernels.neg_abs_kernel())
 
-    def seen_cfl_bound(grid, epsilon, vmax, cfl_number, diffusion_mode):
+    def seen_cfl_bound(grid, vmax, cfl_number):
         speeds.append(vmax)
-        return stated_cfl_bound(grid, epsilon, vmax, cfl_number, diffusion_mode)
+        return stated_cfl_bound(grid, vmax, cfl_number)
 
     def checked_advance(field, faces, config, dt):
         velocity = op.apply(field.values * g.cell_volumes)
@@ -145,40 +148,38 @@ def _check_steps_within_stated_cfl_bound(monkeypatch, g, mode, rel):
         assert abs(speeds[-1] - vmax) <= rel * vmax
         expected = solver.face_velocities(velocity, faces.shape[0] - 1, g.n)
         assert np.max(np.abs(faces - expected)) <= rel * vmax
-        bound = stated_cfl_bound(field.grid, config.epsilon, speeds[-1], config.cfl_number, mode)
+        bound = stated_cfl_bound(field.grid, speeds[-1], config.cfl_number)
         ratios.append(dt / bound)
         return advance(field, faces, config, dt)
 
     monkeypatch.setattr(solver, "stated_cfl_bound", seen_cfl_bound)
     monkeypatch.setattr(solver, "advance", checked_advance)
-    cfg = solver.SolverConfig(epsilon=0.05, t_end=0.2, diffusion_mode=mode, record_interval=0.05)
+    cfg = solver.SolverConfig(epsilon=epsilon, t_end=0.2, record_interval=0.05)
     solver.run(_gaussian_field(g), kernels.neg_abs_kernel(), cfg, scale=1.0)
     assert ratios and max(ratios) <= 1.0 + 1e-12
     assert max(ratios) >= 0.5
 
 
-@pytest.mark.parametrize("mode", ["explicit", "implicit"])
-def test_run_steps_within_stated_cfl_bound(mode, monkeypatch):
-    _check_steps_within_stated_cfl_bound(monkeypatch, grid.RadialGrid.make(1, 2.0, 0.01), mode, 0.0)
+@pytest.mark.parametrize("epsilon", [0.05], ids=["implicit"])
+def test_run_steps_within_stated_cfl_bound(monkeypatch, epsilon):
+    _check_steps_within_stated_cfl_bound(monkeypatch, grid.RadialGrid.make(1, 2.0, 0.01), 0.0, epsilon)
 
 
-@pytest.mark.parametrize("mode", ["explicit", "implicit"])
-def test_2d_run_steps_within_stated_cfl_bound(mode, monkeypatch):
+@pytest.mark.parametrize("epsilon", [0.05], ids=["implicit"])
+def test_2d_run_steps_within_stated_cfl_bound(monkeypatch, epsilon):
     # The 2-D drift computes V on the step's window only and |V|max from
     # the rim row: both agree with the whole-grid product to roundoff.
     g = grid.RadialGrid.make(2, 4.0, 0.02)
     masses = _gaussian_field(g).values * g.cell_volumes
     assert drift.mass_window(masses, float(np.sum(masses))) + solver._PAD < g.n
-    _check_steps_within_stated_cfl_bound(monkeypatch, g, mode, 1e-12)
+    _check_steps_within_stated_cfl_bound(monkeypatch, g, 1e-12, epsilon)
 
 
-@pytest.mark.parametrize("mode", ["explicit", "implicit"])
-def test_run_preserves_positivity_and_mass(mode):
+@pytest.mark.parametrize("epsilon", [0.05], ids=["implicit"])
+def test_run_preserves_positivity_and_mass(epsilon):
     g = grid.RadialGrid.make(1, 2.5, 0.005)
     f = _gaussian_field(g)
-    cfg = solver.SolverConfig(
-        epsilon=0.05, t_end=0.3, diffusion_mode=mode, record_interval=0.03
-    )
+    cfg = solver.SolverConfig(epsilon=epsilon, t_end=0.3, record_interval=0.03)
     traj = solver.run(f, kernels.neg_abs_kernel(), cfg, scale=5.0)
     assert traj.mass_error() <= 1e-6
     assert traj.clipped_cells == 0
@@ -207,12 +208,13 @@ def test_run_snapshot_storage():
 
 def test_heat_profile_quick_check():
     # Zero-kernel run against the exact spreading profile (coarse grid).
+    # Backward Euler is first order in time, so dt is capped: steps of the
+    # record interval (0.05) miss the profile by 1.7e-2 in L1.
     eps, width, t_end = 0.1, 0.2, 0.5
     g = grid.RadialGrid.make(1, 5.0, 0.01)
     f = _gaussian_field(g, width=width)
     cfg = solver.SolverConfig(
-        epsilon=eps, t_end=t_end, diffusion_mode="explicit", record_interval=0.05,
-        snapshot_radius=math.inf,
+        epsilon=eps, t_end=t_end, record_interval=0.05, dt_max=0.005, snapshot_radius=math.inf,
     )
     traj = solver.run(f, kernels.zero_kernel(), cfg, scale=1.0)
     t_eff = t_end + width**2 / (2 * eps)
@@ -267,12 +269,12 @@ def test_run_rejects_nonpositive_scale():
         solver.run(f, kernels.zero_kernel(), cfg, scale=0.0)
 
 
-@pytest.mark.parametrize("mode", ["explicit", "implicit"])
-def test_run_stops_at_first_non_finite_step(mode):
+@pytest.mark.parametrize("epsilon", [0.1], ids=["implicit"])
+def test_run_stops_at_first_non_finite_step(epsilon):
     # Finite but huge densities overflow the upwind flux in the first step.
     g = grid.RadialGrid.make(1, 1.0, 0.01)
     f = grid.DensityField(g, np.full(g.n, 1e200))
-    cfg = solver.SolverConfig(epsilon=0.1, t_end=0.1, diffusion_mode=mode)
+    cfg = solver.SolverConfig(epsilon=epsilon, t_end=0.1)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(solver.NonFiniteError) as info:
             solver.run(f, kernels.neg_abs_kernel(), cfg, scale=1.0)
@@ -301,14 +303,20 @@ def test_run_stops_when_the_cell_mass_sum_overflows(dimension):
 
 def test_run_stops_when_the_volume_weighted_solve_overflows():
     # Transport leaves u = 1e307 finite without drift; vol * u on the
-    # right-hand side of the implicit solve overflows near the rim.
+    # right-hand side of the implicit solve overflows near the rim, where
+    # this N = 3 grid's volumes reach 124. ``run`` cannot get here: it
+    # stops first when the cell-mass sum overflows, and upwind transport
+    # keeps every vol * u* at or below that finite sum. So the step is
+    # taken directly, outside any run.
     g = grid.RadialGrid.make(3, 10.0, 0.1)
     f = grid.DensityField(g, np.full(g.n, 1e307))
-    cfg = solver.SolverConfig(epsilon=0.1, t_end=0.1, diffusion_mode="implicit")
+    cfg = solver.SolverConfig(epsilon=0.1, t_end=0.1)
     with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(f.values * g.cell_volumes).all()
         with pytest.raises(solver.NonFiniteError) as info:
-            solver.run(f, kernels.zero_kernel(), cfg, scale=1.0)
-    assert info.value.step == 1
+            solver.advance(f, np.zeros(g.n + 1), cfg, 1e-3)
+    assert info.value.step is None
+    assert info.value.time == 1e-3
 
 
 @pytest.mark.parametrize("n", [3, 50, 2000])
@@ -339,10 +347,9 @@ def test_thomas_solve_raises_on_zero_pivot():
         _accel.thomas_solve(np.array([1.0, 1.0, 1.0]), np.array([2.0, 0.0]), np.ones(3))
 
 
-def _positivity_bound_oracle(grid, epsilon, faces, cfl_number, diffusion_mode):
+def _positivity_bound_oracle(grid, faces, cfl_number):
     # The rate form by boolean gathers: each cell's outflow rate per unit
     # volume accumulated onto zeros, right face first, then the largest.
-    # On a window of W < n cells face W is closed: no diffusion through it.
     cells = faces.shape[0] - 1
     area, vol = grid.face_areas[: cells + 1], grid.cell_volumes[:cells]
     rate = np.zeros(cells)
@@ -350,17 +357,11 @@ def _positivity_bound_oracle(grid, epsilon, faces, cfl_number, diffusion_mode):
     rate[out_right] += area[1:][out_right] / vol[out_right] * faces[1:][out_right]
     out_left = faces[1:-1] < 0.0
     rate[1:][out_left] += area[1:-1][out_left] / vol[1:][out_left] * -faces[1:-1][out_left]
-    if diffusion_mode == "explicit":
-        sums = area[1:].copy()
-        if cells < grid.n:
-            sums[-1] = 0.0
-        sums[1:] += area[1:-1]
-        rate += (epsilon / grid.dr) * sums / vol
     top = rate.max()
     return cfl_number / top if top > 0.0 else math.inf
 
 
-def _volume_over_outflow_bound(grid, epsilon, velocity, cfl_number, diffusion_mode):
+def _volume_over_outflow_bound(grid, velocity, cfl_number):
     # The bound as cfl * min(vol / out), out summing each cell's outflow
     # coefficients (area times face velocity), by boolean gathers.
     area = grid.face_areas
@@ -370,10 +371,6 @@ def _volume_over_outflow_bound(grid, epsilon, velocity, cfl_number, diffusion_mo
     out[:-1] += area[1:-1] * np.maximum(vf, 0.0)
     out[1:] += area[1:-1] * np.maximum(-vf, 0.0)
     out[-1] += area[-1] * max(float(velocity[-1]), 0.0)
-    if diffusion_mode == "explicit":
-        out[:-1] += epsilon * area[1:-1] / grid.dr
-        out[1:] += epsilon * area[1:-1] / grid.dr
-        out[-1] += epsilon * area[-1] / grid.dr
     positive = out > 0.0
     if not np.any(positive):
         return math.inf
@@ -394,41 +391,36 @@ def _velocity_patterns(g, rng, trials=20):
         yield velocity
 
 
-@pytest.mark.parametrize("dimension", [1, 2, 3])
-@pytest.mark.parametrize("mode", ["explicit", "implicit"])
-def test_positivity_bound_matches_gather_formula_bitwise(dimension, mode):
+@pytest.mark.parametrize("dimension", [1, 2, 3], ids=IMPLICIT_IDS)
+def test_positivity_bound_matches_gather_formula_bitwise(dimension):
     g = grid.RadialGrid.make(dimension, 2.0, 0.01)
     for velocity in _velocity_patterns(g, np.random.default_rng(dimension)):
         faces = solver.face_velocities(velocity, g.n, g.n)
-        got = solver.positivity_bound(g, 0.03, faces, 0.5, mode)
-        assert got == _positivity_bound_oracle(g, 0.03, faces, 0.5, mode)
+        assert solver.positivity_bound(g, faces, 0.5) == _positivity_bound_oracle(g, faces, 0.5)
 
 
-@pytest.mark.parametrize("dimension", [1, 2, 3])
-@pytest.mark.parametrize("mode", ["explicit", "implicit"])
-def test_positivity_bound_on_a_window_matches_gather_formula_bitwise(dimension, mode):
+@pytest.mark.parametrize("dimension", [1, 2, 3], ids=IMPLICIT_IDS)
+def test_positivity_bound_on_a_window_matches_gather_formula_bitwise(dimension):
     g = grid.RadialGrid.make(dimension, 2.0, 0.01)
     for velocity in _velocity_patterns(g, np.random.default_rng(20 + dimension)):
         for cells in (2, 37, g.n - 1):
             faces = solver.face_velocities(velocity, cells, g.n)
-            got = solver.positivity_bound(g, 0.03, faces, 0.5, mode)
-            assert got == _positivity_bound_oracle(g, 0.03, faces, 0.5, mode)
+            assert solver.positivity_bound(g, faces, 0.5) == _positivity_bound_oracle(g, faces, 0.5)
 
 
-@pytest.mark.parametrize("dimension", [1, 2, 3])
-@pytest.mark.parametrize("mode", ["explicit", "implicit"])
-def test_positivity_bound_agrees_with_volume_over_outflow_form(dimension, mode):
+@pytest.mark.parametrize("dimension", [1, 2, 3], ids=IMPLICIT_IDS)
+def test_positivity_bound_agrees_with_volume_over_outflow_form(dimension):
     # cfl / max(out / vol) and cfl * min(vol / out) differ by roundoff only.
     g = grid.RadialGrid.make(dimension, 2.0, 0.01)
     for velocity in _velocity_patterns(g, np.random.default_rng(10 + dimension)):
-        got = solver.positivity_bound(g, 0.03, solver.face_velocities(velocity, g.n, g.n), 0.5, mode)
-        expected = _volume_over_outflow_bound(g, 0.03, velocity, 0.5, mode)
+        got = solver.positivity_bound(g, solver.face_velocities(velocity, g.n, g.n), 0.5)
+        expected = _volume_over_outflow_bound(g, velocity, 0.5)
         assert abs(got - expected) <= 1e-15 * expected
 
 
 def test_positivity_bound_is_infinite_without_outflow():
     g = grid.RadialGrid.make(2, 1.0, 0.01)
-    assert solver.positivity_bound(g, 0.1, np.zeros(g.n + 1), 0.5, "implicit") == math.inf
+    assert solver.positivity_bound(g, np.zeros(g.n + 1), 0.5) == math.inf
 
 
 def test_face_velocities_average_the_cells():
@@ -440,25 +432,21 @@ def test_face_velocities_average_the_cells():
     assert solver.face_velocities(velocity[:3], 3, 4).tolist() == [0.0, -1.0, -0.5, 0.0]
 
 
-@pytest.mark.parametrize("dimension", [1, 2, 3])
-@pytest.mark.parametrize("mode", ["explicit", "implicit"])
-def test_step_at_the_positivity_bound_stays_nonnegative(dimension, mode):
+@pytest.mark.parametrize("dimension", [1, 2, 3], ids=IMPLICIT_IDS)
+def test_step_at_the_positivity_bound_stays_nonnegative(dimension):
     # Cell velocities (-1)^i m_i with m increasing give face velocities of
     # alternating sign, so every other cell loses mass through both faces.
     g = grid.RadialGrid.make(dimension, 2.0, 0.01)
     rng = np.random.default_rng(dimension)
-    explicit = mode == "explicit"
-    cfg = solver.SolverConfig(epsilon=0.03, t_end=1.0, cfl_number=1.0, diffusion_mode=mode)
+    cfg = solver.SolverConfig(epsilon=0.03, t_end=1.0, cfl_number=1.0)
     for scale in (1e-2, 1.0, 1e2):
         sign = np.where(np.arange(g.n) % 2 == 0, 1.0, -1.0)
         velocity = scale * sign * np.cumsum(rng.uniform(0.5, 1.5, g.n))
         faces = solver.face_velocities(velocity, g.n, g.n)
         assert np.all(faces[2:-1:2] > 0.0) and np.all(faces[1:-1:2] < 0.0)
         u = rng.uniform(0.0, 1.0, g.n)
-        dt = solver.positivity_bound(g, cfg.epsilon, faces, cfg.cfl_number, mode)
-        transported, _ = _accel.explicit_update(
-            u, faces, g.right_ratios, g.left_ratios, g.face_areas[-1], g.dr, cfg.epsilon, dt, explicit
-        )
+        dt = solver.positivity_bound(g, faces, cfg.cfl_number)
+        transported, _ = _accel.explicit_update(u, faces, g.right_ratios, g.left_ratios, g.face_areas[-1], dt)
         assert transported.min() >= -1e-14 * u.max()
         solver.advance(grid.DensityField(g, u), faces, cfg, dt)
 
@@ -468,7 +456,7 @@ def test_cell_velocities_are_rejected_where_faces_are_expected():
     velocity = np.linspace(-1.0, 1.0, g.n)
     cfg = solver.SolverConfig(epsilon=0.1, t_end=1.0)
     with pytest.raises(ValueError):
-        solver.positivity_bound(g, cfg.epsilon, velocity, cfg.cfl_number, "implicit")
+        solver.positivity_bound(g, velocity, cfg.cfl_number)
     with pytest.raises(ValueError):
         solver.advance(_gaussian_field(g), velocity, cfg, 1e-4)
 
@@ -482,7 +470,7 @@ from aggdiff import _accel, grid, kernels, solver
 print('scipy.linalg' in sys.modules)
 g = grid.RadialGrid.make(1, 1.0, 0.05)
 u0 = grid.DensityField(g, np.exp(-g.r_centers ** 2 / 0.02))
-cfg = solver.SolverConfig(epsilon=0.1, t_end=0.01, diffusion_mode="implicit")
+cfg = solver.SolverConfig(epsilon=0.1, t_end=0.01)
 solver.run(u0, kernels.neg_abs_kernel(), cfg, scale=1.0)
 print('scipy.linalg' in sys.modules)
 
@@ -498,7 +486,7 @@ print(ours.tobytes() == theirs.tobytes())
 
 def test_import_leaves_scipy_linalg_unloaded():
     # The benchmark's setup_s runs from launch to the first step, and the
-    # implicit step loads LAPACK's ptsv without importing scipy.linalg,
+    # first step loads LAPACK's ptsv without importing scipy.linalg,
     # which costs 0.25-0.3 s and 26 MB. A later import of scipy.linalg
     # still works and solves with the same bits.
     src = Path(solver.__file__).resolve().parents[1]
@@ -589,46 +577,36 @@ def test_run_calls_module_advance_once_per_implicit_solve(monkeypatch):
     assert len(solves) == len(events) // 3
 
 
-@pytest.mark.parametrize("dimension", [1, 2, 3])
-@pytest.mark.parametrize("mode", ["explicit", "implicit"])
-def test_windowed_step_closes_its_last_face(dimension, mode):
-    # The run's window (mass window J plus the pad) on a Gaussian, and in
-    # explicit mode also a window that ends at J on unit densities with a
-    # tail far below the threshold: the cells beyond the window keep their
-    # bits and nothing crosses the closed face. (On the unit densities an
-    # implicit solve spreads past the pad and is redone on the whole grid.)
+@pytest.mark.parametrize("dimension", [1, 2, 3], ids=IMPLICIT_IDS)
+def test_windowed_step_closes_its_last_face(dimension):
+    # The run's window (mass window J plus the pad) on a Gaussian: the
+    # cells beyond the window keep their bits and nothing crosses the
+    # closed face.
     g = grid.RadialGrid.make(dimension, 2.0, 0.01)
     vol = g.cell_volumes
-    rng = np.random.default_rng(dimension)
-    banded = rng.uniform(0.5, 1.5, g.n)
-    banded[60:] *= 1e-40
-    fields = [(_gaussian_field(g, width=0.1), solver._PAD)]
-    if mode == "explicit":
-        fields.append((grid.DensityField(g, banded), 0))
-    cfg = solver.SolverConfig(epsilon=0.05, t_end=1.0, diffusion_mode=mode)
-    for f, pad in fields:
-        masses = f.values * vol
-        cells = drift.mass_window(masses, float(np.sum(masses))) + pad
-        assert cells < g.n
-        velocity = drift.build_interaction_matrix(g, kernels.neg_abs_kernel()).apply(masses)
-        faces = solver.face_velocities(velocity, cells, g.n)
-        assert faces.shape == (cells + 1,) and faces[-1] == 0.0
-        dt = min(
-            solver.stated_cfl_bound(g, cfg.epsilon, np.max(np.abs(velocity)), cfg.cfl_number, mode),
-            solver.positivity_bound(g, cfg.epsilon, faces, cfg.cfl_number, mode),
-        )
-        new, outflux, clipped, resolved = solver.advance(f, faces, cfg, dt)
-        assert outflux == 0.0 and clipped == 0 and not resolved
-        assert new.values[cells:].tobytes() == f.values[cells:].tobytes()
-        assert float(np.dot(new.values[:cells], vol[:cells])) == pytest.approx(
-            float(np.dot(f.values[:cells], vol[:cells])), rel=1e-13
-        )
-        assert float(np.dot(new.values, vol)) == pytest.approx(float(np.dot(f.values, vol)), rel=1e-13)
+    f = _gaussian_field(g, width=0.1)
+    cfg = solver.SolverConfig(epsilon=0.05, t_end=1.0)
+    masses = f.values * vol
+    cells = drift.mass_window(masses, float(np.sum(masses))) + solver._PAD
+    assert cells < g.n
+    velocity = drift.build_interaction_matrix(g, kernels.neg_abs_kernel()).apply(masses)
+    faces = solver.face_velocities(velocity, cells, g.n)
+    assert faces.shape == (cells + 1,) and faces[-1] == 0.0
+    dt = min(
+        solver.stated_cfl_bound(g, np.max(np.abs(velocity)), cfg.cfl_number),
+        solver.positivity_bound(g, faces, cfg.cfl_number),
+    )
+    new, outflux, clipped, resolved = solver.advance(f, faces, cfg, dt)
+    assert outflux == 0.0 and clipped == 0 and not resolved
+    assert new.values[cells:].tobytes() == f.values[cells:].tobytes()
+    assert float(np.dot(new.values[:cells], vol[:cells])) == pytest.approx(
+        float(np.dot(f.values[:cells], vol[:cells])), rel=1e-13
+    )
+    assert float(np.dot(new.values, vol)) == pytest.approx(float(np.dot(f.values, vol)), rel=1e-13)
 
 
-@pytest.mark.parametrize("dimension", [1, 2, 3])
-@pytest.mark.parametrize("mode", ["explicit", "implicit"])
-def test_whole_grid_window_is_the_full_grid_step_bitwise(dimension, mode):
+@pytest.mark.parametrize("dimension", [1, 2, 3], ids=IMPLICIT_IDS)
+def test_whole_grid_window_is_the_full_grid_step_bitwise(dimension):
     # A window of every cell ends at the rim: the step is the upwind update
     # and ptsv solve over the whole grid with the ghost-zero outflow face.
     g = grid.RadialGrid.make(dimension, 1.0, 0.01)
@@ -637,18 +615,17 @@ def test_whole_grid_window_is_the_full_grid_step_bitwise(dimension, mode):
     assert drift.mass_window(masses, float(np.sum(masses))) == g.n
     velocity = drift.build_interaction_matrix(g, kernels.neg_abs_kernel()).apply(masses)
     faces = solver.face_velocities(velocity, g.n, g.n)
-    cfg = solver.SolverConfig(epsilon=0.05, t_end=1.0, diffusion_mode=mode)
-    eps, explicit = cfg.epsilon, mode == "explicit"
-    dt = 0.5 * solver.positivity_bound(g, eps, faces, cfg.cfl_number, mode)
+    cfg = solver.SolverConfig(epsilon=0.05, t_end=1.0)
+    eps = cfg.epsilon
+    dt = 0.5 * solver.positivity_bound(g, faces, cfg.cfl_number)
     expected, outflux = _accel.explicit_update(
-        f.values, faces, g.right_ratios, g.left_ratios, g.face_areas[-1], g.dr, eps, dt, explicit
+        f.values, faces, g.right_ratios, g.left_ratios, g.face_areas[-1], dt
     )
-    if not explicit:
-        c = eps * dt / g.dr
-        expected = _accel.thomas_solve(
-            c * g.face_sums + g.cell_volumes, -c * g.face_areas[1:-1], g.cell_volumes * expected
-        )
-        outflux += eps * dt * g.face_areas[-1] * expected[-1] / g.dr
+    c = eps * dt / g.dr
+    expected = _accel.thomas_solve(
+        c * g.face_sums + g.cell_volumes, -c * g.face_areas[1:-1], g.cell_volumes * expected
+    )
+    outflux += eps * dt * g.face_areas[-1] * expected[-1] / g.dr
     new, got_outflux, _, resolved = solver.advance(f, faces, cfg, dt)
     assert new.values.tobytes() == expected.tobytes()
     assert got_outflux == outflux > 0.0
@@ -722,5 +699,5 @@ def test_2d_benchmark_like_row_needs_no_full_grid_solve():
     traj = analysis.run_case(
         kernels.neg_abs_kernel(), bump, 2, 0.2, constants.scale, constants.horizon, settings
     )
-    assert traj.diffusion_mode == "implicit" and len(traj.times) > 100
+    assert len(traj.times) > 100
     assert traj.full_grid_solves == 0

@@ -11,7 +11,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "aggdiff"
 
 # The dense drift builders are the tests' oracles; the benchmark's layer
 # tracer wraps them by module attribute, so they stay in _accel until that
-# tracer stops patching them (ROADMAP item 2).
+# tracer stops patching them (ROADMAP item 4).
 ALLOWED = {"build_matrix_1d", "build_matrix_nd"}
 
 
@@ -61,10 +61,10 @@ UNREAD_FIELDS = {
     # dataclasses.asdict, which reads every field.
     "analysis.ConcentrationConstants.capped_moment": "written by asdict",
     "analysis.ConcentrationConstants.initial_moment": "written by asdict",
-    # Computed but never written; ROADMAP item 1 moves it into timings.json.
-    "analysis.SweepReport.row_seconds": "ROADMAP item 1",
-    # ROADMAP item 4 builds the grid from its faces.
-    "grid.RadialGrid.r_faces": "ROADMAP item 4",
+    # Computed but never written; ROADMAP item 6 moves it into timings.json.
+    "analysis.SweepReport.row_seconds": "ROADMAP item 6",
+    # ROADMAP item 2 builds the grid from its faces.
+    "grid.RadialGrid.r_faces": "ROADMAP item 2",
 }
 
 
