@@ -11,16 +11,9 @@ by angular quadrature, from the per-build column geometry of
 K = -|x| in two dimensions, and ``agm_steps`` sets its step count.
 ``build_matrix_1d`` and ``build_matrix_nd`` form the full drift matrices,
 which the solver never does: they are the tests' dense oracles.
-Kernel-family codes used by the evaluators:
-
-    0 = gradient -1 everywhere          (K = -|x|)
-    1 = gradient -exp(-s)               (K = exp(-|x|))
-    2 = zero kernel
-    3 = tabulated, piecewise-linear k'(s) on (s_nodes, kp_nodes)
-
-Tabulated evaluation is clamped to the end samples outside the nodes
-(k' is continuous at 0+ for admissible kernels); range checking against
-the last node is the caller's job.
+The kernel enters the evaluators as ``kprime``, a vectorised callable
+s -> k'(s), the kernel's ``KernelSpec.kprime``; no kernel family is named
+here.
 """
 
 from __future__ import annotations
@@ -36,32 +29,10 @@ import numpy as np
 # Reported in the benchmark's machine block (perfbench/machine.py reads it).
 BACKEND = "numpy"
 
-FAMILY_NEG_ABS = 0
-FAMILY_EXPONENTIAL = 1
-FAMILY_ZERO = 2
-FAMILY_TABULATED = 3
-
-_EMPTY = np.empty(0, dtype=np.float64)
 _EPS = float(np.finfo(np.float64).eps)
 _D_FLOOR = 1e-12
 # Largest (quadrature, rows, columns) temporary of one entries_nd chunk.
 _CHUNK = 65536
-
-
-# ---------------------------------------------------------------------------
-# kernel gradient evaluation
-# ---------------------------------------------------------------------------
-
-def kprime_array(kind: int, s: np.ndarray, s_nodes: np.ndarray, kp_nodes: np.ndarray) -> np.ndarray:
-    """Vectorised k'(s) for a kernel-family code."""
-    s = np.asarray(s, dtype=np.float64)
-    if kind == FAMILY_NEG_ABS:
-        return np.full(s.shape, -1.0)
-    if kind == FAMILY_EXPONENTIAL:
-        return -np.exp(-s)
-    if kind == FAMILY_ZERO:
-        return np.zeros(s.shape)
-    return np.interp(s, s_nodes, kp_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -151,15 +122,15 @@ def thomas_solve(diag, off, rhs):
 # interaction matrix builds
 # ---------------------------------------------------------------------------
 
-def build_matrix_1d(r, kind, s_nodes, kp_nodes):
+def build_matrix_1d(r, kprime):
     # Full-line convolution of an even density, folded onto the half line:
     # W_ij = (k'(|r_i-r_j|) sign(r_i-r_j) + k'(r_i+r_j)) / 2, with the
     # principal-value diagonal sign(0) = 0. The solver never forms this
     # matrix (drift applies it matrix-free); it is the tests' reference.
     diff = r[:, None] - r[None, :]
     sgn = np.sign(diff)
-    near = kprime_array(kind, np.abs(diff), s_nodes, kp_nodes)
-    mirror = kprime_array(kind, r[:, None] + r[None, :], s_nodes, kp_nodes)
+    near = kprime(np.abs(diff))
+    mirror = kprime(r[:, None] + r[None, :])
     return 0.5 * (near * sgn + mirror)
 
 
@@ -174,7 +145,7 @@ def chord_geometry(rho, cos_t):
     return c * rho, (1.0 - c * c) * (rho * rho)
 
 
-def entries_nd(r_rows, along, across, kind, s_nodes, kp_nodes, weights):
+def entries_nd(r_rows, along, across, kprime, weights):
     """N >= 2 drift-matrix entries W(r_i, rho_j), shape (len(r_rows), along.shape[1]).
 
     W(r, rho) is the angular average over the sphere of k'(d) (r - rho cos t)/d
@@ -200,7 +171,7 @@ def entries_nd(r_rows, along, across, kind, s_nodes, kp_nodes, weights):
             np.sqrt(d, out=d)
             np.maximum(d, _D_FLOOR, out=d)
             t /= d
-            t *= kprime_array(kind, d, s_nodes, kp_nodes)
+            t *= kprime(d)
             W[a:b, c0:c1] = (weights @ t.reshape(q, -1)).reshape(b - a, c1 - c0)
     return W
 
@@ -278,8 +249,8 @@ def entries_neg_abs_2d(r_rows, rho, steps):
     return W
 
 
-def build_matrix_nd(r, kind, s_nodes, kp_nodes, cos_t, wts, wsum):
+def build_matrix_nd(r, kprime, cos_t, wts, wsum):
     # The full square matrix. The solver never forms it (drift compresses
     # it from single entries); it is the tests' reference.
     along, across = chord_geometry(r, cos_t)
-    return entries_nd(r, along, across, kind, s_nodes, kp_nodes, wts / wsum)
+    return entries_nd(r, along, across, kprime, wts / wsum)

@@ -329,24 +329,24 @@ def h1_barrier(total_mass, u0_h1, coefficient, epsilon) -> float:
 
 
 def calibrate_h1_coefficient(probe_runs: Sequence[TrajectoryRecord], safety: float = 1.5) -> float:
-    """H^1 barrier coefficient from probe runs (one dimension only).
-
-    The max over runs of sup_t |u|_H1 * eps^(3/2) / M^(5/2), times a
-    safety factor; NaN when any run's value is not finite. At least three
-    distinct diffusivities are required.
+    """H^1 barrier coefficient from probe runs (one dimension only): the
+    ``_h1_coefficient`` of each run's sup_t |u|_H1, diffusivity and initial
+    mass. At least three distinct diffusivities are required.
     """
     runs = list(probe_runs)
     if len(runs) < 3:
         raise ValueError("need at least 3 probe runs to calibrate the H^1 coefficient")
     if any(traj.h1 is None for traj in runs):
         raise ValueError("probe runs must carry the H^1 series (dimension 1)")
-    ratios = [_h1_ratio(float(np.max(traj.h1)), traj.epsilon, traj.initial_mass) for traj in runs]
-    return safety * _worst(ratios, np.max)
+    samples = [(float(np.max(traj.h1)), traj.epsilon, traj.initial_mass) for traj in runs]
+    return _h1_coefficient(samples, safety)
 
 
-def _h1_ratio(sup_h1, epsilon, total_mass) -> float:
-    """The H^1 coefficient one run needs: sup_t |u|_H1 * eps^(3/2) / M^(5/2)."""
-    return sup_h1 * epsilon ** 1.5 / total_mass ** 2.5
+def _h1_coefficient(samples, safety) -> float:
+    """``safety`` times the max over (sup_h1, eps, M) samples of the H^1
+    coefficient each needs, sup_t |u|_H1 * eps^(3/2) / M^(5/2); NaN when
+    any sample's value is not finite."""
+    return safety * _worst([sup_h1 * eps ** 1.5 / m ** 2.5 for sup_h1, eps, m in samples], np.max)
 
 
 class FitResult(NamedTuple):
@@ -509,7 +509,6 @@ def run_case(
         t_end=t_end,
         cfl_number=settings.cfl_number,
         record_interval=t_end / settings.record_samples if t_end > 0.0 else None,
-        boundary_loss_tolerance=settings.boundary_loss_tolerance,
         dt_max=settings.dt_max,
         snapshot_radius=snapshot_radius,
     )
@@ -526,6 +525,7 @@ def _sweep_case(payload):
     )
     violations = check_moment_inequality(traj, constants, settings.slack)
     bound = weighted_concentration_integral(traj, constants)
+    loss = traj.boundary_loss()
     conc_mass = ball_mass_integral(traj, settings.ball_factor, t_star)
     conc_p2 = ball_lp_integral(traj, settings.ball_factor, 2.0, t_star)
     row = SweepRow(
@@ -537,8 +537,8 @@ def _sweep_case(payload):
         sup_h1=float(np.max(traj.h1)) if traj.h1 is not None else None,
         u0_h1=float(traj.h1[0]) if traj.h1 is not None else None,
         mass_error=traj.mass_error(),
-        boundary_loss=float(traj.outflow_cumulative[-1] / traj.initial_mass),
-        domain_adequate=traj.domain_adequate,
+        boundary_loss=loss,
+        domain_adequate=loss <= settings.run.boundary_loss_tolerance,
         moment_violations=len(violations),
         weighted_integral=bound.integral,
         weighted_threshold=bound.threshold,
@@ -620,8 +620,9 @@ def epsilon_sweep(kernel: KernelSpec, init, settings: SweepSettings) -> SweepRep
         if settings.h1_coefficient is not None:
             calibrated["h1"] = settings.h1_coefficient
         else:
-            ratios = [_h1_ratio(row.sup_h1, row.epsilon, constants.total_mass) for row in calibration_rows]
-            calibrated["h1"] = settings.safety * _worst(ratios, np.max)
+            calibrated["h1"] = _h1_coefficient(
+                [(row.sup_h1, row.epsilon, constants.total_mass) for row in calibration_rows], settings.safety
+            )
 
     verdicts = _sweep_verdicts(rows, fits, quality, calibrated, constants, settings)
     epsilon_star = None

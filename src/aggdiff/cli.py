@@ -311,6 +311,7 @@ def write_field_csv(r, u, path) -> None:
 def emit_run(traj, constants, cfg, outdir: Path, extras=None) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(traj, outdir / "trajectory.csv")
+    loss_tol = cfg["solver"]["boundary_loss_tolerance"]
     meta = {
         "dimension": traj.dimension,
         "epsilon": traj.epsilon,
@@ -320,8 +321,8 @@ def emit_run(traj, constants, cfg, outdir: Path, extras=None) -> None:
         "initial_mass": traj.initial_mass,
         "clipped_cells": traj.clipped_cells,
         "full_grid_solves": traj.full_grid_solves,
-        "domain_adequate": traj.domain_adequate,
-        "boundary_loss_tolerance": cfg["solver"]["boundary_loss_tolerance"],
+        "domain_adequate": traj.boundary_loss() <= loss_tol,
+        "boundary_loss_tolerance": loss_tol,
         "slack": cfg["analysis"]["slack"],
         "ball_factor": cfg["analysis"]["ball_factor"],
         "constants": asdict(constants) if constants is not None else None,
@@ -378,7 +379,6 @@ def load_run(outdir: Path):
         snapshots=snapshots,
         clipped_cells=int(meta["clipped_cells"]),
         full_grid_solves=int(meta["full_grid_solves"]),
-        domain_adequate=bool(meta["domain_adequate"]),
     )
     constants = None
     if meta.get("constants") is not None:
@@ -428,8 +428,7 @@ def start_output(args, cfg) -> Path:
 # ---------------------------------------------------------------------------
 
 def run_verdicts(traj, constants, slack, loss_tol) -> list:
-    loss = float(traj.outflow_cumulative[-1] / traj.initial_mass)
-    verdicts = analysis.bookkeeping_verdicts([traj.mass_error()], [loss], loss_tol)
+    verdicts = analysis.bookkeeping_verdicts([traj.mass_error()], [traj.boundary_loss()], loss_tol)
     if constants is not None and constants.attraction > 0.0:
         violations = analysis.check_moment_inequality(traj, constants, slack)
         verdicts.append(
@@ -613,6 +612,8 @@ def cmd_baseline(args) -> int:
         raise ConfigError("baseline requires gaussian initial data (closed-form reference)")
     if cfg["t_end"] == "auto":
         raise ConfigError("baseline requires a numeric t_end")
+    if cfg["solver"]["dt_max"] == "auto":
+        raise ConfigError("baseline requires a numeric solver.dt_max: backward Euler is first order in time")
     if len(cfg["epsilon"]) != 1:
         raise ConfigError("baseline expects exactly one epsilon")
     epsilon = cfg["epsilon"][0]

@@ -275,8 +275,8 @@ def _spectral_drift(grid: RadialGrid, kernel: KernelSpec) -> SpectralDrift:
     size = 1 << (2 * n - 2).bit_length()  # power of two >= 2n - 1
     offsets = np.arange(-(n - 1), n, dtype=np.float64)
     sums = np.arange(1, 2 * n, dtype=np.float64)
-    near = _accel.kprime_array(kernel.code, np.abs(offsets) * dr, kernel.s_nodes, kernel.kprime_nodes)
-    mirror = _accel.kprime_array(kernel.code, sums * dr, kernel.s_nodes, kernel.kprime_nodes)
+    near = kernel.kprime(np.abs(offsets) * dr)
+    mirror = kernel.kprime(sums * dr)
     return SpectralDrift(
         grid, kernel.kprime_sup_norm, 0,
         np.fft.rfft(near * np.sign(offsets), size), np.fft.rfft(mirror, size), size,
@@ -322,9 +322,7 @@ def _entry_sampler(grid: RadialGrid, kernel: KernelSpec, order: int):
     weights = wts / wsum
 
     def entries(rows, cols):
-        return _accel.entries_nd(
-            r[rows], along[:, cols], across[:, cols], kernel.code, kernel.s_nodes, kernel.kprime_nodes, weights
-        )
+        return _accel.entries_nd(r[rows], along[:, cols], across[:, cols], kernel.kprime, weights)
 
     return entries
 

@@ -9,7 +9,8 @@ tabulated kernel with a non-finite sample is refused when it is read, and
 Built-in families: k(s) = -s (constant unit attraction), k(s) = exp(-s),
 the zero kernel (pure diffusion baseline; it has no attraction floor),
 and tabulated kernels given by sampled k' values with linear
-interpolation in between.
+interpolation in between. ``KernelSpec.kprime`` evaluates k' for every
+family; the drift builders and evaluators take it from there.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _accel
-
 
 class KernelFamily(enum.Enum):
     NEG_ABS = "neg_abs"
@@ -30,13 +29,6 @@ class KernelFamily(enum.Enum):
     ZERO = "zero"
     TABULATED = "tabulated"
 
-
-_FAMILY_CODE = {
-    KernelFamily.NEG_ABS: _accel.FAMILY_NEG_ABS,
-    KernelFamily.EXPONENTIAL: _accel.FAMILY_EXPONENTIAL,
-    KernelFamily.ZERO: _accel.FAMILY_ZERO,
-    KernelFamily.TABULATED: _accel.FAMILY_TABULATED,
-}
 
 # Two successive refinements of the tabulated sup probe that agree to
 # this relative tolerance end the refinement.
@@ -47,10 +39,12 @@ _SUP_REL_TOL = 1e-6
 class KernelSpec:
     """Immutable description of an interaction kernel.
 
+    ``kprime`` evaluates k'(s). ``s_nodes`` and ``kprime_nodes`` hold the
+    samples of a tabulated kernel and are None for the analytic families.
     ``kprime_sup_norm`` is the exact sup of |k'| for every family. For a
-    tabulated kernel it is the largest |k'| sample: ``_accel.kprime_array``
-    interpolates linearly between samples and clamps to the end samples
-    outside them, so |k'| never exceeds it.
+    tabulated kernel it is the largest |k'| sample: ``kprime`` interpolates
+    linearly between samples and clamps to the end samples outside them,
+    so |k'| never exceeds it.
     """
 
     family: KernelFamily
@@ -59,12 +53,24 @@ class KernelSpec:
     kprime_sup_norm: float = 0.0
 
     @property
-    def code(self) -> int:
-        return _FAMILY_CODE[self.family]
-
-    @property
     def is_tabulated(self) -> bool:
         return self.family is KernelFamily.TABULATED
+
+    def kprime(self, s) -> np.ndarray:
+        """Vectorised k'(s) at the distances ``s``.
+
+        A tabulated kernel is clamped to its end samples outside them (k' is
+        continuous at 0+ for admissible kernels); checking the grid against
+        the last sample is the drift builder's job.
+        """
+        s = np.asarray(s, dtype=np.float64)
+        if self.family is KernelFamily.NEG_ABS:
+            return np.full(s.shape, -1.0)
+        if self.family is KernelFamily.EXPONENTIAL:
+            return -np.exp(-s)
+        if self.family is KernelFamily.ZERO:
+            return np.zeros(s.shape)
+        return np.interp(s, self.s_nodes, self.kprime_nodes)
 
     def name(self) -> str:
         """Stable identifier written to run and sweep outputs; a tabulated kernel
@@ -78,16 +84,16 @@ class KernelSpec:
 
 
 def neg_abs_kernel() -> KernelSpec:
-    return KernelSpec(KernelFamily.NEG_ABS, _accel._EMPTY, _accel._EMPTY, 1.0)
+    return KernelSpec(KernelFamily.NEG_ABS, kprime_sup_norm=1.0)
 
 
 def exponential_kernel() -> KernelSpec:
     # |k'| = exp(-s) < 1 with sup approached at s -> 0.
-    return KernelSpec(KernelFamily.EXPONENTIAL, _accel._EMPTY, _accel._EMPTY, 1.0)
+    return KernelSpec(KernelFamily.EXPONENTIAL, kprime_sup_norm=1.0)
 
 
 def zero_kernel() -> KernelSpec:
-    return KernelSpec(KernelFamily.ZERO, _accel._EMPTY, _accel._EMPTY, 0.0)
+    return KernelSpec(KernelFamily.ZERO)
 
 
 def tabulated_kernel(s_nodes, kprime_nodes) -> KernelSpec:

@@ -55,7 +55,7 @@ from .grid import (
     mass,
     truncated_moment,
 )
-from .kernels import KernelFamily, KernelSpec
+from .kernels import KernelSpec
 
 _EPS = float(np.finfo(np.float64).eps)
 # Exponents of the recorded L^p norm series.
@@ -106,7 +106,6 @@ class SolverConfig:
     t_end: float
     cfl_number: float = 0.5
     record_interval: Optional[float] = None
-    boundary_loss_tolerance: float = 1e-6
     dt_max: Optional[float] = None
     snapshot_radius: Optional[float] = None
 
@@ -149,7 +148,6 @@ class TrajectoryRecord:
     snapshots: Optional[np.ndarray] = None
     clipped_cells: int = 0
     full_grid_solves: int = 0
-    domain_adequate: bool = True
 
     @property
     def initial_mass(self) -> float:
@@ -159,6 +157,10 @@ class TrajectoryRecord:
         """Max relative defect of mass(t) + outflow(t) - mass(0)."""
         defect = np.abs(self.mass + self.outflow_cumulative - self.mass[0])
         return float(np.max(defect) / self.mass[0])
+
+    def boundary_loss(self) -> float:
+        """Mass lost through the outer rim by the end, relative to mass(0)."""
+        return float(self.outflow_cumulative[-1] / self.initial_mass)
 
 
 def face_velocities(velocity: np.ndarray, cells: int, n: int) -> np.ndarray:
@@ -318,16 +320,13 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
     if scale <= 0.0:
         raise ValueError("scale must be positive")
     grid = u0.grid
-    drift = None
-    if kernel.family is not KernelFamily.ZERO:
-        drift = build_interaction_matrix(grid, kernel)
+    drift = build_interaction_matrix(grid, kernel)
     record_dt = config.record_interval
     if record_dt is None:
         record_dt = config.t_end / 200.0 if config.t_end > 0.0 else 1.0
     if record_dt <= 0.0:
         raise ValueError("record_interval must be positive")
     dt_cap = config.dt_max if config.dt_max is not None else record_dt
-    velocity, vmax = np.zeros(grid.n), 0.0  # the zero kernel's drift
 
     times = [0.0]
     masses = [mass(u0)]
@@ -374,8 +373,7 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
             raise NonFiniteError(t, steps + 1)
         window = mass_window(cell_mass, total)
         cells = min(grid.n, window + _PAD)
-        if drift is not None:
-            velocity, vmax = drift.velocity(cell_mass, total, window, cells)
+        velocity, vmax = drift.velocity(cell_mass, total, window, cells)
         faces = face_velocities(velocity, cells, grid.n)
         dt = min(
             stated_cfl_bound(grid, vmax, config.cfl_number),
@@ -402,7 +400,6 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
     if t > times[-1] + tiny:
         sample(current, t)
 
-    loss = outflow_total / masses[0]
     return TrajectoryRecord(
         dimension=grid.dimension,
         epsilon=config.epsilon,
@@ -421,5 +418,4 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
         snapshots=np.asarray(snaps) if snaps is not None else None,
         clipped_cells=clipped_total,
         full_grid_solves=full_grid_solves,
-        domain_adequate=bool(loss <= config.boundary_loss_tolerance),
     )

@@ -242,11 +242,17 @@ def test_shipped_configs_parse_and_the_baseline_passes(tmp_path):
     ]
 
 
-def test_baseline_requires_gaussian_and_t_end(tmp_path):
+def test_baseline_requires_gaussian_and_t_end(tmp_path, capsys):
     bad = _write(tmp_path, "{initial: {type: annulus, r_outer: 1.0}, t_end: 0.5}", "b1.yaml")
     assert cli.main(["baseline", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
     bad2 = _write(tmp_path, "{kernel: zero}", "b2.yaml")
     assert cli.main(["baseline", "--config", str(bad2), "--out", str(tmp_path / "y")]) == 2
+    # Without a step limit backward Euler's time error alone fails the norms.
+    capsys.readouterr()
+    bad3 = _write(tmp_path, BASELINE_CONFIG.replace("dt_max: 0.002, ", ""), "b3.yaml")
+    assert cli.main(["baseline", "--config", str(bad3), "--out", str(tmp_path / "z")]) == 2
+    assert "solver.dt_max" in capsys.readouterr().err
+    assert not (tmp_path / "z").exists()
 
 
 @pytest.mark.parametrize("kernel", ["neg_abs", "exponential"])
@@ -305,8 +311,13 @@ def test_commands_run_with_the_configs_run_keys(tmp_path, monkeypatch, command, 
     assert seen
     for g, cfg in seen:
         assert (g.dr, g.r_max) == (0.02, pytest.approx(3.0))
-        assert (cfg.t_end, cfg.record_interval, cfg.dt_max) == (0.3, 0.03, 0.01)
-        assert (cfg.cfl_number, cfg.boundary_loss_tolerance) == (0.4, 1e-5)
+        assert (cfg.t_end, cfg.record_interval, cfg.dt_max, cfg.cfl_number) == (0.3, 0.03, 0.01, 0.4)
+    if command == "simulate":
+        # The rim-loss tolerance judges the run; it does not act on it.
+        meta = json.loads((tmp_path / "o" / "run.json").read_text())
+        assert meta["boundary_loss_tolerance"] == 1e-5
+        loss = float(cli.read_csv_columns(tmp_path / "o" / "trajectory.csv")["outflow_cumulative"][-1])
+        assert meta["domain_adequate"] == (loss / meta["initial_mass"] <= 1e-5)
 
 
 def test_calibrate_needs_three_probes(tmp_path):
@@ -381,8 +392,9 @@ def test_sweep_runs_with_the_configs_run_keys(tmp_path, monkeypatch):
     assert len(seen) == 4
     for g, cfg in seen:
         assert (g.dr, g.r_max) == (0.01, pytest.approx(3.0))
-        assert (cfg.dt_max, cfg.boundary_loss_tolerance) == (0.01, 1e-5)
+        assert cfg.dt_max == 0.01
     payload = json.loads((out / "sweep.json").read_text())
+    assert all(row["domain_adequate"] == (row["boundary_loss"] <= 1e-5) for row in payload["rows"])
     worst = max(row["boundary_loss"] for row in payload["rows"])
     loss = payload["verdicts"][1]
     assert loss["name"] == "boundary_loss" and loss["margin"] == 1e-5 - worst

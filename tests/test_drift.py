@@ -75,7 +75,7 @@ def test_1d_operator_matches_dense_matrix(n):
     masses = np.random.default_rng(n).uniform(0.0, 1.0, n) * g.cell_volumes
     for kern in _oracle_kernels(g):
         op = drift.build_interaction_matrix(g, kern)
-        dense = _accel.build_matrix_1d(g.r_centers, kern.code, kern.s_nodes, kern.kprime_nodes)
+        dense = _accel.build_matrix_1d(g.r_centers, kern.kprime)
         expected = dense @ masses
         gap = np.max(np.abs(op.apply(masses) - expected)) / np.max(np.abs(expected))
         assert gap <= 1e-13, (kern.name(), gap)
@@ -122,7 +122,7 @@ def _dense_order_rule(g, kern, rel_tol=1e-6):
     order, v_prev = 16, None
     while True:
         cos_t, wts, wsum = drift._angular_nodes(g.dimension, order)
-        dense = _accel.build_matrix_nd(r, kern.code, kern.s_nodes, kern.kprime_nodes, cos_t, wts, wsum)
+        dense = _accel.build_matrix_nd(r, kern.kprime, cos_t, wts, wsum)
         v = dense @ u_ref
         if v_prev is not None and np.max(np.abs(v - v_prev)) <= rel_tol * np.max(np.abs(v)):
             return order, dense
@@ -177,7 +177,7 @@ def _quadrature_rows(g, rows, order):
     r = g.r_centers
     cos_t, wts, wsum = drift._angular_nodes(g.dimension, order)
     along, across = _accel.chord_geometry(r, cos_t)
-    return _accel.entries_nd(r[rows], along, across, _accel.FAMILY_NEG_ABS, _accel._EMPTY, _accel._EMPTY, wts / wsum)
+    return _accel.entries_nd(r[rows], along, across, kernels.neg_abs_kernel().kprime, wts / wsum)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -257,7 +257,7 @@ def test_windowed_apply_matches_dense_and_unwindowed_products(dim, n):
     # and exponential operators have three levels of low-rank blocks.
     g = grid.RadialGrid(dim, 3.0 / n, n)
     r = g.r_centers
-    kerns = [k for k in _oracle_kernels(g) if (k.code == _accel.FAMILY_TABULATED) == (n == 300)]
+    kerns = [k for k in _oracle_kernels(g) if k.is_tabulated == (n == 300)]
     if dim == 3:  # neg_abs has no HODLR operator in three dimensions
         kerns = [k for k in kerns if not _is_neg_abs(k)]
     for kern in kerns:
@@ -271,7 +271,7 @@ def test_windowed_apply_matches_dense_and_unwindowed_products(dim, n):
             dense = _neg_abs_dense(g)
         else:
             cos_t, wts, wsum = drift._angular_nodes(dim, op.quadrature_order)
-            dense = _accel.build_matrix_nd(r, kern.code, kern.s_nodes, kern.kprime_nodes, cos_t, wts, wsum)
+            dense = _accel.build_matrix_nd(r, kern.kprime, cos_t, wts, wsum)
         spread = np.random.default_rng(n).uniform(0.5, 1.5, n) * g.cell_volumes
         point = np.zeros(n)
         point[0] = 1.0
@@ -454,8 +454,7 @@ def jump_identity_residual(kernel, v):
     kp_line = np.where(
         offsets == 0.0,
         0.0,
-        _accel.kprime_array(kernel.code, np.abs(offsets), kernel.s_nodes, kernel.kprime_nodes)
-        * np.sign(offsets),
+        kernel.kprime(np.abs(offsets)) * np.sign(offsets),
     )
     kpp_line = kdoubleprime(kernel, np.abs(offsets))
     conv_kp = np.convolve(vals, kp_line, mode="full")[m - 1 : 2 * m - 1] * dr

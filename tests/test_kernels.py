@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aggdiff import _accel, kernels
+from aggdiff import kernels
 
 
 ALL_FAMILIES = [
@@ -16,7 +16,7 @@ ALL_FAMILIES = [
 
 
 def _kprime(kernel, s):
-    return _accel.kprime_array(kernel.code, np.array([s]), kernel.s_nodes, kernel.kprime_nodes)[0]
+    return kernel.kprime(np.array([s]))[0]
 
 
 def test_kprime_closed_forms():
@@ -98,6 +98,9 @@ def test_tabulated_file_round_trip(tmp_path):
     tab = kernels.load_tabulated_kernel(path)
     assert tab.kprime_sup_norm == pytest.approx(math.exp(-0.01))
     assert _kprime(tab, 1.0) == pytest.approx(-math.exp(-1), abs=1e-3)
+    # Outside the samples k' is clamped to the end samples.
+    assert _kprime(tab, 0.001) == tab.kprime_nodes[0]
+    assert _kprime(tab, 9.0) == tab.kprime_nodes[-1]
 
 
 def test_kernel_names_stable():

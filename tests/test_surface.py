@@ -1,5 +1,6 @@
-"""Every public top-level function and class in ``src/aggdiff`` has a caller
-there, and every field of its dataclasses and NamedTuples has a reader.
+"""Every public top-level function, class and constant in ``src/aggdiff``
+has a caller or reader there, and every field of its dataclasses and
+NamedTuples has a reader.
 
 A name that only the tests reach is test code: it belongs in ``tests/``.
 """
@@ -13,6 +14,9 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "aggdiff"
 # tracer wraps them by module attribute, so they stay in _accel until that
 # tracer stops patching them (ROADMAP item 4).
 ALLOWED = {"build_matrix_1d", "build_matrix_nd"}
+# The benchmark reports the backend in its machine block and reads it from
+# _accel; nothing in src/ does.
+ALLOWED_CONSTANTS = {"_accel.BACKEND"}
 
 
 def _references(module, tree, skip):
@@ -53,6 +57,33 @@ def test_every_public_definition_has_a_caller_in_src():
             ):
                 unreferenced.append(f"{module}.{node.name}")
     assert not unreferenced, f"public names that nothing in src/ uses: {unreferenced}"
+
+
+def _constant_names(node):
+    """The UPPER_CASE public names that a top-level assignment binds."""
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [
+        t.id for t in targets
+        if isinstance(t, ast.Name) and t.id.isupper() and not t.id.startswith("_")
+    ]
+
+
+def test_every_public_constant_has_a_reader_in_src():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+                continue
+            for name in _constant_names(node):
+                if f"{module}.{name}" in ALLOWED_CONSTANTS:
+                    continue
+                if not any(
+                    (module, name) in _references(other, other_tree, node)
+                    for other, other_tree in trees.items()
+                ):
+                    unread.append(f"{module}.{name}")
+    assert not unread, f"public constants that nothing in src/ reads: {unread}"
 
 
 # Fields that no attribute access in src/ reads, each with its reason.
