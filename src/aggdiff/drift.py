@@ -19,6 +19,14 @@ has a closed form in every dimension, and no quadrature is used:
 - N = 2: W = -((r + rho) E(m) + (r - rho) K(m))/(pi r), m = 4 r rho/(r +
   rho)^2, with the complete elliptic integrals computed by a fixed number
   of arithmetic-geometric mean steps (``_accel.entries_neg_abs_2d``).
+  W depends on r/rho only, and on a uniform cell-centred grid r_i/rho_j =
+  (i + 1/2)/(j + 1/2) whatever dr is, so W of an n-cell grid is the
+  leading n x n block of W on the index grid r_i = i + 1/2. The operator
+  is built once per size class, the smallest ``_LEAF * 2**k`` cells that
+  hold the grid, on that index grid, and every grid of the class gets a
+  view of it (``_neg_abs_2d``). The process holds one class at a time;
+  at worst (n one past a class) the view holds about twice the memory of
+  an operator built on the grid's own n cells.
 
 For the other kernels the angular integral uses Gauss-Legendre nodes on
 [0, pi]; no special diagonal split is needed: at r = rho the integrand
@@ -54,7 +62,7 @@ through FFT convolutions with spectra computed once per grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -166,7 +174,9 @@ class HierarchicalDrift(DriftOperator):
     under the half it reads, so each level adds to one contiguous prefix
     of V. ``dense`` holds (row start, row stop, column start, column stop,
     block) for any off-diagonal block that did not compress; its U and Vt
-    slots are zero. Padded rows and columns are zero.
+    slots are zero. Padded rows and columns are zero, except in a view of
+    a 2-D ``neg_abs`` class (``_neg_abs_2d``), whose indices from n on
+    hold the class's W and are never read into V.
 
     The product is windowed to the cells that carry mass. The window J is
     passed in (``mass_window``: one past the last cell whose mass exceeds
@@ -418,8 +428,7 @@ def _hierarchical_drift(grid: RadialGrid, kernel: KernelSpec, order: int) -> Hie
             u_all[p, 1 - s, : u.shape[0], : u.shape[1]] = u
             vt_all[p, s, : vt.shape[0], : vt.shape[1]] = vt
         levels.append((u_all, vt_all))
-    rim = entries(slice(n - 1, n), slice(None))[0] if kernel.family is KernelFamily.NEG_ABS else None
-    return HierarchicalDrift(grid, kernel.kprime_sup_norm, order, leaves, tuple(levels), tuple(dense), rim)
+    return HierarchicalDrift(grid, kernel.kprime_sup_norm, order, leaves, tuple(levels), tuple(dense))
 
 
 def _probe(op: HierarchicalDrift, kernel: KernelSpec) -> None:
@@ -448,15 +457,48 @@ def _probe(op: HierarchicalDrift, kernel: KernelSpec) -> None:
         )
 
 
+# The 2-D neg_abs operator of the last size class built (``_neg_abs_2d``).
+_shared = None
+
+
+def _neg_abs_2d(grid: RadialGrid, kernel: KernelSpec) -> HierarchicalDrift:
+    """The 2-D ``neg_abs`` operator of ``grid``: a view of its size class's build.
+
+    The class is the smallest ``_LEAF * 2**k`` at least ``grid.n``. Its
+    operator is built and probed on the index grid r_i = i + 1/2 of that
+    many cells, whose W has the grid's W as its leading block (W depends
+    on r/rho only), so every build has leaves of exactly ``_LEAF`` cells.
+    The view shares the leaves and levels, and its own ``rim`` is W[n - 1]
+    on the radii i + 1/2, i < n. The products read only columns below the
+    mass window and return rows below ``cells``, both at most n, so the
+    indices from n on are never read into V. One operator is held at a
+    time: a build for another class drops the held one first.
+    """
+    global _shared
+    size = _LEAF
+    while size < grid.n:
+        size *= 2
+    op = _shared
+    if op is None or op.grid.n != size:
+        _shared = op = None  # no reference to the old class outlives this line
+        op = _hierarchical_drift(RadialGrid(2, 1.0, size), kernel, 0)
+        _probe(op, kernel)
+        _shared = op
+    n = grid.n
+    rim = _entry_sampler(RadialGrid(2, 1.0, n), kernel, 0)(slice(n - 1, n), slice(None))[0]
+    return replace(op, grid=grid, rim=rim)
+
+
 def build_interaction_matrix(grid: RadialGrid, kernel: KernelSpec) -> DriftOperator:
     """Build the drift operator for a grid/kernel pair.
 
     No quadrature is used and the reported order is 0 for the zero kernel
     and for ``neg_abs`` in every dimension, and for every kernel in one
     dimension. ``neg_abs`` is exact: prefix sums in one and three
-    dimensions, and in two a HODLR matrix compressed from closed-form
-    entries. Every other kernel in N >= 2 is a HODLR matrix of
-    Gauss-Legendre quadrature whose order doubles from ``_START_ORDER``
+    dimensions, and in two a view of the HODLR matrix compressed from
+    closed-form entries once per size class (``_neg_abs_2d``). Every
+    other kernel in N >= 2 is a HODLR matrix of Gauss-Legendre
+    quadrature whose order doubles from ``_START_ORDER``
     until the velocity it induces on a fixed smooth reference bump changes
     by less than ``_ORDER_REL_TOL`` (sup norm, relative). Raises
     QuadratureError when ``_MAX_ORDER`` is reached without convergence.
@@ -478,7 +520,7 @@ def build_interaction_matrix(grid: RadialGrid, kernel: KernelSpec) -> DriftOpera
             return ConstantGradientDrift(grid, kernel.kprime_sup_norm, 0, -1.0)
         if grid.dimension == 3:
             return ShellDrift(grid, kernel.kprime_sup_norm, 0)
-        op = _hierarchical_drift(grid, kernel, 0)
+        return _neg_abs_2d(grid, kernel)
     elif grid.dimension == 1:
         return _spectral_drift(grid, kernel)
     else:

@@ -99,7 +99,8 @@ class SolverConfig:
 
     ``snapshot_radius`` selects the density snapshots kept at every record
     time: None keeps none, a radius r keeps the prefix of cells whose
-    centres lie below r, and ``math.inf`` keeps every cell.
+    centres lie below r, and ``math.inf`` keeps every cell. A setting out
+    of range, NaN included, raises ValueError naming it on construction.
     """
 
     epsilon: float
@@ -110,12 +111,17 @@ class SolverConfig:
     snapshot_radius: Optional[float] = None
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ValueError("diffusivity must be positive; the solver refuses epsilon = 0")
-        if self.t_end < 0.0:
-            raise ValueError("t_end must be nonnegative")
+        # Each test is written so that NaN fails it.
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError("epsilon (the diffusivity) must be finite and positive")
+        if not 0.0 <= self.t_end < math.inf:
+            raise ValueError("t_end must be finite and nonnegative")
         if not (0.0 < self.cfl_number <= 1.0):
             raise ValueError("cfl_number must lie in (0, 1]")
+        for name in ("record_interval", "dt_max"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive when given")
 
 
 @dataclass
@@ -324,8 +330,6 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
     record_dt = config.record_interval
     if record_dt is None:
         record_dt = config.t_end / 200.0 if config.t_end > 0.0 else 1.0
-    if record_dt <= 0.0:
-        raise ValueError("record_interval must be positive")
     dt_cap = config.dt_max if config.dt_max is not None else record_dt
 
     times = [0.0]

@@ -386,9 +386,13 @@ def test_sweep_verdicts_fail_on_non_finite_last_row_ratios():
     assert not verdicts["barrier_saturation"].passed
 
 
-def test_parallel_sweep_uses_spawned_workers(monkeypatch):
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_parallel_sweep_uses_spawned_workers(monkeypatch, dimension):
     # Forking after OpenMP or BLAS threads start can crash the pool; the
     # workers must be spawned, and the rows must not depend on the jobs.
+    # In two dimensions the rows (n = 919, 650, 735 and 1163) fall in two
+    # size classes of the shared neg_abs operator, which each worker
+    # builds for itself in its own order.
     contexts = []
 
     class Recording(concurrent.futures.ProcessPoolExecutor):
@@ -397,7 +401,7 @@ def test_parallel_sweep_uses_spawned_workers(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
-    settings = analysis.SweepSettings(dimension=1, epsilons=(0.2, 0.1, 0.05, 0.02), run=COARSE)
+    settings = analysis.SweepSettings(dimension=dimension, epsilons=(0.2, 0.1, 0.05, 0.02), run=COARSE)
     init = grid.GaussianBump(1.0, 0.25)
     serial = analysis.epsilon_sweep(NEG_ABS, init, settings)
     parallel = analysis.epsilon_sweep(NEG_ABS, init, replace(settings, jobs=2))

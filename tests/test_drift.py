@@ -115,6 +115,17 @@ def test_nd_operator_holds_no_square_array():
         assert held <= 8 * 400 * g.n, (kern.name(), held)
 
 
+def test_2d_neg_abs_view_of_a_barely_filled_class_holds_the_class_bound():
+    # n = 1025 is one cell past the class of 1024, so its view shares the
+    # operator built on 2048 index cells: the worst fill of a class. It
+    # holds at most the per-cell bound above times the class size.
+    g = grid.RadialGrid(2, 0.003, 1025)
+    op = drift.build_interaction_matrix(g, kernels.neg_abs_kernel())
+    assert op.leaves.shape[0] * op.leaves.shape[1] == 2048
+    held = sum(_held_bytes(getattr(op, f.name)) for f in dataclasses.fields(op))
+    assert held <= 8 * 400 * 2048, held
+
+
 def _dense_order_rule(g, kern, rel_tol=1e-6):
     # The order-doubling rule of build_interaction_matrix, on dense matrices.
     r = g.r_centers
@@ -197,6 +208,56 @@ def test_neg_abs_closed_forms_match_high_order_quadrature(dim):
     assert np.max(np.abs(closed - quadrature)) <= 1e-12
     diagonal = -2.0 / np.pi if dim == 2 else -2.0 / 3.0
     assert np.all(closed[np.arange(rows.size), rows] == diagonal)
+
+
+def _one_class_grids():
+    # Three grids of the size class of 1024 cells, with different dr and n.
+    return [grid.RadialGrid(2, dr, n) for n, dr in ((700, 0.004), (1000, 0.0015), (1024, 3.0 / 1024))]
+
+
+def test_2d_neg_abs_grids_of_one_size_class_share_one_operator():
+    # W(r, rho) depends on r/rho only, so every grid of a class is a view
+    # of one operator built on the index grid r_i = i + 1/2. Each view is
+    # exact for its own grid: V within 1e-10 M of the dense closed form
+    # (measured: at most 1.4e-13 M), and the rim row within 4 eps of the
+    # dense row n - 1 (measured: 3.5 eps).
+    kern = kernels.neg_abs_kernel()
+    ops = [drift.build_interaction_matrix(g, kern) for g in _one_class_grids()]
+    for op in ops:
+        g = op.grid
+        assert op.leaves is ops[0].leaves and op.levels is ops[0].levels
+        dense = _neg_abs_dense(g)
+        for seed in range(3):
+            masses = np.random.default_rng(seed).uniform(0.0, 1.0, g.n) * g.cell_volumes
+            gap = np.max(np.abs(op.apply(masses) - dense @ masses))
+            assert gap <= 1e-10 * np.sum(masses), (g.n, gap / np.sum(masses))
+        assert np.max(np.abs(op.rim - dense[-1])) <= 4.0 * np.finfo(float).eps, g.n
+
+
+def test_2d_neg_abs_builds_once_per_size_class(monkeypatch):
+    # One held operator: the grids of a class build it once, a grid of
+    # another class replaces it, and coming back builds it again, to the
+    # same bits whatever was built in between.
+    calls = []
+    build = drift._hierarchical_drift
+
+    def counted(g, kern, order):
+        calls.append(g.n)
+        return build(g, kern, order)
+
+    monkeypatch.setattr(drift, "_hierarchical_drift", counted)
+    monkeypatch.setattr(drift, "_shared", None)
+    kern = kernels.neg_abs_kernel()
+    grids = _one_class_grids()
+    masses = np.random.default_rng(7).uniform(0.0, 1.0, grids[0].n) * grids[0].cell_volumes
+    ops = [drift.build_interaction_matrix(g, kern) for g in grids]
+    assert calls == [1024]
+    before = ops[0].apply(masses)
+    drift.build_interaction_matrix(grid.RadialGrid(2, 0.002, 1500), kern)
+    assert calls == [1024, 2048]
+    after = drift.build_interaction_matrix(grids[0], kern).apply(masses)
+    assert calls == [1024, 2048, 1024]
+    assert after.tobytes() == before.tobytes()
 
 
 def test_agm_step_count_is_converged_at_fine_grids():
@@ -529,16 +590,17 @@ def test_2d_neg_abs_rows_past_the_masses_peak_at_the_rim(window):
 
 
 def test_2d_neg_abs_velocity_on_the_window_matches_apply():
-    # n = 700: leaves of 88 cells and halves of 352, 176 and 88 on three
-    # levels. The masses end inside the first leaf (at 80 the row bound
-    # 112 cuts the second half of level 2 short), in an even (0) and an
-    # odd (1) half of level 0, and next to the rim.
-    n = 700
+    # n = 1000, in the size class of 1024 cells: leaves of 128 cells and
+    # halves of 512, 256 and 128 on three levels. The masses end inside
+    # the first leaf (at 110 the row bound 142 cuts the second half of
+    # level 2 short), in an even (0) and an odd (1) half of level 0, and
+    # next to the rim.
+    n = 1000
     g = grid.RadialGrid(2, 3.0 / n, n)
     op = drift.build_interaction_matrix(g, kernels.neg_abs_kernel())
     count, leaf = op.leaves.shape[:2]
-    assert (count, leaf) == (8, 88) and op.rim.shape == (n,)
-    for window in (50, 80, 300, 400, n - 10):
+    assert (count, leaf) == (8, 128) and op.rim.shape == (n,)
+    for window in (50, 110, 400, 600, n - 10):
         for name, masses in _confined_masses(g, window).items():
             total = float(np.sum(masses))
             assert drift.mass_window(masses, total) == window

@@ -29,6 +29,32 @@ def test_config_validation():
         solver.SolverConfig(epsilon=0.1, t_end=1.0, cfl_number=1.5)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("epsilon", math.nan),
+        ("epsilon", math.inf),
+        ("epsilon", -0.1),
+        ("t_end", math.nan),
+        ("t_end", math.inf),
+        ("record_interval", math.nan),
+        ("record_interval", math.inf),
+        ("record_interval", 0.0),
+        ("dt_max", math.nan),
+        ("dt_max", math.inf),
+        ("dt_max", 0.0),
+        ("dt_max", -1.0),
+    ],
+)
+def test_config_rejects_non_finite_and_nonpositive_settings(field, value):
+    # Each bad setting fails on construction, before any drift build, with
+    # a ValueError that names it; t_end = inf fails with a record interval
+    # too, where it used to run no step at all.
+    settings = {"epsilon": 0.1, "t_end": 1.0, "record_interval": 0.1, field: value}
+    with pytest.raises(ValueError, match=field):
+        solver.SolverConfig(**settings)
+
+
 @pytest.mark.parametrize("epsilon", [0.05], ids=["implicit"])
 def test_single_step_mass_telescopes_exactly(epsilon):
     for dimension in (1, 2, 3):
