@@ -12,6 +12,15 @@ Implements the verification harness around the solver:
 * diffusivity sweeps with log-log exponent fits, empirically calibrated
   upper barriers tested on held-out diffusivities, and a verdict table.
 
+Every verdict of the package is built here, by ``Verdict.bound``: its
+margin is limit - value (value - limit for a lower limit), and it passes
+only when that margin is finite and >= 0, so a NaN or infinite value
+fails (``concentration_positive`` also needs a margin above 0).
+``trajectory_verdicts`` judges one run or many at the worst run:
+``run_verdicts`` applies it to one recorded run, ``epsilon_star`` to each
+sweep row and ``epsilon_sweep`` to all rows, before the sweep's fit,
+barrier and concentration verdicts.
+
 Unnamed constants in the upper bounds are treated empirically: calibrated
 as maxima over probe runs times a safety factor, then frozen and checked
 on runs not used for calibration.
@@ -204,7 +213,6 @@ class WeightedBound(NamedTuple):
     integral: float
     threshold: float
     ratio: float
-    passed: bool
 
 
 def _series_to(times, values, t_stop):
@@ -228,7 +236,7 @@ def weighted_concentration_integral(
     """Damped time integral of the concentration functional vs its bound.
 
     Trapezoid quadrature of D(t) exp(-rate t / scale) over the horizon,
-    compared against scale * level / eps.
+    compared against scale * level / eps; the verdict reads their ratio.
     """
     if not constants.admissible or constants.bound_level <= 0.0:
         raise ValueError("weighted bound requires admissible constants")
@@ -236,8 +244,7 @@ def weighted_concentration_integral(
     integrand = ds * np.exp(-constants.moment_rate * ts / constants.scale)
     integral = float(np.trapezoid(integrand, ts))
     threshold = constants.scale * constants.bound_level / traj.epsilon
-    ratio = integral / threshold
-    return WeightedBound(integral, threshold, ratio, bool(integral >= threshold))
+    return WeightedBound(integral, threshold, integral / threshold)
 
 
 def _ball_integral(traj: TrajectoryRecord, ball_factor: float, t_star: float, content) -> float:
@@ -246,16 +253,16 @@ def _ball_integral(traj: TrajectoryRecord, ball_factor: float, t_star: float, co
     unresolved balls (radius < 2 dr), snapshots narrower than the ball and
     too few snapshots in the window."""
     radius = ball_factor * traj.epsilon
-    if radius < 2.0 * traj.grid_dr:
+    grid = traj.grid
+    if radius < 2.0 * grid.dr:
         raise ValueError(
-            f"ball radius {radius:g} unresolved by dr = {traj.grid_dr:g}; refine the grid"
+            f"ball radius {radius:g} unresolved by dr = {grid.dr:g}; refine the grid"
         )
     if traj.snapshots is None or traj.snapshot_times is None:
         raise ValueError("trajectory was recorded without snapshots")
     window = traj.snapshot_times <= t_star * (1.0 + 1e-9)
     if int(np.count_nonzero(window)) < MIN_BALL_SAMPLES:
         raise ValueError(f"need at least {MIN_BALL_SAMPLES} snapshots inside the window")
-    grid = RadialGrid(traj.dimension, traj.grid_dr, traj.grid_n)
     inside = grid.r_centers < radius
     width = traj.snapshots.shape[1]
     cells = int(np.count_nonzero(inside))
@@ -296,7 +303,7 @@ def heat_kernel_norm(epsilon: float, t: float, p, total_mass: float, dimension: 
     if epsilon <= 0.0 or t <= 0.0:
         raise ValueError("epsilon and t must be positive")
     spread = 4.0 * math.pi * epsilon * t
-    if p == math.inf or p == "inf":
+    if p == math.inf:
         return total_mass * spread ** (-dimension / 2.0)
     p = float(p)
     if p < 1.0:
@@ -310,7 +317,7 @@ def _lp_exponents(p, dimension) -> tuple:
     a = (N(p-1)+p)/p and b = N(p-1)/p, taken in the limit for p = inf
     (a = N+1, b = N).
     """
-    if p == math.inf or p == "inf":
+    if p == math.inf:
         return dimension + 1.0, float(dimension)
     p = float(p)
     return (dimension * (p - 1.0) + p) / p, dimension * (p - 1.0) / p
@@ -432,6 +439,17 @@ class Verdict:
     margin: float
     detail: str
 
+    @classmethod
+    def bound(cls, name, value, limit, detail, lower=False) -> "Verdict":
+        """``value`` against an upper ``limit`` (a lower one with ``lower``).
+
+        The margin is limit - value (value - limit for a lower limit), and
+        the verdict passes only when the margin is finite and >= 0: a NaN
+        or infinite value fails whichever side its limit is on.
+        """
+        margin = float(value - limit if lower else limit - value)
+        return cls(name, math.isfinite(margin) and margin >= 0.0, margin, detail)
+
 
 @dataclass
 class SweepReport:
@@ -530,8 +548,8 @@ def _sweep_case(payload):
     conc_p2 = ball_lp_integral(traj, settings.ball_factor, 2.0, t_star)
     row = SweepRow(
         epsilon=epsilon,
-        dr=traj.grid_dr,
-        n_cells=traj.grid_n,
+        dr=traj.grid.dr,
+        n_cells=traj.grid.n,
         sup_lp={p: float(np.max(v)) for p, v in traj.lp.items()},
         u0_lp={p: float(v[0]) for p, v in traj.lp.items()},
         sup_h1=float(np.max(traj.h1)) if traj.h1 is not None else None,
@@ -625,17 +643,6 @@ def epsilon_sweep(kernel: KernelSpec, init, settings: SweepSettings) -> SweepRep
             )
 
     verdicts = _sweep_verdicts(rows, fits, quality, calibrated, constants, settings)
-    epsilon_star = None
-    for row in rows:
-        ok = (
-            row.moment_violations == 0
-            and row.weighted_ratio >= 1.0
-            and row.mass_error <= 1e-6
-            and row.domain_adequate
-        )
-        if ok:
-            epsilon_star = row.epsilon
-            break
     return SweepReport(
         kernel_name=kernel.name(),
         dimension=dim,
@@ -647,7 +654,7 @@ def epsilon_sweep(kernel: KernelSpec, init, settings: SweepSettings) -> SweepRep
         fit_quality=quality,
         calibrated=calibrated,
         verdicts=verdicts,
-        epsilon_star=epsilon_star,
+        epsilon_star=epsilon_star(rows, settings.run.boundary_loss_tolerance),
         row_seconds=row_seconds,
     )
 
@@ -662,106 +669,117 @@ def calibrate_lp_coefficient_rows(rows, p, dimension, safety) -> float:
 def _worst(values, reduce) -> float:
     """``reduce`` over per-row values, or NaN when any value is not finite.
 
-    Every verdict compares its worst value with a threshold, and each such
-    comparison is False for NaN, so a non-finite row fails the verdict.
+    Every verdict judges its worst value, and ``Verdict.bound`` fails a
+    NaN, so a non-finite row fails the verdict.
     """
     values = np.asarray(values, dtype=np.float64)
     return float(reduce(values)) if np.all(np.isfinite(values)) else math.nan
 
 
-def bookkeeping_verdicts(mass_errors, losses, loss_tol) -> list:
-    """The mass_conservation and boundary_loss verdicts over one or more runs.
+def trajectory_verdicts(mass_errors, losses, loss_tol, violations=(), ratios=()) -> list:
+    """The verdicts on one or more runs, each judged at its worst run.
 
-    The worst per-run mass defect must be <= 1e-6 and the worst relative
-    rim loss <= ``loss_tol``; a non-finite value fails its verdict.
+    ``mass_conservation`` (mass defect <= 1e-6) and ``boundary_loss``
+    (relative rim loss <= ``loss_tol``) always; ``moment_inequality`` (no
+    violation) when per-run violation counts are given, and
+    ``weighted_lower_bound`` (integral/threshold ratio >= 1) when per-run
+    ratios are. A non-finite value fails its verdict.
     """
     worst_mass = _worst(mass_errors, np.max)
     worst_loss = _worst(losses, np.max)
-    return [
-        Verdict("mass_conservation", worst_mass <= 1e-6, 1e-6 - worst_mass, f"max defect {worst_mass:.3e}"),
-        Verdict(
-            "boundary_loss", worst_loss <= loss_tol, loss_tol - worst_loss,
-            f"relative rim loss {worst_loss:.3e}",
-        ),
+    verdicts = [
+        Verdict.bound("mass_conservation", worst_mass, 1e-6, f"max defect {worst_mass:.3e}"),
+        Verdict.bound("boundary_loss", worst_loss, loss_tol, f"relative rim loss {worst_loss:.3e}"),
     ]
+    if len(violations):
+        total = sum(violations)
+        # Judged as -total >= 0, so a clean run keeps its margin of -0.
+        verdicts.append(
+            Verdict.bound("moment_inequality", -float(total), 0.0, f"{total} violations", lower=True)
+        )
+    if len(ratios):
+        worst = _worst(ratios, np.min)
+        detail = f"min integral/threshold ratio {worst:.3f}"
+        verdicts.append(Verdict.bound("weighted_lower_bound", worst, 1.0, detail, lower=True))
+    return verdicts
+
+
+def run_verdicts(traj: TrajectoryRecord, constants, slack, loss_tol) -> list:
+    """``trajectory_verdicts`` of one recorded run: the moment inequality
+    needs an attractive kernel (``constants`` not None, attraction > 0), and
+    the weighted bound admissible constants and a run that reaches their
+    horizon."""
+    violations, ratios = (), ()
+    if constants is not None and constants.attraction > 0.0:
+        violations = [len(check_moment_inequality(traj, constants, slack))]
+        if constants.admissible and traj.times[-1] >= constants.horizon * (1 - 1e-9):
+            ratios = [weighted_concentration_integral(traj, constants).ratio]
+    return trajectory_verdicts([traj.mass_error()], [traj.boundary_loss()], loss_tol, violations, ratios)
+
+
+def _row_verdicts(rows, loss_tol) -> list:
+    """``trajectory_verdicts`` over sweep rows."""
+    return trajectory_verdicts(
+        [row.mass_error for row in rows],
+        [row.boundary_loss for row in rows],
+        loss_tol,
+        [row.moment_violations for row in rows],
+        [row.weighted_ratio for row in rows],
+    )
+
+
+def epsilon_star(rows, loss_tol) -> Optional[float]:
+    """Diffusivity of the first row whose own trajectory verdicts all pass, or None."""
+    for row in rows:
+        if all(v.passed for v in _row_verdicts([row], loss_tol)):
+            return row.epsilon
+    return None
 
 
 def _sweep_verdicts(rows, fits, quality, calibrated, constants, settings) -> list:
     dim = settings.dimension
-    verdicts = bookkeeping_verdicts(
-        [row.mass_error for row in rows],
-        [row.boundary_loss for row in rows],
-        settings.run.boundary_loss_tolerance,
-    )
-
-    def add(name, passed, margin, detail):
-        verdicts.append(Verdict(name, bool(passed), float(margin), detail))
-
-    total_viol = sum(row.moment_violations for row in rows)
-    add("moment_inequality", total_viol == 0, -float(total_viol), f"{total_viol} violations")
-    worst_ratio = _worst([row.weighted_ratio for row in rows], np.min)
-    add(
-        "weighted_lower_bound",
-        worst_ratio >= 1.0,
-        worst_ratio - 1.0,
-        f"min integral/threshold ratio {worst_ratio:.3f}",
-    )
+    verdicts = _row_verdicts(rows, settings.run.boundary_loss_tolerance)
 
     slope_targets = {"2": -dim / 2.0, "inf": -float(dim), "ball_p2": -dim / 2.0}
     for key, target in slope_targets.items():
-        slope = fits[key]
+        slope, r2 = fits[key], quality[key]
         rel = abs(slope - target) / abs(target)
-        add(
-            f"scaling_slope_{key}",
-            rel <= 0.15,
-            0.15 - rel,
-            f"slope {slope:.4f} vs target {target:g}",
-        )
-        r2 = quality[key]
-        add(f"fit_quality_{key}", r2 >= 0.98, r2 - 0.98, f"R^2 = {r2:.5f}")
+        verdicts += [
+            Verdict.bound(f"scaling_slope_{key}", rel, 0.15, f"slope {slope:.4f} vs target {target:g}"),
+            Verdict.bound(f"fit_quality_{key}", r2, 0.98, f"R^2 = {r2:.5f}", lower=True),
+        ]
 
     for p, ckey in ((2.0, "lp_2"), (math.inf, "lp_inf")):
         coef = calibrated[ckey]
         ratios = [
-            row.sup_lp[p]
-            / lp_barrier(p, constants.total_mass, row.u0_lp[max(2.0, p) if p != math.inf else p],
-                         coef, row.epsilon, dim)
+            row.sup_lp[p] / lp_barrier(p, constants.total_mass, row.u0_lp[p], coef, row.epsilon, dim)
             for row in rows
         ]
         worst = _worst(ratios, np.max)
-        add(
-            f"upper_barrier_{ckey}",
-            worst <= 1.0,
-            1.0 - worst,
-            f"max sup/barrier ratio {worst:.3f}",
-        )
+        verdicts.append(Verdict.bound(f"upper_barrier_{ckey}", worst, 1.0, f"max sup/barrier ratio {worst:.3f}"))
     smallest = rows[-1]
     coef = calibrated["lp_2"]
     barrier_small = lp_barrier(2.0, constants.total_mass, smallest.u0_lp[2.0], coef, smallest.epsilon, dim)
     sup_small = smallest.sup_lp[2.0]
+    # An infinite sup would make the ratio 0, which passes: it must be NaN.
     saturation = barrier_small / sup_small if math.isfinite(sup_small) else math.nan
-    add(
-        "barrier_saturation",
-        saturation <= 10.0,
-        10.0 - saturation,
-        f"barrier/sup = {saturation:.2f} at eps = {smallest.epsilon:g}",
-    )
+    detail = f"barrier/sup = {saturation:.2f} at eps = {smallest.epsilon:g}"
+    verdicts.append(Verdict.bound("barrier_saturation", saturation, 10.0, detail))
     if dim == 1 and "h1" in calibrated:
         ratios = [
             row.sup_h1 / h1_barrier(constants.total_mass, row.u0_h1, calibrated["h1"], row.epsilon)
             for row in rows
         ]
         worst = _worst(ratios, np.max)
-        add("upper_barrier_h1", worst <= 1.0, 1.0 - worst, f"max sup/barrier ratio {worst:.3f}")
+        verdicts.append(Verdict.bound("upper_barrier_h1", worst, 1.0, f"max sup/barrier ratio {worst:.3f}"))
 
     conc = [row.ball_mass_integral for row in rows]
     c_star = _worst(conc, np.min)
-    add("concentration_positive", c_star > 0.0, c_star, f"empirical uniform constant {c_star:.4g}")
+    detail = f"empirical uniform constant {c_star:.4g}"
+    positive = Verdict.bound("concentration_positive", c_star, 0.0, detail, lower=True)
+    # The one strict limit: a constant of 0 concentrates no mass at all.
+    positive.passed = positive.passed and c_star > 0.0
     decay = conc[-1] / conc[0] if conc[0] > 0.0 else 0.0
-    add(
-        "concentration_no_decay",
-        0.5 <= decay < math.inf,
-        decay - 0.5,
-        f"smallest-eps / largest-eps integral ratio {decay:.3f}",
-    )
+    detail = f"smallest-eps / largest-eps integral ratio {decay:.3f}"
+    verdicts += [positive, Verdict.bound("concentration_no_decay", decay, 0.5, detail, lower=True)]
     return verdicts

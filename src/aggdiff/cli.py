@@ -10,7 +10,12 @@ anywhere, and no timestamps are written). Subcommands:
     aggdiff baseline  --config F --out D
     aggdiff calibrate --config F --out D
 
-Exit code 0 iff every verdict passes. The sweep worker count is
+Every verdict is built in ``analysis`` by ``Verdict.bound``, which passes
+a value only when its margin to the limit is finite and >= 0: ``simulate``
+and ``check`` write ``analysis.run_verdicts`` of the run, ``sweep`` the
+verdicts of ``analysis.epsilon_sweep``, and ``baseline`` one
+``heat_norm_p*`` verdict per norm. Exit code 0 iff every verdict passes
+(``calibrate`` writes none and exits 0). The sweep worker count is
 ``--jobs`` if given, else the config's ``sweep.jobs``. Every command that
 runs the solver runs it through ``analysis.run_case`` with the settings of
 ``run_settings``.
@@ -313,11 +318,11 @@ def emit_run(traj, constants, cfg, outdir: Path, extras=None) -> None:
     write_trajectory_csv(traj, outdir / "trajectory.csv")
     loss_tol = cfg["solver"]["boundary_loss_tolerance"]
     meta = {
-        "dimension": traj.dimension,
+        "dimension": traj.grid.dimension,
         "epsilon": traj.epsilon,
         "scale": traj.scale,
         "kernel": traj.kernel_name,
-        "grid": {"dr": traj.grid_dr, "n": traj.grid_n},
+        "grid": {"dr": traj.grid.dr, "n": traj.grid.n},
         "initial_mass": traj.initial_mass,
         "clipped_cells": traj.clipped_cells,
         "full_grid_solves": traj.full_grid_solves,
@@ -334,10 +339,9 @@ def emit_run(traj, constants, cfg, outdir: Path, extras=None) -> None:
     if traj.snapshots is not None:
         snapdir = outdir / "snapshots"
         snapdir.mkdir(exist_ok=True)
-        g = gridmod.RadialGrid(traj.dimension, traj.grid_dr, traj.grid_n)
         times = []
         for k, t in enumerate(traj.snapshot_times):
-            write_field_csv(g.r_centers, traj.snapshots[k], snapdir / f"snap_{k:05d}.csv")
+            write_field_csv(traj.grid.r_centers, traj.snapshots[k], snapdir / f"snap_{k:05d}.csv")
             times.append(float(t))
         _write_json({"times": times}, snapdir / "index.json")
 
@@ -362,12 +366,10 @@ def load_run(outdir: Path):
             snaps.append(read_csv_columns(snapdir / f"snap_{k:05d}.csv")["u"])
         snapshots = np.asarray(snaps)
     traj = solver.TrajectoryRecord(
-        dimension=int(meta["dimension"]),
+        grid=gridmod.RadialGrid(int(meta["dimension"]), float(meta["grid"]["dr"]), int(meta["grid"]["n"])),
         epsilon=float(meta["epsilon"]),
         scale=float(meta["scale"]),
         kernel_name=meta["kernel"],
-        grid_dr=float(meta["grid"]["dr"]),
-        grid_n=int(meta["grid"]["n"]),
         times=cols["t"],
         mass=cols["mass"],
         truncated_moment=cols["truncated_moment"],
@@ -423,35 +425,6 @@ def start_output(args, cfg) -> Path:
     return outdir
 
 
-# ---------------------------------------------------------------------------
-# per-run verdicts (simulate / check)
-# ---------------------------------------------------------------------------
-
-def run_verdicts(traj, constants, slack, loss_tol) -> list:
-    verdicts = analysis.bookkeeping_verdicts([traj.mass_error()], [traj.boundary_loss()], loss_tol)
-    if constants is not None and constants.attraction > 0.0:
-        violations = analysis.check_moment_inequality(traj, constants, slack)
-        verdicts.append(
-            analysis.Verdict(
-                "moment_inequality",
-                len(violations) == 0,
-                -float(len(violations)),
-                f"{len(violations)} violations at slack {slack:g}",
-            )
-        )
-        if constants.admissible and traj.times[-1] >= constants.horizon * (1 - 1e-9):
-            wb = analysis.weighted_concentration_integral(traj, constants)
-            verdicts.append(
-                analysis.Verdict(
-                    "weighted_lower_bound",
-                    wb.passed,
-                    wb.ratio - 1.0,
-                    f"integral/threshold ratio {wb.ratio:.4f}",
-                )
-            )
-    return verdicts
-
-
 def _diagnostics_scale(cfg, init) -> float:
     """Scale of the moment and concentration series when no constants pick one."""
     return cfg["scale"] if cfg["scale"] != "auto" else 10.0 * init.support_radius
@@ -496,7 +469,7 @@ def cmd_simulate(args) -> int:
     )
     outdir = start_output(args, cfg)
     emit_run(traj, constants, cfg, outdir)
-    verdicts = run_verdicts(
+    verdicts = analysis.run_verdicts(
         traj, constants, cfg["analysis"]["slack"], cfg["solver"]["boundary_loss_tolerance"]
     )
     write_verdicts(verdicts, outdir / "verdicts.txt")
@@ -589,7 +562,7 @@ def cmd_sweep(args) -> int:
 def cmd_check(args) -> int:
     outdir = Path(args.traj)
     traj, constants, meta = load_run(outdir)
-    verdicts = run_verdicts(
+    verdicts = analysis.run_verdicts(
         traj, constants, float(meta["slack"]), float(meta["boundary_loss_tolerance"])
     )
     if traj.snapshots is not None and constants is not None:
@@ -636,12 +609,9 @@ def cmd_baseline(args) -> int:
         rel = abs(got - expected) / expected
         key = "inf" if p == math.inf else f"{p:g}"
         results[key] = {"computed": got, "expected": expected, "rel_error": rel}
-        verdicts.append(
-            analysis.Verdict(
-                f"heat_norm_p{key}", rel <= 0.01, 0.01 - rel,
-                f"computed {got:.6g} vs exact {expected:.6g} (rel {rel:.2e})",
-            )
-        )
+        verdicts.append(analysis.Verdict.bound(
+            f"heat_norm_p{key}", rel, 0.01, f"computed {got:.6g} vs exact {expected:.6g} (rel {rel:.2e})",
+        ))
     outdir = start_output(args, cfg)
     _write_json(
         {"epsilon": epsilon, "t_end": t_end, "t_offset": t0, "norms": results},

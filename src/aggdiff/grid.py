@@ -125,7 +125,7 @@ def mass(field: DensityField) -> float:
 
 def lp_norm(field: DensityField, p) -> float:
     """L^p norm for p in [1, inf]; p = inf is the cell maximum."""
-    if p == np.inf or p == "inf":
+    if p == np.inf:
         return float(np.max(field.values)) if field.values.size else 0.0
     p = float(p)
     if p < 1.0:

@@ -30,11 +30,6 @@ class KernelFamily(enum.Enum):
     TABULATED = "tabulated"
 
 
-# Two successive refinements of the tabulated sup probe that agree to
-# this relative tolerance end the refinement.
-_SUP_REL_TOL = 1e-6
-
-
 @dataclass(frozen=True)
 class KernelSpec:
     """Immutable description of an interaction kernel.
@@ -139,10 +134,9 @@ class AttractionEstimate(NamedTuple):
 def min_attraction(kernel: KernelSpec, scale: float) -> AttractionEstimate:
     """-sup of k' on (0, scale): the attraction floor below the given scale.
 
-    Closed form for the built-in families. For tabulated kernels the sup
-    of the piecewise-linear interpolant is taken over probe grids refined
-    until two successive refinements agree within ``_SUP_REL_TOL``; scales
-    outside the sample range are clamped onto it.
+    Closed form for the built-in families. For tabulated kernels it is
+    the sup of the piecewise-linear interpolant on [s_0, scale]; scales
+    beyond the last sample are clamped onto it.
     """
     if scale <= 0.0:
         raise ValueError("scale must be positive")
@@ -158,19 +152,13 @@ def min_attraction(kernel: KernelSpec, scale: float) -> AttractionEstimate:
 
 
 def _tabulated_sup(kernel: KernelSpec, scale: float) -> float:
-    lo = kernel.s_nodes[0]
-    hi = min(scale, float(kernel.s_nodes[-1]))
-    if hi <= lo:
+    """Max of the interpolated k' on [s_0, hi], hi = min(scale, s_last).
+
+    A linear piece takes its maximum at an end, so the max is the largest
+    sample with s <= hi or the interpolated value at hi.
+    """
+    s, kprime = kernel.s_nodes, kernel.kprime_nodes
+    hi = min(scale, float(s[-1]))
+    if hi <= s[0]:
         raise ValueError("scale lies below the tabulated sample range")
-    inside = kernel.kprime_nodes[(kernel.s_nodes >= lo) & (kernel.s_nodes <= hi)]
-    best = float(np.max(inside)) if inside.size else -np.inf
-    m = 256
-    prev = None
-    for _ in range(16):
-        probes = np.linspace(lo, hi, m)
-        cur = max(best, float(np.max(np.interp(probes, kernel.s_nodes, kernel.kprime_nodes))))
-        if prev is not None and abs(cur - prev) <= _SUP_REL_TOL * max(abs(cur), 1e-30):
-            return cur
-        prev = cur
-        m *= 2
-    return prev
+    return max(float(np.max(kprime[s <= hi])), float(np.interp(hi, s, kprime)))

@@ -49,6 +49,7 @@ from . import _accel
 from .drift import build_interaction_matrix, mass_window
 from .grid import (
     DensityField,
+    RadialGrid,
     concentration_functional,
     h1_seminorm,
     lp_norm,
@@ -126,7 +127,7 @@ class SolverConfig:
 
 @dataclass
 class TrajectoryRecord:
-    """Diagnostics series sampled along a run.
+    """Diagnostics series sampled along a run on ``grid``.
 
     ``outflow_cumulative`` tracks the mass lost through the outer rim;
     ``lp`` maps the exponent (inf included) to the norm series.
@@ -137,12 +138,10 @@ class TrajectoryRecord:
     step's window and was redone on the whole grid.
     """
 
-    dimension: int
+    grid: RadialGrid
     epsilon: float
     scale: float
     kernel_name: str
-    grid_dr: float
-    grid_n: int
     times: np.ndarray
     mass: np.ndarray
     truncated_moment: np.ndarray
@@ -405,12 +404,10 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
         sample(current, t)
 
     return TrajectoryRecord(
-        dimension=grid.dimension,
+        grid=grid,
         epsilon=config.epsilon,
         scale=scale,
         kernel_name=kernel.name(),
-        grid_dr=grid.dr,
-        grid_n=grid.n,
         times=np.asarray(times),
         mass=np.asarray(masses),
         truncated_moment=np.asarray(moments),

@@ -65,7 +65,7 @@ def test_01_mass_conservation_2048_cells(sweep_1d, sweep_2d):
     sweep_defect = max(
         row.mass_error for row in sweep_1d.rows + sweep_2d.rows
     )
-    ok = traj.grid_n == 2048 and defect <= 1e-6 and sweep_defect <= 1e-6 and elapsed < 60.0
+    ok = traj.grid.n == 2048 and defect <= 1e-6 and sweep_defect <= 1e-6 and elapsed < 60.0
     assert _report(
         1, ok,
         f"mass defect {defect:.2e} on n=2048 in {elapsed:.1f}s; "

@@ -159,7 +159,9 @@ def test_weighted_bound_zero_concentration_fails():
     traj, c = _quick_traj()
     flat = replace(traj, concentration=np.zeros_like(traj.concentration))
     wb = analysis.weighted_concentration_integral(flat, c)
-    assert wb.integral == 0.0 and not wb.passed
+    assert wb.integral == 0.0 and wb.ratio == 0.0
+    verdicts = analysis.trajectory_verdicts([0.0], [0.0], 1e-6, ratios=[wb.ratio])
+    assert verdicts[-1].name == "weighted_lower_bound" and not verdicts[-1].passed
 
 
 def test_weighted_bound_requires_full_horizon():
@@ -187,8 +189,7 @@ def test_ball_integrals_on_synthetic_trajectories():
     times = np.linspace(0.0, 1.0, 21)
     snaps = np.tile(u, (21, 1))
     traj = solver.TrajectoryRecord(
-        dimension=1, epsilon=0.1, scale=1.0, kernel_name="neg_abs",
-        grid_dr=g.dr, grid_n=g.n,
+        grid=g, epsilon=0.1, scale=1.0, kernel_name="neg_abs",
         times=times, mass=np.full(21, 1.0), truncated_moment=np.zeros(21),
         concentration=np.zeros(21), outflow_cumulative=np.zeros(21),
         lp={}, snapshot_times=times, snapshots=snaps,
@@ -207,8 +208,7 @@ def test_ball_integral_refuses_unresolved_ball():
     times = np.linspace(0.0, 1.0, 21)
     snaps = np.ones((21, g.n))
     traj = solver.TrajectoryRecord(
-        dimension=1, epsilon=0.1, scale=1.0, kernel_name="neg_abs",
-        grid_dr=g.dr, grid_n=g.n,
+        grid=g, epsilon=0.1, scale=1.0, kernel_name="neg_abs",
         times=times, mass=np.ones(21), truncated_moment=np.zeros(21),
         concentration=np.zeros(21), outflow_cumulative=np.zeros(21),
         lp={}, snapshot_times=times, snapshots=snaps,
@@ -235,7 +235,7 @@ def test_ball_radius_snapshots_give_the_full_grid_integrals_bitwise(dimension):
         for radius in (math.inf, ball_factor * eps)
     )
     width = ball.snapshots.shape[1]
-    assert full.snapshots.shape[1] == full.grid_n > width
+    assert full.snapshots.shape[1] == full.grid.n > width
     assert np.array_equal(ball.snapshots, full.snapshots[:, :width])
     for integral in (
         lambda traj: analysis.ball_mass_integral(traj, ball_factor, t_end),
@@ -263,8 +263,7 @@ def test_sweep_rows_keep_only_the_ball_cells(monkeypatch):
 def _fake_run(eps, sup_h1, m0=1.0):
     n = 5
     return solver.TrajectoryRecord(
-        dimension=1, epsilon=eps, scale=1.0, kernel_name="neg_abs",
-        grid_dr=0.01, grid_n=10,
+        grid=grid.RadialGrid(1, 0.01, 10), epsilon=eps, scale=1.0, kernel_name="neg_abs",
         times=np.linspace(0, 1, n), mass=np.full(n, m0),
         truncated_moment=np.zeros(n), concentration=np.zeros(n),
         outflow_cumulative=np.zeros(n),
@@ -365,16 +364,69 @@ def test_sweep_verdicts_fail_on_non_finite_row(attribute, verdict, bad):
 
 
 def test_bookkeeping_verdicts_judge_the_worst_run():
-    verdicts = {v.name: v for v in analysis.bookkeeping_verdicts([1e-12, 1e-9], [0.0, 2e-6], 1e-6)}
+    verdicts = {v.name: v for v in analysis.trajectory_verdicts([1e-12, 1e-9], [0.0, 2e-6], 1e-6)}
     assert verdicts["mass_conservation"].passed
     assert not verdicts["boundary_loss"].passed
     assert verdicts["boundary_loss"].margin == pytest.approx(-1e-6)
-    assert all(v.passed for v in analysis.bookkeeping_verdicts([1e-9], [2e-6], 1e-5))
+    assert all(v.passed for v in analysis.trajectory_verdicts([1e-9], [2e-6], 1e-5))
     # A sweep row over the tolerance its runs were given fails, as a run would.
     rows = _synthetic_rows()
     rows[2].boundary_loss = 2e-6
     assert not _verdicts(rows)["boundary_loss"].passed
     assert _verdicts(rows, analysis.RunSettings(boundary_loss_tolerance=1e-5))["boundary_loss"].passed
+
+
+@pytest.mark.parametrize("lower", [False, True])
+def test_verdict_bound_fails_non_finite_values_and_passes_at_the_limit(lower):
+    for bad in (math.nan, math.inf, -math.inf):
+        verdict = analysis.Verdict.bound("v", bad, 1.0, "", lower=lower)
+        assert not verdict.passed, bad
+    at_limit = analysis.Verdict.bound("v", 1.0, 1.0, "", lower=lower)
+    assert at_limit.passed and at_limit.margin == 0.0
+    inside = analysis.Verdict.bound("v", 2.0 if lower else 0.5, 1.0, "", lower=lower)
+    outside = analysis.Verdict.bound("v", 0.5 if lower else 2.0, 1.0, "", lower=lower)
+    assert (inside.passed, inside.margin) == (True, 1.0 if lower else 0.5)
+    assert (outside.passed, outside.margin) == (False, -0.5 if lower else -1.0)
+
+
+def test_concentration_positive_fails_at_zero():
+    rows = _synthetic_rows()
+    rows[1].ball_mass_integral = 0.0
+    verdict = _verdicts(rows)["concentration_positive"]
+    assert not verdict.passed and verdict.margin == 0.0
+
+
+def test_concentration_no_decay_fails_an_infinite_ratio():
+    rows = _synthetic_rows()
+    rows[0].ball_mass_integral = 1e-300
+    rows[-1].ball_mass_integral = 1e300
+    verdicts = _verdicts(rows)
+    assert verdicts["concentration_positive"].passed
+    assert verdicts["concentration_no_decay"].margin == math.inf
+    assert not verdicts["concentration_no_decay"].passed
+
+
+def test_epsilon_star_skips_a_row_that_fails_only_boundary_loss():
+    rows = _synthetic_rows()
+    assert analysis.epsilon_star(rows, 1e-6) == 0.1
+    rows[0].boundary_loss = 2e-6
+    first = rows[0]
+    verdicts = analysis.trajectory_verdicts(
+        [first.mass_error], [first.boundary_loss], 1e-6, [first.moment_violations], [first.weighted_ratio],
+    )
+    assert [v.name for v in verdicts if not v.passed] == ["boundary_loss"]
+    assert analysis.epsilon_star(rows, 1e-6) == 0.05
+    assert analysis.epsilon_star(rows, 1e-5) == 0.1
+    for row in rows:
+        row.moment_violations = 1
+    assert analysis.epsilon_star(rows, 1e-5) is None
+
+
+def test_run_verdicts_on_a_zero_kernel_run_are_the_bookkeeping_verdicts():
+    traj = analysis.run_case(kernels.zero_kernel(), grid.GaussianBump(1.0, 0.25), 1, 0.1, 1.0, 0.2, COARSE)
+    for constants in (None, SimpleNamespace(attraction=0.0)):
+        verdicts = analysis.run_verdicts(traj, constants, 0.01, 1e-6)
+        assert [(v.name, v.passed) for v in verdicts] == [("mass_conservation", True), ("boundary_loss", True)]
 
 
 def test_sweep_verdicts_fail_on_non_finite_last_row_ratios():

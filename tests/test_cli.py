@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from aggdiff import analysis, cli, solver
+from aggdiff import analysis, cli, grid, solver
 
 
 TINY_SIMULATE = """
@@ -151,8 +151,7 @@ def test_trajectory_round_trip_exact(tmp_path):
 
 def test_empty_trajectory_written_as_header_only(tmp_path):
     traj = solver.TrajectoryRecord(
-        dimension=2, epsilon=0.1, scale=1.0, kernel_name="zero",
-        grid_dr=0.01, grid_n=5,
+        grid=grid.RadialGrid(2, 0.01, 5), epsilon=0.1, scale=1.0, kernel_name="zero",
         times=np.zeros(0), mass=np.zeros(0), truncated_moment=np.zeros(0),
         concentration=np.zeros(0), outflow_cumulative=np.zeros(0),
         lp={1.0: np.zeros(0), 2.0: np.zeros(0), math.inf: np.zeros(0)},
@@ -186,7 +185,7 @@ def test_check_reports_the_ball_mass_of_a_run_that_stored_every_cell(tmp_path, c
     out = tmp_path / "run"
     assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
     traj, _, _ = cli.load_run(out)
-    assert traj.snapshots.shape == (len(traj.times), traj.grid_n)
+    assert traj.snapshots.shape == (len(traj.times), traj.grid.n)
     capsys.readouterr()
     assert cli.main(["check", "--traj", str(out)]) == 0
     assert "INFO  ball_mass_integral           value=" in capsys.readouterr().out

@@ -62,6 +62,22 @@ def test_tabulated_matches_exponential():
     assert est.value == pytest.approx(math.exp(-1), abs=1e-4)
 
 
+@pytest.mark.parametrize("scale, at", [(0.45, "node"), (0.48, "scale"), (9.0, "last node")])
+def test_tabulated_sup_matches_a_dense_probe(scale, at):
+    # Largest sample at the interior node s = 0.2; past s = 0.4 k' rises to
+    # -0.2 at the last node, so from about s = 0.475 on the interpolant at
+    # the scale (between the nodes 0.4 and 0.5) is larger.
+    s = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+    tab = kernels.tabulated_kernel(s, [-1.0, -0.4, -0.8, -0.9, -0.2])
+    probes = np.linspace(s[0], min(scale, s[-1]), 400_001)
+    dense = float(np.max(np.interp(probes, s, tab.kprime_nodes)))
+    sup = kernels._tabulated_sup(tab, scale)
+    # The probes miss the sup by at most the steepest slope (7) times their spacing.
+    assert dense <= sup <= dense + 7.0 * (probes[1] - probes[0])
+    assert sup == {"node": -0.4, "scale": float(np.interp(0.48, s, tab.kprime_nodes)), "last node": -0.2}[at]
+    assert kernels.min_attraction(tab, scale).value == -sup
+
+
 def test_tabulated_rejects_out_of_range():
     tab = _exponential_table(n=100, s_max=2.0)
     with pytest.raises(ValueError):

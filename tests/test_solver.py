@@ -712,7 +712,7 @@ def test_run_with_mass_at_the_rim_records_outflow_and_fails_boundary_loss(monkey
     loss, tol = traj.boundary_loss(), analysis.RunSettings().boundary_loss_tolerance
     assert loss > tol
     assert traj.mass_error() <= 1e-12
-    verdicts = {v.name: v.passed for v in analysis.bookkeeping_verdicts([traj.mass_error()], [loss], tol)}
+    verdicts = {v.name: v.passed for v in analysis.trajectory_verdicts([traj.mass_error()], [loss], tol)}
     assert verdicts == {"mass_conservation": True, "boundary_loss": False}
 
 
