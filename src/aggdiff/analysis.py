@@ -556,7 +556,7 @@ def _sweep_case(payload):
         u0_h1=float(traj.h1[0]) if traj.h1 is not None else None,
         mass_error=traj.mass_error(),
         boundary_loss=loss,
-        domain_adequate=loss <= settings.run.boundary_loss_tolerance,
+        domain_adequate=boundary_loss_verdict([loss], settings.run.boundary_loss_tolerance).passed,
         moment_violations=len(violations),
         weighted_integral=bound.integral,
         weighted_threshold=bound.threshold,
@@ -686,10 +686,9 @@ def trajectory_verdicts(mass_errors, losses, loss_tol, violations=(), ratios=())
     ratios are. A non-finite value fails its verdict.
     """
     worst_mass = _worst(mass_errors, np.max)
-    worst_loss = _worst(losses, np.max)
     verdicts = [
         Verdict.bound("mass_conservation", worst_mass, 1e-6, f"max defect {worst_mass:.3e}"),
-        Verdict.bound("boundary_loss", worst_loss, loss_tol, f"relative rim loss {worst_loss:.3e}"),
+        boundary_loss_verdict(losses, loss_tol),
     ]
     if len(violations):
         total = sum(violations)
@@ -704,17 +703,26 @@ def trajectory_verdicts(mass_errors, losses, loss_tol, violations=(), ratios=())
     return verdicts
 
 
+def boundary_loss_verdict(losses, loss_tol) -> Verdict:
+    """The ``boundary_loss`` verdict; its pass flag is a run's ``domain_adequate``."""
+    worst = _worst(losses, np.max)
+    return Verdict.bound("boundary_loss", worst, loss_tol, f"relative rim loss {worst:.3e}")
+
+
 def run_verdicts(traj: TrajectoryRecord, constants, slack, loss_tol) -> list:
     """``trajectory_verdicts`` of one recorded run: the moment inequality
     needs an attractive kernel (``constants`` not None, attraction > 0), and
-    the weighted bound admissible constants and a run that reaches their
-    horizon."""
-    violations, ratios = (), ()
+    the weighted bound admissible constants too; it fails a run that ends
+    before their horizon, whose integral is partial."""
+    violations, ratios, partial = (), (), []
     if constants is not None and constants.attraction > 0.0:
         violations = [len(check_moment_inequality(traj, constants, slack))]
-        if constants.admissible and traj.times[-1] >= constants.horizon * (1 - 1e-9):
+        if constants.admissible and not traj.times[-1] >= constants.horizon * (1 - 1e-9):
+            end = f"run ends at t = {traj.times[-1]:.4g}, before the horizon {constants.horizon:.4g}"
+            partial = [Verdict.bound("weighted_lower_bound", math.nan, 1.0, end, lower=True)]
+        elif constants.admissible:
             ratios = [weighted_concentration_integral(traj, constants).ratio]
-    return trajectory_verdicts([traj.mass_error()], [traj.boundary_loss()], loss_tol, violations, ratios)
+    return trajectory_verdicts([traj.mass_error()], [traj.boundary_loss()], loss_tol, violations, ratios) + partial
 
 
 def _row_verdicts(rows, loss_tol) -> list:

@@ -313,7 +313,7 @@ def write_field_csv(r, u, path) -> None:
             fh.write(f"{_fmt(ri)},{_fmt(ui)}\n")
 
 
-def emit_run(traj, constants, cfg, outdir: Path, extras=None) -> None:
+def emit_run(traj, constants, cfg, outdir: Path) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(traj, outdir / "trajectory.csv")
     loss_tol = cfg["solver"]["boundary_loss_tolerance"]
@@ -326,15 +326,13 @@ def emit_run(traj, constants, cfg, outdir: Path, extras=None) -> None:
         "initial_mass": traj.initial_mass,
         "clipped_cells": traj.clipped_cells,
         "full_grid_solves": traj.full_grid_solves,
-        "domain_adequate": traj.boundary_loss() <= loss_tol,
+        "domain_adequate": analysis.boundary_loss_verdict([traj.boundary_loss()], loss_tol).passed,
         "boundary_loss_tolerance": loss_tol,
         "slack": cfg["analysis"]["slack"],
         "ball_factor": cfg["analysis"]["ball_factor"],
         "constants": asdict(constants) if constants is not None else None,
         "has_snapshots": traj.snapshots is not None,
     }
-    if extras:
-        meta.update(extras)
     _write_json(meta, outdir / "run.json")
     if traj.snapshots is not None:
         snapdir = outdir / "snapshots"

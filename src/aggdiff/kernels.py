@@ -16,7 +16,6 @@ family; the drift builders and evaluators take it from there.
 from __future__ import annotations
 
 import enum
-import hashlib
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -69,9 +68,11 @@ class KernelSpec:
 
     def name(self) -> str:
         """Stable identifier written to run and sweep outputs; a tabulated kernel
-        is named by a digest of its table."""
+        is named by a digest of its table, which imports ``hashlib`` on first use."""
         if not self.is_tabulated:
             return self.family.value
+        import hashlib  # loads OpenSSL's libcrypto: about 3.4 MB resident per process
+
         digest = hashlib.sha256()
         digest.update(self.s_nodes.tobytes())
         digest.update(self.kprime_nodes.tobytes())

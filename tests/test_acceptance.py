@@ -270,7 +270,7 @@ def test_11_determinism_byte_identical(tmp_path):
     config.write_text(
         "kernel: neg_abs\ndimension: 1\nepsilon: [0.2]\n"
         "initial: {type: gaussian, mass: 1.0, width: 0.1}\n"
-        "scale: 2.0\nt_end: 0.2\ngrid: {dr: 0.01, r_max: 2.0}\n"
+        "scale: 2.0\nt_end: auto\ngrid: {dr: 0.01, r_max: 2.0}\n"
         "solver: {record_samples: 20, store_snapshots: true}\n"
     )
     out = tmp_path / "run"

@@ -429,6 +429,22 @@ def test_run_verdicts_on_a_zero_kernel_run_are_the_bookkeeping_verdicts():
         assert [(v.name, v.passed) for v in verdicts] == [("mass_conservation", True), ("boundary_loss", True)]
 
 
+def test_run_verdicts_fail_the_weighted_bound_of_a_run_that_ends_before_the_horizon():
+    init = grid.GaussianBump(1.0, 0.25)
+    constants = analysis.reference_constants(NEG_ABS, init, 1)
+    traj = analysis.run_case(NEG_ABS, init, 1, 0.1, constants.scale, 0.1, COARSE)
+    verdicts = analysis.run_verdicts(traj, constants, 0.01, 1e-6)
+    assert [(v.name, v.passed) for v in verdicts] == [
+        ("mass_conservation", True), ("boundary_loss", True),
+        ("moment_inequality", True), ("weighted_lower_bound", False),
+    ]
+    assert math.isnan(verdicts[-1].margin)
+    assert verdicts[-1].detail == f"run ends at t = 0.1, before the horizon {constants.horizon:.4g}"
+    # The bound does not apply to inadmissible constants, so the line is omitted.
+    inadmissible = analysis.run_verdicts(traj, replace(constants, admissible=False), 0.01, 1e-6)
+    assert [v.name for v in inadmissible] == ["mass_conservation", "boundary_loss", "moment_inequality"]
+
+
 def test_sweep_verdicts_fail_on_non_finite_last_row_ratios():
     rows = _synthetic_rows()
     rows[-1].ball_mass_integral = math.inf

@@ -15,7 +15,7 @@ dimension: 1
 epsilon: [0.2]
 initial: {type: gaussian, mass: 1.0, width: 0.1}
 scale: 2.0
-t_end: 0.2
+t_end: auto
 grid: {dr: 0.01, r_max: 2.0}
 solver: {record_samples: 20, store_snapshots: true}
 """
@@ -201,6 +201,36 @@ def test_verdicts_file_format(tmp_path):
         assert line.startswith(("PASS", "FAIL"))
         assert "margin=" in line
     assert any("mass_conservation" in line for line in lines)
+
+
+def test_simulate_that_ends_before_the_horizon_fails_the_weighted_bound(tmp_path):
+    # TINY_SIMULATE's horizon is 0.448; a run to 0.2 has only part of the
+    # weighted integral, so the bound fails instead of going missing.
+    config = _write(tmp_path, TINY_SIMULATE.replace("t_end: auto", "t_end: 0.2"))
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+    lines = (out / "verdicts.txt").read_text().splitlines()
+    assert [line.split()[:2] for line in lines] == [
+        ["PASS", "mass_conservation"], ["PASS", "boundary_loss"],
+        ["PASS", "moment_inequality"], ["FAIL", "weighted_lower_bound"],
+    ]
+    assert lines[-1].endswith("margin=+nan  run ends at t = 0.2, before the horizon 0.4482")
+    assert cli.main(["check", "--traj", str(out)]) == 1
+
+
+def test_simulate_to_the_horizon_prints_the_ratio_verdict(tmp_path, capsys):
+    config = _write(tmp_path, TINY_SIMULATE)
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    traj, constants, _ = cli.load_run(out)
+    ratio = analysis.weighted_concentration_integral(traj, constants).ratio
+    violations = len(analysis.check_moment_inequality(traj, constants, 0.01))
+    cli.write_verdicts(
+        analysis.trajectory_verdicts([traj.mass_error()], [traj.boundary_loss()], 1e-6, [violations], [ratio]),
+        tmp_path / "expected.txt",
+    )
+    assert (out / "verdicts.txt").read_bytes() == (tmp_path / "expected.txt").read_bytes()
+    assert f"min integral/threshold ratio {ratio:.3f}" in capsys.readouterr().out
 
 
 BASELINE_CONFIG = """

@@ -124,3 +124,5 @@ def test_kernel_names_stable():
     tab = _exponential_table(n=100, s_max=2.0)
     assert tab.name() == _exponential_table(n=100, s_max=2.0).name()
     assert tab.name() != _exponential_table(n=101, s_max=2.0).name()
+    # The name is written to run.json and sweep.json: pin its digest.
+    assert tab.name() == "tabulated:dd53cba7f514c56d"

@@ -492,6 +492,16 @@ def test_cell_velocities_are_rejected_where_faces_are_expected():
         solver.advance(_gaussian_field(g), velocity, cfg, 1e-4)
 
 
+def _probe(code, *args) -> str:
+    """stdout of ``code`` run by a fresh interpreter on this checkout's package."""
+    src = Path(solver.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    return result.stdout
+
+
 _LAPACK_PROBE = """
 import sys
 import numpy as np
@@ -520,12 +530,7 @@ def test_import_leaves_scipy_linalg_unloaded():
     # first step loads LAPACK's ptsv without importing scipy.linalg,
     # which costs 0.25-0.3 s and 26 MB. A later import of scipy.linalg
     # still works and solves with the same bits.
-    src = Path(solver.__file__).resolve().parents[1]
-    result = subprocess.run(
-        [sys.executable, "-c", _LAPACK_PROBE], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
-    assert result.stdout.split() == ["False", "False", "True"]
+    assert _probe(_LAPACK_PROBE).split() == ["False", "False", "True"]
 
 
 _SERIAL_SWEEP_PROBE = """
@@ -536,25 +541,54 @@ from aggdiff import analysis, grid, kernels
 run = analysis.RunSettings(dr_max=0.02, dr_divisor=4.0, record_samples=20)
 settings = analysis.SweepSettings(dimension=2, epsilons=(0.2, 0.1, 0.05, 0.02), run=run, jobs=1)
 analysis.epsilon_sweep(kernels.neg_abs_kernel(), grid.GaussianBump(1.0, 0.25), settings)
-for name in ('numpy.random', 'multiprocessing', 'concurrent.futures', 'scipy.linalg'):
+for name in ('numpy.random', 'multiprocessing', 'concurrent.futures', 'scipy.linalg', 'hashlib', '_hashlib'):
     print(name, name in sys.modules)
 """
 
 
 def test_serial_2d_sweep_leaves_pool_and_random_unloaded():
-    # A serial sweep never starts the pool, and the drift probe draws no
-    # random numbers: importing multiprocessing and concurrent.futures
-    # costs about 20 ms per process, numpy.random 16 ms and 6 MB.
-    src = Path(solver.__file__).resolve().parents[1]
-    result = subprocess.run(
-        [sys.executable, "-c", _SERIAL_SWEEP_PROBE], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
-    loaded = dict(line.split() for line in result.stdout.splitlines())
+    # A serial sweep never starts the pool, the drift probe draws no
+    # random numbers and no analytic kernel is hashed: importing
+    # multiprocessing and concurrent.futures costs about 20 ms per process,
+    # numpy.random 16 ms and 6 MB, hashlib (OpenSSL's libcrypto) 3.4 MB.
+    loaded = dict(line.split() for line in _probe(_SERIAL_SWEEP_PROBE).splitlines())
     assert loaded == {
         "numpy.random": "False", "multiprocessing": "False",
         "concurrent.futures": "False", "scipy.linalg": "False",
+        "hashlib": "False", "_hashlib": "False",
     }
+
+
+_SIMULATE_PROBE = """
+import sys
+import numpy as np
+from aggdiff import cli, kernels
+
+cli.main(["simulate", "--config", sys.argv[1], "--out", sys.argv[2]])
+print('hashlib' in sys.modules, '_hashlib' in sys.modules)
+kernels.tabulated_kernel(np.array([0.5, 1.0]), np.array([-1.0, -1.0])).name()
+print('hashlib' in sys.modules, '_hashlib' in sys.modules)
+"""
+
+TINY_NEG_ABS_1D = """
+kernel: neg_abs
+dimension: 1
+epsilon: [0.2]
+initial: {type: gaussian, mass: 1.0, width: 0.1}
+scale: 2.0
+t_end: 0.05
+grid: {dr: 0.02, r_max: 2.0}
+solver: {record_samples: 5}
+"""
+
+
+def test_cli_simulate_loads_hashlib_only_to_name_a_tabulated_kernel(tmp_path):
+    # The benchmark runs aggdiff through cli.main; only a tabulated
+    # kernel's name is a digest.
+    config = tmp_path / "config.yaml"
+    config.write_text(TINY_NEG_ABS_1D)
+    lines = _probe(_SIMULATE_PROBE, str(config), str(tmp_path / "run")).splitlines()
+    assert lines[-2:] == ["False False", "True True"]
 
 
 def test_run_calls_module_advance_once_per_implicit_solve(monkeypatch):
