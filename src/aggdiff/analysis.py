@@ -54,6 +54,13 @@ MIN_BALL_SAMPLES = 20
 SUPPORT_THRESHOLD = 1e-12
 # Log-spaced scales tried by select_scale.
 SCALE_SCAN_POINTS = 61
+# Largest relative mass defect and rim loss a run may show.
+MASS_TOLERANCE = 1e-6
+BOUNDARY_LOSS_TOLERANCE = 1e-6
+# Calibrated barrier coefficients are the worst probe value times this.
+SAFETY_FACTOR = 1.5
+# Radius of the shrinking balls, in units of eps.
+BALL_FACTOR = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -97,10 +104,9 @@ def compute_constants(
     Requires a kernel that is genuinely attractive below the scale;
     inadmissible data (bound level <= 0) is reported, not raised.
     """
-    est = min_attraction(kernel, scale)
-    if not est.attractive:
+    kappa = min_attraction(kernel, scale)
+    if not kappa > 0.0:
         raise ValueError("kernel is not attractive below this scale; constants undefined")
-    kappa = est.value
     sup = kernel.kprime_sup_norm
     m0 = mass(u0)
     mu = capped_first_moment(u0, scale)
@@ -247,12 +253,12 @@ def weighted_concentration_integral(
     return WeightedBound(integral, threshold, integral / threshold)
 
 
-def _ball_integral(traj: TrajectoryRecord, ball_factor: float, t_star: float, content) -> float:
+def _ball_integral(traj: TrajectoryRecord, t_star: float, content) -> float:
     """Time integral over [0, t_star] of content(snapshots, cell volumes)
-    on the cells of the ball of radius ball_factor * eps; refuses
+    on the cells of the ball of radius BALL_FACTOR * eps; refuses
     unresolved balls (radius < 2 dr), snapshots narrower than the ball and
     too few snapshots in the window."""
-    radius = ball_factor * traj.epsilon
+    radius = BALL_FACTOR * traj.epsilon
     grid = traj.grid
     if radius < 2.0 * grid.dr:
         raise ValueError(
@@ -277,17 +283,15 @@ def _ball_integral(traj: TrajectoryRecord, ball_factor: float, t_star: float, co
     return float(np.trapezoid(vs, ts))
 
 
-def ball_mass_integral(traj: TrajectoryRecord, ball_factor: float, t_star: float) -> float:
+def ball_mass_integral(traj: TrajectoryRecord, t_star: float) -> float:
     """Time integral over [0, t_star] of the mass in the ball of radius
-    ball_factor * eps; refuses unresolved balls (radius < 2 dr)."""
-    return _ball_integral(traj, ball_factor, t_star, lambda snaps, vols: snaps @ vols)
+    BALL_FACTOR * eps; refuses unresolved balls (radius < 2 dr)."""
+    return _ball_integral(traj, t_star, lambda snaps, vols: snaps @ vols)
 
 
-def ball_lp_integral(traj: TrajectoryRecord, ball_factor: float, p: float, t_star: float) -> float:
+def ball_lp_integral(traj: TrajectoryRecord, p: float, t_star: float) -> float:
     """Time integral of (integral of u^p over the eps-ball)^(1/p)."""
-    return _ball_integral(
-        traj, ball_factor, t_star, lambda snaps, vols: (snaps ** p @ vols) ** (1.0 / p)
-    )
+    return _ball_integral(traj, t_star, lambda snaps, vols: (snaps ** p @ vols) ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +339,7 @@ def h1_barrier(total_mass, u0_h1, coefficient, epsilon) -> float:
     return float(np.max([u0_h1, coefficient * total_mass ** 2.5 * epsilon ** -1.5]))
 
 
-def calibrate_h1_coefficient(probe_runs: Sequence[TrajectoryRecord], safety: float = 1.5) -> float:
+def calibrate_h1_coefficient(probe_runs: Sequence[TrajectoryRecord]) -> float:
     """H^1 barrier coefficient from probe runs (one dimension only): the
     ``_h1_coefficient`` of each run's sup_t |u|_H1, diffusivity and initial
     mass. At least three distinct diffusivities are required.
@@ -346,14 +350,15 @@ def calibrate_h1_coefficient(probe_runs: Sequence[TrajectoryRecord], safety: flo
     if any(traj.h1 is None for traj in runs):
         raise ValueError("probe runs must carry the H^1 series (dimension 1)")
     samples = [(float(np.max(traj.h1)), traj.epsilon, traj.initial_mass) for traj in runs]
-    return _h1_coefficient(samples, safety)
+    return _h1_coefficient(samples)
 
 
-def _h1_coefficient(samples, safety) -> float:
-    """``safety`` times the max over (sup_h1, eps, M) samples of the H^1
+def _h1_coefficient(samples) -> float:
+    """SAFETY_FACTOR times the max over (sup_h1, eps, M) samples of the H^1
     coefficient each needs, sup_t |u|_H1 * eps^(3/2) / M^(5/2); NaN when
     any sample's value is not finite."""
-    return safety * _worst([sup_h1 * eps ** 1.5 / m ** 2.5 for sup_h1, eps, m in samples], np.max)
+    needs = [sup_h1 * eps ** 1.5 / m ** 2.5 for sup_h1, eps, m in samples]
+    return SAFETY_FACTOR * _worst(needs, np.max)
 
 
 class FitResult(NamedTuple):
@@ -387,14 +392,12 @@ class RunSettings:
     """How one run is gridded and stepped; None means "auto" (see
     ``plan_grid`` for dr and r_max, ``SolverConfig`` for dt_max)."""
 
-    cfl_number: float = 0.5
     dr_max: float = 5e-3
     dr_divisor: float = 16.0
     record_samples: int = 200
     dr: Optional[float] = None
     r_max: Optional[float] = None
     dt_max: Optional[float] = None
-    boundary_loss_tolerance: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -404,9 +407,6 @@ class SweepSettings:
     scale: Optional[float] = None
     run: RunSettings = RunSettings()
     slack: float = 0.01
-    ball_factor: float = 0.5
-    t_star: Optional[float] = None
-    safety: float = 1.5
     h1_coefficient: Optional[float] = None
     jobs: int = 1
 
@@ -456,7 +456,6 @@ class SweepReport:
     kernel_name: str
     dimension: int
     constants: ConcentrationConstants
-    ball_factor: float
     t_star: float
     rows: list
     fitted_exponents: dict
@@ -525,7 +524,6 @@ def run_case(
     config = SolverConfig(
         epsilon=epsilon,
         t_end=t_end,
-        cfl_number=settings.cfl_number,
         record_interval=t_end / settings.record_samples if t_end > 0.0 else None,
         dt_max=settings.dt_max,
         snapshot_radius=snapshot_radius,
@@ -538,14 +536,13 @@ def _sweep_case(payload):
     started = time.monotonic()
     traj = run_case(
         kernel, init, settings.dimension, epsilon, constants.scale,
-        max(constants.horizon, t_star), settings.run,
-        snapshot_radius=settings.ball_factor * epsilon,
+        t_star, settings.run, snapshot_radius=BALL_FACTOR * epsilon,
     )
     violations = check_moment_inequality(traj, constants, settings.slack)
     bound = weighted_concentration_integral(traj, constants)
     loss = traj.boundary_loss()
-    conc_mass = ball_mass_integral(traj, settings.ball_factor, t_star)
-    conc_p2 = ball_lp_integral(traj, settings.ball_factor, 2.0, t_star)
+    conc_mass = ball_mass_integral(traj, t_star)
+    conc_p2 = ball_lp_integral(traj, 2.0, t_star)
     row = SweepRow(
         epsilon=epsilon,
         dr=traj.grid.dr,
@@ -556,7 +553,7 @@ def _sweep_case(payload):
         u0_h1=float(traj.h1[0]) if traj.h1 is not None else None,
         mass_error=traj.mass_error(),
         boundary_loss=loss,
-        domain_adequate=boundary_loss_verdict([loss], settings.run.boundary_loss_tolerance).passed,
+        domain_adequate=boundary_loss_verdict([loss]).passed,
         moment_violations=len(violations),
         weighted_integral=bound.integral,
         weighted_threshold=bound.threshold,
@@ -598,11 +595,11 @@ def epsilon_sweep(kernel: KernelSpec, init, settings: SweepSettings) -> SweepRep
     )
     if not constants.admissible:
         raise ValueError("initial data is not admissible at the selected scale")
-    # Twice the horizon by default: the shrinking-ball integrals are then
-    # dominated by the concentrated plateau rather than the collapse
+    # Each row runs to twice the horizon: the shrinking-ball integrals are
+    # then dominated by the concentrated plateau rather than the collapse
     # transient, which would otherwise flatten the fitted exponents at the
     # large-diffusivity end.
-    t_star = settings.t_star if settings.t_star is not None else 2.0 * constants.horizon
+    t_star = 2.0 * constants.horizon
     payloads = [(kernel, init, settings, constants, e, t_star) for e in epsilons]
     if settings.jobs > 1 and _main_script_importable():
         # Imported here: a serial sweep never loads the pool (about 20 ms).
@@ -631,15 +628,15 @@ def epsilon_sweep(kernel: KernelSpec, init, settings: SweepSettings) -> SweepRep
 
     calibration_rows = rows[::2]
     calibrated = {
-        "lp_2": calibrate_lp_coefficient_rows(calibration_rows, 2.0, dim, settings.safety),
-        "lp_inf": calibrate_lp_coefficient_rows(calibration_rows, math.inf, dim, settings.safety),
+        "lp_2": calibrate_lp_coefficient_rows(calibration_rows, 2.0, dim),
+        "lp_inf": calibrate_lp_coefficient_rows(calibration_rows, math.inf, dim),
     }
     if dim == 1:
         if settings.h1_coefficient is not None:
             calibrated["h1"] = settings.h1_coefficient
         else:
             calibrated["h1"] = _h1_coefficient(
-                [(row.sup_h1, row.epsilon, constants.total_mass) for row in calibration_rows], settings.safety
+                [(row.sup_h1, row.epsilon, constants.total_mass) for row in calibration_rows]
             )
 
     verdicts = _sweep_verdicts(rows, fits, quality, calibrated, constants, settings)
@@ -647,23 +644,23 @@ def epsilon_sweep(kernel: KernelSpec, init, settings: SweepSettings) -> SweepRep
         kernel_name=kernel.name(),
         dimension=dim,
         constants=constants,
-        ball_factor=settings.ball_factor,
         t_star=t_star,
         rows=rows,
         fitted_exponents=fits,
         fit_quality=quality,
         calibrated=calibrated,
         verdicts=verdicts,
-        epsilon_star=epsilon_star(rows, settings.run.boundary_loss_tolerance),
+        epsilon_star=epsilon_star(rows),
         row_seconds=row_seconds,
     )
 
 
-def calibrate_lp_coefficient_rows(rows, p, dimension, safety) -> float:
-    """L^p barrier coefficient: safety times the max over sweep rows of
-    sup_t |u|_p * eps^b / M^a; NaN when any row's value is not finite."""
+def calibrate_lp_coefficient_rows(rows, p, dimension) -> float:
+    """L^p barrier coefficient: SAFETY_FACTOR times the max over sweep rows
+    of sup_t |u|_p * eps^b / M^a; NaN when any row's value is not finite."""
     a, b = _lp_exponents(p, dimension)
-    return safety * _worst([row.sup_lp[p] * row.epsilon ** b / row.u0_lp[1.0] ** a for row in rows], np.max)
+    needs = [row.sup_lp[p] * row.epsilon ** b / row.u0_lp[1.0] ** a for row in rows]
+    return SAFETY_FACTOR * _worst(needs, np.max)
 
 
 def _worst(values, reduce) -> float:
@@ -676,19 +673,20 @@ def _worst(values, reduce) -> float:
     return float(reduce(values)) if np.all(np.isfinite(values)) else math.nan
 
 
-def trajectory_verdicts(mass_errors, losses, loss_tol, violations=(), ratios=()) -> list:
+def trajectory_verdicts(mass_errors, losses, violations=(), ratios=()) -> list:
     """The verdicts on one or more runs, each judged at its worst run.
 
-    ``mass_conservation`` (mass defect <= 1e-6) and ``boundary_loss``
-    (relative rim loss <= ``loss_tol``) always; ``moment_inequality`` (no
-    violation) when per-run violation counts are given, and
-    ``weighted_lower_bound`` (integral/threshold ratio >= 1) when per-run
-    ratios are. A non-finite value fails its verdict.
+    ``mass_conservation`` (mass defect <= MASS_TOLERANCE) and
+    ``boundary_loss`` (relative rim loss <= BOUNDARY_LOSS_TOLERANCE)
+    always; ``moment_inequality`` (no violation) when per-run violation
+    counts are given, and ``weighted_lower_bound`` (integral/threshold
+    ratio >= 1) when per-run ratios are. A non-finite value fails its
+    verdict.
     """
     worst_mass = _worst(mass_errors, np.max)
     verdicts = [
-        Verdict.bound("mass_conservation", worst_mass, 1e-6, f"max defect {worst_mass:.3e}"),
-        boundary_loss_verdict(losses, loss_tol),
+        Verdict.bound("mass_conservation", worst_mass, MASS_TOLERANCE, f"max defect {worst_mass:.3e}"),
+        boundary_loss_verdict(losses),
     ]
     if len(violations):
         total = sum(violations)
@@ -703,13 +701,13 @@ def trajectory_verdicts(mass_errors, losses, loss_tol, violations=(), ratios=())
     return verdicts
 
 
-def boundary_loss_verdict(losses, loss_tol) -> Verdict:
+def boundary_loss_verdict(losses) -> Verdict:
     """The ``boundary_loss`` verdict; its pass flag is a run's ``domain_adequate``."""
     worst = _worst(losses, np.max)
-    return Verdict.bound("boundary_loss", worst, loss_tol, f"relative rim loss {worst:.3e}")
+    return Verdict.bound("boundary_loss", worst, BOUNDARY_LOSS_TOLERANCE, f"relative rim loss {worst:.3e}")
 
 
-def run_verdicts(traj: TrajectoryRecord, constants, slack, loss_tol) -> list:
+def run_verdicts(traj: TrajectoryRecord, constants, slack) -> list:
     """``trajectory_verdicts`` of one recorded run: the moment inequality
     needs an attractive kernel (``constants`` not None, attraction > 0), and
     the weighted bound admissible constants too; it fails a run that ends
@@ -722,31 +720,30 @@ def run_verdicts(traj: TrajectoryRecord, constants, slack, loss_tol) -> list:
             partial = [Verdict.bound("weighted_lower_bound", math.nan, 1.0, end, lower=True)]
         elif constants.admissible:
             ratios = [weighted_concentration_integral(traj, constants).ratio]
-    return trajectory_verdicts([traj.mass_error()], [traj.boundary_loss()], loss_tol, violations, ratios) + partial
+    return trajectory_verdicts([traj.mass_error()], [traj.boundary_loss()], violations, ratios) + partial
 
 
-def _row_verdicts(rows, loss_tol) -> list:
+def _row_verdicts(rows) -> list:
     """``trajectory_verdicts`` over sweep rows."""
     return trajectory_verdicts(
         [row.mass_error for row in rows],
         [row.boundary_loss for row in rows],
-        loss_tol,
         [row.moment_violations for row in rows],
         [row.weighted_ratio for row in rows],
     )
 
 
-def epsilon_star(rows, loss_tol) -> Optional[float]:
+def epsilon_star(rows) -> Optional[float]:
     """Diffusivity of the first row whose own trajectory verdicts all pass, or None."""
     for row in rows:
-        if all(v.passed for v in _row_verdicts([row], loss_tol)):
+        if all(v.passed for v in _row_verdicts([row])):
             return row.epsilon
     return None
 
 
 def _sweep_verdicts(rows, fits, quality, calibrated, constants, settings) -> list:
     dim = settings.dimension
-    verdicts = _row_verdicts(rows, settings.run.boundary_loss_tolerance)
+    verdicts = _row_verdicts(rows)
 
     slope_targets = {"2": -dim / 2.0, "inf": -float(dim), "ball_p2": -dim / 2.0}
     for key, target in slope_targets.items():

@@ -15,10 +15,14 @@ a value only when its margin to the limit is finite and >= 0: ``simulate``
 and ``check`` write ``analysis.run_verdicts`` of the run, ``sweep`` the
 verdicts of ``analysis.epsilon_sweep``, and ``baseline`` one
 ``heat_norm_p*`` verdict per norm. Exit code 0 iff every verdict passes
-(``calibrate`` writes none and exits 0). The sweep worker count is
-``--jobs`` if given, else the config's ``sweep.jobs``. Every command that
-runs the solver runs it through ``analysis.run_case`` with the settings of
-``run_settings``.
+(``calibrate`` writes none and exits 0); a bad config or run directory
+exits 2 with one ``error:`` line. The sweep worker count is ``--jobs`` if
+given, else the config's ``sweep.jobs``. Every command that runs the
+solver runs it through ``analysis.run_case`` with the settings of
+``run_settings``. The step fraction ``solver.CFL`` and the analysis
+constants (rim-loss tolerance, safety factor, ball factor) are not
+config keys; ``run.json``, ``sweep.json`` and ``calibration.json`` echo
+the ones they use.
 """
 
 from __future__ import annotations
@@ -60,20 +64,8 @@ DEFAULTS = {
     "scale": "auto",
     "t_end": "auto",
     "grid": {"dr": "auto", "dr_max": 0.005, "dr_divisor": 16.0, "r_max": "auto"},
-    "solver": {
-        "cfl": 0.5,
-        "record_samples": 200,
-        "boundary_loss_tolerance": 1.0e-6,
-        "dt_max": "auto",
-        "store_snapshots": "auto",
-    },
-    "analysis": {
-        "slack": 0.01,
-        "ball_factor": 0.5,
-        "t_star": "auto",
-        "h1_coefficient": None,
-        "safety_factor": 1.5,
-    },
+    "solver": {"record_samples": 200, "dt_max": "auto", "store_snapshots": "auto"},
+    "analysis": {"slack": 0.01, "h1_coefficient": None},
     "sweep": {"jobs": 1},
 }
 
@@ -145,7 +137,11 @@ def parse_config(path) -> dict:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     with open(path) as fh:
-        user = yaml.safe_load(fh)
+        try:
+            user = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            detail = " ".join(str(exc).split())
+            raise ConfigError(f"config file {path} is not valid YAML: {detail}") from None
     if user is None:
         user = {}
     if not isinstance(user, dict):
@@ -186,21 +182,12 @@ def parse_config(path) -> dict:
         raise ConfigError("grid.dr_divisor must be >= 8 (dr <= epsilon/8)")
     g["r_max"] = _auto_or_positive(g["r_max"], "grid.r_max")
     s = cfg["solver"]
-    s["cfl"] = _as_positive(s["cfl"], "solver.cfl")
-    if s["cfl"] > 1.0:
-        raise ConfigError("solver.cfl must lie in (0, 1]")
     s["record_samples"] = _as_int(s["record_samples"], "solver.record_samples", 2)
     s["dt_max"] = _auto_or_positive(s["dt_max"], "solver.dt_max")
-    s["boundary_loss_tolerance"] = _as_positive(
-        s["boundary_loss_tolerance"], "solver.boundary_loss_tolerance"
-    )
     if s["store_snapshots"] not in ("auto", True, False):
         raise ConfigError("solver.store_snapshots must be auto, true or false")
     a = cfg["analysis"]
     a["slack"] = _as_positive(a["slack"], "analysis.slack", allow_zero=True)
-    a["safety_factor"] = _as_positive(a["safety_factor"], "analysis.safety_factor")
-    a["ball_factor"] = _as_positive(a["ball_factor"], "analysis.ball_factor")
-    a["t_star"] = _auto_or_positive(a["t_star"], "analysis.t_star")
     if a["h1_coefficient"] is not None:
         a["h1_coefficient"] = _as_positive(a["h1_coefficient"], "analysis.h1_coefficient")
         if cfg["dimension"] != 1:
@@ -218,14 +205,12 @@ def run_settings(cfg) -> analysis.RunSettings:
     """The per-run ``grid`` and ``solver`` keys of a parsed config."""
     g, s = cfg["grid"], cfg["solver"]
     return analysis.RunSettings(
-        cfl_number=s["cfl"],
         dr_max=g["dr_max"],
         dr_divisor=g["dr_divisor"],
         record_samples=s["record_samples"],
         dr=_auto(g["dr"]),
         r_max=_auto(g["r_max"]),
         dt_max=_auto(s["dt_max"]),
-        boundary_loss_tolerance=s["boundary_loss_tolerance"],
     )
 
 
@@ -316,7 +301,6 @@ def write_field_csv(r, u, path) -> None:
 def emit_run(traj, constants, cfg, outdir: Path) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(traj, outdir / "trajectory.csv")
-    loss_tol = cfg["solver"]["boundary_loss_tolerance"]
     meta = {
         "dimension": traj.grid.dimension,
         "epsilon": traj.epsilon,
@@ -326,10 +310,10 @@ def emit_run(traj, constants, cfg, outdir: Path) -> None:
         "initial_mass": traj.initial_mass,
         "clipped_cells": traj.clipped_cells,
         "full_grid_solves": traj.full_grid_solves,
-        "domain_adequate": analysis.boundary_loss_verdict([traj.boundary_loss()], loss_tol).passed,
-        "boundary_loss_tolerance": loss_tol,
+        "domain_adequate": analysis.boundary_loss_verdict([traj.boundary_loss()]).passed,
+        "boundary_loss_tolerance": analysis.BOUNDARY_LOSS_TOLERANCE,
         "slack": cfg["analysis"]["slack"],
-        "ball_factor": cfg["analysis"]["ball_factor"],
+        "ball_factor": analysis.BALL_FACTOR,
         "constants": asdict(constants) if constants is not None else None,
         "has_snapshots": traj.snapshots is not None,
     }
@@ -467,9 +451,7 @@ def cmd_simulate(args) -> int:
     )
     outdir = start_output(args, cfg)
     emit_run(traj, constants, cfg, outdir)
-    verdicts = analysis.run_verdicts(
-        traj, constants, cfg["analysis"]["slack"], cfg["solver"]["boundary_loss_tolerance"]
-    )
+    verdicts = analysis.run_verdicts(traj, constants, cfg["analysis"]["slack"])
     write_verdicts(verdicts, outdir / "verdicts.txt")
     return 0 if all(v.passed for v in verdicts) else 1
 
@@ -485,7 +467,7 @@ def sweep_report_payload(report) -> dict:
         "kernel": report.kernel_name,
         "dimension": report.dimension,
         "constants": asdict(report.constants),
-        "ball_factor": report.ball_factor,
+        "ball_factor": analysis.BALL_FACTOR,
         "t_star": report.t_star,
         "rows": [asdict(row) for row in report.rows],
         "fitted_exponents": report.fitted_exponents,
@@ -543,9 +525,6 @@ def cmd_sweep(args) -> int:
         scale=_auto(cfg["scale"]),
         run=run_settings(cfg),
         slack=cfg["analysis"]["slack"],
-        ball_factor=cfg["analysis"]["ball_factor"],
-        t_star=_auto(cfg["analysis"]["t_star"]),
-        safety=cfg["analysis"]["safety_factor"],
         h1_coefficient=cfg["analysis"]["h1_coefficient"],
         jobs=_sweep_jobs(cfg, args),
     )
@@ -559,15 +538,15 @@ def cmd_sweep(args) -> int:
 
 def cmd_check(args) -> int:
     outdir = Path(args.traj)
-    traj, constants, meta = load_run(outdir)
-    verdicts = analysis.run_verdicts(
-        traj, constants, float(meta["slack"]), float(meta["boundary_loss_tolerance"])
-    )
+    try:
+        traj, constants, meta = load_run(outdir)
+        slack = float(meta["slack"])
+    except KeyError as exc:
+        raise ValueError(f"{outdir}: run.json or trajectory.csv has no {exc.args[0]!r}") from None
+    verdicts = analysis.run_verdicts(traj, constants, slack)
     if traj.snapshots is not None and constants is not None:
         try:
-            integral = analysis.ball_mass_integral(
-                traj, float(meta["ball_factor"]), min(constants.horizon, traj.times[-1])
-            )
+            integral = analysis.ball_mass_integral(traj, min(constants.horizon, traj.times[-1]))
             print(f"INFO  ball_mass_integral           value={integral:.6g}")
         except ValueError as exc:
             print(f"INFO  ball_mass_integral           skipped: {exc}")
@@ -633,12 +612,12 @@ def cmd_calibrate(args) -> int:
     t_end = _resolve_t_end(cfg, constants)
     settings = run_settings(cfg)
     runs = [analysis.run_case(kernel, init, 1, e, constants.scale, t_end, settings) for e in cfg["epsilon"]]
-    coefficient = analysis.calibrate_h1_coefficient(runs, cfg["analysis"]["safety_factor"])
+    coefficient = analysis.calibrate_h1_coefficient(runs)
     outdir = start_output(args, cfg)
     _write_json(
         {
             "h1_coefficient": coefficient,
-            "safety_factor": cfg["analysis"]["safety_factor"],
+            "safety_factor": analysis.SAFETY_FACTOR,
             "probes": [
                 {"epsilon": traj.epsilon, "sup_h1": float(np.max(traj.h1))} for traj in runs
             ],

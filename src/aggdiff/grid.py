@@ -54,8 +54,9 @@ class RadialGrid:
     def __post_init__(self):
         if self.dimension not in (1, 2, 3):
             raise ValueError("dimension must be 1, 2 or 3")
-        if self.dr <= 0.0 or self.n < 3:
-            raise ValueError("need dr > 0 and at least 3 cells")
+        # Written so that NaN fails it.
+        if not 0.0 < self.dr < math.inf or self.n < 3:
+            raise ValueError("need a finite dr > 0 and at least 3 cells")
         sigma = sphere_area(self.dimension)
         faces = np.arange(self.n + 1, dtype=np.float64) * self.dr
         centers = (np.arange(self.n, dtype=np.float64) + 0.5) * self.dr

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -121,19 +120,9 @@ def load_tabulated_kernel(path) -> KernelSpec:
     return tabulated_kernel(data[:, 0], data[:, 1])
 
 
-class AttractionEstimate(NamedTuple):
-    """Minimal attraction strength below a scale.
-
-    ``value`` is -sup k' over the probed range; ``attractive`` records
-    whether the small-scale attraction hypothesis holds (value > 0).
-    """
-
-    value: float
-    attractive: bool
-
-
-def min_attraction(kernel: KernelSpec, scale: float) -> AttractionEstimate:
-    """-sup of k' on (0, scale): the attraction floor below the given scale.
+def min_attraction(kernel: KernelSpec, scale: float) -> float:
+    """-sup of k' on (0, scale): the attraction floor below the given scale,
+    positive when the small-scale attraction hypothesis holds.
 
     Closed form for the built-in families. For tabulated kernels it is
     the sup of the piecewise-linear interpolant on [s_0, scale]; scales
@@ -149,7 +138,7 @@ def min_attraction(kernel: KernelSpec, scale: float) -> AttractionEstimate:
         value = 0.0
     else:
         value = -_tabulated_sup(kernel, scale)
-    return AttractionEstimate(float(value), bool(value > 0.0))
+    return float(value)
 
 
 def _tabulated_sup(kernel: KernelSpec, scale: float) -> float:

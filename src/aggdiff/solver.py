@@ -69,6 +69,8 @@ LP_VALUES = (1.0, 2.0, math.inf)
 # none. 32 keeps a factor of 4 over that for about 1.5% of n more cells
 # per step.
 _PAD = 32
+# Fraction of each dt bound a step takes.
+CFL = 0.5
 
 
 class NegativityError(RuntimeError):
@@ -106,7 +108,6 @@ class SolverConfig:
 
     epsilon: float
     t_end: float
-    cfl_number: float = 0.5
     record_interval: Optional[float] = None
     dt_max: Optional[float] = None
     snapshot_radius: Optional[float] = None
@@ -117,8 +118,6 @@ class SolverConfig:
             raise ValueError("epsilon (the diffusivity) must be finite and positive")
         if not 0.0 <= self.t_end < math.inf:
             raise ValueError("t_end must be finite and nonnegative")
-        if not (0.0 < self.cfl_number <= 1.0):
-            raise ValueError("cfl_number must lie in (0, 1]")
         for name in ("record_interval", "dt_max"):
             value = getattr(self, name)
             if value is not None and not 0.0 < value < math.inf:
@@ -204,15 +203,15 @@ def _window(grid, faces) -> int:
     )
 
 
-def stated_cfl_bound(grid, vmax, cfl_number) -> float:
-    """The advertised advective step bound cfl*dr/vmax for the largest
+def stated_cfl_bound(grid, vmax) -> float:
+    """The advertised advective step bound CFL*dr/vmax for the largest
     cell speed ``vmax`` = max |V| over every cell, as the drift's
     ``velocity`` returns it; infinite when nothing moves."""
-    return cfl_number * grid.dr / vmax if vmax > 0.0 else math.inf
+    return CFL * grid.dr / vmax if vmax > 0.0 else math.inf
 
 
-def positivity_bound(grid, faces, cfl_number) -> float:
-    """Exact convex-combination bound cfl / (largest outflow rate per unit volume).
+def positivity_bound(grid, faces) -> float:
+    """Exact convex-combination bound CFL / (largest outflow rate per unit volume).
 
     ``faces`` are the face velocities of ``face_velocities`` on a window of
     W cells (W + 1 entries); only those cells are bounded. Cell i loses
@@ -220,7 +219,7 @@ def positivity_bound(grid, faces, cfl_number) -> float:
     last cell of the grid, nothing through a closed face) and
     a_i max(-F_i, 0) / vol_i through its left face: the coefficient of u_i
     that the upwind update subtracts per unit dt. Steps of at most
-    cfl / max rate keep the update a convex combination, so the
+    1 / max rate keep the update a convex combination, so the
     transported state stays nonnegative (the backward-Euler solve keeps
     it so). Sharper than the stated bound near the origin, where the
     face-area to volume ratios peak. Infinite when no cell has outflow.
@@ -234,7 +233,7 @@ def positivity_bound(grid, faces, cfl_number) -> float:
     left *= grid.left_ratios[: cells - 1]
     rate[1:] -= left
     top = float(rate.max())
-    return cfl_number / top if top > 0.0 else math.inf
+    return CFL / top if top > 0.0 else math.inf
 
 
 def _implicit_diffusion(u_star, grid, epsilon, dt):
@@ -379,8 +378,8 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
         velocity, vmax = drift.velocity(cell_mass, total, window, cells)
         faces = face_velocities(velocity, cells, grid.n)
         dt = min(
-            stated_cfl_bound(grid, vmax, config.cfl_number),
-            positivity_bound(grid, faces, config.cfl_number),
+            stated_cfl_bound(grid, vmax),
+            positivity_bound(grid, faces),
             dt_cap,
             next_record - t,
             config.t_end - t,

@@ -160,7 +160,7 @@ def test_weighted_bound_zero_concentration_fails():
     flat = replace(traj, concentration=np.zeros_like(traj.concentration))
     wb = analysis.weighted_concentration_integral(flat, c)
     assert wb.integral == 0.0 and wb.ratio == 0.0
-    verdicts = analysis.trajectory_verdicts([0.0], [0.0], 1e-6, ratios=[wb.ratio])
+    verdicts = analysis.trajectory_verdicts([0.0], [0.0], ratios=[wb.ratio])
     assert verdicts[-1].name == "weighted_lower_bound" and not verdicts[-1].passed
 
 
@@ -196,11 +196,11 @@ def test_ball_integrals_on_synthetic_trajectories():
     )
     ball_mass = float(np.dot(u[g.r_centers < 0.05], g.cell_volumes[g.r_centers < 0.05]))
     # stationary field: integral = mass-in-ball * T_star
-    assert analysis.ball_mass_integral(traj, 0.5, 1.0) == pytest.approx(ball_mass)
+    assert analysis.ball_mass_integral(traj, 1.0) == pytest.approx(ball_mass)
     zero = replace(traj, snapshots=np.zeros_like(snaps))
-    assert analysis.ball_mass_integral(zero, 0.5, 1.0) == 0.0
+    assert analysis.ball_mass_integral(zero, 1.0) == 0.0
     lp_val = float(np.dot(u[g.r_centers < 0.05] ** 2, g.cell_volumes[g.r_centers < 0.05])) ** 0.5
-    assert analysis.ball_lp_integral(traj, 0.5, 2.0, 1.0) == pytest.approx(lp_val)
+    assert analysis.ball_lp_integral(traj, 2.0, 1.0) == pytest.approx(lp_val)
 
 
 def test_ball_integral_refuses_unresolved_ball():
@@ -214,32 +214,33 @@ def test_ball_integral_refuses_unresolved_ball():
         lp={}, snapshot_times=times, snapshots=snaps,
     )
     with pytest.raises(ValueError):
-        analysis.ball_mass_integral(traj, 0.5, 1.0)  # radius 0.05 < 2 dr
-    sparse = replace(traj, snapshot_times=times[:5], snapshots=snaps[:5])
+        analysis.ball_mass_integral(traj, 1.0)  # radius 0.05 < 2 dr
+    wide = replace(traj, epsilon=8.0)  # a ball of radius 4 covers every cell
+    sparse = replace(wide, snapshot_times=times[:5], snapshots=snaps[:5])
     with pytest.raises(ValueError):
-        analysis.ball_mass_integral(sparse, 40.0, 1.0)
-    missing = replace(traj, snapshot_times=None, snapshots=None)
+        analysis.ball_mass_integral(sparse, 1.0)
+    missing = replace(wide, snapshot_times=None, snapshots=None)
     with pytest.raises(ValueError):
-        analysis.ball_mass_integral(missing, 40.0, 1.0)
-    narrow = replace(traj, snapshots=snaps[:, :3])
+        analysis.ball_mass_integral(missing, 1.0)
+    narrow = replace(wide, snapshots=snaps[:, :3])
     with pytest.raises(ValueError, match="snapshots hold 3 cells"):
-        analysis.ball_mass_integral(narrow, 40.0, 1.0)
+        analysis.ball_mass_integral(narrow, 1.0)
 
 
 @pytest.mark.parametrize("dimension", [1, 2])
 def test_ball_radius_snapshots_give_the_full_grid_integrals_bitwise(dimension):
     init = grid.GaussianBump(1.0, 0.25)
-    eps, ball_factor, t_end = 0.1, 0.5, 0.2
+    eps, t_end = 0.1, 0.2
     full, ball = (
         analysis.run_case(NEG_ABS, init, dimension, eps, 1.0, t_end, COARSE, snapshot_radius=radius)
-        for radius in (math.inf, ball_factor * eps)
+        for radius in (math.inf, analysis.BALL_FACTOR * eps)
     )
     width = ball.snapshots.shape[1]
     assert full.snapshots.shape[1] == full.grid.n > width
     assert np.array_equal(ball.snapshots, full.snapshots[:, :width])
     for integral in (
-        lambda traj: analysis.ball_mass_integral(traj, ball_factor, t_end),
-        lambda traj: analysis.ball_lp_integral(traj, ball_factor, 2.0, t_end),
+        lambda traj: analysis.ball_mass_integral(traj, t_end),
+        lambda traj: analysis.ball_lp_integral(traj, 2.0, t_end),
     ):
         assert integral(ball) == integral(full)
 
@@ -273,14 +274,14 @@ def _fake_run(eps, sup_h1, m0=1.0):
 
 def test_calibrate_h1_coefficient_semantics():
     runs = [_fake_run(0.1, 10.0), _fake_run(0.05, 30.0), _fake_run(0.02, 120.0)]
-    c1 = analysis.calibrate_h1_coefficient(runs, safety=1.5)
+    c1 = analysis.calibrate_h1_coefficient(runs)
     expected = 1.5 * max(10.0 * 0.1**1.5, 30.0 * 0.05**1.5, 120.0 * 0.02**1.5)
     assert c1 == pytest.approx(expected)
     # idempotent under duplication
-    assert analysis.calibrate_h1_coefficient(runs + runs, safety=1.5) == pytest.approx(c1)
+    assert analysis.calibrate_h1_coefficient(runs + runs) == pytest.approx(c1)
     # adding a weaker run cannot raise the coefficient
     weaker = runs + [_fake_run(0.03, 1.0)]
-    assert analysis.calibrate_h1_coefficient(weaker, safety=1.5) == pytest.approx(c1)
+    assert analysis.calibrate_h1_coefficient(weaker) == pytest.approx(c1)
     with pytest.raises(ValueError):
         analysis.calibrate_h1_coefficient(runs[:2])
 
@@ -329,12 +330,12 @@ def _synthetic_rows():
     return rows
 
 
-def _verdicts(rows, run=analysis.RunSettings()):
+def _verdicts(rows):
     fits = {"2": -0.5, "inf": -1.0, "ball_p2": -0.5}
     quality = {key: 1.0 for key in fits}
     calibrated = {"lp_2": 1.5, "lp_inf": 1.5, "h1": 1.5}
     constants = SimpleNamespace(total_mass=1.0)
-    settings = analysis.SweepSettings(1, (), run=run)
+    settings = analysis.SweepSettings(1, ())
     return {v.name: v for v in analysis._sweep_verdicts(rows, fits, quality, calibrated, constants, settings)}
 
 
@@ -364,16 +365,18 @@ def test_sweep_verdicts_fail_on_non_finite_row(attribute, verdict, bad):
 
 
 def test_bookkeeping_verdicts_judge_the_worst_run():
-    verdicts = {v.name: v for v in analysis.trajectory_verdicts([1e-12, 1e-9], [0.0, 2e-6], 1e-6)}
+    verdicts = {v.name: v for v in analysis.trajectory_verdicts([1e-12, 1e-9], [0.0, 2e-6])}
     assert verdicts["mass_conservation"].passed
     assert not verdicts["boundary_loss"].passed
     assert verdicts["boundary_loss"].margin == pytest.approx(-1e-6)
-    assert all(v.passed for v in analysis.trajectory_verdicts([1e-9], [2e-6], 1e-5))
-    # A sweep row over the tolerance its runs were given fails, as a run would.
+    limit = analysis.BOUNDARY_LOSS_TOLERANCE
+    assert all(v.passed for v in analysis.trajectory_verdicts([1e-9], [limit]))
+    # A sweep row over the tolerance fails, as a run would.
     rows = _synthetic_rows()
     rows[2].boundary_loss = 2e-6
     assert not _verdicts(rows)["boundary_loss"].passed
-    assert _verdicts(rows, analysis.RunSettings(boundary_loss_tolerance=1e-5))["boundary_loss"].passed
+    rows[2].boundary_loss = limit
+    assert _verdicts(rows)["boundary_loss"].passed
 
 
 @pytest.mark.parametrize("lower", [False, True])
@@ -408,24 +411,23 @@ def test_concentration_no_decay_fails_an_infinite_ratio():
 
 def test_epsilon_star_skips_a_row_that_fails_only_boundary_loss():
     rows = _synthetic_rows()
-    assert analysis.epsilon_star(rows, 1e-6) == 0.1
+    assert analysis.epsilon_star(rows) == 0.1
     rows[0].boundary_loss = 2e-6
     first = rows[0]
     verdicts = analysis.trajectory_verdicts(
-        [first.mass_error], [first.boundary_loss], 1e-6, [first.moment_violations], [first.weighted_ratio],
+        [first.mass_error], [first.boundary_loss], [first.moment_violations], [first.weighted_ratio],
     )
     assert [v.name for v in verdicts if not v.passed] == ["boundary_loss"]
-    assert analysis.epsilon_star(rows, 1e-6) == 0.05
-    assert analysis.epsilon_star(rows, 1e-5) == 0.1
+    assert analysis.epsilon_star(rows) == 0.05
     for row in rows:
         row.moment_violations = 1
-    assert analysis.epsilon_star(rows, 1e-5) is None
+    assert analysis.epsilon_star(rows) is None
 
 
 def test_run_verdicts_on_a_zero_kernel_run_are_the_bookkeeping_verdicts():
     traj = analysis.run_case(kernels.zero_kernel(), grid.GaussianBump(1.0, 0.25), 1, 0.1, 1.0, 0.2, COARSE)
     for constants in (None, SimpleNamespace(attraction=0.0)):
-        verdicts = analysis.run_verdicts(traj, constants, 0.01, 1e-6)
+        verdicts = analysis.run_verdicts(traj, constants, 0.01)
         assert [(v.name, v.passed) for v in verdicts] == [("mass_conservation", True), ("boundary_loss", True)]
 
 
@@ -433,7 +435,7 @@ def test_run_verdicts_fail_the_weighted_bound_of_a_run_that_ends_before_the_hori
     init = grid.GaussianBump(1.0, 0.25)
     constants = analysis.reference_constants(NEG_ABS, init, 1)
     traj = analysis.run_case(NEG_ABS, init, 1, 0.1, constants.scale, 0.1, COARSE)
-    verdicts = analysis.run_verdicts(traj, constants, 0.01, 1e-6)
+    verdicts = analysis.run_verdicts(traj, constants, 0.01)
     assert [(v.name, v.passed) for v in verdicts] == [
         ("mass_conservation", True), ("boundary_loss", True),
         ("moment_inequality", True), ("weighted_lower_bound", False),
@@ -441,7 +443,7 @@ def test_run_verdicts_fail_the_weighted_bound_of_a_run_that_ends_before_the_hori
     assert math.isnan(verdicts[-1].margin)
     assert verdicts[-1].detail == f"run ends at t = 0.1, before the horizon {constants.horizon:.4g}"
     # The bound does not apply to inadmissible constants, so the line is omitted.
-    inadmissible = analysis.run_verdicts(traj, replace(constants, admissible=False), 0.01, 1e-6)
+    inadmissible = analysis.run_verdicts(traj, replace(constants, admissible=False), 0.01)
     assert [v.name for v in inadmissible] == ["mass_conservation", "boundary_loss", "moment_inequality"]
 
 
@@ -488,9 +490,9 @@ def test_calibration_is_nan_when_a_row_is_nan():
             for eps, sup in zip((0.2, 0.05, 0.02), sups)
         ]
 
-    clean = analysis.calibrate_lp_coefficient_rows(rows((3.0, 4.0, 5.0)), 2.0, 1, 1.5)
+    clean = analysis.calibrate_lp_coefficient_rows(rows((3.0, 4.0, 5.0)), 2.0, 1)
     assert clean == pytest.approx(1.5 * max(3.0 * 0.2**0.5, 4.0 * 0.05**0.5, 5.0 * 0.02**0.5))
-    assert math.isnan(analysis.calibrate_lp_coefficient_rows(rows((3.0, math.nan, 5.0)), 2.0, 1, 1.5))
+    assert math.isnan(analysis.calibrate_lp_coefficient_rows(rows((3.0, math.nan, 5.0)), 2.0, 1))
     runs = [
         SimpleNamespace(epsilon=row.epsilon, h1=np.array([1.0, row.sup_h1]), initial_mass=1.0)
         for row in rows((3.0, math.nan, 5.0))

@@ -31,23 +31,43 @@ def test_parse_minimal_config_fills_defaults(tmp_path):
     cfg = cli.parse_config(_write(tmp_path, "{kernel: neg_abs, dimension: 1, epsilon: [0.1]}"))
     assert cfg["solver"]["dt_max"] == "auto"
     assert cfg["grid"]["dr"] == "auto"
-    assert cfg["analysis"]["ball_factor"] == 0.5
+    assert cfg["analysis"]["slack"] == 0.01
     assert cfg["epsilon"] == [0.1]
 
 
-def test_parse_rejects_unknown_keys(tmp_path, capsys):
+def test_parse_rejects_unknown_keys(tmp_path):
     with pytest.raises(cli.ConfigError, match="unknown config key"):
         cli.parse_config(_write(tmp_path, "{kernel: neg_abs, epsilonn: [0.1]}"))
     with pytest.raises(cli.ConfigError, match="unknown config key"):
         cli.parse_config(_write(tmp_path, "{solver: {cfll: 0.5}}"))
-    # Options that were removed: an old config that still sets one exits 2.
-    for text, key in (
-        ("{solver: {diffusion_mode: explicit}}", "solver.diffusion_mode"),
-        ("{analysis: {scan_objective: level}}", "analysis.scan_objective"),
-    ):
-        config = _write(tmp_path, text)
-        assert cli.main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
-        assert f"unknown config key: {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("solver.diffusion_mode", "explicit"),
+    ("analysis.scan_objective", "level"),
+    ("solver.cfl", "0.5"),
+    ("solver.boundary_loss_tolerance", "1.0e-6"),
+    ("analysis.safety_factor", "1.5"),
+    ("analysis.t_star", "auto"),
+    ("analysis.ball_factor", "0.5"),
+])
+def test_retired_key_exits_2(tmp_path, capsys, key, value):
+    # Options that were removed: an old config (or config.resolved) that
+    # still sets one, even at its old default, exits 2 and names it.
+    section, name = key.split(".")
+    config = _write(tmp_path, f"{{{section}: {{{name}: {value}}}}}")
+    out = tmp_path / "o"
+    assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    assert f"unknown config key: {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_malformed_yaml_exits_2_naming_the_file(tmp_path, capsys):
+    config = _write(tmp_path, "kernel: neg_abs\nepsilon: [0.1, 0.05\n")
+    assert cli.main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {config} is not valid YAML: ")
+    assert err.count("\n") == 1
 
 
 def test_parse_rejects_unsupported_dimension(tmp_path):
@@ -65,12 +85,9 @@ def test_parse_rejects_inconsistent_combos(tmp_path):
     for key, value in (
         ("analysis.slack", ".nan"), ("analysis.slack", "-0.01"), ("analysis.slack", "abc"),
         ("analysis.slack", "true"), ("initial.mass", "true"),
-        ("analysis.safety_factor", "-1"), ("analysis.safety_factor", "abc"),
-        ("solver.boundary_loss_tolerance", "-1.0e-6"), ("solver.boundary_loss_tolerance", "abc"),
         ("solver.record_samples", ".inf"), ("solver.record_samples", "2.9"),
         ("solver.record_samples", "1"), ("solver.record_samples", "true"),
         ("sweep.jobs", "1.7"), ("sweep.jobs", "0"), ("sweep.jobs", "-2"), ("sweep.jobs", ".nan"),
-        ("solver.cfl", "1.5"), ("solver.cfl", "0"), ("solver.cfl", "abc"),
     ):
         section, name = key.split(".")
         with pytest.raises(cli.ConfigError, match=key):
@@ -88,17 +105,14 @@ def test_parse_rejects_inconsistent_combos(tmp_path):
     for value in ("true", "2.5", "0", "4", ".inf"):
         with pytest.raises(cli.ConfigError, match="dimension"):
             cli.parse_config(_write(tmp_path, f"{{dimension: {value}}}"))
-    # Integral numbers in any spelling are stored as ints, cfl as a float.
+    # Integral numbers in any spelling are stored as ints. PyYAML reads
+    # 5e-3 (no dot) as a string; the parser must still give a float.
     cfg = cli.parse_config(
-        _write(tmp_path, "{dimension: 2.0, solver: {record_samples: 1e3, cfl: 5e-1}, sweep: {jobs: 2.0}}")
+        _write(tmp_path, "{dimension: 2.0, solver: {record_samples: 1e3}, grid: {dr_max: 5e-3}, sweep: {jobs: 2.0}}")
     )
     counts = (cfg["dimension"], cfg["solver"]["record_samples"], cfg["sweep"]["jobs"])
     assert counts == (2, 1000, 2) and all(type(v) is int for v in counts)
-    assert cfg["solver"]["cfl"] == 0.5 and type(cfg["solver"]["cfl"]) is float
-    # PyYAML reads 1e-6 (no dot) as a string; the parser must still give a float.
-    cfg = cli.parse_config(_write(tmp_path, "{solver: {boundary_loss_tolerance: 1e-6}}"))
-    assert type(cfg["solver"]["boundary_loss_tolerance"]) is float
-    assert cfg["solver"]["boundary_loss_tolerance"] == 1e-6
+    assert cfg["grid"]["dr_max"] == 5e-3 and type(cfg["grid"]["dr_max"]) is float
     assert cli.parse_config(_write(tmp_path, "{analysis: {slack: 0}}"))["analysis"]["slack"] == 0.0
 
 
@@ -180,6 +194,20 @@ def test_check_reverifies_and_detects_tampering(tmp_path):
     assert cli.main(["check", "--traj", str(out)]) == 1
 
 
+@pytest.mark.parametrize("key", ["slack", "scale"])
+def test_check_of_a_run_json_without_a_key_it_reads_exits_2(tmp_path, capsys, key):
+    config = _write(tmp_path, TINY_SIMULATE)
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    meta = json.loads((out / "run.json").read_text())
+    del meta[key]
+    (out / "run.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert cli.main(["check", "--traj", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {out}: run.json or trajectory.csv has no {key!r}\n"
+
+
 def test_check_reports_the_ball_mass_of_a_run_that_stored_every_cell(tmp_path, capsys):
     config = _write(tmp_path, TINY_SIMULATE)
     out = tmp_path / "run"
@@ -226,7 +254,7 @@ def test_simulate_to_the_horizon_prints_the_ratio_verdict(tmp_path, capsys):
     ratio = analysis.weighted_concentration_integral(traj, constants).ratio
     violations = len(analysis.check_moment_inequality(traj, constants, 0.01))
     cli.write_verdicts(
-        analysis.trajectory_verdicts([traj.mass_error()], [traj.boundary_loss()], 1e-6, [violations], [ratio]),
+        analysis.trajectory_verdicts([traj.mass_error()], [traj.boundary_loss()], [violations], [ratio]),
         tmp_path / "expected.txt",
     )
     assert (out / "verdicts.txt").read_bytes() == (tmp_path / "expected.txt").read_bytes()
@@ -316,7 +344,7 @@ def test_calibrate_writes_coefficient(tmp_path):
 RUN_KEYS = """
 t_end: 0.3
 grid: {dr: 0.02, r_max: 3.0}
-solver: {cfl: 0.4, record_samples: 10, dt_max: 0.01, boundary_loss_tolerance: 1.0e-5}
+solver: {record_samples: 10, dt_max: 0.01}
 """
 
 
@@ -340,13 +368,14 @@ def test_commands_run_with_the_configs_run_keys(tmp_path, monkeypatch, command, 
     assert seen
     for g, cfg in seen:
         assert (g.dr, g.r_max) == (0.02, pytest.approx(3.0))
-        assert (cfg.t_end, cfg.record_interval, cfg.dt_max, cfg.cfl_number) == (0.3, 0.03, 0.01, 0.4)
+        assert (cfg.t_end, cfg.record_interval, cfg.dt_max) == (0.3, 0.03, 0.01)
     if command == "simulate":
         # The rim-loss tolerance judges the run; it does not act on it.
         meta = json.loads((tmp_path / "o" / "run.json").read_text())
-        assert meta["boundary_loss_tolerance"] == 1e-5
+        tol = meta["boundary_loss_tolerance"]
+        assert tol == analysis.BOUNDARY_LOSS_TOLERANCE
         loss = float(cli.read_csv_columns(tmp_path / "o" / "trajectory.csv")["outflow_cumulative"][-1])
-        assert meta["domain_adequate"] == (loss / meta["initial_mass"] <= 1e-5)
+        assert meta["domain_adequate"] == (loss / meta["initial_mass"] <= tol)
 
 
 def test_calibrate_needs_three_probes(tmp_path):
@@ -360,10 +389,7 @@ def test_sweep_rejects_insufficient_epsilons(tmp_path):
 
 
 # Keys every sweep row runs with, mapped to their RunSettings field.
-SWEEP_HONOURED = {
-    "grid.dr": "dr", "grid.r_max": "r_max",
-    "solver.dt_max": "dt_max", "solver.boundary_loss_tolerance": "boundary_loss_tolerance",
-}
+SWEEP_HONOURED = {"grid.dr": "dr", "grid.r_max": "r_max", "solver.dt_max": "dt_max"}
 
 
 @pytest.mark.parametrize("key, value", [
@@ -371,7 +397,7 @@ SWEEP_HONOURED = {
     ("grid.dr", "0.01"),
     ("grid.r_max", "3.0"),
     ("solver.dt_max", "1.0e-9"),
-    ("solver.boundary_loss_tolerance", "1.0e-80"),
+    ("solver.boundary_loss_tolerance", "1.0e-80"),  # retired: refused as an unknown key
     ("solver.store_snapshots", "false"),
 ])
 def test_sweep_rejects_keys_it_would_ignore(tmp_path, key, value, capsys):
@@ -402,7 +428,7 @@ SWEEP_RUN_KEYS = """
 kernel: neg_abs
 epsilon: [0.4, 0.2, 0.1, 0.04]
 grid: {dr: 0.01, r_max: 3.0}
-solver: {dt_max: 0.01, boundary_loss_tolerance: 1.0e-5}
+solver: {dt_max: 0.01}
 """
 
 
@@ -423,10 +449,11 @@ def test_sweep_runs_with_the_configs_run_keys(tmp_path, monkeypatch):
         assert (g.dr, g.r_max) == (0.01, pytest.approx(3.0))
         assert cfg.dt_max == 0.01
     payload = json.loads((out / "sweep.json").read_text())
-    assert all(row["domain_adequate"] == (row["boundary_loss"] <= 1e-5) for row in payload["rows"])
+    tol = analysis.BOUNDARY_LOSS_TOLERANCE
+    assert all(row["domain_adequate"] == (row["boundary_loss"] <= tol) for row in payload["rows"])
     worst = max(row["boundary_loss"] for row in payload["rows"])
     loss = payload["verdicts"][1]
-    assert loss["name"] == "boundary_loss" and loss["margin"] == 1e-5 - worst
+    assert loss["name"] == "boundary_loss" and loss["margin"] == tol - worst
 
 
 SWEEP_CONFIG = """

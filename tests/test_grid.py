@@ -97,6 +97,13 @@ def test_grids_compare_and_hash_by_dimension_spacing_and_size():
         assert len({g, other}) == 2
 
 
+@pytest.mark.parametrize("dr", [math.nan, math.inf, 0.0, -0.1])
+def test_grid_rejects_a_spacing_that_is_not_finite_and_positive(dr):
+    # run.json's dr reaches the grid unchecked, so NaN and inf must fail here.
+    with pytest.raises(ValueError, match="finite dr"):
+        grid.RadialGrid(1, dr, 10)
+
+
 def test_lp_norm_rejects_p_below_one():
     g = grid.RadialGrid.make(1, 1.0, 0.1)
     f = grid.DensityField(g, np.ones(g.n))

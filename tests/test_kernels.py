@@ -26,13 +26,9 @@ def test_kprime_closed_forms():
 
 
 def test_min_attraction_values():
-    assert kernels.min_attraction(kernels.neg_abs_kernel(), 5.0).value == 1.0
-    est = kernels.min_attraction(kernels.exponential_kernel(), 1.0)
-    assert est.value == pytest.approx(math.exp(-1))
-    assert est.attractive
-    zero = kernels.min_attraction(kernels.zero_kernel(), 1.0)
-    assert zero.value == 0.0
-    assert not zero.attractive
+    assert kernels.min_attraction(kernels.neg_abs_kernel(), 5.0) == 1.0
+    assert kernels.min_attraction(kernels.exponential_kernel(), 1.0) == pytest.approx(math.exp(-1))
+    assert kernels.min_attraction(kernels.zero_kernel(), 1.0) == 0.0
 
 
 @given(
@@ -45,8 +41,8 @@ def test_min_attraction_monotone_in_scale(idx, a, b):
     # The sup over a larger interval can only grow, so the negated value shrinks.
     kernel = ALL_FAMILIES[idx]
     lo, hi = min(a, b), max(a, b)
-    k_lo = kernels.min_attraction(kernel, lo).value
-    k_hi = kernels.min_attraction(kernel, hi).value
+    k_lo = kernels.min_attraction(kernel, lo)
+    k_hi = kernels.min_attraction(kernel, hi)
     assert k_hi <= k_lo + 1e-12
     assert k_hi <= kernel.kprime_sup_norm + 1e-12
 
@@ -58,8 +54,7 @@ def _exponential_table(n=10_000, s_max=12.0):
 
 def test_tabulated_matches_exponential():
     tab = _exponential_table()
-    est = kernels.min_attraction(tab, 1.0)
-    assert est.value == pytest.approx(math.exp(-1), abs=1e-4)
+    assert kernels.min_attraction(tab, 1.0) == pytest.approx(math.exp(-1), abs=1e-4)
 
 
 @pytest.mark.parametrize("scale, at", [(0.45, "node"), (0.48, "scale"), (9.0, "last node")])
@@ -75,7 +70,7 @@ def test_tabulated_sup_matches_a_dense_probe(scale, at):
     # The probes miss the sup by at most the steepest slope (7) times their spacing.
     assert dense <= sup <= dense + 7.0 * (probes[1] - probes[0])
     assert sup == {"node": -0.4, "scale": float(np.interp(0.48, s, tab.kprime_nodes)), "last node": -0.2}[at]
-    assert kernels.min_attraction(tab, scale).value == -sup
+    assert kernels.min_attraction(tab, scale) == -sup
 
 
 def test_tabulated_rejects_out_of_range():

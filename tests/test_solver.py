@@ -25,8 +25,6 @@ def test_config_validation():
         solver.SolverConfig(epsilon=0.0, t_end=1.0)
     with pytest.raises(ValueError):
         solver.SolverConfig(epsilon=0.1, t_end=-1.0)
-    with pytest.raises(ValueError):
-        solver.SolverConfig(epsilon=0.1, t_end=1.0, cfl_number=1.5)
 
 
 @pytest.mark.parametrize(
@@ -64,7 +62,7 @@ def test_single_step_mass_telescopes_exactly(epsilon):
         m = drift.build_interaction_matrix(g, kernels.neg_abs_kernel())
         v = m.apply(f.values * g.cell_volumes)
         cfg = solver.SolverConfig(epsilon=epsilon, t_end=1.0)
-        dt = 0.25 * solver.stated_cfl_bound(g, np.max(np.abs(v)), cfg.cfl_number)
+        dt = 0.25 * solver.stated_cfl_bound(g, np.max(np.abs(v)))
         new, outflux, _, _ = solver.advance(f, solver.face_velocities(v, g.n, g.n), cfg, dt)
         assert outflux > 0.0
         before = float(np.dot(f.values, g.cell_volumes))
@@ -164,9 +162,9 @@ def _check_steps_within_stated_cfl_bound(monkeypatch, g, rel, epsilon):
     advance, stated_cfl_bound = solver.advance, solver.stated_cfl_bound
     op = drift.build_interaction_matrix(g, kernels.neg_abs_kernel())
 
-    def seen_cfl_bound(grid, vmax, cfl_number):
+    def seen_cfl_bound(grid, vmax):
         speeds.append(vmax)
-        return stated_cfl_bound(grid, vmax, cfl_number)
+        return stated_cfl_bound(grid, vmax)
 
     def checked_advance(field, faces, config, dt):
         velocity = op.apply(field.values * g.cell_volumes)
@@ -174,7 +172,7 @@ def _check_steps_within_stated_cfl_bound(monkeypatch, g, rel, epsilon):
         assert abs(speeds[-1] - vmax) <= rel * vmax
         expected = solver.face_velocities(velocity, faces.shape[0] - 1, g.n)
         assert np.max(np.abs(faces - expected)) <= rel * vmax
-        bound = stated_cfl_bound(field.grid, speeds[-1], config.cfl_number)
+        bound = stated_cfl_bound(field.grid, speeds[-1])
         ratios.append(dt / bound)
         return advance(field, faces, config, dt)
 
@@ -289,7 +287,7 @@ def test_boundary_outflow_is_recorded_not_lost():
     assert traj.outflow_cumulative[-1] > 1e-3  # rim genuinely leaks here
     assert traj.mass_error() <= 1e-9
     assert traj.boundary_loss() == traj.outflow_cumulative[-1] / traj.mass[0]
-    assert traj.boundary_loss() > analysis.RunSettings().boundary_loss_tolerance
+    assert traj.boundary_loss() > analysis.BOUNDARY_LOSS_TOLERANCE
 
 
 def test_run_rejects_nonpositive_scale():
@@ -378,7 +376,7 @@ def test_thomas_solve_raises_on_zero_pivot():
         _accel.thomas_solve(np.array([1.0, 1.0, 1.0]), np.array([2.0, 0.0]), np.ones(3))
 
 
-def _positivity_bound_oracle(grid, faces, cfl_number):
+def _positivity_bound_oracle(grid, faces):
     # The rate form by boolean gathers: each cell's outflow rate per unit
     # volume accumulated onto zeros, right face first, then the largest.
     cells = faces.shape[0] - 1
@@ -389,11 +387,11 @@ def _positivity_bound_oracle(grid, faces, cfl_number):
     out_left = faces[1:-1] < 0.0
     rate[1:][out_left] += area[1:-1][out_left] / vol[1:][out_left] * -faces[1:-1][out_left]
     top = rate.max()
-    return cfl_number / top if top > 0.0 else math.inf
+    return solver.CFL / top if top > 0.0 else math.inf
 
 
-def _volume_over_outflow_bound(grid, velocity, cfl_number):
-    # The bound as cfl * min(vol / out), out summing each cell's outflow
+def _volume_over_outflow_bound(grid, velocity):
+    # The bound as CFL * min(vol / out), out summing each cell's outflow
     # coefficients (area times face velocity), by boolean gathers.
     area = grid.face_areas
     vol = grid.cell_volumes
@@ -405,7 +403,7 @@ def _volume_over_outflow_bound(grid, velocity, cfl_number):
     positive = out > 0.0
     if not np.any(positive):
         return math.inf
-    return float(cfl_number * np.min(vol[positive] / out[positive]))
+    return float(solver.CFL * np.min(vol[positive] / out[positive]))
 
 
 def _velocity_patterns(g, rng, trials=20):
@@ -427,7 +425,7 @@ def test_positivity_bound_matches_gather_formula_bitwise(dimension):
     g = grid.RadialGrid.make(dimension, 2.0, 0.01)
     for velocity in _velocity_patterns(g, np.random.default_rng(dimension)):
         faces = solver.face_velocities(velocity, g.n, g.n)
-        assert solver.positivity_bound(g, faces, 0.5) == _positivity_bound_oracle(g, faces, 0.5)
+        assert solver.positivity_bound(g, faces) == _positivity_bound_oracle(g, faces)
 
 
 @pytest.mark.parametrize("dimension", [1, 2, 3], ids=IMPLICIT_IDS)
@@ -436,22 +434,22 @@ def test_positivity_bound_on_a_window_matches_gather_formula_bitwise(dimension):
     for velocity in _velocity_patterns(g, np.random.default_rng(20 + dimension)):
         for cells in (2, 37, g.n - 1):
             faces = solver.face_velocities(velocity, cells, g.n)
-            assert solver.positivity_bound(g, faces, 0.5) == _positivity_bound_oracle(g, faces, 0.5)
+            assert solver.positivity_bound(g, faces) == _positivity_bound_oracle(g, faces)
 
 
 @pytest.mark.parametrize("dimension", [1, 2, 3], ids=IMPLICIT_IDS)
 def test_positivity_bound_agrees_with_volume_over_outflow_form(dimension):
-    # cfl / max(out / vol) and cfl * min(vol / out) differ by roundoff only.
+    # CFL / max(out / vol) and CFL * min(vol / out) differ by roundoff only.
     g = grid.RadialGrid.make(dimension, 2.0, 0.01)
     for velocity in _velocity_patterns(g, np.random.default_rng(10 + dimension)):
-        got = solver.positivity_bound(g, solver.face_velocities(velocity, g.n, g.n), 0.5)
-        expected = _volume_over_outflow_bound(g, velocity, 0.5)
+        got = solver.positivity_bound(g, solver.face_velocities(velocity, g.n, g.n))
+        expected = _volume_over_outflow_bound(g, velocity)
         assert abs(got - expected) <= 1e-15 * expected
 
 
 def test_positivity_bound_is_infinite_without_outflow():
     g = grid.RadialGrid.make(2, 1.0, 0.01)
-    assert solver.positivity_bound(g, np.zeros(g.n + 1), 0.5) == math.inf
+    assert solver.positivity_bound(g, np.zeros(g.n + 1)) == math.inf
 
 
 def test_face_velocities_average_the_cells():
@@ -469,14 +467,15 @@ def test_step_at_the_positivity_bound_stays_nonnegative(dimension):
     # alternating sign, so every other cell loses mass through both faces.
     g = grid.RadialGrid.make(dimension, 2.0, 0.01)
     rng = np.random.default_rng(dimension)
-    cfg = solver.SolverConfig(epsilon=0.03, t_end=1.0, cfl_number=1.0)
+    cfg = solver.SolverConfig(epsilon=0.03, t_end=1.0)
     for scale in (1e-2, 1.0, 1e2):
         sign = np.where(np.arange(g.n) % 2 == 0, 1.0, -1.0)
         velocity = scale * sign * np.cumsum(rng.uniform(0.5, 1.5, g.n))
         faces = solver.face_velocities(velocity, g.n, g.n)
         assert np.all(faces[2:-1:2] > 0.0) and np.all(faces[1:-1:2] < 0.0)
         u = rng.uniform(0.0, 1.0, g.n)
-        dt = solver.positivity_bound(g, faces, cfg.cfl_number)
+        # The exact limit: dividing by CFL = 0.5 is exact in binary.
+        dt = solver.positivity_bound(g, faces) / solver.CFL
         transported, _ = _accel.explicit_update(u, faces, g.right_ratios, g.left_ratios, g.face_areas[-1], dt)
         assert transported.min() >= -1e-14 * u.max()
         solver.advance(grid.DensityField(g, u), faces, cfg, dt)
@@ -487,7 +486,7 @@ def test_cell_velocities_are_rejected_where_faces_are_expected():
     velocity = np.linspace(-1.0, 1.0, g.n)
     cfg = solver.SolverConfig(epsilon=0.1, t_end=1.0)
     with pytest.raises(ValueError):
-        solver.positivity_bound(g, velocity, cfg.cfl_number)
+        solver.positivity_bound(g, velocity)
     with pytest.raises(ValueError):
         solver.advance(_gaussian_field(g), velocity, cfg, 1e-4)
 
@@ -658,8 +657,8 @@ def test_windowed_step_closes_its_last_face(dimension):
     faces = solver.face_velocities(velocity, cells, g.n)
     assert faces.shape == (cells + 1,) and faces[-1] == 0.0
     dt = min(
-        solver.stated_cfl_bound(g, np.max(np.abs(velocity)), cfg.cfl_number),
-        solver.positivity_bound(g, faces, cfg.cfl_number),
+        solver.stated_cfl_bound(g, np.max(np.abs(velocity))),
+        solver.positivity_bound(g, faces),
     )
     new, outflux, clipped, resolved = solver.advance(f, faces, cfg, dt)
     assert outflux == 0.0 and clipped == 0 and not resolved
@@ -682,7 +681,7 @@ def test_whole_grid_window_is_the_full_grid_step_bitwise(dimension):
     faces = solver.face_velocities(velocity, g.n, g.n)
     cfg = solver.SolverConfig(epsilon=0.05, t_end=1.0)
     eps = cfg.epsilon
-    dt = 0.5 * solver.positivity_bound(g, faces, cfg.cfl_number)
+    dt = 0.5 * solver.positivity_bound(g, faces)
     expected, outflux = _accel.explicit_update(
         f.values, faces, g.right_ratios, g.left_ratios, g.face_areas[-1], dt
     )
@@ -743,10 +742,10 @@ def test_run_with_mass_at_the_rim_records_outflow_and_fails_boundary_loss(monkey
     cfg = solver.SolverConfig(epsilon=0.1, t_end=0.05, record_interval=0.01)
     traj = solver.run(f, kernels.neg_abs_kernel(), cfg, scale=0.5)
     assert windows[0] == g.n
-    loss, tol = traj.boundary_loss(), analysis.RunSettings().boundary_loss_tolerance
-    assert loss > tol
+    loss = traj.boundary_loss()
+    assert loss > analysis.BOUNDARY_LOSS_TOLERANCE
     assert traj.mass_error() <= 1e-12
-    verdicts = {v.name: v.passed for v in analysis.trajectory_verdicts([traj.mass_error()], [loss], tol)}
+    verdicts = {v.name: v.passed for v in analysis.trajectory_verdicts([traj.mass_error()], [loss])}
     assert verdicts == {"mass_conservation": True, "boundary_loss": False}
 
 

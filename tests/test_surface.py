@@ -92,6 +92,7 @@ UNREAD_FIELDS = {
     # dataclasses.asdict, which reads every field.
     "analysis.ConcentrationConstants.capped_moment": "written by asdict",
     "analysis.ConcentrationConstants.initial_moment": "written by asdict",
+    "analysis.ConcentrationConstants.ball_factor": "written by asdict",
     # cli writes the sweep rows into sweep.json the same way.
     "analysis.SweepRow.domain_adequate": "written by asdict",
     # Computed but never written; ROADMAP item 6 moves it into timings.json.
