@@ -33,7 +33,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -264,9 +264,9 @@ def _ball_integral(traj: TrajectoryRecord, t_star: float, content) -> float:
         raise ValueError(
             f"ball radius {radius:g} unresolved by dr = {grid.dr:g}; refine the grid"
         )
-    if traj.snapshots is None or traj.snapshot_times is None:
+    if traj.snapshots is None:
         raise ValueError("trajectory was recorded without snapshots")
-    window = traj.snapshot_times <= t_star * (1.0 + 1e-9)
+    window = traj.times <= t_star * (1.0 + 1e-9)
     if int(np.count_nonzero(window)) < MIN_BALL_SAMPLES:
         raise ValueError(f"need at least {MIN_BALL_SAMPLES} snapshots inside the window")
     inside = grid.r_centers < radius
@@ -279,7 +279,7 @@ def _ball_integral(traj: TrajectoryRecord, t_star: float, content) -> float:
     # The cells inside are a prefix, so the same mask selects them from
     # snapshots of any width that covers the ball.
     series = content(traj.snapshots[:, inside[:width]], grid.cell_volumes[inside])
-    ts, vs = _series_to(traj.snapshot_times, series, t_star)
+    ts, vs = _series_to(traj.times, series, t_star)
     return float(np.trapezoid(vs, ts))
 
 
@@ -339,24 +339,10 @@ def h1_barrier(total_mass, u0_h1, coefficient, epsilon) -> float:
     return float(np.max([u0_h1, coefficient * total_mass ** 2.5 * epsilon ** -1.5]))
 
 
-def calibrate_h1_coefficient(probe_runs: Sequence[TrajectoryRecord]) -> float:
-    """H^1 barrier coefficient from probe runs (one dimension only): the
-    ``_h1_coefficient`` of each run's sup_t |u|_H1, diffusivity and initial
-    mass. At least three distinct diffusivities are required.
-    """
-    runs = list(probe_runs)
-    if len(runs) < 3:
-        raise ValueError("need at least 3 probe runs to calibrate the H^1 coefficient")
-    if any(traj.h1 is None for traj in runs):
-        raise ValueError("probe runs must carry the H^1 series (dimension 1)")
-    samples = [(float(np.max(traj.h1)), traj.epsilon, traj.initial_mass) for traj in runs]
-    return _h1_coefficient(samples)
-
-
-def _h1_coefficient(samples) -> float:
-    """SAFETY_FACTOR times the max over (sup_h1, eps, M) samples of the H^1
-    coefficient each needs, sup_t |u|_H1 * eps^(3/2) / M^(5/2); NaN when
-    any sample's value is not finite."""
+def calibrate_h1_coefficient(samples) -> float:
+    """1-D H^1 barrier coefficient: SAFETY_FACTOR times the max over
+    (sup_t |u|_H1, eps, M) samples of sup_t |u|_H1 * eps^(3/2) / M^(5/2);
+    NaN when any sample's value is not finite."""
     needs = [sup_h1 * eps ** 1.5 / m ** 2.5 for sup_h1, eps, m in samples]
     return SAFETY_FACTOR * _worst(needs, np.max)
 
@@ -465,10 +451,6 @@ class SweepReport:
     epsilon_star: Optional[float]
     # wall-clock seconds per row; diagnostics only, never serialized
     row_seconds: dict = None
-
-    @property
-    def all_passed(self) -> bool:
-        return all(v.passed for v in self.verdicts)
 
 
 def plan_grid(dimension, epsilon, t_end, support_radius, settings=RunSettings()) -> RadialGrid:
@@ -616,15 +598,15 @@ def epsilon_sweep(kernel: KernelSpec, init, settings: SweepSettings) -> SweepRep
 
     eps_arr = np.array([row.epsilon for row in rows])
     dim = settings.dimension
+    series = {
+        "2": [row.sup_lp[2.0] for row in rows],
+        "inf": [row.sup_lp[math.inf] for row in rows],
+        "ball_p2": [row.ball_p2_integral for row in rows],
+    }
     fits, quality = {}, {}
-    for p, target in ((2.0, -dim / 2.0), (math.inf, -float(dim))):
-        fit = loglog_fit(eps_arr, [row.sup_lp[p] for row in rows])
-        key = "inf" if p == math.inf else f"{p:g}"
-        fits[key] = fit.slope
-        quality[key] = fit.r_squared
-    ball_fit = loglog_fit(eps_arr, [row.ball_p2_integral for row in rows])
-    fits["ball_p2"] = ball_fit.slope
-    quality["ball_p2"] = ball_fit.r_squared
+    for key, values in series.items():
+        fit = loglog_fit(eps_arr, values)
+        fits[key], quality[key] = fit.slope, fit.r_squared
 
     calibration_rows = rows[::2]
     calibrated = {
@@ -635,7 +617,7 @@ def epsilon_sweep(kernel: KernelSpec, init, settings: SweepSettings) -> SweepRep
         if settings.h1_coefficient is not None:
             calibrated["h1"] = settings.h1_coefficient
         else:
-            calibrated["h1"] = _h1_coefficient(
+            calibrated["h1"] = calibrate_h1_coefficient(
                 [(row.sup_h1, row.epsilon, constants.total_mass) for row in calibration_rows]
             )
 

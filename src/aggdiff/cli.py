@@ -14,15 +14,16 @@ Every verdict is built in ``analysis`` by ``Verdict.bound``, which passes
 a value only when its margin to the limit is finite and >= 0: ``simulate``
 and ``check`` write ``analysis.run_verdicts`` of the run, ``sweep`` the
 verdicts of ``analysis.epsilon_sweep``, and ``baseline`` one
-``heat_norm_p*`` verdict per norm. Exit code 0 iff every verdict passes
-(``calibrate`` writes none and exits 0); a bad config or run directory
-exits 2 with one ``error:`` line. The sweep worker count is ``--jobs`` if
-given, else the config's ``sweep.jobs``. Every command that runs the
-solver runs it through ``analysis.run_case`` with the settings of
-``run_settings``. The step fraction ``solver.CFL`` and the analysis
-constants (rim-loss tolerance, safety factor, ball factor) are not
-config keys; ``run.json``, ``sweep.json`` and ``calibration.json`` echo
-the ones they use.
+``heat_norm_p*`` verdict per norm. ``write_verdicts`` writes them and
+returns the exit code: 0 iff every verdict passes (``calibrate`` writes
+none and exits 0); a bad config, input file or run directory exits 2 with
+one ``error:`` line. The sweep worker count is ``--jobs`` if given, else
+the config's ``sweep.jobs``. Every command that runs the solver runs it
+through ``analysis.run_case`` with the settings of ``run_settings``; the
+one-run commands take constants, scale and t_end from ``_resolve_run``.
+The step fraction ``solver.CFL`` and the analysis constants (rim-loss
+tolerance, safety factor, ball factor) are not config keys; ``run.json``,
+``sweep.json`` and ``calibration.json`` echo the ones they use.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ DEFAULTS = {
     "scale": "auto",
     "t_end": "auto",
     "grid": {"dr": "auto", "dr_max": 0.005, "dr_divisor": 16.0, "r_max": "auto"},
-    "solver": {"record_samples": 200, "dt_max": "auto", "store_snapshots": "auto"},
+    "solver": {"record_samples": 200, "dt_max": "auto", "store_snapshots": False},
     "analysis": {"slack": 0.01, "h1_coefficient": None},
     "sweep": {"jobs": 1},
 }
@@ -184,8 +185,8 @@ def parse_config(path) -> dict:
     s = cfg["solver"]
     s["record_samples"] = _as_int(s["record_samples"], "solver.record_samples", 2)
     s["dt_max"] = _auto_or_positive(s["dt_max"], "solver.dt_max")
-    if s["store_snapshots"] not in ("auto", True, False):
-        raise ConfigError("solver.store_snapshots must be auto, true or false")
+    if not isinstance(s["store_snapshots"], bool):
+        raise ConfigError("solver.store_snapshots must be true or false")
     a = cfg["analysis"]
     a["slack"] = _as_positive(a["slack"], "analysis.slack", allow_zero=True)
     if a["h1_coefficient"] is not None:
@@ -321,11 +322,9 @@ def emit_run(traj, constants, cfg, outdir: Path) -> None:
     if traj.snapshots is not None:
         snapdir = outdir / "snapshots"
         snapdir.mkdir(exist_ok=True)
-        times = []
-        for k, t in enumerate(traj.snapshot_times):
-            write_field_csv(traj.grid.r_centers, traj.snapshots[k], snapdir / f"snap_{k:05d}.csv")
-            times.append(float(t))
-        _write_json({"times": times}, snapdir / "index.json")
+        for k, snapshot in enumerate(traj.snapshots):
+            write_field_csv(traj.grid.r_centers, snapshot, snapdir / f"snap_{k:05d}.csv")
+        _write_json({"times": traj.times}, snapdir / "index.json")
 
 
 def load_run(outdir: Path):
@@ -338,14 +337,11 @@ def load_run(outdir: Path):
             lp[math.inf] = values
         elif name.startswith("lp"):
             lp[float(name[2:])] = values
-    snapshots = snapshot_times = None
-    snapdir = outdir / "snapshots"
-    if meta.get("has_snapshots") and (snapdir / "index.json").exists():
-        with open(snapdir / "index.json") as fh:
-            snapshot_times = np.asarray(json.load(fh)["times"])
+    snapshots = None
+    if meta.get("has_snapshots"):
         snaps = []
-        for k in range(len(snapshot_times)):
-            snaps.append(read_csv_columns(snapdir / f"snap_{k:05d}.csv")["u"])
+        for k in range(len(cols["t"])):
+            snaps.append(read_csv_columns(outdir / "snapshots" / f"snap_{k:05d}.csv")["u"])
         snapshots = np.asarray(snaps)
     traj = solver.TrajectoryRecord(
         grid=gridmod.RadialGrid(int(meta["dimension"]), float(meta["grid"]["dr"]), int(meta["grid"]["n"])),
@@ -359,18 +355,21 @@ def load_run(outdir: Path):
         outflow_cumulative=cols["outflow_cumulative"],
         lp=lp,
         h1=cols.get("h1"),
-        snapshot_times=snapshot_times,
         snapshots=snapshots,
         clipped_cells=int(meta["clipped_cells"]),
         full_grid_solves=int(meta["full_grid_solves"]),
     )
     constants = None
     if meta.get("constants") is not None:
-        constants = analysis.ConcentrationConstants(**meta["constants"])
+        try:
+            constants = analysis.ConcentrationConstants(**meta["constants"])
+        except TypeError as exc:
+            raise ValueError(f"{outdir / 'run.json'}: constants: {exc}") from None
     return traj, constants, meta
 
 
-def write_verdicts(verdicts, path) -> None:
+def write_verdicts(verdicts, path) -> int:
+    """Write and print the verdict table; return 0 iff every verdict passes, else 1."""
     lines = [
         f"{'PASS' if v.passed else 'FAIL'}  {v.name:<28s} margin={v.margin:+.6g}  {v.detail}"
         for v in verdicts
@@ -379,6 +378,7 @@ def write_verdicts(verdicts, path) -> None:
         fh.write("\n".join(lines) + ("\n" if lines else ""))
     for line in lines:
         print(line)
+    return 0 if all(v.passed for v in verdicts) else 1
 
 
 def write_manifest(command, config_path, outdir: Path) -> None:
@@ -407,17 +407,14 @@ def start_output(args, cfg) -> Path:
     return outdir
 
 
-def _diagnostics_scale(cfg, init) -> float:
-    """Scale of the moment and concentration series when no constants pick one."""
-    return cfg["scale"] if cfg["scale"] != "auto" else 10.0 * init.support_radius
-
-
-def _resolve_scale_and_constants(cfg, kernel, init):
-    """Constants (or None for non-attractive kernels) plus the diagnostics scale."""
+def _resolve_run(cfg, kernel, init):
+    """(constants, scale, t_end) of a one-run command; the zero kernel has no
+    constants, its scale defaults to 10 support radii and t_end must be set."""
     if cfg["kernel"] == "zero":
         if cfg["t_end"] == "auto":
             raise ConfigError("t_end must be numeric for the zero kernel (no intrinsic horizon)")
-        return None, _diagnostics_scale(cfg, init)
+        scale = cfg["scale"] if cfg["scale"] != "auto" else 10.0 * init.support_radius
+        return None, scale, cfg["t_end"]
     constants = analysis.reference_constants(
         kernel,
         init,
@@ -425,15 +422,11 @@ def _resolve_scale_and_constants(cfg, kernel, init):
         _auto(cfg["scale"]),
         cfg["analysis"]["h1_coefficient"],
     )
-    return constants, constants.scale
-
-
-def _resolve_t_end(cfg, constants):
     if cfg["t_end"] != "auto":
-        return cfg["t_end"]
-    if constants is None or not constants.admissible or not math.isfinite(constants.horizon):
+        return constants, constants.scale, cfg["t_end"]
+    if not constants.admissible or not math.isfinite(constants.horizon):
         raise ConfigError("t_end: auto requires admissible data (no finite horizon available)")
-    return constants.horizon
+    return constants, constants.scale, constants.horizon
 
 
 def cmd_simulate(args) -> int:
@@ -443,17 +436,15 @@ def cmd_simulate(args) -> int:
     epsilon = cfg["epsilon"][0]
     kernel = kernel_from_config(cfg)
     init = init_from_config(cfg)
-    constants, scale = _resolve_scale_and_constants(cfg, kernel, init)
-    t_end = _resolve_t_end(cfg, constants)
+    constants, scale, t_end = _resolve_run(cfg, kernel, init)
     traj = analysis.run_case(
         kernel, init, cfg["dimension"], epsilon, scale, t_end, run_settings(cfg),
-        snapshot_radius=math.inf if cfg["solver"]["store_snapshots"] is True else None,
+        snapshot_radius=math.inf if cfg["solver"]["store_snapshots"] else None,
     )
     outdir = start_output(args, cfg)
     emit_run(traj, constants, cfg, outdir)
     verdicts = analysis.run_verdicts(traj, constants, cfg["analysis"]["slack"])
-    write_verdicts(verdicts, outdir / "verdicts.txt")
-    return 0 if all(v.passed for v in verdicts) else 1
+    return write_verdicts(verdicts, outdir / "verdicts.txt")
 
 
 def _sweep_jobs(cfg, args) -> int:
@@ -532,8 +523,7 @@ def cmd_sweep(args) -> int:
     outdir = start_output(args, cfg)
     _write_json(sweep_report_payload(report), outdir / "sweep.json")
     write_sweep_csv(report, outdir / "sweep.csv")
-    write_verdicts(report.verdicts, outdir / "verdicts.txt")
-    return 0 if report.all_passed else 1
+    return write_verdicts(report.verdicts, outdir / "verdicts.txt")
 
 
 def cmd_check(args) -> int:
@@ -550,8 +540,7 @@ def cmd_check(args) -> int:
             print(f"INFO  ball_mass_integral           value={integral:.6g}")
         except ValueError as exc:
             print(f"INFO  ball_mass_integral           skipped: {exc}")
-    write_verdicts(verdicts, outdir / "verdicts.txt")
-    return 0 if all(v.passed for v in verdicts) else 1
+    return write_verdicts(verdicts, outdir / "verdicts.txt")
 
 
 def cmd_baseline(args) -> int:
@@ -560,18 +549,16 @@ def cmd_baseline(args) -> int:
         raise ConfigError("baseline runs pure diffusion and requires kernel: zero")
     if cfg["initial"]["type"] != "gaussian":
         raise ConfigError("baseline requires gaussian initial data (closed-form reference)")
-    if cfg["t_end"] == "auto":
-        raise ConfigError("baseline requires a numeric t_end")
     if cfg["solver"]["dt_max"] == "auto":
         raise ConfigError("baseline requires a numeric solver.dt_max: backward Euler is first order in time")
     if len(cfg["epsilon"]) != 1:
         raise ConfigError("baseline expects exactly one epsilon")
     epsilon = cfg["epsilon"][0]
-    t_end = cfg["t_end"]
+    kernel = kernel_from_config(cfg)
     init = init_from_config(cfg)
+    _, scale, t_end = _resolve_run(cfg, kernel, init)
     traj = analysis.run_case(
-        kernels.zero_kernel(), init, cfg["dimension"], epsilon,
-        _diagnostics_scale(cfg, init), t_end, run_settings(cfg),
+        kernel, init, cfg["dimension"], epsilon, scale, t_end, run_settings(cfg),
     )
     # A gaussian of this width is the spreading profile at offset time t0,
     # so the exact reference at clock time t is the profile at t + t0.
@@ -594,8 +581,7 @@ def cmd_baseline(args) -> int:
         {"epsilon": epsilon, "t_end": t_end, "t_offset": t0, "norms": results},
         outdir / "baseline.json",
     )
-    write_verdicts(verdicts, outdir / "verdicts.txt")
-    return 0 if all(v.passed for v in verdicts) else 1
+    return write_verdicts(verdicts, outdir / "verdicts.txt")
 
 
 def cmd_calibrate(args) -> int:
@@ -606,22 +592,22 @@ def cmd_calibrate(args) -> int:
         raise ConfigError("calibrate needs at least 3 probe diffusivities")
     kernel = kernel_from_config(cfg)
     init = init_from_config(cfg)
-    constants, _ = _resolve_scale_and_constants(cfg, kernel, init)
+    constants, scale, t_end = _resolve_run(cfg, kernel, init)
     if constants is None:
         raise ConfigError("calibrate requires an attractive kernel")
-    t_end = _resolve_t_end(cfg, constants)
     settings = run_settings(cfg)
-    runs = [analysis.run_case(kernel, init, 1, e, constants.scale, t_end, settings) for e in cfg["epsilon"]]
-    coefficient = analysis.calibrate_h1_coefficient(runs)
+    runs = [analysis.run_case(kernel, init, 1, e, scale, t_end, settings) for e in cfg["epsilon"]]
+    samples = [(float(np.max(traj.h1)), traj.epsilon, traj.initial_mass) for traj in runs]
+    coefficient = analysis.calibrate_h1_coefficient(samples)
     outdir = start_output(args, cfg)
     _write_json(
         {
             "h1_coefficient": coefficient,
             "safety_factor": analysis.SAFETY_FACTOR,
             "probes": [
-                {"epsilon": traj.epsilon, "sup_h1": float(np.max(traj.h1))} for traj in runs
+                {"epsilon": eps, "sup_h1": sup_h1} for sup_h1, eps, _ in samples
             ],
-            "scale": constants.scale,
+            "scale": scale,
         },
         outdir / "calibration.json",
     )
@@ -664,7 +650,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

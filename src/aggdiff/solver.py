@@ -130,9 +130,9 @@ class TrajectoryRecord:
 
     ``outflow_cumulative`` tracks the mass lost through the outer rim;
     ``lp`` maps the exponent (inf included) to the norm series.
-    ``snapshots`` holds one row per entry of ``snapshot_times``: the
-    densities of the innermost cells, as many as the run's
-    ``snapshot_radius`` selected (every cell for ``math.inf``).
+    ``snapshots`` holds one row per entry of ``times``: the densities of
+    the innermost cells, as many as the run's ``snapshot_radius``
+    selected (every cell for ``math.inf``).
     ``full_grid_solves`` counts the steps whose implicit solve outgrew the
     step's window and was redone on the whole grid.
     """
@@ -148,7 +148,6 @@ class TrajectoryRecord:
     outflow_cumulative: np.ndarray
     lp: dict
     h1: Optional[np.ndarray] = None
-    snapshot_times: Optional[np.ndarray] = None
     snapshots: Optional[np.ndarray] = None
     clipped_cells: int = 0
     full_grid_solves: int = 0
@@ -337,11 +336,10 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
     outflows = [0.0]
     lp_series = {p: [lp_norm(u0, p)] for p in LP_VALUES}
     h1_series = [h1_seminorm(u0)] if grid.dimension == 1 else None
-    snap_times = snaps = None
+    snaps = None
     if config.snapshot_radius is not None:
         # r_centers increase, so the cells below the radius are a prefix.
         snap_cells = int(np.searchsorted(grid.r_centers, config.snapshot_radius))
-        snap_times = [0.0]
         snaps = [u0.values[:snap_cells].copy()]
 
     current = u0
@@ -365,7 +363,6 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
         if h1_series is not None:
             h1_series.append(h1_seminorm(fld))
         if snaps is not None:
-            snap_times.append(t_now)
             snaps.append(fld.values[:snap_cells].copy())
 
     while t < config.t_end - tiny:
@@ -414,7 +411,6 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
         outflow_cumulative=np.asarray(outflows),
         lp={p: np.asarray(v) for p, v in lp_series.items()},
         h1=np.asarray(h1_series) if h1_series is not None else None,
-        snapshot_times=np.asarray(snap_times) if snap_times is not None else None,
         snapshots=np.asarray(snaps) if snaps is not None else None,
         clipped_cells=clipped_total,
         full_grid_solves=full_grid_solves,

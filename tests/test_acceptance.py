@@ -227,7 +227,9 @@ def test_09_h1_barrier_on_held_out_diffusivities():
         )
 
     calibration = [probe(e) for e in (0.1, 0.05, 0.02)]
-    coefficient = analysis.calibrate_h1_coefficient(calibration)
+    coefficient = analysis.calibrate_h1_coefficient(
+        [(float(np.max(traj.h1)), traj.epsilon, traj.initial_mass) for traj in calibration]
+    )
     held_out = [probe(e) for e in (0.07, 0.03, 0.015)]
     ratios = []
     for traj in held_out:

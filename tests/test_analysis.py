@@ -192,7 +192,7 @@ def test_ball_integrals_on_synthetic_trajectories():
         grid=g, epsilon=0.1, scale=1.0, kernel_name="neg_abs",
         times=times, mass=np.full(21, 1.0), truncated_moment=np.zeros(21),
         concentration=np.zeros(21), outflow_cumulative=np.zeros(21),
-        lp={}, snapshot_times=times, snapshots=snaps,
+        lp={}, snapshots=snaps,
     )
     ball_mass = float(np.dot(u[g.r_centers < 0.05], g.cell_volumes[g.r_centers < 0.05]))
     # stationary field: integral = mass-in-ball * T_star
@@ -211,15 +211,15 @@ def test_ball_integral_refuses_unresolved_ball():
         grid=g, epsilon=0.1, scale=1.0, kernel_name="neg_abs",
         times=times, mass=np.ones(21), truncated_moment=np.zeros(21),
         concentration=np.zeros(21), outflow_cumulative=np.zeros(21),
-        lp={}, snapshot_times=times, snapshots=snaps,
+        lp={}, snapshots=snaps,
     )
     with pytest.raises(ValueError):
         analysis.ball_mass_integral(traj, 1.0)  # radius 0.05 < 2 dr
     wide = replace(traj, epsilon=8.0)  # a ball of radius 4 covers every cell
-    sparse = replace(wide, snapshot_times=times[:5], snapshots=snaps[:5])
+    sparse = replace(wide, times=times[:5], snapshots=snaps[:5])
     with pytest.raises(ValueError):
         analysis.ball_mass_integral(sparse, 1.0)
-    missing = replace(wide, snapshot_times=None, snapshots=None)
+    missing = replace(wide, snapshots=None)
     with pytest.raises(ValueError):
         analysis.ball_mass_integral(missing, 1.0)
     narrow = replace(wide, snapshots=snaps[:, :3])
@@ -261,29 +261,16 @@ def test_sweep_rows_keep_only_the_ball_cells(monkeypatch):
     assert all(width == ball for width, ball in kept)
 
 
-def _fake_run(eps, sup_h1, m0=1.0):
-    n = 5
-    return solver.TrajectoryRecord(
-        grid=grid.RadialGrid(1, 0.01, 10), epsilon=eps, scale=1.0, kernel_name="neg_abs",
-        times=np.linspace(0, 1, n), mass=np.full(n, m0),
-        truncated_moment=np.zeros(n), concentration=np.zeros(n),
-        outflow_cumulative=np.zeros(n),
-        lp={2.0: np.full(n, 1.0)}, h1=np.full(n, sup_h1),
-    )
-
-
 def test_calibrate_h1_coefficient_semantics():
-    runs = [_fake_run(0.1, 10.0), _fake_run(0.05, 30.0), _fake_run(0.02, 120.0)]
-    c1 = analysis.calibrate_h1_coefficient(runs)
+    samples = [(10.0, 0.1, 1.0), (30.0, 0.05, 1.0), (120.0, 0.02, 1.0)]
+    c1 = analysis.calibrate_h1_coefficient(samples)
     expected = 1.5 * max(10.0 * 0.1**1.5, 30.0 * 0.05**1.5, 120.0 * 0.02**1.5)
     assert c1 == pytest.approx(expected)
     # idempotent under duplication
-    assert analysis.calibrate_h1_coefficient(runs + runs) == pytest.approx(c1)
-    # adding a weaker run cannot raise the coefficient
-    weaker = runs + [_fake_run(0.03, 1.0)]
+    assert analysis.calibrate_h1_coefficient(samples + samples) == pytest.approx(c1)
+    # adding a weaker sample cannot raise the coefficient
+    weaker = samples + [(1.0, 0.03, 1.0)]
     assert analysis.calibrate_h1_coefficient(weaker) == pytest.approx(c1)
-    with pytest.raises(ValueError):
-        analysis.calibrate_h1_coefficient(runs[:2])
 
 
 def test_barrier_forms():
@@ -493,11 +480,8 @@ def test_calibration_is_nan_when_a_row_is_nan():
     clean = analysis.calibrate_lp_coefficient_rows(rows((3.0, 4.0, 5.0)), 2.0, 1)
     assert clean == pytest.approx(1.5 * max(3.0 * 0.2**0.5, 4.0 * 0.05**0.5, 5.0 * 0.02**0.5))
     assert math.isnan(analysis.calibrate_lp_coefficient_rows(rows((3.0, math.nan, 5.0)), 2.0, 1))
-    runs = [
-        SimpleNamespace(epsilon=row.epsilon, h1=np.array([1.0, row.sup_h1]), initial_mass=1.0)
-        for row in rows((3.0, math.nan, 5.0))
-    ]
-    assert math.isnan(analysis.calibrate_h1_coefficient(runs))
+    samples = [(row.sup_h1, row.epsilon, 1.0) for row in rows((3.0, math.nan, 5.0))]
+    assert math.isnan(analysis.calibrate_h1_coefficient(samples))
     # A NaN coefficient must not fall back to max(M, |u0|) in the barriers.
     assert math.isnan(analysis.lp_barrier(2.0, 1.0, 0.5, math.nan, 0.01, 1))
     assert math.isnan(analysis.h1_barrier(1.0, 0.5, math.nan, 0.01))

@@ -88,6 +88,7 @@ def test_parse_rejects_inconsistent_combos(tmp_path):
         ("solver.record_samples", ".inf"), ("solver.record_samples", "2.9"),
         ("solver.record_samples", "1"), ("solver.record_samples", "true"),
         ("sweep.jobs", "1.7"), ("sweep.jobs", "0"), ("sweep.jobs", "-2"), ("sweep.jobs", ".nan"),
+        ("solver.store_snapshots", "auto"), ("solver.store_snapshots", "1"),
     ):
         section, name = key.split(".")
         with pytest.raises(cli.ConfigError, match=key):
@@ -194,18 +195,45 @@ def test_check_reverifies_and_detects_tampering(tmp_path):
     assert cli.main(["check", "--traj", str(out)]) == 1
 
 
-@pytest.mark.parametrize("key", ["slack", "scale"])
+@pytest.mark.parametrize("key", ["slack", "scale", "constants.horizon"])
 def test_check_of_a_run_json_without_a_key_it_reads_exits_2(tmp_path, capsys, key):
     config = _write(tmp_path, TINY_SIMULATE)
     out = tmp_path / "run"
     assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
     meta = json.loads((out / "run.json").read_text())
-    del meta[key]
+    *section, name = key.split(".")
+    del (meta[section[0]] if section else meta)[name]
     (out / "run.json").write_text(json.dumps(meta))
     capsys.readouterr()
     assert cli.main(["check", "--traj", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: {out}: run.json or trajectory.csv has no {key!r}\n"
+    if section:
+        assert err.startswith(f"error: {out / 'run.json'}: constants: ")
+        assert repr(name) in err and err.count("\n") == 1
+    else:
+        assert err == f"error: {out}: run.json or trajectory.csv has no {key!r}\n"
+
+
+def test_check_of_a_run_json_with_an_unknown_constant_exits_2(tmp_path, capsys):
+    config = _write(tmp_path, TINY_SIMULATE)
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    meta = json.loads((out / "run.json").read_text())
+    meta["constants"]["width"] = 1.0
+    (out / "run.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert cli.main(["check", "--traj", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / 'run.json'}: constants: ")
+    assert "'width'" in err and err.count("\n") == 1
+
+
+def test_write_verdicts_returns_the_exit_code(tmp_path, capsys):
+    passing = analysis.Verdict.bound("below", 1.0, 2.0, "")
+    failing = analysis.Verdict.bound("above", 3.0, 2.0, "")
+    assert cli.write_verdicts([passing], tmp_path / "v.txt") == 0
+    assert cli.write_verdicts([passing, failing], tmp_path / "v.txt") == 1
+    assert cli.write_verdicts([], tmp_path / "v.txt") == 0
 
 
 def test_check_reports_the_ball_mass_of_a_run_that_stored_every_cell(tmp_path, capsys):
@@ -302,8 +330,12 @@ def test_shipped_configs_parse_and_the_baseline_passes(tmp_path):
 def test_baseline_requires_gaussian_and_t_end(tmp_path, capsys):
     bad = _write(tmp_path, "{initial: {type: annulus, r_outer: 1.0}, t_end: 0.5}", "b1.yaml")
     assert cli.main(["baseline", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
-    bad2 = _write(tmp_path, "{kernel: zero}", "b2.yaml")
+    capsys.readouterr()
+    bad2 = _write(tmp_path, BASELINE_CONFIG.replace("t_end: 0.5", "t_end: auto"), "b2.yaml")
     assert cli.main(["baseline", "--config", str(bad2), "--out", str(tmp_path / "y")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: t_end ") and err.count("\n") == 1
+    assert not (tmp_path / "y").exists()
     # Without a step limit backward Euler's time error alone fails the norms.
     capsys.readouterr()
     bad3 = _write(tmp_path, BASELINE_CONFIG.replace("dt_max: 0.002, ", ""), "b3.yaml")
@@ -398,7 +430,7 @@ SWEEP_HONOURED = {"grid.dr": "dr", "grid.r_max": "r_max", "solver.dt_max": "dt_m
     ("grid.r_max", "3.0"),
     ("solver.dt_max", "1.0e-9"),
     ("solver.boundary_loss_tolerance", "1.0e-80"),  # retired: refused as an unknown key
-    ("solver.store_snapshots", "false"),
+    ("solver.store_snapshots", "true"),
 ])
 def test_sweep_rejects_keys_it_would_ignore(tmp_path, key, value, capsys):
     # Each sweep row runs to its own horizon and always stores snapshots,
@@ -420,7 +452,7 @@ def test_sweep_rejects_keys_it_would_ignore(tmp_path, key, value, capsys):
 
 
 def test_sweep_accepts_those_keys_at_their_defaults(tmp_path):
-    text = "{t_end: auto, solver: {store_snapshots: auto}}"
+    text = "{t_end: auto, solver: {store_snapshots: false}}"
     cli._reject_sweep_ignored(cli.parse_config(_write(tmp_path, text)))
 
 
@@ -509,6 +541,23 @@ def test_simulate_refuses_a_kernel_table_with_a_non_finite_sample(tmp_path, caps
     out = tmp_path / "run"
     assert cli.main(["simulate", "--config", str(_write(tmp_path, text)), "--out", str(out)]) == 2
     assert f"k'(s) = {bad}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("entry", ["config", "kernel_table", "initial.path"])
+def test_an_input_path_that_is_a_directory_exits_2(tmp_path, capsys, entry):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    text = {
+        "config": None,
+        "kernel_table": TINY_SIMULATE.replace("kernel: neg_abs", f"kernel: tabulated\nkernel_table: {folder}"),
+        "initial.path": TINY_SIMULATE.replace("type: gaussian", f"type: tabulated, path: {folder}"),
+    }[entry]
+    config = folder if text is None else _write(tmp_path, text)
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(folder) in err and err.count("\n") == 1
     assert not out.exists()
 
 
