@@ -353,20 +353,33 @@ class FitResult(NamedTuple):
 
 
 def loglog_fit(x, y) -> FitResult:
-    """Slope and R^2 of ordinary least squares on (log x, log y)."""
+    """Slope and R^2 of ordinary least squares on (log x, log y).
+
+    Closed form from the centred sums: with dx and dy the deviations of
+    log x and log y from their means, slope = sum(dx dy) / sum(dx^2) and
+    the intercept is mean(log y) - slope mean(log x); R^2 = 1 - SS_res /
+    SS_tot, 1.0 for a constant log y. A non-finite log gives NaN, and when
+    every x is equal no line is determined, so slope and R^2 are both NaN.
+    No LAPACK routine runs: ``numpy.linalg.lstsq`` would page in about
+    1 MB of it for this one fit per series.
+    """
     lx = np.log(np.asarray(x, dtype=np.float64))
     ly = np.log(np.asarray(y, dtype=np.float64))
     if lx.size < 2:
         raise ValueError("need at least two points to fit")
-    design = np.vstack([lx, np.ones_like(lx)]).T
-    coef, *_ = np.linalg.lstsq(design, ly, rcond=None)
-    fitted = design @ coef
+    # Tested on the values: the centred sum of equal logs need not be 0.
+    if lx.min() == lx.max():
+        return FitResult(math.nan, math.nan)
+    mean_x, mean_y = float(np.mean(lx)), float(np.mean(ly))
+    dx, dy = lx - mean_x, ly - mean_y
+    slope = float(np.dot(dx, dy)) / float(np.dot(dx, dx))
+    fitted = slope * lx + (mean_y - slope * mean_x)
     ss_res = float(np.sum((ly - fitted) ** 2))
-    ss_tot = float(np.sum((ly - np.mean(ly)) ** 2))
+    ss_tot = float(np.sum(dy ** 2))
     # A constant series fits exactly; a non-finite point leaves ss_tot NaN,
     # and R^2 must then stay NaN so that no fit-quality gate passes.
     r2 = 1.0 - ss_res / ss_tot if ss_tot != 0.0 else 1.0
-    return FitResult(float(coef[0]), r2)
+    return FitResult(slope, r2)
 
 
 # ---------------------------------------------------------------------------

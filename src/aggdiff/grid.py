@@ -104,17 +104,6 @@ class DensityField:
             raise ValueError("density values must be nonnegative")
         object.__setattr__(self, "values", values)
 
-    @classmethod
-    def _checked(cls, grid: RadialGrid, values: np.ndarray, time: float) -> "DensityField":
-        """A field of values the caller has already checked: a contiguous
-        float64 array of length grid.n, finite and nonnegative. Skips
-        ``__post_init__`` and its min/max pass over the values."""
-        new = object.__new__(cls)
-        object.__setattr__(new, "grid", grid)
-        object.__setattr__(new, "values", values)
-        object.__setattr__(new, "time", time)
-        return new
-
 
 # ---------------------------------------------------------------------------
 # functionals

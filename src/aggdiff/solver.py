@@ -22,7 +22,7 @@ step and lags the update by one step. A step that produces a NaN or
 infinite state or outflow raises NonFiniteError.
 
 Each step works on a window of cells that carry mass. From the cell
-masses and their sum M, computed once per step, J is one past the last
+masses and their sum M, summed once per step, J is one past the last
 cell with mass above eps M / n (``drift.mass_window``, eps the machine
 epsilon) and W = min(n, J + _PAD). The drift product reads the cells
 below J and returns V on the cells below W, with the largest |V| over
@@ -35,6 +35,13 @@ step is the full-grid step with the rim outflow face. The diffusion solve
 can carry mass past the pad in one step; when the last window cell ends
 the step with mass above eps / n times the window's mass, that step's
 diffusion is solved again on the whole grid, and the run counts it.
+
+A run keeps one density buffer, a copy of the initial values taken
+once, and the cell masses of its cells. ``advance`` returns the new
+values of the step's window (of all n cells after a whole-grid re-solve)
+and leaves the field it reads untouched; ``run`` writes those values into
+its buffer and refreshes the cell masses of the same cells only, so the
+cells past the window are never copied.
 """
 
 from __future__ import annotations
@@ -263,20 +270,22 @@ def _implicit_diffusion(u_star, grid, epsilon, dt):
 
 
 def advance(field: DensityField, faces: np.ndarray, config: SolverConfig, dt: float):
-    """One conservative update; returns (new field, outflow mass, clipped
+    """One conservative update; returns (new values, outflow mass, clipped
     cells, whether the diffusion was solved again on the whole grid).
 
     ``faces`` are the face velocities of ``face_velocities`` on a window of
     W cells (W + 1 entries). The update, upwind transport and then the
     backward-Euler diffusion solve, covers those cells; when W < n, face W
-    is closed and the cells beyond keep their values. A solve that leaves
-    the last window cell with mass above eps / n (eps the machine epsilon)
-    times the window's mass has carried mass past the window: the
-    diffusion is then solved again on the whole grid, from the transported
-    window and the unchanged cells beyond it. Raises
-    NonFiniteError when the new state or the outflow is not finite, and
-    NegativityError when a density falls below the clip threshold; the new
-    field is built from the checked values without checking them again.
+    is closed and the cells beyond keep their values. The new values
+    returned are those of the W window cells, a fresh array; the field
+    is left as it was, and its cells from W on hold the rest of the new
+    state. A solve that leaves the last window cell with mass above
+    eps / n (eps the machine epsilon) times the window's mass has carried
+    mass past the window: the diffusion is then solved again on the whole
+    grid, from the transported window and the unchanged cells beyond it,
+    and the new values cover all n cells. Raises NonFiniteError when the
+    new values or the outflow are not finite, and NegativityError when a
+    density falls below the clip threshold.
     """
     grid = field.grid
     cells = _window(grid, faces)
@@ -291,7 +300,7 @@ def advance(field: DensityField, faces: np.ndarray, config: SolverConfig, dt: fl
         if u_new[-1] * vol[-1] > _EPS * float(np.dot(u_new, vol)) / grid.n:
             u_star = np.concatenate((u_star, field.values[cells:]))
             u_new, rim = _implicit_diffusion(u_star, grid, config.epsilon, dt)
-            cells, resolved = grid.n, True
+            resolved = True
     outflux += rim
     # min and max propagate NaN, so they check the final state; the
     # negativity floor and the clip scale need them anyway.
@@ -304,10 +313,8 @@ def advance(field: DensityField, faces: np.ndarray, config: SolverConfig, dt: fl
         if floor < -1e-8 * scale:
             raise NegativityError(f"negative density {floor:g} beyond the clip threshold")
         clipped = int(np.count_nonzero(u_new < -1e-14))
-        u_new = np.maximum(u_new, 0.0)
-    if cells < grid.n:
-        u_new = np.concatenate((u_new, field.values[cells:]))
-    return DensityField._checked(grid, u_new, field.time + dt), float(outflux), clipped, resolved
+        np.maximum(u_new, 0.0, out=u_new)
+    return u_new, float(outflux), clipped, resolved
 
 
 def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float) -> TrajectoryRecord:
@@ -329,44 +336,47 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
         record_dt = config.t_end / 200.0 if config.t_end > 0.0 else 1.0
     dt_cap = config.dt_max if config.dt_max is not None else record_dt
 
-    times = [0.0]
-    masses = [mass(u0)]
-    moments = [truncated_moment(u0, scale)]
-    concentrations = [concentration_functional(u0, scale)]
-    outflows = [0.0]
-    lp_series = {p: [lp_norm(u0, p)] for p in LP_VALUES}
-    h1_series = [h1_seminorm(u0)] if grid.dimension == 1 else None
-    snaps = None
-    if config.snapshot_radius is not None:
-        # r_centers increase, so the cells below the radius are a prefix.
-        snap_cells = int(np.searchsorted(grid.r_centers, config.snapshot_radius))
-        snaps = [u0.values[:snap_cells].copy()]
-
-    current = u0
+    # The run's one density buffer, as a field that advance and the
+    # diagnostics read; its time stays 0 (the loop keeps t). Each step
+    # writes the values advance returns, and the cell masses of the same
+    # cells, over the previous ones.
+    state = DensityField(grid, u0.values.copy())
+    values = state.values
+    vol = grid.cell_volumes
+    cell_mass = values * vol
     t = 0.0
     outflow_total = 0.0
     clipped_total = 0
     full_grid_solves = 0
     steps = 0
     next_record = record_dt
-    vol = grid.cell_volumes
     tiny = 1e-12 * max(config.t_end, record_dt)
 
-    def sample(fld, t_now):
-        times.append(t_now)
-        masses.append(float(np.dot(fld.values, vol)))
-        moments.append(truncated_moment(fld, scale))
-        concentrations.append(concentration_functional(fld, scale))
-        outflows.append(outflow_total)
-        for p in LP_VALUES:
-            lp_series[p].append(lp_norm(fld, p))
-        if h1_series is not None:
-            h1_series.append(h1_seminorm(fld))
-        if snaps is not None:
-            snaps.append(fld.values[:snap_cells].copy())
+    times, masses, moments, concentrations, outflows = [], [], [], [], []
+    # The L^1 norm is the mass: its series is the mass series.
+    lp_series = {p: [] for p in LP_VALUES if p != 1.0}
+    h1_series = [] if grid.dimension == 1 else None
+    snaps = None
+    if config.snapshot_radius is not None:
+        # r_centers increase, so the cells below the radius are a prefix.
+        snap_cells = int(np.searchsorted(grid.r_centers, config.snapshot_radius))
+        snaps = []
 
+    def sample(t_now):
+        times.append(t_now)
+        masses.append(mass(state))
+        moments.append(truncated_moment(state, scale))
+        concentrations.append(concentration_functional(state, scale))
+        outflows.append(outflow_total)
+        for p, series in lp_series.items():
+            series.append(lp_norm(state, p))
+        if h1_series is not None:
+            h1_series.append(h1_seminorm(state))
+        if snaps is not None:
+            snaps.append(values[:snap_cells].copy())
+
+    sample(t)
     while t < config.t_end - tiny:
-        cell_mass = current.values * vol
         total = float(cell_mass.sum())
         if not math.isfinite(total):
             raise NonFiniteError(t, steps + 1)
@@ -385,31 +395,35 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
             raise RuntimeError(f"degenerate step size {dt!r} at t = {t!r}")
         steps += 1
         try:
-            current, outflux, clipped, resolved = advance(current, faces, config, dt)
+            new, outflux, clipped, resolved = advance(state, faces, config, dt)
         except NonFiniteError as exc:
-            exc.step = steps
+            exc.time, exc.step = t + dt, steps
             raise
-        t = current.time
+        changed = new.shape[0]
+        values[:changed] = new
+        np.multiply(new, vol[:changed], out=cell_mass[:changed])
+        t += dt
         outflow_total += outflux
         clipped_total += clipped
         full_grid_solves += resolved
         if t >= next_record - tiny:
-            sample(current, t)
+            sample(t)
             next_record += record_dt
     if t > times[-1] + tiny:
-        sample(current, t)
+        sample(t)
 
+    mass_series = np.asarray(masses)
     return TrajectoryRecord(
         grid=grid,
         epsilon=config.epsilon,
         scale=scale,
         kernel_name=kernel.name(),
         times=np.asarray(times),
-        mass=np.asarray(masses),
+        mass=mass_series,
         truncated_moment=np.asarray(moments),
         concentration=np.asarray(concentrations),
         outflow_cumulative=np.asarray(outflows),
-        lp={p: np.asarray(v) for p, v in lp_series.items()},
+        lp={1.0: mass_series, **{p: np.asarray(v) for p, v in lp_series.items()}},
         h1=np.asarray(h1_series) if h1_series is not None else None,
         snapshots=np.asarray(snaps) if snaps is not None else None,
         clipped_cells=clipped_total,

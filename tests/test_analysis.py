@@ -124,6 +124,34 @@ def test_loglog_fit_recovers_exact_power_law():
     assert fit.r_squared == pytest.approx(1.0)
 
 
+def test_loglog_fit_matches_lstsq_on_random_power_laws():
+    # The closed form against NumPy's least-squares solver on noisy power
+    # laws like the sweep's series: 3 to 9 diffusivities, slopes from -3
+    # to -0.5.
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(3, 10))
+        x = rng.uniform(0.01, 0.2, n)
+        y = rng.uniform(0.5, 2.0) * x ** rng.uniform(-3.0, -0.5) * np.exp(0.1 * rng.normal(size=n))
+        lx, ly = np.log(x), np.log(y)
+        design = np.vstack([lx, np.ones_like(lx)]).T
+        coef, *_ = np.linalg.lstsq(design, ly, rcond=None)
+        r2 = 1.0 - np.sum((ly - design @ coef) ** 2) / np.sum((ly - np.mean(ly)) ** 2)
+        fit = analysis.loglog_fit(x, y)
+        assert fit.slope == pytest.approx(coef[0], rel=1e-12)
+        assert fit.r_squared == pytest.approx(r2, rel=1e-12)
+
+
+def test_loglog_fit_of_equal_x_is_nan():
+    # No line is determined; a least-squares solver would return its
+    # minimum-norm answer (slope -0.253, R^2 = 1.0 here), which a
+    # fit-quality gate would pass.
+    fit = analysis.loglog_fit([0.1] * 4, [2.0] * 4)
+    assert math.isnan(fit.slope) and math.isnan(fit.r_squared)
+    fit = analysis.loglog_fit([0.1] * 4, [1.0, 2.0, 3.0, 4.0])
+    assert math.isnan(fit.slope) and math.isnan(fit.r_squared)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
 def test_loglog_fit_quality_is_nan_for_non_finite_logs(bad):
     x = np.array([0.1, 0.05, 0.02, 0.01])
