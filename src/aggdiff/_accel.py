@@ -2,9 +2,12 @@
 
 The upwind transport update and the diffusion's tridiagonal solve (LAPACK
 ``ptsv``, an LDL^T factorisation of a symmetric positive definite matrix)
-run on every step of every run. ``ptsv`` comes from SciPy's compiled
-LAPACK wrappers, ``scipy.linalg._flapack``, loaded on its own on the first
-step; ``scipy.linalg`` is never imported.
+run on every step of every run. ``ptsv`` is called through ``ctypes`` from
+the OpenBLAS that NumPy loaded at import, which exports it as
+``scipy_dptsv_64_`` (64-bit integers), so a process maps one BLAS. Where
+NumPy's LAPACK lacks that symbol, ``ptsv`` comes from SciPy's compiled
+wrappers, ``scipy.linalg._flapack``, loaded on their own; ``scipy.linalg``
+is never imported.
 ``entries_nd`` samples the N >= 2 drift matrix for its compressed operator
 by angular quadrature, from the per-build column geometry of
 ``chord_geometry``; ``entries_neg_abs_2d`` samples the closed form of
@@ -18,6 +21,7 @@ here.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import importlib.machinery
 import importlib.util
@@ -74,17 +78,20 @@ def explicit_update(u, faces, right, left, rim_area, dt):
     return u - du, dt * (rim_area * rim)
 
 
+# NumPy's OpenBLAS names its LAPACK routines with this prefix and the
+# ILP64 suffix: every integer argument is 64 bits wide.
+_PTSV_SYMBOL = "scipy_dptsv_64_"
 _FLAPACK = "scipy.linalg._flapack"
 
 
-@functools.cache
-def _ptsv():
-    # Loaded on first use, and loaded alone: importing scipy.linalg takes
-    # 0.25-0.3 s and 26 MB (its array-API layer imports numpy.testing,
-    # numpy.f2py, unittest and email), the extension on its own about
-    # 10 ms and 3 MB. This is the module that scipy.linalg.lapack
-    # re-exports, so the routine is the same. Every run loads it on its
-    # first step.
+def _flapack_ptsv():
+    # For a NumPy whose LAPACK does not export _PTSV_SYMBOL (older wheels,
+    # conda and system builds, Windows). The extension is loaded alone:
+    # importing scipy.linalg takes 0.25-0.3 s and 26 MB (its array-API
+    # layer imports numpy.testing, numpy.f2py, unittest and email), the
+    # extension about 10 ms and 3 MB, plus a second OpenBLAS. This is the
+    # module that scipy.linalg.lapack re-exports, so the routine is the
+    # same.
     scipy_spec = importlib.util.find_spec("scipy")
     linalg = []
     if scipy_spec is not None:
@@ -94,7 +101,47 @@ def _ptsv():
         raise ImportError(f"cannot find the LAPACK wrappers {_FLAPACK}", name=_FLAPACK)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.dptsv
+    dptsv = module.dptsv
+
+    def ptsv(diag, off, rhs):
+        _, _, x, info = dptsv(diag, off, rhs, True, True, True)
+        return x, info
+
+    return ptsv
+
+
+@functools.cache
+def _ptsv():
+    """LAPACK ``dptsv`` as (diag, off, rhs) -> (solution, info), found on first use.
+
+    dlsym on the handle of NumPy's linalg extension searches the libraries
+    it links, so it reaches the OpenBLAS NumPy already mapped; where that
+    fails, the routine comes from ``_flapack_ptsv``.
+    """
+    try:
+        routine = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), _PTSV_SYMBOL)
+    except (AttributeError, OSError):
+        return _flapack_ptsv()
+    integer, real = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
+    routine.argtypes = (integer, integer, real, real, real, integer, integer)
+    routine.restype = None
+    one, buffer = ctypes.c_int64(1), ctypes.c_double.from_buffer
+
+    def ptsv(diag, off, rhs):
+        # DPTSV(N, NRHS, D, E, B, LDB, INFO), solving in place.
+        n, info = ctypes.c_int64(diag.shape[0]), ctypes.c_int64()
+        routine(n, one, buffer(diag), buffer(off), buffer(rhs), n, info)
+        return rhs, info.value
+
+    return ptsv
+
+
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _solvable(a, n):
+    # flags.carray: C-contiguous, aligned and writable.
+    return type(a) is np.ndarray and a.dtype == _FLOAT64 and a.shape == (n,) and a.flags.carray
 
 
 def thomas_solve(diag, off, rhs):
@@ -102,15 +149,23 @@ def thomas_solve(diag, off, rhs):
     off-diagonal ``off`` (n-1) for the right-hand side ``rhs`` (n), n >= 2.
 
     The matrix must be positive definite. This is LAPACK ``ptsv``: an
-    LDL^T factorisation without pivoting, called without SciPy's
-    finiteness checks. It overwrites all three arguments (f2py works in
-    place on contiguous float64 arrays) and returns the solution in the
-    storage of ``rhs``. A matrix that is not positive definite raises
+    LDL^T factorisation without pivoting, without SciPy's finiteness
+    checks. It overwrites all three arguments and returns the solution in
+    the storage of ``rhs``. All three must be C-contiguous, aligned,
+    writable float64 arrays of those lengths, since LAPACK reads and writes
+    their memory directly; anything else raises ValueError before it runs. A
+    matrix that is not positive definite raises
     ``numpy.linalg.LinAlgError``. (The Thomas algorithm is the same
     elimination; the name is kept because ``perfbench`` times the solve
     under it.)
     """
-    _, _, x, info = _ptsv()(diag, off, rhs, True, True, True)
+    n = getattr(diag, "size", 0)
+    if n < 2 or not (_solvable(diag, n) and _solvable(off, n - 1) and _solvable(rhs, n)):
+        raise ValueError(
+            "ptsv needs C-contiguous, aligned, writable float64 arrays of lengths "
+            "n, n - 1 and n, n >= 2"
+        )
+    x, info = _ptsv()(diag, off, rhs)
     if info > 0:
         raise np.linalg.LinAlgError(
             f"tridiagonal matrix not positive definite: pivot {info} is not positive"

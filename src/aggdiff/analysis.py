@@ -194,8 +194,9 @@ def check_moment_inequality(
 
     scale * dI/dt <= eps * D - kappa M^2 / 2 + rate * I at interior
     samples, with centred differences for dI/dt. The times of the
-    samples that exceed it by more than slack * kappa M^2 / 2 are
-    returned; an unattractive kernel (zero attraction floor) is refused.
+    samples that exceed it by more than slack * kappa M^2 / 2, or where
+    either side is NaN, are returned; an unattractive kernel (zero
+    attraction floor) is refused.
     """
     if constants.attraction <= 0.0:
         raise ValueError("moment inequality applies to attractive kernels only")
@@ -210,7 +211,7 @@ def check_moment_inequality(
     for k in range(1, len(t) - 1):
         lhs = constants.scale * (moment[k + 1] - moment[k - 1]) / (t[k + 1] - t[k - 1])
         rhs = traj.epsilon * traj.concentration[k] - drop + constants.moment_rate * moment[k]
-        if lhs - rhs > tol:
+        if not lhs - rhs <= tol:
             violations.append(float(t[k]))
     return violations
 

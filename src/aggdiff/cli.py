@@ -327,6 +327,18 @@ def emit_run(traj, constants, cfg, outdir: Path) -> None:
         _write_json({"times": traj.times}, snapdir / "index.json")
 
 
+def _run_value(meta, convert, *keys):
+    """``convert`` of run.json's value at the nested ``keys``; KeyError if
+    one is missing, TypeError naming them ("grid.dr") if it fails."""
+    try:
+        value = meta
+        for key in keys:
+            value = value[key]
+        return convert(value)
+    except (TypeError, ValueError):
+        raise TypeError(".".join(keys)) from None
+
+
 def load_run(outdir: Path):
     with open(outdir / "run.json") as fh:
         meta = json.load(fh)
@@ -344,9 +356,13 @@ def load_run(outdir: Path):
             snaps.append(read_csv_columns(outdir / "snapshots" / f"snap_{k:05d}.csv")["u"])
         snapshots = np.asarray(snaps)
     traj = solver.TrajectoryRecord(
-        grid=gridmod.RadialGrid(int(meta["dimension"]), float(meta["grid"]["dr"]), int(meta["grid"]["n"])),
-        epsilon=float(meta["epsilon"]),
-        scale=float(meta["scale"]),
+        grid=gridmod.RadialGrid(
+            _run_value(meta, int, "dimension"),
+            _run_value(meta, float, "grid", "dr"),
+            _run_value(meta, int, "grid", "n"),
+        ),
+        epsilon=_run_value(meta, float, "epsilon"),
+        scale=_run_value(meta, float, "scale"),
         kernel_name=meta["kernel"],
         times=cols["t"],
         mass=cols["mass"],
@@ -356,8 +372,8 @@ def load_run(outdir: Path):
         lp=lp,
         h1=cols.get("h1"),
         snapshots=snapshots,
-        clipped_cells=int(meta["clipped_cells"]),
-        full_grid_solves=int(meta["full_grid_solves"]),
+        clipped_cells=_run_value(meta, int, "clipped_cells"),
+        full_grid_solves=_run_value(meta, int, "full_grid_solves"),
     )
     constants = None
     if meta.get("constants") is not None:
@@ -530,9 +546,11 @@ def cmd_check(args) -> int:
     outdir = Path(args.traj)
     try:
         traj, constants, meta = load_run(outdir)
-        slack = float(meta["slack"])
+        slack = _run_value(meta, float, "slack")
     except KeyError as exc:
         raise ValueError(f"{outdir}: run.json or trajectory.csv has no {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise ValueError(f"{outdir}: run.json has no number at {exc.args[0]!r}") from None
     verdicts = analysis.run_verdicts(traj, constants, slack)
     if traj.snapshots is not None and constants is not None:
         try:

@@ -176,6 +176,20 @@ def test_moment_inequality_clean_run_and_injected_fault():
     assert violations and any(abs(time - traj.times[k - 1]) < 1e-12 for time in violations)
 
 
+@pytest.mark.parametrize("column", ["concentration", "truncated_moment"])
+def test_moment_inequality_counts_a_nan_sample_as_a_violation(column):
+    # A NaN compares false both ways: a sample counts unless it provably
+    # meets the bound. The concentration enters the bound at its own
+    # sample, the moment also the centred differences of its neighbours.
+    traj, c = _quick_traj()
+    values = getattr(traj, column).copy()
+    k = len(values) // 2
+    values[k] = math.nan
+    violations = analysis.check_moment_inequality(replace(traj, **{column: values}), c, slack=0.01)
+    hit = [k] if column == "concentration" else [k - 1, k, k + 1]
+    assert violations == [float(traj.times[i]) for i in hit]
+
+
 def test_moment_inequality_rejects_scale_mismatch():
     traj, c = _quick_traj()
     wrong = replace(traj, scale=traj.scale * 2.0)

@@ -214,6 +214,38 @@ def test_check_of_a_run_json_without_a_key_it_reads_exits_2(tmp_path, capsys, ke
         assert err == f"error: {out}: run.json or trajectory.csv has no {key!r}\n"
 
 
+@pytest.mark.parametrize("key", ["grid.dr", "grid.n", "epsilon"])
+def test_check_of_a_run_json_with_a_null_number_exits_2(tmp_path, capsys, key):
+    # Exit 1 is a FAIL verdict; a value check cannot read is an input error.
+    config = _write(tmp_path, TINY_SIMULATE)
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    meta = json.loads((out / "run.json").read_text())
+    *section, name = key.split(".")
+    (meta[section[0]] if section else meta)[name] = None
+    (out / "run.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert cli.main(["check", "--traj", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {out}: run.json has no number at {key!r}\n"
+
+
+def test_check_fails_the_moment_inequality_on_nan_samples(tmp_path, capsys):
+    config = _write(tmp_path, TINY_SIMULATE)
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    column = lines[0].split(",").index("concentration")
+    for k in (10, 11, 12):
+        cells = lines[k].split(",")
+        cells[column] = "nan"
+        lines[k] = ",".join(cells)
+    (out / "trajectory.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(["check", "--traj", str(out)]) == 1
+    verdict = next(line for line in capsys.readouterr().out.splitlines() if "moment_inequality" in line)
+    assert verdict.startswith("FAIL") and verdict.endswith("3 violations")
+
+
 def test_check_of_a_run_json_with_an_unknown_constant_exits_2(tmp_path, capsys):
     config = _write(tmp_path, TINY_SIMULATE)
     out = tmp_path / "run"

@@ -1,3 +1,5 @@
+import ctypes
+import functools
 import math
 import os
 import pickle
@@ -348,24 +350,107 @@ def test_run_stops_when_the_volume_weighted_solve_overflows():
     assert info.value.time == 1e-3
 
 
-@pytest.mark.parametrize("n", [3, 50, 2000])
-def test_thomas_solve_matches_dense_solve(n):
-    # Symmetric positive definite systems: a random diagonally dominant one
-    # and the implicit step's vol + c A on an N = 3 grid, whose diagonal
-    # spans decades (vol grows like r^2).
+def _spd_systems(n):
+    # Symmetric positive definite systems (diag, off, rhs): a random
+    # diagonally dominant one and the implicit step's vol + c A on an N = 3
+    # grid, whose diagonal spans decades (vol grows like r^2).
     rng = np.random.default_rng(n)
     off = rng.uniform(-1.0, 1.0, n - 1)
     diag = 2.0 + rng.uniform(0.0, 1.0, n)
     g = grid.RadialGrid(3, 0.01, n)
     c = 0.05 * 2e-3 / g.dr
     systems = [(diag, off), (g.cell_volumes + c * g.face_sums, -c * g.face_areas[1:-1])]
-    for diag, off in systems:
-        rhs = rng.uniform(-1.0, 1.0, n)
+    return [(diag, off, rng.uniform(-1.0, 1.0, n)) for diag, off in systems]
+
+
+def _numpy_exports_ptsv():
+    try:
+        return hasattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), _accel._PTSV_SYMBOL)
+    except (AttributeError, OSError):
+        return False
+
+
+@pytest.mark.parametrize("n", [3, 50, 2000])
+def test_thomas_solve_matches_dense_solve(n):
+    for diag, off, rhs in _spd_systems(n):
         dense = np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
         expected = np.linalg.solve(dense, rhs)
         x = _accel.thomas_solve(diag.copy(), off.copy(), rhs.copy())
         assert x.shape == (n,)
         assert np.max(np.abs(x - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("n", [3, 50, 2000])
+def test_thomas_solve_is_scipy_ptsv_bitwise(n):
+    from scipy.linalg import lapack
+
+    for diag, off, rhs in _spd_systems(n):
+        expected = lapack.dptsv(diag, off, rhs)[2]
+        x = _accel.thomas_solve(diag.copy(), off.copy(), rhs.copy())
+        assert x.tobytes() == expected.tobytes()
+
+
+@pytest.fixture
+def flapack_ptsv(monkeypatch):
+    # ptsv as a NumPy whose LAPACK lacks the symbol gets it.
+    monkeypatch.setattr(_accel, "_PTSV_SYMBOL", "no_such_routine_")
+    _accel._ptsv.cache_clear()
+    yield
+    _accel._ptsv.cache_clear()
+
+
+def test_flapack_fallback_gives_the_same_bits(flapack_ptsv):
+    from scipy.linalg import lapack
+
+    assert _accel._ptsv().__qualname__.startswith("_flapack_ptsv")
+    for n in (3, 50, 2000):
+        for diag, off, rhs in _spd_systems(n):
+            x = _accel.thomas_solve(diag.copy(), off.copy(), rhs.copy())
+            assert x.tobytes() == lapack.dptsv(diag, off, rhs)[2].tobytes()
+    with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
+        _accel.thomas_solve(np.zeros(4), np.zeros(3), np.ones(4))
+
+
+def _read_only(n):
+    a = np.ones(n)
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize(
+    "diag, off, rhs",
+    [
+        (np.full(4, 3.0, dtype=np.float32), np.ones(3), np.ones(4)),
+        (np.full(4, 3.0), np.ones(3, dtype=np.float32), np.ones(4)),
+        (np.full(4, 3.0), np.ones(3), np.arange(4)),
+        (np.full(8, 3.0)[::2], np.ones(3), np.ones(4)),
+        (np.full(4, 3.0), np.ones(6)[::2], np.ones(4)),
+        (np.full(4, 3.0), np.ones(3), np.ones(8)[::2]),
+        (np.full(4, 3.0), np.ones(3), _read_only(4)),
+        (np.full(4, 3.0), _read_only(3), np.ones(4)),
+        (np.full(4, 3.0), np.ones(3), np.frombuffer(bytearray(33), offset=1)),
+        (np.full(4, 3.0), np.ones(2), np.ones(4)),
+        (np.full(4, 3.0), np.ones(3), np.ones(3)),
+        (np.full(4, 3.0), np.ones(4), np.ones(4)),
+        (np.full(1, 3.0), np.ones(0), np.ones(1)),
+        (np.full((2, 2), 3.0), np.ones(3), np.ones(4)),
+        ([3.0, 3.0], [1.0], [1.0, 1.0]),
+    ],
+    ids=[
+        "float32-diag", "float32-off", "integer-rhs", "strided-diag", "strided-off",
+        "strided-rhs", "read-only-rhs", "read-only-off", "misaligned-rhs", "short-off", "short-rhs",
+        "long-off", "n-1", "2d-diag", "lists",
+    ],
+)
+def test_thomas_solve_refuses_what_lapack_cannot_take(diag, off, rhs):
+    # LAPACK reads and writes the arrays' memory as n, n - 1 and n float64
+    # values: a float32 array would be reinterpreted and a short one
+    # overrun, so nothing reaches it unchecked.
+    before = [np.array(a, copy=True) for a in (diag, off, rhs)]
+    with pytest.raises(ValueError, match="float64"):
+        _accel.thomas_solve(diag, off, rhs)
+    for a, b in zip((diag, off, rhs), before):
+        assert np.array_equal(a, b)
 
 
 def test_thomas_solve_raises_on_zero_pivot():
@@ -501,35 +586,53 @@ def _probe(code, *args) -> str:
     return result.stdout
 
 
+# Prints whether any mapping of the process names SciPy's bundled
+# libraries or its LAPACK wrappers (None without /proc/self/maps).
+_SCIPY_MAPPED = """
+try:
+    with open('/proc/self/maps') as fh:
+        print('scipy_mapped', any('scipy.libs' in line or '_flapack' in line for line in fh))
+except FileNotFoundError:
+    print('scipy_mapped', None)
+"""
+
 _LAPACK_PROBE = """
 import sys
 import numpy as np
 import aggdiff.cli
 from aggdiff import _accel, grid, kernels, solver
 
-print('scipy.linalg' in sys.modules)
+print('scipy.linalg_at_import', 'scipy.linalg' in sys.modules)
 g = grid.RadialGrid.make(1, 1.0, 0.05)
 u0 = grid.DensityField(g, np.exp(-g.r_centers ** 2 / 0.02))
 cfg = solver.SolverConfig(epsilon=0.1, t_end=0.01)
 solver.run(u0, kernels.neg_abs_kernel(), cfg, scale=1.0)
-print('scipy.linalg' in sys.modules)
-
+print('scipy.linalg', 'scipy.linalg' in sys.modules)
+""" + _SCIPY_MAPPED + """
 from scipy.linalg import lapack
 
 rng = np.random.default_rng(7)
 diag, off, rhs = 3.0 + rng.uniform(0.0, 1.0, 40), rng.uniform(-1.0, 1.0, 39), rng.uniform(size=40)
 ours = _accel.thomas_solve(diag.copy(), off.copy(), rhs.copy())
 theirs = lapack.dptsv(diag, off, rhs)[2]
-print(ours.tobytes() == theirs.tobytes())
+print('same_bits', ours.tobytes() == theirs.tobytes())
 """
+
+
+@functools.cache
+def _probe_lines(code) -> dict:
+    """The ``name value`` lines ``code`` prints, run once per session."""
+    return dict(line.split() for line in _probe(code).splitlines())
 
 
 def test_import_leaves_scipy_linalg_unloaded():
     # The benchmark's setup_s runs from launch to the first step, and the
-    # first step loads LAPACK's ptsv without importing scipy.linalg,
+    # first step finds LAPACK's ptsv without importing scipy.linalg,
     # which costs 0.25-0.3 s and 26 MB. A later import of scipy.linalg
     # still works and solves with the same bits.
-    assert _probe(_LAPACK_PROBE).split() == ["False", "False", "True"]
+    loaded = _probe_lines(_LAPACK_PROBE)
+    assert loaded["scipy.linalg_at_import"] == loaded["scipy.linalg"] == "False"
+    assert loaded["same_bits"] == "True"
 
 
 _SERIAL_SWEEP_PROBE = """
@@ -542,7 +645,7 @@ settings = analysis.SweepSettings(dimension=2, epsilons=(0.2, 0.1, 0.05, 0.02), 
 analysis.epsilon_sweep(kernels.neg_abs_kernel(), grid.GaussianBump(1.0, 0.25), settings)
 for name in ('numpy.random', 'multiprocessing', 'concurrent.futures', 'scipy.linalg', 'hashlib', '_hashlib'):
     print(name, name in sys.modules)
-"""
+""" + _SCIPY_MAPPED
 
 
 def test_serial_2d_sweep_leaves_pool_and_random_unloaded():
@@ -550,12 +653,24 @@ def test_serial_2d_sweep_leaves_pool_and_random_unloaded():
     # random numbers and no analytic kernel is hashed: importing
     # multiprocessing and concurrent.futures costs about 20 ms per process,
     # numpy.random 16 ms and 6 MB, hashlib (OpenSSL's libcrypto) 3.4 MB.
-    loaded = dict(line.split() for line in _probe(_SERIAL_SWEEP_PROBE).splitlines())
+    loaded = dict(_probe_lines(_SERIAL_SWEEP_PROBE))
+    del loaded["scipy_mapped"]
     assert loaded == {
         "numpy.random": "False", "multiprocessing": "False",
         "concurrent.futures": "False", "scipy.linalg": "False",
         "hashlib": "False", "_hashlib": "False",
     }
+
+
+@pytest.mark.parametrize("probe", [_LAPACK_PROBE, _SERIAL_SWEEP_PROBE], ids=["run", "serial-2d-sweep"])
+def test_a_run_maps_no_scipy_library(probe):
+    # ptsv comes from the OpenBLAS NumPy loaded at import, so no step maps
+    # SciPy's second OpenBLAS (1624 kB resident) or its LAPACK wrappers.
+    if not Path("/proc/self/maps").exists():
+        pytest.skip("no /proc/self/maps to list the libraries a process maps")
+    if not _numpy_exports_ptsv():
+        pytest.skip(f"NumPy's LAPACK does not export {_accel._PTSV_SYMBOL}: ptsv comes from _flapack")
+    assert _probe_lines(probe)["scipy_mapped"] == "False"
 
 
 _SIMULATE_PROBE = """
