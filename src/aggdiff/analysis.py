@@ -57,6 +57,8 @@ SCALE_SCAN_POINTS = 61
 # Largest relative mass defect and rim loss a run may show.
 MASS_TOLERANCE = 1e-6
 BOUNDARY_LOSS_TOLERANCE = 1e-6
+# Moment-inequality excess allowed, as a fraction of kappa M^2 / 2.
+MOMENT_SLACK = 0.01
 # Calibrated barrier coefficients are the worst probe value times this.
 SAFETY_FACTOR = 1.5
 # Radius of the shrinking balls, in units of eps.
@@ -188,13 +190,12 @@ def select_scale(
 def check_moment_inequality(
     traj: TrajectoryRecord,
     constants: ConcentrationConstants,
-    slack: float = 0.01,
 ) -> list:
     """Pointwise check of the truncated-moment differential inequality.
 
     scale * dI/dt <= eps * D - kappa M^2 / 2 + rate * I at interior
     samples, with centred differences for dI/dt. The times of the
-    samples that exceed it by more than slack * kappa M^2 / 2, or where
+    samples that exceed it by more than MOMENT_SLACK * kappa M^2 / 2, or where
     either side is NaN, are returned; an unattractive kernel (zero
     attraction floor) is refused.
     """
@@ -204,7 +205,7 @@ def check_moment_inequality(
         raise ValueError("trajectory was recorded at a different scale")
     m0 = traj.initial_mass
     drop = constants.attraction * m0 * m0 / 2.0
-    tol = slack * drop
+    tol = MOMENT_SLACK * drop
     t = traj.times
     moment = traj.truncated_moment
     violations = []
@@ -316,36 +317,34 @@ def heat_kernel_norm(epsilon: float, t: float, p, total_mass: float, dimension: 
     return total_mass * spread ** (-dimension * (p - 1.0) / (2.0 * p)) * p ** (-dimension / (2.0 * p))
 
 
-def _lp_exponents(p, dimension) -> tuple:
-    """Exponents (a, b) of the L^p scaling M^a eps^-b.
+def scaling_exponents(norm, dimension) -> tuple:
+    """Exponents (a, b) of the scaling law sup_t |u| <= C M^a eps^-b.
 
-    a = (N(p-1)+p)/p and b = N(p-1)/p, taken in the limit for p = inf
-    (a = N+1, b = N).
+    For the L^p norm (``norm`` = p in [1, inf]) a = (N(p-1)+p)/p and
+    b = N(p-1)/p, taken in the limit for p = inf (a = N+1, b = N); for
+    ``"h1"``, the one-dimensional H^1 seminorm, a = 5/2 and b = 3/2.
     """
-    if p == math.inf:
+    if norm == "h1":
+        return 2.5, 1.5
+    if norm == math.inf:
         return dimension + 1.0, float(dimension)
-    p = float(p)
+    p = float(norm)
     return (dimension * (p - 1.0) + p) / p, dimension * (p - 1.0) / p
 
 
-def lp_barrier(p, total_mass, u0_norm, coefficient, epsilon, dimension) -> float:
-    """Empirical sup-norm barrier max(M, |u0|, C M^a eps^-b) for L^p, with
-    (a, b) from ``_lp_exponents``; NaN when any term is NaN."""
-    a, b = _lp_exponents(p, dimension)
-    return float(np.max([total_mass, u0_norm, coefficient * total_mass ** a * epsilon ** (-b)]))
+def calibrate_coefficient(samples, norm, dimension) -> float:
+    """Barrier coefficient of ``norm``: SAFETY_FACTOR times the max over
+    (sup, eps, M) samples of sup * eps^b / M^a, with (a, b) from
+    ``scaling_exponents``; NaN when any sample's value is not finite."""
+    a, b = scaling_exponents(norm, dimension)
+    return SAFETY_FACTOR * _worst([sup * eps ** b / m ** a for sup, eps, m in samples], np.max)
 
 
-def h1_barrier(total_mass, u0_h1, coefficient, epsilon) -> float:
-    """Empirical H^1 barrier max(|u0|_H1, C M^(5/2) eps^(-3/2)); NaN when any term is NaN."""
-    return float(np.max([u0_h1, coefficient * total_mass ** 2.5 * epsilon ** -1.5]))
-
-
-def calibrate_h1_coefficient(samples) -> float:
-    """1-D H^1 barrier coefficient: SAFETY_FACTOR times the max over
-    (sup_t |u|_H1, eps, M) samples of sup_t |u|_H1 * eps^(3/2) / M^(5/2);
-    NaN when any sample's value is not finite."""
-    needs = [sup_h1 * eps ** 1.5 / m ** 2.5 for sup_h1, eps, m in samples]
-    return SAFETY_FACTOR * _worst(needs, np.max)
+def barrier(norm, dimension, coefficient, total_mass, epsilon, *floors) -> float:
+    """Empirical barrier max(floors, C M^a eps^-b), with (a, b) from
+    ``scaling_exponents``; NaN when any term is NaN."""
+    a, b = scaling_exponents(norm, dimension)
+    return float(np.max([*floors, coefficient * total_mass ** a * epsilon ** (-b)]))
 
 
 class FitResult(NamedTuple):
@@ -406,7 +405,6 @@ class SweepSettings:
     epsilons: tuple
     scale: Optional[float] = None
     run: RunSettings = RunSettings()
-    slack: float = 0.01
     h1_coefficient: Optional[float] = None
     jobs: int = 1
 
@@ -474,7 +472,7 @@ def plan_grid(dimension, epsilon, t_end, support_radius, settings=RunSettings())
 
     eps/16 rather than the minimal eps/8: the first-order upwind bias
     lowers the equilibrium spike by about 2 (dr/eps) kappa M^2 / 2. For
-    eps >= 0.01 that deficit stays inside the 1% slack of the
+    eps >= 0.01 that deficit stays inside the MOMENT_SLACK (1%) of the
     moment-inequality check; at eps = 0.002 it does not (1-D excess 1.57%).
     """
     dr, r_max = settings.dr, settings.r_max
@@ -534,7 +532,7 @@ def _sweep_case(payload):
         kernel, init, settings.dimension, epsilon, constants.scale,
         t_star, settings.run, snapshot_radius=BALL_FACTOR * epsilon,
     )
-    violations = check_moment_inequality(traj, constants, settings.slack)
+    violations = check_moment_inequality(traj, constants)
     bound = weighted_concentration_integral(traj, constants)
     loss = traj.boundary_loss()
     conc_mass = ball_mass_integral(traj, t_star)
@@ -623,17 +621,14 @@ def epsilon_sweep(kernel: KernelSpec, init, settings: SweepSettings) -> SweepRep
         fits[key], quality[key] = fit.slope, fit.r_squared
 
     calibration_rows = rows[::2]
-    calibrated = {
-        "lp_2": calibrate_lp_coefficient_rows(calibration_rows, 2.0, dim),
-        "lp_inf": calibrate_lp_coefficient_rows(calibration_rows, math.inf, dim),
-    }
+    calibrated = {}
+    for key, p in (("lp_2", 2.0), ("lp_inf", math.inf)):
+        samples = [(row.sup_lp[p], row.epsilon, row.u0_lp[1.0]) for row in calibration_rows]
+        calibrated[key] = calibrate_coefficient(samples, p, dim)
     if dim == 1:
-        if settings.h1_coefficient is not None:
-            calibrated["h1"] = settings.h1_coefficient
-        else:
-            calibrated["h1"] = calibrate_h1_coefficient(
-                [(row.sup_h1, row.epsilon, constants.total_mass) for row in calibration_rows]
-            )
+        samples = [(row.sup_h1, row.epsilon, constants.total_mass) for row in calibration_rows]
+        given = settings.h1_coefficient
+        calibrated["h1"] = given if given is not None else calibrate_coefficient(samples, "h1", dim)
 
     verdicts = _sweep_verdicts(rows, fits, quality, calibrated, constants, settings)
     return SweepReport(
@@ -649,14 +644,6 @@ def epsilon_sweep(kernel: KernelSpec, init, settings: SweepSettings) -> SweepRep
         epsilon_star=epsilon_star(rows),
         row_seconds=row_seconds,
     )
-
-
-def calibrate_lp_coefficient_rows(rows, p, dimension) -> float:
-    """L^p barrier coefficient: SAFETY_FACTOR times the max over sweep rows
-    of sup_t |u|_p * eps^b / M^a; NaN when any row's value is not finite."""
-    a, b = _lp_exponents(p, dimension)
-    needs = [row.sup_lp[p] * row.epsilon ** b / row.u0_lp[1.0] ** a for row in rows]
-    return SAFETY_FACTOR * _worst(needs, np.max)
 
 
 def _worst(values, reduce) -> float:
@@ -703,14 +690,14 @@ def boundary_loss_verdict(losses) -> Verdict:
     return Verdict.bound("boundary_loss", worst, BOUNDARY_LOSS_TOLERANCE, f"relative rim loss {worst:.3e}")
 
 
-def run_verdicts(traj: TrajectoryRecord, constants, slack) -> list:
+def run_verdicts(traj: TrajectoryRecord, constants) -> list:
     """``trajectory_verdicts`` of one recorded run: the moment inequality
-    needs an attractive kernel (``constants`` not None, attraction > 0), and
-    the weighted bound admissible constants too; it fails a run that ends
-    before their horizon, whose integral is partial."""
+    (at MOMENT_SLACK) needs an attractive kernel (``constants`` not None,
+    attraction > 0), and the weighted bound admissible constants too; it
+    fails a run that ends before their horizon, whose integral is partial."""
     violations, ratios, partial = (), (), []
     if constants is not None and constants.attraction > 0.0:
-        violations = [len(check_moment_inequality(traj, constants, slack))]
+        violations = [len(check_moment_inequality(traj, constants))]
         if constants.admissible and not traj.times[-1] >= constants.horizon * (1 - 1e-9):
             end = f"run ends at t = {traj.times[-1]:.4g}, before the horizon {constants.horizon:.4g}"
             partial = [Verdict.bound("weighted_lower_bound", math.nan, 1.0, end, lower=True)]
@@ -741,8 +728,8 @@ def _sweep_verdicts(rows, fits, quality, calibrated, constants, settings) -> lis
     dim = settings.dimension
     verdicts = _row_verdicts(rows)
 
-    slope_targets = {"2": -dim / 2.0, "inf": -float(dim), "ball_p2": -dim / 2.0}
-    for key, target in slope_targets.items():
+    for key, p in (("2", 2.0), ("inf", math.inf), ("ball_p2", 2.0)):
+        target = -scaling_exponents(p, dim)[1]
         slope, r2 = fits[key], quality[key]
         rel = abs(slope - target) / abs(target)
         verdicts += [
@@ -750,29 +737,25 @@ def _sweep_verdicts(rows, fits, quality, calibrated, constants, settings) -> lis
             Verdict.bound(f"fit_quality_{key}", r2, 0.98, f"R^2 = {r2:.5f}", lower=True),
         ]
 
-    for p, ckey in ((2.0, "lp_2"), (math.inf, "lp_inf")):
-        coef = calibrated[ckey]
-        ratios = [
-            row.sup_lp[p] / lp_barrier(p, constants.total_mass, row.u0_lp[p], coef, row.epsilon, dim)
-            for row in rows
-        ]
-        worst = _worst(ratios, np.max)
-        verdicts.append(Verdict.bound(f"upper_barrier_{ckey}", worst, 1.0, f"max sup/barrier ratio {worst:.3f}"))
-    smallest = rows[-1]
-    coef = calibrated["lp_2"]
-    barrier_small = lp_barrier(2.0, constants.total_mass, smallest.u0_lp[2.0], coef, smallest.epsilon, dim)
-    sup_small = smallest.sup_lp[2.0]
+    m = constants.total_mass
+
+    def sup_and_barrier(row, key, norm):
+        if norm == "h1":
+            return row.sup_h1, barrier(norm, dim, calibrated[key], m, row.epsilon, row.u0_h1)
+        return row.sup_lp[norm], barrier(norm, dim, calibrated[key], m, row.epsilon, m, row.u0_lp[norm])
+
+    def upper_barrier(key, norm):
+        worst = _worst([sup / bar for sup, bar in (sup_and_barrier(row, key, norm) for row in rows)], np.max)
+        return Verdict.bound(f"upper_barrier_{key}", worst, 1.0, f"max sup/barrier ratio {worst:.3f}")
+
+    verdicts += [upper_barrier("lp_2", 2.0), upper_barrier("lp_inf", math.inf)]
+    sup_small, barrier_small = sup_and_barrier(rows[-1], "lp_2", 2.0)
     # An infinite sup would make the ratio 0, which passes: it must be NaN.
     saturation = barrier_small / sup_small if math.isfinite(sup_small) else math.nan
-    detail = f"barrier/sup = {saturation:.2f} at eps = {smallest.epsilon:g}"
+    detail = f"barrier/sup = {saturation:.2f} at eps = {rows[-1].epsilon:g}"
     verdicts.append(Verdict.bound("barrier_saturation", saturation, 10.0, detail))
-    if dim == 1 and "h1" in calibrated:
-        ratios = [
-            row.sup_h1 / h1_barrier(constants.total_mass, row.u0_h1, calibrated["h1"], row.epsilon)
-            for row in rows
-        ]
-        worst = _worst(ratios, np.max)
-        verdicts.append(Verdict.bound("upper_barrier_h1", worst, 1.0, f"max sup/barrier ratio {worst:.3f}"))
+    if "h1" in calibrated:
+        verdicts.append(upper_barrier("h1", "h1"))
 
     conc = [row.ball_mass_integral for row in rows]
     c_star = _worst(conc, np.min)

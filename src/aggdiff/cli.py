@@ -16,14 +16,15 @@ and ``check`` write ``analysis.run_verdicts`` of the run, ``sweep`` the
 verdicts of ``analysis.epsilon_sweep``, and ``baseline`` one
 ``heat_norm_p*`` verdict per norm. ``write_verdicts`` writes them and
 returns the exit code: 0 iff every verdict passes (``calibrate`` writes
-none and exits 0); a bad config, input file or run directory exits 2 with
-one ``error:`` line. The sweep worker count is ``--jobs`` if given, else
-the config's ``sweep.jobs``. Every command that runs the solver runs it
-through ``analysis.run_case`` with the settings of ``run_settings``; the
-one-run commands take constants, scale and t_end from ``_resolve_run``.
-The step fraction ``solver.CFL`` and the analysis constants (rim-loss
-tolerance, safety factor, ball factor) are not config keys; ``run.json``,
-``sweep.json`` and ``calibration.json`` echo the ones they use.
+none and exits 0); a bad config, input file or run directory, or a grid
+too large to allocate, exits 2 with one ``error:`` line. The sweep worker
+count is ``--jobs`` if given, else the config's ``sweep.jobs``. Every
+command that runs the solver runs it through ``analysis.run_case`` with
+the settings of ``run_settings``; the one-run commands take constants,
+scale and t_end from ``_resolve_run``. The step fraction ``solver.CFL``
+and the analysis constants (rim-loss tolerance, moment slack, safety
+factor, ball factor) are not config keys; ``run.json``, ``sweep.json``
+and ``calibration.json`` echo the ones they use.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ DEFAULTS = {
     "t_end": "auto",
     "grid": {"dr": "auto", "dr_max": 0.005, "dr_divisor": 16.0, "r_max": "auto"},
     "solver": {"record_samples": 200, "dt_max": "auto", "store_snapshots": False},
-    "analysis": {"slack": 0.01, "h1_coefficient": None},
+    "analysis": {"h1_coefficient": None},
     "sweep": {"jobs": 1},
 }
 
@@ -188,7 +189,6 @@ def parse_config(path) -> dict:
     if not isinstance(s["store_snapshots"], bool):
         raise ConfigError("solver.store_snapshots must be true or false")
     a = cfg["analysis"]
-    a["slack"] = _as_positive(a["slack"], "analysis.slack", allow_zero=True)
     if a["h1_coefficient"] is not None:
         a["h1_coefficient"] = _as_positive(a["h1_coefficient"], "analysis.h1_coefficient")
         if cfg["dimension"] != 1:
@@ -299,7 +299,7 @@ def write_field_csv(r, u, path) -> None:
             fh.write(f"{_fmt(ri)},{_fmt(ui)}\n")
 
 
-def emit_run(traj, constants, cfg, outdir: Path) -> None:
+def emit_run(traj, constants, outdir: Path) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(traj, outdir / "trajectory.csv")
     meta = {
@@ -313,7 +313,7 @@ def emit_run(traj, constants, cfg, outdir: Path) -> None:
         "full_grid_solves": traj.full_grid_solves,
         "domain_adequate": analysis.boundary_loss_verdict([traj.boundary_loss()]).passed,
         "boundary_loss_tolerance": analysis.BOUNDARY_LOSS_TOLERANCE,
-        "slack": cfg["analysis"]["slack"],
+        "slack": analysis.MOMENT_SLACK,
         "ball_factor": analysis.BALL_FACTOR,
         "constants": asdict(constants) if constants is not None else None,
         "has_snapshots": traj.snapshots is not None,
@@ -458,8 +458,8 @@ def cmd_simulate(args) -> int:
         snapshot_radius=math.inf if cfg["solver"]["store_snapshots"] else None,
     )
     outdir = start_output(args, cfg)
-    emit_run(traj, constants, cfg, outdir)
-    verdicts = analysis.run_verdicts(traj, constants, cfg["analysis"]["slack"])
+    emit_run(traj, constants, outdir)
+    verdicts = analysis.run_verdicts(traj, constants)
     return write_verdicts(verdicts, outdir / "verdicts.txt")
 
 
@@ -531,7 +531,6 @@ def cmd_sweep(args) -> int:
         epsilons=tuple(cfg["epsilon"]),
         scale=_auto(cfg["scale"]),
         run=run_settings(cfg),
-        slack=cfg["analysis"]["slack"],
         h1_coefficient=cfg["analysis"]["h1_coefficient"],
         jobs=_sweep_jobs(cfg, args),
     )
@@ -545,13 +544,12 @@ def cmd_sweep(args) -> int:
 def cmd_check(args) -> int:
     outdir = Path(args.traj)
     try:
-        traj, constants, meta = load_run(outdir)
-        slack = _run_value(meta, float, "slack")
+        traj, constants, _ = load_run(outdir)
     except KeyError as exc:
         raise ValueError(f"{outdir}: run.json or trajectory.csv has no {exc.args[0]!r}") from None
     except TypeError as exc:
         raise ValueError(f"{outdir}: run.json has no number at {exc.args[0]!r}") from None
-    verdicts = analysis.run_verdicts(traj, constants, slack)
+    verdicts = analysis.run_verdicts(traj, constants)
     if traj.snapshots is not None and constants is not None:
         try:
             integral = analysis.ball_mass_integral(traj, min(constants.horizon, traj.times[-1]))
@@ -616,7 +614,7 @@ def cmd_calibrate(args) -> int:
     settings = run_settings(cfg)
     runs = [analysis.run_case(kernel, init, 1, e, scale, t_end, settings) for e in cfg["epsilon"]]
     samples = [(float(np.max(traj.h1)), traj.epsilon, traj.initial_mass) for traj in runs]
-    coefficient = analysis.calibrate_h1_coefficient(samples)
+    coefficient = analysis.calibrate_coefficient(samples, "h1", 1)
     outdir = start_output(args, cfg)
     _write_json(
         {
@@ -668,7 +666,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

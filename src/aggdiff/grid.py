@@ -85,11 +85,10 @@ class RadialGrid:
 
 @dataclass(frozen=True)
 class DensityField:
-    """Finite, nonnegative cell-averaged density snapshot at a given time."""
+    """Finite, nonnegative cell-averaged densities on a grid."""
 
     grid: RadialGrid
     values: np.ndarray
-    time: float = 0.0
 
     def __post_init__(self):
         values = np.ascontiguousarray(self.values, dtype=np.float64)
@@ -219,6 +218,27 @@ def concentration_functional(field: DensityField, scale: float) -> float:
 # initial conditions
 # ---------------------------------------------------------------------------
 
+def check_samples(x, y, names, what) -> None:
+    """Raise ValueError unless every sample is finite and x strictly increases;
+    ``names`` label x and y in the message, ``what`` is its subject."""
+    finite = np.isfinite(x) & np.isfinite(y)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"{what} must be finite; got {names[0]} = {x[i]:g}, {names[1]} = {y[i]:g}")
+    if np.any(np.diff(x) <= 0.0):
+        raise ValueError(f"{what} must have strictly increasing {names[0]}")
+
+
+def read_samples(path, names):
+    """(x, y) from a two-column whitespace text file with '#' comments,
+    checked by ``check_samples``; every error names the file."""
+    data = np.loadtxt(path, comments="#", dtype=np.float64)
+    if data.ndim != 2 or data.shape[1] != 2:
+        raise ValueError(f"{path}: expected two columns ({names[0]}, {names[1]})")
+    check_samples(data[:, 0], data[:, 1], names, f"{path}: samples")
+    return data[:, 0], data[:, 1]
+
+
 @dataclass(frozen=True)
 class GaussianBump:
     """Radial Gaussian exp(-r^2 / (2 width^2)), rescaled to the given mass."""
@@ -261,10 +281,8 @@ class TabulatedProfile:
 
     @classmethod
     def from_file(cls, path, mass: float) -> "TabulatedProfile":
-        data = np.loadtxt(path, comments="#", dtype=np.float64)
-        if data.ndim != 2 or data.shape[1] != 2:
-            raise ValueError(f"{path}: expected two columns (r, u)")
-        return cls(mass, data[:, 0], data[:, 1])
+        """Read (r, u(r)) samples with ``read_samples``."""
+        return cls(mass, *read_samples(path, ("r", "u")))
 
     @property
     def support_radius(self) -> float:
@@ -283,4 +301,4 @@ def make_initial_condition(spec, grid: RadialGrid) -> DensityField:
     raw = float(np.dot(values, grid.cell_volumes))
     if raw <= 0.0:
         raise ValueError("initial profile has zero mass on this grid")
-    return DensityField(grid, values * (spec.mass / raw), 0.0)
+    return DensityField(grid, values * (spec.mass / raw))

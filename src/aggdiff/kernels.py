@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .grid import check_samples, read_samples
+
 
 class KernelFamily(enum.Enum):
     NEG_ABS = "neg_abs"
@@ -96,28 +98,17 @@ def tabulated_kernel(s_nodes, kprime_nodes) -> KernelSpec:
     kprime_nodes = np.ascontiguousarray(kprime_nodes, dtype=np.float64)
     if s_nodes.ndim != 1 or s_nodes.shape != kprime_nodes.shape or s_nodes.size < 2:
         raise ValueError("tabulated kernel needs matching 1-d sample arrays with >= 2 points")
-    finite = np.isfinite(s_nodes) & np.isfinite(kprime_nodes)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise ValueError(
-            f"tabulated kernel samples must be finite; got s = {s_nodes[i]:g}, k'(s) = {kprime_nodes[i]:g}"
-        )
-    if s_nodes[0] <= 0.0 or np.any(np.diff(s_nodes) <= 0.0):
+    check_samples(s_nodes, kprime_nodes, ("s", "k'(s)"), "tabulated kernel samples")
+    if s_nodes[0] <= 0.0:
         raise ValueError("tabulated kernel samples must have strictly increasing s > 0")
     sup = float(np.max(np.abs(kprime_nodes)))
     return KernelSpec(KernelFamily.TABULATED, s_nodes, kprime_nodes, sup)
 
 
 def load_tabulated_kernel(path) -> KernelSpec:
-    """Read (s, k'(s)) samples from a two-column whitespace text file.
-
-    Lines starting with '#' are ignored; every sample must be finite and s
-    strictly increasing.
-    """
-    data = np.loadtxt(path, comments="#", dtype=np.float64)
-    if data.ndim != 2 or data.shape[1] != 2:
-        raise ValueError(f"{path}: expected two columns (s, k'(s))")
-    return tabulated_kernel(data[:, 0], data[:, 1])
+    """Read (s, k'(s)) samples with ``grid.read_samples``: every sample
+    finite, s strictly increasing (and s > 0)."""
+    return tabulated_kernel(*read_samples(path, ("s", "k'(s)")))
 
 
 def min_attraction(kernel: KernelSpec, scale: float) -> float:

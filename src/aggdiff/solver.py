@@ -89,8 +89,8 @@ class NonFiniteError(RuntimeError):
     from densities whose cell-mass sum overflows.
 
     ``time`` is the time the step was advancing to (started from, for an
-    overflowed sum); ``step`` counts the steps of the run from 1 (None
-    when the step was taken outside ``run``).
+    overflowed sum); ``step`` counts the steps of the run from 1. A step
+    taken outside ``run`` has step None and time dt, the step's own end.
     """
 
     def __init__(self, time: float, step: Optional[int] = None):
@@ -306,7 +306,7 @@ def advance(field: DensityField, faces: np.ndarray, config: SolverConfig, dt: fl
     # negativity floor and the clip scale need them anyway.
     floor, top = float(u_new.min()), float(u_new.max())
     if not (math.isfinite(floor) and math.isfinite(top) and math.isfinite(outflux)):
-        raise NonFiniteError(field.time + dt)
+        raise NonFiniteError(dt)
     clipped = 0
     if floor < 0.0:
         scale = max(top, float(np.max(field.values)), 1.0)
@@ -337,7 +337,7 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
     dt_cap = config.dt_max if config.dt_max is not None else record_dt
 
     # The run's one density buffer, as a field that advance and the
-    # diagnostics read; its time stays 0 (the loop keeps t). Each step
+    # diagnostics read; the loop keeps the time t. Each step
     # writes the values advance returns, and the cell masses of the same
     # cells, over the previous ones.
     state = DensityField(grid, u0.values.copy())

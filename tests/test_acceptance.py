@@ -227,14 +227,14 @@ def test_09_h1_barrier_on_held_out_diffusivities():
         )
 
     calibration = [probe(e) for e in (0.1, 0.05, 0.02)]
-    coefficient = analysis.calibrate_h1_coefficient(
-        [(float(np.max(traj.h1)), traj.epsilon, traj.initial_mass) for traj in calibration]
+    coefficient = analysis.calibrate_coefficient(
+        [(float(np.max(traj.h1)), traj.epsilon, traj.initial_mass) for traj in calibration], "h1", 1
     )
     held_out = [probe(e) for e in (0.07, 0.03, 0.015)]
     ratios = []
     for traj in held_out:
-        barrier = analysis.h1_barrier(
-            traj.initial_mass, float(traj.h1[0]), coefficient, traj.epsilon
+        barrier = analysis.barrier(
+            "h1", 1, coefficient, traj.initial_mass, traj.epsilon, float(traj.h1[0])
         )
         ratios.append(float(np.max(traj.h1)) / barrier)
     worst = max(ratios)

@@ -164,7 +164,7 @@ def test_loglog_fit_quality_is_nan_for_non_finite_logs(bad):
 
 def test_moment_inequality_clean_run_and_injected_fault():
     traj, c = _quick_traj()
-    assert analysis.check_moment_inequality(traj, c, slack=0.01) == []
+    assert analysis.check_moment_inequality(traj, c) == []
     # Inflate one interior sample by 10%: the centred difference just
     # before it then overshoots the bound. (A uniform rescaling would be
     # nearly invariant here since it also inflates the growth term.)
@@ -172,7 +172,7 @@ def test_moment_inequality_clean_run_and_injected_fault():
     k = len(moments) // 2
     moments[k] *= 1.1
     corrupted = replace(traj, truncated_moment=moments)
-    violations = analysis.check_moment_inequality(corrupted, c, slack=0.01)
+    violations = analysis.check_moment_inequality(corrupted, c)
     assert violations and any(abs(time - traj.times[k - 1]) < 1e-12 for time in violations)
 
 
@@ -185,7 +185,7 @@ def test_moment_inequality_counts_a_nan_sample_as_a_violation(column):
     values = getattr(traj, column).copy()
     k = len(values) // 2
     values[k] = math.nan
-    violations = analysis.check_moment_inequality(replace(traj, **{column: values}), c, slack=0.01)
+    violations = analysis.check_moment_inequality(replace(traj, **{column: values}), c)
     hit = [k] if column == "concentration" else [k - 1, k, k + 1]
     assert violations == [float(traj.times[i]) for i in hit]
 
@@ -305,22 +305,33 @@ def test_sweep_rows_keep_only_the_ball_cells(monkeypatch):
 
 def test_calibrate_h1_coefficient_semantics():
     samples = [(10.0, 0.1, 1.0), (30.0, 0.05, 1.0), (120.0, 0.02, 1.0)]
-    c1 = analysis.calibrate_h1_coefficient(samples)
+    c1 = analysis.calibrate_coefficient(samples, "h1", 1)
     expected = 1.5 * max(10.0 * 0.1**1.5, 30.0 * 0.05**1.5, 120.0 * 0.02**1.5)
     assert c1 == pytest.approx(expected)
     # idempotent under duplication
-    assert analysis.calibrate_h1_coefficient(samples + samples) == pytest.approx(c1)
+    assert analysis.calibrate_coefficient(samples + samples, "h1", 1) == pytest.approx(c1)
     # adding a weaker sample cannot raise the coefficient
     weaker = samples + [(1.0, 0.03, 1.0)]
-    assert analysis.calibrate_h1_coefficient(weaker) == pytest.approx(c1)
+    assert analysis.calibrate_coefficient(weaker, "h1", 1) == pytest.approx(c1)
 
 
 def test_barrier_forms():
-    assert analysis.lp_barrier(2.0, 1.0, 0.5, 0.6, 0.01, 1) == pytest.approx(0.6 * 0.01**-0.5)
-    assert analysis.lp_barrier(math.inf, 1.0, 0.5, 0.4, 0.1, 2) == pytest.approx(0.4 * 0.1**-2.0)
-    big_start = analysis.lp_barrier(2.0, 1.0, 50.0, 0.6, 0.1, 1)
+    assert analysis.barrier(2.0, 1, 0.6, 1.0, 0.01, 1.0, 0.5) == pytest.approx(0.6 * 0.01**-0.5)
+    assert analysis.barrier(math.inf, 2, 0.4, 1.0, 0.1, 1.0, 0.5) == pytest.approx(0.4 * 0.1**-2.0)
+    big_start = analysis.barrier(2.0, 1, 0.6, 1.0, 0.1, 1.0, 50.0)
     assert big_start == 50.0
-    assert analysis.h1_barrier(1.0, 3.0, 0.7, 0.01) == pytest.approx(0.7 * 0.01**-1.5)
+    assert analysis.barrier("h1", 1, 0.7, 1.0, 0.01, 3.0) == pytest.approx(0.7 * 0.01**-1.5)
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_scaling_exponents(dimension):
+    # sup_t |u|_p <~ C M^a eps^-b: b = N(p-1)/p, a = b + 1, and the sweep's
+    # slope targets are -b.
+    n = float(dimension)
+    assert analysis.scaling_exponents(1.0, dimension) == (1.0, 0.0)
+    assert analysis.scaling_exponents(2.0, dimension) == (n / 2.0 + 1.0, n / 2.0)
+    assert analysis.scaling_exponents(math.inf, dimension) == (n + 1.0, n)
+    assert analysis.scaling_exponents("h1", 1) == (2.5, 1.5)
 
 
 def test_sweep_input_validation():
@@ -456,7 +467,7 @@ def test_epsilon_star_skips_a_row_that_fails_only_boundary_loss():
 def test_run_verdicts_on_a_zero_kernel_run_are_the_bookkeeping_verdicts():
     traj = analysis.run_case(kernels.zero_kernel(), grid.GaussianBump(1.0, 0.25), 1, 0.1, 1.0, 0.2, COARSE)
     for constants in (None, SimpleNamespace(attraction=0.0)):
-        verdicts = analysis.run_verdicts(traj, constants, 0.01)
+        verdicts = analysis.run_verdicts(traj, constants)
         assert [(v.name, v.passed) for v in verdicts] == [("mass_conservation", True), ("boundary_loss", True)]
 
 
@@ -464,7 +475,7 @@ def test_run_verdicts_fail_the_weighted_bound_of_a_run_that_ends_before_the_hori
     init = grid.GaussianBump(1.0, 0.25)
     constants = analysis.reference_constants(NEG_ABS, init, 1)
     traj = analysis.run_case(NEG_ABS, init, 1, 0.1, constants.scale, 0.1, COARSE)
-    verdicts = analysis.run_verdicts(traj, constants, 0.01)
+    verdicts = analysis.run_verdicts(traj, constants)
     assert [(v.name, v.passed) for v in verdicts] == [
         ("mass_conservation", True), ("boundary_loss", True),
         ("moment_inequality", True), ("weighted_lower_bound", False),
@@ -472,7 +483,7 @@ def test_run_verdicts_fail_the_weighted_bound_of_a_run_that_ends_before_the_hori
     assert math.isnan(verdicts[-1].margin)
     assert verdicts[-1].detail == f"run ends at t = 0.1, before the horizon {constants.horizon:.4g}"
     # The bound does not apply to inadmissible constants, so the line is omitted.
-    inadmissible = analysis.run_verdicts(traj, replace(constants, admissible=False), 0.01)
+    inadmissible = analysis.run_verdicts(traj, replace(constants, admissible=False))
     assert [v.name for v in inadmissible] == ["mass_conservation", "boundary_loss", "moment_inequality"]
 
 
@@ -519,14 +530,17 @@ def test_calibration_is_nan_when_a_row_is_nan():
             for eps, sup in zip((0.2, 0.05, 0.02), sups)
         ]
 
-    clean = analysis.calibrate_lp_coefficient_rows(rows((3.0, 4.0, 5.0)), 2.0, 1)
+    def lp_samples(sups):
+        return [(row.sup_lp[2.0], row.epsilon, row.u0_lp[1.0]) for row in rows(sups)]
+
+    clean = analysis.calibrate_coefficient(lp_samples((3.0, 4.0, 5.0)), 2.0, 1)
     assert clean == pytest.approx(1.5 * max(3.0 * 0.2**0.5, 4.0 * 0.05**0.5, 5.0 * 0.02**0.5))
-    assert math.isnan(analysis.calibrate_lp_coefficient_rows(rows((3.0, math.nan, 5.0)), 2.0, 1))
+    assert math.isnan(analysis.calibrate_coefficient(lp_samples((3.0, math.nan, 5.0)), 2.0, 1))
     samples = [(row.sup_h1, row.epsilon, 1.0) for row in rows((3.0, math.nan, 5.0))]
-    assert math.isnan(analysis.calibrate_h1_coefficient(samples))
+    assert math.isnan(analysis.calibrate_coefficient(samples, "h1", 1))
     # A NaN coefficient must not fall back to max(M, |u0|) in the barriers.
-    assert math.isnan(analysis.lp_barrier(2.0, 1.0, 0.5, math.nan, 0.01, 1))
-    assert math.isnan(analysis.h1_barrier(1.0, 0.5, math.nan, 0.01))
+    assert math.isnan(analysis.barrier(2.0, 1, math.nan, 1.0, 0.01, 1.0, 0.5))
+    assert math.isnan(analysis.barrier("h1", 1, math.nan, 1.0, 0.01, 0.5))
 
 
 def test_parallel_sweep_from_stdin_script_runs_in_process():

@@ -31,7 +31,7 @@ def test_parse_minimal_config_fills_defaults(tmp_path):
     cfg = cli.parse_config(_write(tmp_path, "{kernel: neg_abs, dimension: 1, epsilon: [0.1]}"))
     assert cfg["solver"]["dt_max"] == "auto"
     assert cfg["grid"]["dr"] == "auto"
-    assert cfg["analysis"]["slack"] == 0.01
+    assert "slack" not in cfg["analysis"] and analysis.MOMENT_SLACK == 0.01
     assert cfg["epsilon"] == [0.1]
 
 
@@ -50,6 +50,7 @@ def test_parse_rejects_unknown_keys(tmp_path):
     ("analysis.safety_factor", "1.5"),
     ("analysis.t_star", "auto"),
     ("analysis.ball_factor", "0.5"),
+    ("analysis.slack", "0.01"),
 ])
 def test_retired_key_exits_2(tmp_path, capsys, key, value):
     # Options that were removed: an old config (or config.resolved) that
@@ -83,8 +84,8 @@ def test_parse_rejects_inconsistent_combos(tmp_path):
     with pytest.raises(cli.ConfigError, match="epsilon"):
         cli.parse_config(_write(tmp_path, "{epsilon: [-0.1]}"))
     for key, value in (
-        ("analysis.slack", ".nan"), ("analysis.slack", "-0.01"), ("analysis.slack", "abc"),
-        ("analysis.slack", "true"), ("initial.mass", "true"),
+        ("grid.dr_max", ".nan"), ("grid.dr_max", "-0.01"), ("grid.dr_max", "abc"),
+        ("grid.dr_max", "true"), ("initial.mass", "true"),
         ("solver.record_samples", ".inf"), ("solver.record_samples", "2.9"),
         ("solver.record_samples", "1"), ("solver.record_samples", "true"),
         ("sweep.jobs", "1.7"), ("sweep.jobs", "0"), ("sweep.jobs", "-2"), ("sweep.jobs", ".nan"),
@@ -114,7 +115,8 @@ def test_parse_rejects_inconsistent_combos(tmp_path):
     counts = (cfg["dimension"], cfg["solver"]["record_samples"], cfg["sweep"]["jobs"])
     assert counts == (2, 1000, 2) and all(type(v) is int for v in counts)
     assert cfg["grid"]["dr_max"] == 5e-3 and type(cfg["grid"]["dr_max"]) is float
-    assert cli.parse_config(_write(tmp_path, "{analysis: {slack: 0}}"))["analysis"]["slack"] == 0.0
+    annulus = cli.parse_config(_write(tmp_path, "{initial: {type: annulus, r_inner: 0}}"))
+    assert annulus["initial"]["r_inner"] == 0.0
 
 
 def test_config_echo_round_trips(tmp_path):
@@ -195,7 +197,7 @@ def test_check_reverifies_and_detects_tampering(tmp_path):
     assert cli.main(["check", "--traj", str(out)]) == 1
 
 
-@pytest.mark.parametrize("key", ["slack", "scale", "constants.horizon"])
+@pytest.mark.parametrize("key", ["scale", "constants.horizon"])
 def test_check_of_a_run_json_without_a_key_it_reads_exits_2(tmp_path, capsys, key):
     config = _write(tmp_path, TINY_SIMULATE)
     out = tmp_path / "run"
@@ -312,7 +314,7 @@ def test_simulate_to_the_horizon_prints_the_ratio_verdict(tmp_path, capsys):
     assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
     traj, constants, _ = cli.load_run(out)
     ratio = analysis.weighted_concentration_integral(traj, constants).ratio
-    violations = len(analysis.check_moment_inequality(traj, constants, 0.01))
+    violations = len(analysis.check_moment_inequality(traj, constants))
     cli.write_verdicts(
         analysis.trajectory_verdicts([traj.mass_error()], [traj.boundary_loss()], [violations], [ratio]),
         tmp_path / "expected.txt",
@@ -525,9 +527,7 @@ kernel: neg_abs
 dimension: 1
 epsilon: [0.1, 0.05, 0.02, 0.01]
 initial: {type: gaussian, mass: 1.0, width: 0.25}
-grid: {dr_divisor: 8.0}      # coarse policy for speed; slack loosened to match
 solver: {record_samples: 100}
-analysis: {slack: 0.02}
 sweep: {jobs: 2}
 """
 
@@ -573,6 +573,30 @@ def test_simulate_refuses_a_kernel_table_with_a_non_finite_sample(tmp_path, caps
     out = tmp_path / "run"
     assert cli.main(["simulate", "--config", str(_write(tmp_path, text)), "--out", str(out)]) == 2
     assert f"k'(s) = {bad}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rows", ["0 1\n0.5 nan\n1 0\n", "0 1\n0.5 0.5\n0.3 0.2\n1 0\n"], ids=["nan", "unsorted"])
+def test_simulate_refuses_a_bad_profile_file(tmp_path, capsys, rows):
+    profile = tmp_path / "profile.txt"
+    profile.write_text(rows)
+    text = TINY_SIMULATE.replace("type: gaussian", f"type: tabulated, path: {profile}")
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(_write(tmp_path, text)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {profile}: samples must ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_a_grid_too_large_to_allocate_exits_2(tmp_path, capsys):
+    # 2e17 cells: no 64-bit address space holds the 1.6e18 bytes of one
+    # array, so NumPy refuses at once and nothing is allocated. It raised
+    # MemoryError, which exited 1, the code of a FAIL verdict.
+    text = TINY_SIMULATE.replace("grid: {dr: 0.01, r_max: 2.0}", "grid: {dr: 1.0e-17, r_max: 2.0}")
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(_write(tmp_path, text)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
     assert not out.exists()
 
 

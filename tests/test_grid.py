@@ -10,7 +10,7 @@ from aggdiff import grid
 
 def scaled(field, factor):
     """The field with every density multiplied by ``factor``."""
-    return grid.DensityField(field.grid, field.values * factor, field.time)
+    return grid.DensityField(field.grid, field.values * factor)
 
 
 def cutoff_profile_slope(s):
@@ -287,3 +287,16 @@ def test_tabulated_profile_from_file(tmp_path):
     f = grid.make_initial_condition(spec, g)
     assert grid.mass(f) == pytest.approx(2.5, rel=1e-14)
     assert spec.support_radius == pytest.approx(1.0, abs=0.05)
+
+
+@pytest.mark.parametrize("rows, problem", [
+    ("0 1\n0.5 nan\n1 0\n", "must be finite; got r = 0.5, u = nan"),
+    # Unsorted, np.interp read 0.75 at r = 0.25 and the support radius was 0.3.
+    ("0 1\n0.5 0.5\n0.3 0.2\n1 0\n", "must have strictly increasing r"),
+], ids=["nan", "unsorted"])
+def test_tabulated_profile_refuses_bad_samples(tmp_path, rows, problem):
+    path = tmp_path / "profile.txt"
+    path.write_text(rows)
+    with pytest.raises(ValueError) as info:
+        grid.TabulatedProfile.from_file(path, mass=1.0)
+    assert str(info.value) == f"{path}: samples {problem}"
