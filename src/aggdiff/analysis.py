@@ -578,6 +578,9 @@ def epsilon_sweep(kernel: KernelSpec, init, settings: SweepSettings) -> SweepRep
     run threads (OpenMP, BLAS) can deadlock or crash the pool. A spawned
     worker re-runs the main script, so when that script is no file (one
     read from standard input) the rows run in this process instead.
+    Workers inherit the package's one-thread OpenBLAS default (see
+    ``aggdiff``), so ``jobs = 2`` on two cores runs two BLAS threads, not
+    four.
     """
     epsilons = sorted(set(float(e) for e in settings.epsilons), reverse=True)
     if len(epsilons) < FIT_MIN_POINTS:

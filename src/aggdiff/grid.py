@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -230,10 +231,15 @@ def check_samples(x, y, names, what) -> None:
 
 
 def read_samples(path, names):
-    """(x, y) from a two-column whitespace text file with '#' comments,
-    checked by ``check_samples``; every error names the file."""
-    data = np.loadtxt(path, comments="#", dtype=np.float64)
-    if data.ndim != 2 or data.shape[1] != 2:
+    """(x, y) from a two-column whitespace text file with '#' comments: at
+    least two samples, checked by ``check_samples``; every error names the
+    file."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # an empty table: refused below
+        data = np.loadtxt(path, comments="#", dtype=np.float64, ndmin=2)
+    if data.shape[0] < 2:
+        raise ValueError(f"{path}: expected at least two samples ({names[0]}, {names[1]}); got {data.shape[0]}")
+    if data.shape[1] != 2:
         raise ValueError(f"{path}: expected two columns ({names[0]}, {names[1]})")
     check_samples(data[:, 0], data[:, 1], names, f"{path}: samples")
     return data[:, 0], data[:, 1]
@@ -281,8 +287,14 @@ class TabulatedProfile:
 
     @classmethod
     def from_file(cls, path, mass: float) -> "TabulatedProfile":
-        """Read (r, u(r)) samples with ``read_samples``."""
-        return cls(mass, *read_samples(path, ("r", "u")))
+        """Read (r, u(r)) samples with ``read_samples``; r and u must be
+        nonnegative, since a density below 0 would be clipped to 0."""
+        r, u = read_samples(path, ("r", "u"))
+        negative = (r < 0.0) | (u < 0.0)
+        if negative.any():
+            i = int(np.argmax(negative))
+            raise ValueError(f"{path}: samples must be nonnegative; got r = {r[i]:g}, u = {u[i]:g}")
+        return cls(mass, r, u)
 
     @property
     def support_radius(self) -> float:

@@ -588,6 +588,19 @@ def test_simulate_refuses_a_bad_profile_file(tmp_path, capsys, rows):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_a_profile_with_a_negative_density_exits_2(tmp_path, capsys, command):
+    profile = tmp_path / "profile.txt"
+    profile.write_text("0 1\n0.25 -0.5\n0.5 1\n1 0\n")
+    text = {"simulate": TINY_SIMULATE, "sweep": SWEEP_CONFIG}[command]
+    text = text.replace("type: gaussian", f"type: tabulated, path: {profile}")
+    out = tmp_path / "run"
+    assert cli.main([command, "--config", str(_write(tmp_path, text)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {profile}: samples must be nonnegative; got r = 0.25, u = -0.5\n"
+    assert not out.exists()
+
+
 def test_a_grid_too_large_to_allocate_exits_2(tmp_path, capsys):
     # 2e17 cells: no 64-bit address space holds the 1.6e18 bytes of one
     # array, so NumPy refuses at once and nothing is allocated. It raised

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -290,13 +291,22 @@ def test_tabulated_profile_from_file(tmp_path):
 
 
 @pytest.mark.parametrize("rows, problem", [
-    ("0 1\n0.5 nan\n1 0\n", "must be finite; got r = 0.5, u = nan"),
+    ("0 1\n0.5 nan\n1 0\n", "samples must be finite; got r = 0.5, u = nan"),
     # Unsorted, np.interp read 0.75 at r = 0.25 and the support radius was 0.3.
-    ("0 1\n0.5 0.5\n0.3 0.2\n1 0\n", "must have strictly increasing r"),
-], ids=["nan", "unsorted"])
+    ("0 1\n0.5 0.5\n0.3 0.2\n1 0\n", "samples must have strictly increasing r"),
+    # Clipped at 0, this table started at exactly 0 on r in [0.17, 0.33].
+    ("0 1\n0.25 -0.5\n0.5 1\n1 0\n", "samples must be nonnegative; got r = 0.25, u = -0.5"),
+    ("-0.1 1\n0.5 1\n1 0\n", "samples must be nonnegative; got r = -0.1, u = 1"),
+    # One row has two columns, but one sample is too few to interpolate.
+    ("# r u\n0 1\n", "expected at least two samples (r, u); got 1"),
+    ("# r u\n", "expected at least two samples (r, u); got 0"),
+], ids=["nan", "unsorted", "negative-u", "negative-r", "one-row", "empty"])
 def test_tabulated_profile_refuses_bad_samples(tmp_path, rows, problem):
     path = tmp_path / "profile.txt"
     path.write_text(rows)
-    with pytest.raises(ValueError) as info:
+    # The error is the one line the CLI prints: NumPy's warning on an empty
+    # table would come first.
+    with warnings.catch_warnings(), pytest.raises(ValueError) as info:
+        warnings.simplefilter("error")
         grid.TabulatedProfile.from_file(path, mass=1.0)
-    assert str(info.value) == f"{path}: samples {problem}"
+    assert str(info.value) == f"{path}: {problem}"

@@ -100,6 +100,14 @@ def test_tabulated_rejects_non_finite_samples(tmp_path, bad):
         kernels.load_tabulated_kernel(path)
 
 
+def test_tabulated_file_refuses_one_sample(tmp_path):
+    path = tmp_path / "kernel.txt"
+    path.write_text("# s kprime\n1.0 -1.0\n")
+    with pytest.raises(ValueError) as info:
+        kernels.load_tabulated_kernel(path)
+    assert str(info.value) == f"{path}: expected at least two samples (s, k'(s)); got 1"
+
+
 def test_tabulated_file_round_trip(tmp_path):
     path = tmp_path / "kernel.txt"
     s = np.linspace(0.01, 4.0, 50)
