@@ -21,12 +21,13 @@ has a closed form in every dimension, and no quadrature is used:
   of arithmetic-geometric mean steps (``_accel.entries_neg_abs_2d``).
   W depends on r/rho only, and on a uniform cell-centred grid r_i/rho_j =
   (i + 1/2)/(j + 1/2) whatever dr is, so W of an n-cell grid is the
-  leading n x n block of W on the index grid r_i = i + 1/2. The operator
-  is built once per size class, the smallest ``_LEAF * 2**k`` cells that
-  hold the grid, on that index grid, and every grid of the class gets a
-  view of it (``_neg_abs_2d``). The process holds one class at a time;
-  at worst (n one past a class) the view holds about twice the memory of
-  an operator built on the grid's own n cells.
+  leading n x n block of W on the index grid r_i = i + 1/2. A grid's
+  operator holds only its rim row W[n - 1] (``_neg_abs_2d``). Its products
+  read one operator shared by every grid: the HODLR matrix on the index
+  grid of a size class, the smallest ``_LEAF * 2**k`` cells that cover the
+  rows a product reads, max(cells, window) (``_index_class``). The class
+  is built on demand and grows when a product needs more rows; it never
+  shrinks within a process.
 
 For the other kernels the angular integral uses Gauss-Legendre nodes on
 [0, pi]; no special diagonal split is needed: at r = rho the integrand
@@ -46,10 +47,15 @@ leaf, computed from the same entries, with the operator. Each apply is windowed 
 that carry mass (``mass_window``): cells past the last one with mass above
 eps M / n (eps the machine epsilon, M the mass sum) are dropped, which
 moves V by at most eps |k'|_sup M, and only the blocks that meet the
-remaining cells are read. For ``neg_abs`` only the first ``cells`` rows
-are computed as well: for r > rho, |W(r, rho)| grows with r (from 2/pi
-to 1), so no row past the masses exceeds |V| at the last cell, which one
-stored row of W gives exactly. The other kernels compute every row.
+remaining cells are read. The other kernels compute every row.
+
+The constant-gradient, shell and 2-D ``neg_abs`` operators compute only
+the rows below max(cells, window), from the masses below them. For
+r > rho, |W(r, rho)| is constant in 1-D and grows with r in 3-D (as
+1 - rho^2/(3 r^2)) and in 2-D (from 2/pi to 1), so no row past the
+masses exceeds |V| at the last cell, which the stored rim row W[n - 1]
+gives exactly. The masses past the window, at most eps M together, are
+left out of that bound.
 
 In one dimension the convolution over the mirrored line is exact for even
 data, and on the uniform cell-centred grid W_ij =
@@ -62,13 +68,13 @@ through FFT convolutions with spectra computed once per grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _accel
 from .grid import RadialGrid
-from .kernels import KernelFamily, KernelSpec
+from .kernels import KernelFamily, KernelSpec, neg_abs_kernel
 
 # Every entry of W is at most |k'|_sup in size, so an entrywise error e
 # gives |V_H - W m| <= e * mass. The cross approximation stops at an
@@ -174,9 +180,9 @@ class HierarchicalDrift(DriftOperator):
     under the half it reads, so each level adds to one contiguous prefix
     of V. ``dense`` holds (row start, row stop, column start, column stop,
     block) for any off-diagonal block that did not compress; its U and Vt
-    slots are zero. Padded rows and columns are zero, except in a view of
-    a 2-D ``neg_abs`` class (``_neg_abs_2d``), whose indices from n on
-    hold the class's W and are never read into V.
+    slots are zero. Padded rows and columns are zero. The masses may be
+    shorter than the operator (a grid that reads the shared 2-D
+    ``neg_abs`` class, ``_index_class``) as long as they reach ``window``.
 
     The product is windowed to the cells that carry mass. The window J is
     passed in (``mass_window``: one past the last cell whose mass exceeds
@@ -190,7 +196,6 @@ class HierarchicalDrift(DriftOperator):
     leaves: np.ndarray = field(repr=False)
     levels: tuple = field(repr=False)
     dense: tuple = field(repr=False)
-    rim: np.ndarray = field(default=None, repr=False)
 
     def _product(self, masses, window, cells):
         count, leaf = self.leaves.shape[:2]
@@ -228,12 +233,15 @@ class ConstantGradientDrift(DriftOperator):
 
     W_ij = kprime for j < i, kprime/2 for j = i and 0 for j > i. With
     kprime = 0 it is the zero drift of the zero kernel in every dimension.
+    ``rim`` is W[n - 1]: kprime in every column, kprime/2 in the last.
     """
 
     kprime: float
+    rim: np.ndarray = field(repr=False)
 
     def _product(self, masses, window, cells):
-        return self.kprime * (np.cumsum(masses) - 0.5 * masses)
+        m = masses[:cells]
+        return self.kprime * (np.cumsum(m) - 0.5 * m)
 
 
 @dataclass(frozen=True)
@@ -243,17 +251,35 @@ class ShellDrift(DriftOperator):
     W(r, rho) = -(1 - rho^2/(3 r^2)) for rho < r, -2 r/(3 rho) for rho > r
     and -2/3 at rho = r, so V_i = -(A_i - B_i/(3 r_i^2)) - 2 (m_i + r_i C_i)/3
     with A_i and B_i the sums of m_j and rho_j^2 m_j over the cells inside
-    cell i and C_i the sum of m_j/rho_j over the cells outside it.
+    cell i and C_i the sum of m_j/rho_j over the cells outside it, here
+    only those below ``cells`` (the rest lie past the window). ``rim`` is
+    W[n - 1].
     """
 
+    rim: np.ndarray = field(repr=False)
+
     def _product(self, masses, window, cells):
-        r = self.grid.r_centers
-        second = masses * (r * r)
-        reciprocal = masses / r
-        inside = np.cumsum(masses) - masses
+        r = self.grid.r_centers[:cells]
+        m = masses[:cells]
+        second = m * (r * r)
+        reciprocal = m / r
+        inside = np.cumsum(m) - m
         inside -= (np.cumsum(second) - second) / (3.0 * r * r)
         outside = np.cumsum(reciprocal[::-1])[::-1] - reciprocal
-        return -inside - (2.0 / 3.0) * (masses + r * outside)
+        return -inside - (2.0 / 3.0) * (m + r * outside)
+
+
+@dataclass(frozen=True)
+class IndexGridDrift(DriftOperator):
+    """2-D ``neg_abs`` drift of one grid, which holds only W[n - 1] (``rim``).
+
+    Each product reads the shared class operator (``_index_class``).
+    """
+
+    rim: np.ndarray = field(repr=False)
+
+    def _product(self, masses, window, cells):
+        return _index_class(cells)._product(masses, window, cells)
 
 
 @dataclass(frozen=True)
@@ -457,36 +483,59 @@ def _probe(op: HierarchicalDrift, kernel: KernelSpec) -> None:
         )
 
 
-# The 2-D neg_abs operator of the last size class built (``_neg_abs_2d``).
+# The 2-D neg_abs operator of the largest size class a product has read
+# (``_index_class``).
 _shared = None
 
 
-def _neg_abs_2d(grid: RadialGrid, kernel: KernelSpec) -> HierarchicalDrift:
-    """The 2-D ``neg_abs`` operator of ``grid``: a view of its size class's build.
+def _index_class(rows: int) -> HierarchicalDrift:
+    """The shared 2-D ``neg_abs`` operator, grown to cover ``rows`` cells.
 
-    The class is the smallest ``_LEAF * 2**k`` at least ``grid.n``. Its
-    operator is built and probed on the index grid r_i = i + 1/2 of that
-    many cells, whose W has the grid's W as its leading block (W depends
-    on r/rho only), so every build has leaves of exactly ``_LEAF`` cells.
-    The view shares the leaves and levels, and its own ``rim`` is W[n - 1]
-    on the radii i + 1/2, i < n. The products read only columns below the
-    mass window and return rows below ``cells``, both at most n, so the
-    indices from n on are never read into V. One operator is held at a
-    time: a build for another class drops the held one first.
+    The held class is reused when it has at least ``rows`` cells, so it
+    never shrinks. Otherwise the smallest ``_LEAF * 2**k`` at least
+    ``rows`` is built and probed on the index grid r_i = i + 1/2 of that
+    many cells, so every build has leaves of exactly ``_LEAF`` cells. A
+    build drops the held class first.
     """
     global _shared
-    size = _LEAF
-    while size < grid.n:
-        size *= 2
-    op = _shared
-    if op is None or op.grid.n != size:
-        _shared = op = None  # no reference to the old class outlives this line
+    if _shared is None or _shared.grid.n < rows:
+        size = _LEAF
+        while size < rows:
+            size *= 2
+        _shared = None  # no reference to the old class outlives this line
+        kernel = neg_abs_kernel()
         op = _hierarchical_drift(RadialGrid(2, 1.0, size), kernel, 0)
         _probe(op, kernel)
         _shared = op
+    return _shared
+
+
+def _neg_abs_2d(grid: RadialGrid, kernel: KernelSpec) -> IndexGridDrift:
+    """The 2-D ``neg_abs`` operator of ``grid``: its rim row, no build.
+
+    W depends on r/rho only, so the grid's W is the leading n x n block of
+    W on the index grid r_i = i + 1/2, and ``rim`` is W[n - 1] on the radii
+    i + 1/2, i < n. A product computes the rows below max(cells, window)
+    only, from the masses below the window, and reads them from the
+    shared operator of the size class that covers them (``_index_class``).
+    ``apply`` asks for all n rows and so grows the class to cover n.
+    """
     n = grid.n
     rim = _entry_sampler(RadialGrid(2, 1.0, n), kernel, 0)(slice(n - 1, n), slice(None))[0]
-    return replace(op, grid=grid, rim=rim)
+    return IndexGridDrift(grid, kernel.kprime_sup_norm, 0, rim)
+
+
+def _constant_gradient(grid: RadialGrid, kprime: float, sup_norm: float) -> ConstantGradientDrift:
+    rim = np.full(grid.n, kprime)
+    rim[-1] = 0.5 * kprime
+    return ConstantGradientDrift(grid, sup_norm, 0, kprime, rim)
+
+
+def _shell_drift(grid: RadialGrid, kernel: KernelSpec) -> ShellDrift:
+    rho = grid.r_centers
+    rim = -(1.0 - rho * rho / (3.0 * rho[-1] * rho[-1]))
+    rim[-1] = -2.0 / 3.0
+    return ShellDrift(grid, kernel.kprime_sup_norm, 0, rim)
 
 
 def build_interaction_matrix(grid: RadialGrid, kernel: KernelSpec) -> DriftOperator:
@@ -495,14 +544,16 @@ def build_interaction_matrix(grid: RadialGrid, kernel: KernelSpec) -> DriftOpera
     No quadrature is used and the reported order is 0 for the zero kernel
     and for ``neg_abs`` in every dimension, and for every kernel in one
     dimension. ``neg_abs`` is exact: prefix sums in one and three
-    dimensions, and in two a view of the HODLR matrix compressed from
-    closed-form entries once per size class (``_neg_abs_2d``). Every
+    dimensions, and in two a rim row whose products read a HODLR matrix
+    compressed from closed-form entries, shared by every grid and sized by
+    the rows the products read (``_neg_abs_2d``). Every
     other kernel in N >= 2 is a HODLR matrix of Gauss-Legendre
     quadrature whose order doubles from ``_START_ORDER``
     until the velocity it induces on a fixed smooth reference bump changes
     by less than ``_ORDER_REL_TOL`` (sup norm, relative). Raises
     QuadratureError when ``_MAX_ORDER`` is reached without convergence.
-    Every HODLR operator is probed: CompressionError when it misses rows
+    Every HODLR operator is probed, the shared 2-D ``neg_abs`` one when a
+    product first needs it: CompressionError when it misses rows
     of W computed from the same entries it was compressed from by more
     than 1e-10 |k'|_sup * mass. For ``neg_abs`` those rows are the exact
     W. For the exponential and tabulated kernels they are quadrature at
@@ -514,12 +565,12 @@ def build_interaction_matrix(grid: RadialGrid, kernel: KernelSpec) -> DriftOpera
     """
     _check_tabulated_range(kernel, grid)
     if kernel.family is KernelFamily.ZERO:
-        return ConstantGradientDrift(grid, 0.0, 0, 0.0)
+        return _constant_gradient(grid, 0.0, 0.0)
     if kernel.family is KernelFamily.NEG_ABS:
         if grid.dimension == 1:
-            return ConstantGradientDrift(grid, kernel.kprime_sup_norm, 0, -1.0)
+            return _constant_gradient(grid, -1.0, kernel.kprime_sup_norm)
         if grid.dimension == 3:
-            return ShellDrift(grid, kernel.kprime_sup_norm, 0)
+            return _shell_drift(grid, kernel)
         return _neg_abs_2d(grid, kernel)
     elif grid.dimension == 1:
         return _spectral_drift(grid, kernel)

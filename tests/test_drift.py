@@ -115,14 +115,20 @@ def test_nd_operator_holds_no_square_array():
         assert held <= 8 * 400 * g.n, (kern.name(), held)
 
 
-def test_2d_neg_abs_view_of_a_barely_filled_class_holds_the_class_bound():
-    # n = 1025 is one cell past the class of 1024, so its view shares the
-    # operator built on 2048 index cells: the worst fill of a class. It
-    # holds at most the per-cell bound above times the class size.
+def test_2d_neg_abs_grid_holds_its_rim_and_apply_a_class_within_the_bound(monkeypatch):
+    # A grid's operator holds only its rim row and builds nothing. n = 1025
+    # is one cell past the class of 1024, so ``apply``, which reads all n
+    # rows, grows the shared class to 2048 index cells: the worst fill of a
+    # class. It holds at most the per-cell bound above times its size.
+    monkeypatch.setattr(drift, "_shared", None)
     g = grid.RadialGrid(2, 0.003, 1025)
     op = drift.build_interaction_matrix(g, kernels.neg_abs_kernel())
-    assert op.leaves.shape[0] * op.leaves.shape[1] == 2048
-    held = sum(_held_bytes(getattr(op, f.name)) for f in dataclasses.fields(op))
+    assert sum(_held_bytes(getattr(op, f.name)) for f in dataclasses.fields(op)) == 8 * g.n
+    assert drift._shared is None
+    op.apply(np.ones(g.n))
+    shared = drift._shared
+    assert shared.grid.n == shared.leaves.shape[0] * shared.leaves.shape[1] == 2048
+    held = sum(_held_bytes(getattr(shared, f.name)) for f in dataclasses.fields(shared))
     assert held <= 8 * 400 * 2048, held
 
 
@@ -210,34 +216,38 @@ def test_neg_abs_closed_forms_match_high_order_quadrature(dim):
     assert np.all(closed[np.arange(rows.size), rows] == diagonal)
 
 
+def _random_masses(g, seed):
+    return np.random.default_rng(seed).uniform(0.0, 1.0, g.n) * g.cell_volumes
+
+
 def _one_class_grids():
     # Three grids of the size class of 1024 cells, with different dr and n.
     return [grid.RadialGrid(2, dr, n) for n, dr in ((700, 0.004), (1000, 0.0015), (1024, 3.0 / 1024))]
 
 
-def test_2d_neg_abs_grids_of_one_size_class_share_one_operator():
-    # W(r, rho) depends on r/rho only, so every grid of a class is a view
-    # of one operator built on the index grid r_i = i + 1/2. Each view is
-    # exact for its own grid: V within 1e-10 M of the dense closed form
-    # (measured: at most 1.4e-13 M), and the rim row within 4 eps of the
-    # dense row n - 1 (measured: 3.5 eps).
+def test_2d_neg_abs_grids_of_one_size_class_share_one_operator(monkeypatch):
+    # W(r, rho) depends on r/rho only, so the products of every grid of a
+    # class read one operator built on the index grid r_i = i + 1/2. Each
+    # grid's V is exact: within 1e-10 M of the dense closed form (measured:
+    # at most 1.4e-13 M), and its rim row within 4 eps of the dense row
+    # n - 1 (measured: 3.5 eps).
+    monkeypatch.setattr(drift, "_shared", None)
     kern = kernels.neg_abs_kernel()
-    ops = [drift.build_interaction_matrix(g, kern) for g in _one_class_grids()]
-    for op in ops:
-        g = op.grid
-        assert op.leaves is ops[0].leaves and op.levels is ops[0].levels
+    read = []
+    for g in _one_class_grids():
+        op = drift.build_interaction_matrix(g, kern)
         dense = _neg_abs_dense(g)
         for seed in range(3):
-            masses = np.random.default_rng(seed).uniform(0.0, 1.0, g.n) * g.cell_volumes
+            masses = _random_masses(g, seed)
             gap = np.max(np.abs(op.apply(masses) - dense @ masses))
             assert gap <= 1e-10 * np.sum(masses), (g.n, gap / np.sum(masses))
+        read.append(drift._shared)
         assert np.max(np.abs(op.rim - dense[-1])) <= 4.0 * np.finfo(float).eps, g.n
+    assert read[0].grid.n == 1024 and all(shared is read[0] for shared in read)
 
 
-def test_2d_neg_abs_builds_once_per_size_class(monkeypatch):
-    # One held operator: the grids of a class build it once, a grid of
-    # another class replaces it, and coming back builds it again, to the
-    # same bits whatever was built in between.
+def _counted_class_builds(monkeypatch):
+    # The sizes of the shared 2-D neg_abs classes built from here on.
     calls = []
     build = drift._hierarchical_drift
 
@@ -247,17 +257,87 @@ def test_2d_neg_abs_builds_once_per_size_class(monkeypatch):
 
     monkeypatch.setattr(drift, "_hierarchical_drift", counted)
     monkeypatch.setattr(drift, "_shared", None)
+    return calls
+
+
+def test_2d_neg_abs_builds_once_per_size_class(monkeypatch):
+    # One held operator: building a grid's operator builds no class, the
+    # products of a class's grids build it once, a grid of a larger class
+    # grows it, and coming back builds nothing: the larger class gives
+    # the same bits.
+    calls = _counted_class_builds(monkeypatch)
     kern = kernels.neg_abs_kernel()
     grids = _one_class_grids()
-    masses = np.random.default_rng(7).uniform(0.0, 1.0, grids[0].n) * grids[0].cell_volumes
     ops = [drift.build_interaction_matrix(g, kern) for g in grids]
+    assert calls == []
+    before = [op.apply(_random_masses(op.grid, 7)) for op in ops]
     assert calls == [1024]
-    before = ops[0].apply(masses)
-    drift.build_interaction_matrix(grid.RadialGrid(2, 0.002, 1500), kern)
+    large = grid.RadialGrid(2, 0.002, 1500)
+    drift.build_interaction_matrix(large, kern).apply(_random_masses(large, 7))
     assert calls == [1024, 2048]
-    after = drift.build_interaction_matrix(grids[0], kern).apply(masses)
-    assert calls == [1024, 2048, 1024]
-    assert after.tobytes() == before.tobytes()
+    for g, v in zip(grids, before):
+        after = drift.build_interaction_matrix(g, kern).apply(_random_masses(g, 7))
+        assert after.tobytes() == v.tobytes(), g.n
+    assert calls == [1024, 2048]
+
+
+def test_2d_neg_abs_class_covers_the_rows_read_not_the_grid(monkeypatch):
+    # The largest grid of the seed-0 2-D benchmark sweep has n = 1898, and
+    # no product of that sweep reads more than 940 rows. Products that read
+    # up to 972 hold the class of 1024, not the 2048 that covers the grid.
+    # V on those rows is within 1e-10 M of
+    # the grid's dense closed form, which for rows below ``cells`` and
+    # columns below the window is the dense W of the first ``cells`` cells.
+    monkeypatch.setattr(drift, "_shared", None)
+    n = 1898
+    g = grid.RadialGrid(2, 3.0 / n, n)
+    op = drift.build_interaction_matrix(g, kernels.neg_abs_kernel())
+    for window in (100, 500, 940):
+        masses = _confined_masses(g, window)["random"]
+        total = float(np.sum(masses))
+        cells = window + 32
+        v, _ = op.velocity(masses, total, window, cells)
+        dense = _neg_abs_dense(grid.RadialGrid(2, g.dr, cells))[:, :window]
+        assert np.max(np.abs(v - dense @ masses[:window])) <= 1e-10 * total, window
+    assert drift._shared.grid.n == 1024
+
+
+def test_2d_neg_abs_products_grow_the_class_and_never_shrink_it(monkeypatch):
+    # Products that read 300 and then 900 rows build the classes of 512 and
+    # 1024 cells; a later, smaller grid reads the held class and builds
+    # nothing, neither on a window nor in ``apply``.
+    calls = _counted_class_builds(monkeypatch)
+    kern = kernels.neg_abs_kernel()
+    g = grid.RadialGrid(2, 3.0 / 1500, 1500)
+    op = drift.build_interaction_matrix(g, kern)
+    for rows in (300, 900):
+        masses = _confined_masses(g, rows - 32)["narrow Gaussian"]
+        op.velocity(masses, float(np.sum(masses)), rows - 32, rows)
+    assert calls == [512, 1024]
+    small = grid.RadialGrid(2, 3.0 / 700, 700)
+    op = drift.build_interaction_matrix(small, kern)
+    masses = _confined_masses(small, 200)["random"]
+    op.velocity(masses, float(np.sum(masses)), 200, 232)
+    op.apply(_random_masses(small, 1))
+    assert calls == [512, 1024]
+
+
+def test_2d_neg_abs_apply_grows_the_class_to_cover_the_grid(monkeypatch):
+    # A product that reads 232 rows holds the class of 256 cells; ``apply``
+    # on n = 600 reads every row and grows it to 1024. V stays within
+    # 1e-10 M of the dense closed form.
+    monkeypatch.setattr(drift, "_shared", None)
+    n = 600
+    g = grid.RadialGrid(2, 3.0 / n, n)
+    op = drift.build_interaction_matrix(g, kernels.neg_abs_kernel())
+    masses = _confined_masses(g, 200)["random"]
+    op.velocity(masses, float(np.sum(masses)), 200, 232)
+    assert drift._shared.grid.n == 256
+    dense = _neg_abs_dense(g)
+    for masses in (_random_masses(g, 3), _confined_masses(g, 200)["narrow Gaussian"]):
+        gap = np.max(np.abs(op.apply(masses) - dense @ masses))
+        assert gap <= 1e-10 * np.sum(masses), gap / np.sum(masses)
+    assert drift._shared.grid.n == 1024
 
 
 def test_agm_step_count_is_converged_at_fine_grids():
@@ -311,11 +391,13 @@ def _unwindowed_product(op, masses):
 
 
 @pytest.mark.parametrize("dim, n", [(2, 700), (3, 700), (2, 300), (3, 300)])
-def test_windowed_apply_matches_dense_and_unwindowed_products(dim, n):
+def test_windowed_apply_matches_dense_and_unwindowed_products(dim, n, monkeypatch):
     # The apply reads only the cells up to the last one with mass above
     # eps * M / n. At n = 300 the tabulated kernel stores every off-diagonal
-    # block dense, so the trimmed dense blocks run; at n = 700 the neg_abs
-    # and exponential operators have three levels of low-rank blocks.
+    # block dense, so the trimmed dense blocks run; at n = 700 the
+    # exponential operator, and the shared neg_abs class of 1024 cells that
+    # the 2-D neg_abs apply reads, have three levels of low-rank blocks.
+    monkeypatch.setattr(drift, "_shared", None)
     g = grid.RadialGrid(dim, 3.0 / n, n)
     r = g.r_centers
     kerns = [k for k in _oracle_kernels(g) if k.is_tabulated == (n == 300)]
@@ -323,11 +405,12 @@ def test_windowed_apply_matches_dense_and_unwindowed_products(dim, n):
         kerns = [k for k in kerns if not _is_neg_abs(k)]
     for kern in kerns:
         op = drift.build_interaction_matrix(g, kern)
-        count, leaf = op.leaves.shape[:2]
+        hodlr = drift._index_class(n) if _is_neg_abs(kern) else op
+        count, leaf = hodlr.leaves.shape[:2]
         if n == 300:
-            assert op.dense
+            assert hodlr.dense
         else:
-            assert len(op.levels) == 3 and not op.dense
+            assert len(hodlr.levels) == 3 and not hodlr.dense
         if _is_neg_abs(kern):
             dense = _neg_abs_dense(g)
         else:
@@ -348,7 +431,7 @@ def test_windowed_apply_matches_dense_and_unwindowed_products(dim, n):
             scale = kern.kprime_sup_norm * np.sum(masses)
             v = op.apply(masses)
             assert np.max(np.abs(v - dense @ masses)) <= 1e-10 * scale, (kern.name(), name)
-            gap = np.max(np.abs(v - _unwindowed_product(op, masses)))
+            gap = np.max(np.abs(v - _unwindowed_product(hodlr, masses)))
             assert gap <= 4.0 * np.finfo(float).eps * scale, (kern.name(), name, gap / scale)
         assert np.all(op.apply(np.zeros(n)) == 0.0)
 
@@ -589,42 +672,74 @@ def test_2d_neg_abs_rows_past_the_masses_peak_at_the_rim(window):
         assert np.max(far) == far[-1], name
 
 
-def test_2d_neg_abs_velocity_on_the_window_matches_apply():
-    # n = 1000, in the size class of 1024 cells: leaves of 128 cells and
-    # halves of 512, 256 and 128 on three levels. The masses end inside
-    # the first leaf (at 110 the row bound 142 cuts the second half of
-    # level 2 short), in an even (0) and an odd (1) half of level 0, and
-    # next to the rim.
-    n = 1000
-    g = grid.RadialGrid(2, 3.0 / n, n)
-    op = drift.build_interaction_matrix(g, kernels.neg_abs_kernel())
-    count, leaf = op.leaves.shape[:2]
-    assert (count, leaf) == (8, 128) and op.rim.shape == (n,)
-    for window in (50, 110, 400, 600, n - 10):
-        for name, masses in _confined_masses(g, window).items():
+def _check_window_velocities(op, windows, bitwise):
+    # V and |V|max on each window against ``apply``: V within 4 eps M (the
+    # bits of ``apply`` when ``bitwise``), |V|max within 1e-13 M.
+    n = op.grid.n
+    for window in windows:
+        for name, masses in _confined_masses(op.grid, window).items():
             total = float(np.sum(masses))
             assert drift.mass_window(masses, total) == window
+            products = [(cells, *op.velocity(masses, total, window, cells))
+                        for cells in sorted({window, min(n, window + 32), n})]
             full = op.apply(masses)
-            for cells in sorted({window, min(n, window + 32), n}):
-                v, vmax = op.velocity(masses, total, window, cells)
+            for cells, v, vmax in products:
                 assert v.shape == (cells,)
                 gap = np.max(np.abs(v - full[:cells]))
                 assert gap <= 4.0 * np.finfo(float).eps * total, (window, cells, name, gap)
+                assert not bitwise or v.tobytes() == full[:cells].tobytes(), (window, cells, name)
                 assert abs(vmax - np.max(np.abs(full))) <= 1e-13 * total, (window, cells, name)
 
 
+def test_2d_neg_abs_velocity_on_the_window_matches_apply(monkeypatch):
+    # n = 1000. Each window starts from no class, so its products on
+    # ``window`` and ``window + 32`` rows read the smallest classes that
+    # cover them, before the products on all n rows grow the class to 1024
+    # (leaves of 128 cells, halves of 512, 256 and 128). The masses
+    # end inside the first leaf (at 110 the class of 256 cells has one
+    # level, and the row bound 142 cuts its second half short), in an even
+    # (0) and an odd (1) half of the top level, and next to the rim.
+    n = 1000
+    g = grid.RadialGrid(2, 3.0 / n, n)
+    op = drift.build_interaction_matrix(g, kernels.neg_abs_kernel())
+    assert op.rim.shape == (n,)
+    for window in (50, 110, 400, 600, n - 10):
+        monkeypatch.setattr(drift, "_shared", None)
+        _check_window_velocities(op, [window], bitwise=False)
+    assert drift._shared.grid.n == 1024
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_prefix_sum_velocity_on_the_window_matches_apply(dim):
+    # The constant-gradient (1-D neg_abs, the zero kernel) and shell (3-D
+    # neg_abs) operators compute only the rows below max(cells, window)
+    # and take |V|max past them from the rim row, W[n - 1] of the dense
+    # closed form: exactly in 1-D, within 4 eps in 3-D. In 1-D V on the
+    # rows is a prefix of ``apply``'s cumulative sum, so it keeps its bits.
+    n = 1000
+    g = grid.RadialGrid(dim, 3.0 / n, n)
+    kern = kernels.neg_abs_kernel()
+    op = drift.build_interaction_matrix(g, kern)
+    if dim == 1:
+        assert np.all(op.rim == _accel.build_matrix_1d(g.r_centers, kern.kprime)[-1])
+    else:
+        assert np.max(np.abs(op.rim - _neg_abs_dense(g)[-1])) <= 4.0 * np.finfo(float).eps
+    _check_window_velocities(op, (50, 400, n - 10), bitwise=dim == 1)
+    zero = drift.build_interaction_matrix(g, kernels.zero_kernel())
+    assert np.all(zero.rim == 0.0)
+    _check_window_velocities(zero, (50, n - 10), bitwise=True)
+
+
 def test_operators_without_a_rim_row_compute_every_row_bitwise():
-    # The 1-D, 3-D and tabulated or exponential N = 2 operators compute
-    # every row, so V and |V|max on a window are the bits of ``apply``.
+    # The exponential and tabulated operators compute every row in every
+    # dimension, so V and |V|max on a window are the bits of ``apply``.
     cases = []
     for dim in (1, 2, 3):
         g = grid.RadialGrid(dim, 3.0 / 300, 300)
-        cases += [(g, kern) for kern in _oracle_kernels(g) + [kernels.zero_kernel()]]
+        cases += [(g, kern) for kern in _oracle_kernels(g) if not _is_neg_abs(kern)]
     for g, kern in cases:
         op = drift.build_interaction_matrix(g, kern)
-        if op.rim is not None:
-            assert g.dimension == 2 and _is_neg_abs(kern)
-            continue
+        assert op.rim is None, (g.dimension, kern.name())
         for window in (40, 200):
             masses = _confined_masses(g, window)["random"]
             total = float(np.sum(masses))
