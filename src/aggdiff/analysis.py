@@ -600,11 +600,14 @@ def epsilon_sweep(kernel: KernelSpec, init, settings: SweepSettings) -> SweepRep
     payloads = [(kernel, init, settings, constants, e, t_star) for e in epsilons]
     if settings.jobs > 1 and _main_script_importable():
         # Imported here: a serial sweep never loads the pool (about 20 ms).
+        import functools
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         spawn = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=settings.jobs, mp_context=spawn) as pool:
+        # Workers handle floating-point errors as this process does.
+        errors = functools.partial(np.seterr, **np.geterr())
+        with ProcessPoolExecutor(max_workers=settings.jobs, mp_context=spawn, initializer=errors) as pool:
             outcomes = list(pool.map(_sweep_case, payloads))
     else:
         outcomes = [_sweep_case(p) for p in payloads]

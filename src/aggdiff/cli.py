@@ -16,9 +16,11 @@ and ``check`` write ``analysis.run_verdicts`` of the run, ``sweep`` the
 verdicts of ``analysis.epsilon_sweep``, and ``baseline`` one
 ``heat_norm_p*`` verdict per norm. ``write_verdicts`` writes them and
 returns the exit code: 0 iff every verdict passes (``calibrate`` writes
-none and exits 0); a bad config, input file or run directory, or a grid
-too large to allocate, exits 2 with one ``error:`` line. The sweep worker
-count is ``--jobs`` if given, else the config's ``sweep.jobs``. Every
+none and exits 0); a bad config, input file or run directory, a grid
+too large to allocate, or a run that fails exits 2 with one ``error:``
+line. A config key that the command does not read (``_READERS``) must
+keep its default. The sweep worker count is ``--jobs`` if given, else
+the config's ``sweep.jobs``. Every
 command that runs the solver runs it through ``analysis.run_case`` with
 the settings of ``run_settings``; the one-run commands take constants,
 scale and t_end from ``_resolve_run``. The step fraction ``solver.CFL``
@@ -73,6 +75,22 @@ DEFAULTS = {
 
 _KERNEL_NAMES = ("neg_abs", "exponential", "zero", "tabulated")
 _INITIAL_TYPES = ("gaussian", "annulus", "tabulated")
+
+# The commands, kernels and initial types (None: every one) under which a
+# run reads each key that not every run reads; every other key is read by
+# every command. Off those, a key must keep its default.
+_READERS = {
+    "kernel_table": (None, ("tabulated",), None),
+    "initial.width": (None, None, ("gaussian",)),
+    "initial.r_inner": (None, None, ("annulus",)),
+    "initial.r_outer": (None, None, ("annulus",)),
+    "initial.path": (None, None, ("tabulated",)),
+    "scale": (("simulate", "sweep", "calibrate"), None, None),
+    "t_end": (("simulate", "baseline", "calibrate"), None, None),  # each sweep row sets its own
+    "solver.store_snapshots": (("simulate",), None, None),
+    "analysis.h1_coefficient": (("simulate", "sweep"), ("neg_abs", "exponential", "tabulated"), None),
+    "sweep.jobs": (("sweep",), None, None),
+}
 
 
 def _merge_section(defaults, user, path):
@@ -133,8 +151,9 @@ def _auto_or_positive(value, name):
     return _as_positive(value, name)
 
 
-def parse_config(path) -> dict:
-    """Load a YAML/JSON config, fill defaults, and validate every key."""
+def parse_config(path, command=None) -> dict:
+    """Load a YAML/JSON config, fill defaults, and validate every key; with
+    a ``command``, refuse a key off its default that the run does not read."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -194,7 +213,26 @@ def parse_config(path) -> dict:
         if cfg["dimension"] != 1:
             raise ConfigError("analysis.h1_coefficient applies to dimension 1 only")
     cfg["sweep"]["jobs"] = _as_int(cfg["sweep"]["jobs"], "sweep.jobs", 1)
+    if command is not None:
+        _refuse_unread(cfg, command)
     return cfg
+
+
+def _refuse_unread(cfg, command) -> None:
+    """Raise ConfigError naming a key off its default that ``command`` does
+    not read under the config's kernel and initial type (``_READERS``)."""
+    run = (command, cfg["kernel"], cfg["initial"]["type"])
+    for name, readers in _READERS.items():
+        if all(allowed is None or have in allowed for have, allowed in zip(run, readers)):
+            continue
+        *section, key = name.split(".")
+        value, default = cfg, DEFAULTS
+        for part in section:
+            value, default = value[part], default[part]
+        if value[key] != default[key]:
+            raise ConfigError(
+                f"{name} is not read by {command} with kernel {run[1]} and initial type {run[2]}; remove it"
+            )
 
 
 def _auto(value):
@@ -446,7 +484,7 @@ def _resolve_run(cfg, kernel, init):
 
 
 def cmd_simulate(args) -> int:
-    cfg = parse_config(args.config)
+    cfg = parse_config(args.config, args.command)
     if len(cfg["epsilon"]) != 1:
         raise ConfigError("simulate expects exactly one epsilon; use sweep for several")
     epsilon = cfg["epsilon"][0]
@@ -505,25 +543,8 @@ def write_sweep_csv(report, path) -> None:
             fh.write(",".join(_fmt(v) for v in values) + "\n")
 
 
-# Keys a sweep refuses unless at their defaults: each row runs to its own
-# horizon and stores the snapshots its ball integrals need.
-_SWEEP_IGNORED = (("t_end",), ("solver", "store_snapshots"))
-
-
-def _reject_sweep_ignored(cfg) -> None:
-    """Raise ConfigError when a key ``sweep`` would ignore is not at its default."""
-    for path in _SWEEP_IGNORED:
-        value, default = cfg, DEFAULTS
-        for key in path:
-            value, default = value[key], default[key]
-        if value != default:
-            name = ".".join(path)
-            raise ConfigError(f"{name} is not used by sweep (each row sets its own); remove it")
-
-
 def cmd_sweep(args) -> int:
-    cfg = parse_config(args.config)
-    _reject_sweep_ignored(cfg)
+    cfg = parse_config(args.config, args.command)
     kernel = kernel_from_config(cfg)
     init = init_from_config(cfg)
     settings = analysis.SweepSettings(
@@ -560,7 +581,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    cfg = parse_config(args.config)
+    cfg = parse_config(args.config, args.command)
     if cfg["kernel"] != "zero":
         raise ConfigError("baseline runs pure diffusion and requires kernel: zero")
     if cfg["initial"]["type"] != "gaussian":
@@ -601,7 +622,7 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    cfg = parse_config(args.config)
+    cfg = parse_config(args.config, args.command)
     if cfg["dimension"] != 1:
         raise ConfigError("calibrate fits the H^1 coefficient, which is one-dimensional")
     if len(cfg["epsilon"]) < 3:
@@ -664,9 +685,12 @@ def main(argv=None) -> int:
     p_cal.set_defaults(func=cmd_calibrate)
 
     args = parser.parse_args(argv)
+    # Every failure a run raises on purpose is a RuntimeError. Its checks
+    # name each non-finite state, so NumPy's warnings would only repeat them.
     try:
-        return args.func(args)
-    except (ValueError, OSError, MemoryError) as exc:
+        with np.errstate(all="ignore"):
+            return args.func(args)
+    except (ValueError, OSError, MemoryError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

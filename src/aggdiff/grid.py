@@ -288,7 +288,7 @@ class TabulatedProfile:
     @classmethod
     def from_file(cls, path, mass: float) -> "TabulatedProfile":
         """Read (r, u(r)) samples with ``read_samples``; r and u must be
-        nonnegative, since a density below 0 would be clipped to 0."""
+        nonnegative, as every density is."""
         r, u = read_samples(path, ("r", "u"))
         negative = (r < 0.0) | (u < 0.0)
         if negative.any():
@@ -302,14 +302,17 @@ class TabulatedProfile:
         return float(positive[-1]) if positive.size else float(self.r_nodes[-1])
 
     def profile(self, r: np.ndarray) -> np.ndarray:
-        return np.interp(r, self.r_nodes, self.u_nodes, left=0.0, right=0.0)
+        # np.interp's slope form can land an ulp below 0 just short of a
+        # zero sample; the clamp keeps the samples' sign.
+        return np.maximum(np.interp(r, self.r_nodes, self.u_nodes, left=0.0, right=0.0), 0.0)
 
 
 def make_initial_condition(spec, grid: RadialGrid) -> DensityField:
-    """Sample a profile on the grid and rescale to the requested mass exactly."""
+    """Sample a profile on the grid and rescale to the requested mass
+    exactly; a negative sample fails in ``DensityField``."""
     if spec.mass <= 0.0:
         raise ValueError("initial data must have positive mass")
-    values = np.maximum(np.asarray(spec.profile(grid.r_centers), dtype=np.float64), 0.0)
+    values = np.asarray(spec.profile(grid.r_centers), dtype=np.float64)
     raw = float(np.dot(values, grid.cell_volumes))
     if raw <= 0.0:
         raise ValueError("initial profile has zero mass on this grid")

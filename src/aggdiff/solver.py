@@ -18,8 +18,12 @@ with c = eps dt / dr, face areas a, no origin term a_0 and the rim face a_n
 on the last row. That matrix is symmetric and strictly diagonally dominant
 with a positive diagonal, hence positive definite, and LAPACK ``ptsv``
 solves it. The drift velocity is refreshed from the drift operator every
-step and lags the update by one step. A step that produces a NaN or
-infinite state or outflow raises NonFiniteError.
+step and lags the update by one step. No step at dt <= ``positivity_bound``
+goes negative: upwind removes at most CFL = 1/2 of each cell's content and
+adds only nonnegative inflow, and with nonpositive off-diagonals each update
+of the LDL^T solve of that right-hand side adds nonnegative terms. A
+negative density raises NegativityError, a NaN or infinite state or
+outflow NonFiniteError.
 
 Each step works on a window of cells that carry mass. From the cell
 masses and their sum M, summed once per step, J is one past the last
@@ -81,7 +85,7 @@ CFL = 0.5
 
 
 class NegativityError(RuntimeError):
-    """Update produced negative densities beyond the clip threshold."""
+    """A step produced a negative density."""
 
 
 class NonFiniteError(RuntimeError):
@@ -224,11 +228,9 @@ def positivity_bound(grid, faces) -> float:
     a_{i+1} max(F_{i+1}, 0) / vol_i through its right face (the rim for the
     last cell of the grid, nothing through a closed face) and
     a_i max(-F_i, 0) / vol_i through its left face: the coefficient of u_i
-    that the upwind update subtracts per unit dt. Steps of at most
-    1 / max rate keep the update a convex combination, so the
-    transported state stays nonnegative (the backward-Euler solve keeps
-    it so). Sharper than the stated bound near the origin, where the
-    face-area to volume ratios peak. Infinite when no cell has outflow.
+    that the upwind update subtracts per unit dt. Sharper than the stated
+    bound near the origin, where the face-area to volume ratios peak.
+    Infinite when no cell has outflow.
     """
     cells = _window(grid, faces)
     rate = np.maximum(faces[1:], 0.0)
@@ -270,22 +272,16 @@ def _implicit_diffusion(u_star, grid, epsilon, dt):
 
 
 def advance(field: DensityField, faces: np.ndarray, config: SolverConfig, dt: float):
-    """One conservative update; returns (new values, outflow mass, clipped
-    cells, whether the diffusion was solved again on the whole grid).
+    """One conservative update; returns (new values, outflow mass, whether
+    the diffusion was solved again on the whole grid).
 
     ``faces`` are the face velocities of ``face_velocities`` on a window of
-    W cells (W + 1 entries). The update, upwind transport and then the
-    backward-Euler diffusion solve, covers those cells; when W < n, face W
-    is closed and the cells beyond keep their values. The new values
-    returned are those of the W window cells, a fresh array; the field
-    is left as it was, and its cells from W on hold the rest of the new
-    state. A solve that leaves the last window cell with mass above
-    eps / n (eps the machine epsilon) times the window's mass has carried
-    mass past the window: the diffusion is then solved again on the whole
-    grid, from the transported window and the unchanged cells beyond it,
-    and the new values cover all n cells. Raises NonFiniteError when the
-    new values or the outflow are not finite, and NegativityError when a
-    density falls below the clip threshold.
+    W cells (W + 1 entries). The step covers those cells, with the closed
+    face and the whole-grid re-solve of the module docstring. It returns
+    the new values of the W window cells (of all n after a re-solve) in a
+    fresh array and leaves the field as it was. Raises NonFiniteError when
+    the new values or the outflow are not finite, and NegativityError when
+    a density is negative.
     """
     grid = field.grid
     cells = _window(grid, faces)
@@ -302,19 +298,13 @@ def advance(field: DensityField, faces: np.ndarray, config: SolverConfig, dt: fl
             u_new, rim = _implicit_diffusion(u_star, grid, config.epsilon, dt)
             resolved = True
     outflux += rim
-    # min and max propagate NaN, so they check the final state; the
-    # negativity floor and the clip scale need them anyway.
+    # min and max propagate NaN: one pass checks finiteness and sign.
     floor, top = float(u_new.min()), float(u_new.max())
     if not (math.isfinite(floor) and math.isfinite(top) and math.isfinite(outflux)):
         raise NonFiniteError(dt)
-    clipped = 0
     if floor < 0.0:
-        scale = max(top, float(np.max(field.values)), 1.0)
-        if floor < -1e-8 * scale:
-            raise NegativityError(f"negative density {floor:g} beyond the clip threshold")
-        clipped = int(np.count_nonzero(u_new < -1e-14))
-        np.maximum(u_new, 0.0, out=u_new)
-    return u_new, float(outflux), clipped, resolved
+        raise NegativityError(f"negative density {floor:g}")
+    return u_new, float(outflux), resolved
 
 
 def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float) -> TrajectoryRecord:
@@ -346,7 +336,6 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
     cell_mass = values * vol
     t = 0.0
     outflow_total = 0.0
-    clipped_total = 0
     full_grid_solves = 0
     steps = 0
     next_record = record_dt
@@ -395,7 +384,7 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
             raise RuntimeError(f"degenerate step size {dt!r} at t = {t!r}")
         steps += 1
         try:
-            new, outflux, clipped, resolved = advance(state, faces, config, dt)
+            new, outflux, resolved = advance(state, faces, config, dt)
         except NonFiniteError as exc:
             exc.time, exc.step = t + dt, steps
             raise
@@ -404,7 +393,6 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
         np.multiply(new, vol[:changed], out=cell_mass[:changed])
         t += dt
         outflow_total += outflux
-        clipped_total += clipped
         full_grid_solves += resolved
         if t >= next_record - tiny:
             sample(t)
@@ -426,6 +414,5 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
         lp={1.0: mass_series, **{p: np.asarray(v) for p, v in lp_series.items()}},
         h1=np.asarray(h1_series) if h1_series is not None else None,
         snapshots=np.asarray(snaps) if snaps is not None else None,
-        clipped_cells=clipped_total,
         full_grid_solves=full_grid_solves,
     )

@@ -563,3 +563,14 @@ def test_parallel_sweep_from_stdin_script_runs_in_process():
     settings = analysis.SweepSettings(dimension=1, epsilons=(0.2, 0.1, 0.05, 0.02), run=COARSE)
     serial = analysis.epsilon_sweep(NEG_ABS, grid.GaussianBump(1.0, 0.25), settings)
     assert pickle.loads(bytes.fromhex(out.stdout)) == serial.rows
+
+
+def test_an_annulus_run_plans_its_grid_from_the_outer_radius():
+    # plan_grid reaches 10 support radii, and an annulus's support radius
+    # is its outer radius: every cell of the annulus lies inside the grid.
+    bump = grid.AnnulusBump(1.0, 0.2, 0.5)
+    settings = analysis.RunSettings(dr_max=0.02, record_samples=4)
+    traj = analysis.run_case(kernels.neg_abs_kernel(), bump, 2, 0.1, 1.0, 1e-3, settings)
+    assert bump.support_radius == 0.5
+    assert traj.grid.r_max == pytest.approx(10.0 * bump.support_radius)
+    assert traj.initial_mass == pytest.approx(1.0, rel=1e-14)

@@ -1,12 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from aggdiff import analysis, cli, grid, solver
+from aggdiff import analysis, cli, drift, grid, solver
 
 
 TINY_SIMULATE = """
@@ -347,15 +351,21 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_shipped_configs_parse_and_the_baseline_passes(tmp_path):
-    # The baseline's dt_max keeps first-order backward Euler within the
-    # 1% tolerance of every heat_norm verdict.
+    # Each shipped config is named after its command, parses under it and,
+    # but for the sweep (the acceptance fixtures run that ladder), runs to
+    # exit 0; its config.resolved parses to the same config. The
+    # baseline's dt_max keeps first-order backward Euler within the 1%
+    # tolerance of every heat_norm verdict.
     paths = sorted(CONFIGS.glob("*.yaml"))
-    assert {path.stem for path in paths} >= {"baseline", "calibrate", "simulate", "sweep"}
+    assert [path.stem for path in paths] == ["baseline", "calibrate", "simulate", "sweep"]
     for path in paths:
-        cli.parse_config(path)
-    out = tmp_path / "base"
-    assert cli.main(["baseline", "--config", str(CONFIGS / "baseline.yaml"), "--out", str(out)]) == 0
-    verdicts = (out / "verdicts.txt").read_text().splitlines()
+        cfg = cli.parse_config(path, path.stem)
+        if path.stem == "sweep":
+            continue
+        out = tmp_path / path.stem
+        assert cli.main([path.stem, "--config", str(path), "--out", str(out)]) == 0
+        assert cli.parse_config(out / cli.RESOLVED_NAME, path.stem) == cfg
+    verdicts = (tmp_path / "baseline" / "verdicts.txt").read_text().splitlines()
     assert [line.split()[:2] for line in verdicts] == [
         ["PASS", "heat_norm_p1"], ["PASS", "heat_norm_p2"], ["PASS", "heat_norm_pinf"],
     ]
@@ -475,8 +485,7 @@ def test_sweep_rejects_keys_it_would_ignore(tmp_path, key, value, capsys):
     entry = f"{name}: {value}" if not section else f"{section[0]}: {{{name}: {value}}}"
     config = _write(tmp_path, f"{{kernel: neg_abs, epsilon: [0.2, 0.1, 0.05, 0.02], {entry}}}")
     if key in SWEEP_HONOURED:
-        cfg = cli.parse_config(config)
-        cli._reject_sweep_ignored(cfg)
+        cfg = cli.parse_config(config, "sweep")
         assert getattr(cli.run_settings(cfg), SWEEP_HONOURED[key]) == float(value)
         return
     out = tmp_path / "s"
@@ -487,7 +496,95 @@ def test_sweep_rejects_keys_it_would_ignore(tmp_path, key, value, capsys):
 
 def test_sweep_accepts_those_keys_at_their_defaults(tmp_path):
     text = "{t_end: auto, solver: {store_snapshots: false}}"
-    cli._reject_sweep_ignored(cli.parse_config(_write(tmp_path, text)))
+    cli.parse_config(_write(tmp_path, text), "sweep")
+
+
+# Keys a command does not read with the kernel and initial type it runs.
+UNREAD_KEYS = [
+    ("simulate", "kernel_table", "kernel_table: /nonexistent"),
+    ("simulate", "initial.r_outer", "initial: {type: gaussian, r_outer: 7}"),
+    ("simulate", "initial.path", "initial: {type: gaussian, path: /nope}"),
+    ("simulate", "initial.width", "initial: {type: annulus, width: 0.5}"),
+    ("simulate", "analysis.h1_coefficient", "kernel: zero\nt_end: 0.5\nanalysis: {h1_coefficient: 3.0}"),
+    ("baseline", "solver.store_snapshots", "solver: {store_snapshots: true}"),
+    ("baseline", "sweep.jobs", "sweep: {jobs: 3}"),
+    ("baseline", "analysis.h1_coefficient", "analysis: {h1_coefficient: 3.0}"),
+    ("baseline", "scale", "scale: 2.0"),
+    ("calibrate", "analysis.h1_coefficient", "analysis: {h1_coefficient: 3.0}"),
+    ("calibrate", "sweep.jobs", "sweep: {jobs: 2}"),
+]
+
+
+@pytest.mark.parametrize("command, key, entry", UNREAD_KEYS, ids=[f"{c}-{k}" for c, k, _ in UNREAD_KEYS])
+def test_a_key_the_command_does_not_read_exits_2(tmp_path, capsys, command, key, entry):
+    # A setting that acts on nothing would be echoed into config.resolved
+    # as if it had. The key is refused before any check of the command.
+    config = _write(tmp_path, entry + "\n")
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} is not read by {command} ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_every_key_with_restricted_readers_is_a_config_key():
+    for name in cli._READERS:
+        section = cli.DEFAULTS
+        *parents, key = name.split(".")
+        for part in parents:
+            section = section[part]
+        assert key in section and not isinstance(section[key], dict), name
+
+
+# Mass 1e154 still has an admissible scale, and its first step overflows.
+OVERFLOWING_SWEEP = """
+kernel: neg_abs
+epsilon: [0.2, 0.1, 0.05, 0.02]
+initial: {type: gaussian, mass: 1.0e+154, width: 0.25}
+grid: {dr_max: 0.02, dr_divisor: 8}
+solver: {record_samples: 10}
+"""
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_a_run_that_fails_exits_2_with_one_error_line(tmp_path, command):
+    # The density overflows in the first step. The run raised a
+    # NonFiniteError traceback and exited 1, the code of a FAIL verdict,
+    # after NumPy's overflow warnings; the sweep's rows fail in two
+    # spawned workers, which printed those warnings too.
+    text = {
+        "simulate": TINY_SIMULATE.replace("mass: 1.0", "mass: 1.0e+300").replace("t_end: auto", "t_end: 0.5"),
+        "sweep": OVERFLOWING_SWEEP,
+    }[command]
+    out = tmp_path / "run"
+    args = [command, "--config", str(_write(tmp_path, text)), "--out", str(out)]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "aggdiff.cli", *args] + (["--jobs", "2"] if command == "sweep" else []),
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: non-finite state at step 1, t = ")
+    assert done.stderr.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("error", [
+    solver.NegativityError("negative density -1e-300"),
+    solver.NonFiniteError(0.5, 7),
+    drift.QuadratureError("order 64 did not converge"),
+    BrokenProcessPool("a worker died"),
+], ids=["negative", "non-finite", "quadrature", "dead-worker"])
+def test_a_sweep_whose_row_raises_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, error):
+    def failing_advance(*args):
+        raise error
+
+    monkeypatch.setattr(solver, "advance", failing_advance)
+    out = tmp_path / "sweep"
+    code = cli.main(["sweep", "--config", str(_write(tmp_path, SWEEP_CONFIG)), "--out", str(out), "--jobs", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not out.exists()
 
 
 SWEEP_RUN_KEYS = """
@@ -576,11 +673,17 @@ def test_simulate_refuses_a_kernel_table_with_a_non_finite_sample(tmp_path, caps
     assert not out.exists()
 
 
+def _tabulated_initial(text, path):
+    """``text`` with its gaussian initial data replaced by the profile at
+    ``path``; the gaussian's width goes, as a tabulated profile reads none."""
+    return text.replace("type: gaussian", f"type: tabulated, path: {path}").replace(", width: 0.1}", "}")
+
+
 @pytest.mark.parametrize("rows", ["0 1\n0.5 nan\n1 0\n", "0 1\n0.5 0.5\n0.3 0.2\n1 0\n"], ids=["nan", "unsorted"])
 def test_simulate_refuses_a_bad_profile_file(tmp_path, capsys, rows):
     profile = tmp_path / "profile.txt"
     profile.write_text(rows)
-    text = TINY_SIMULATE.replace("type: gaussian", f"type: tabulated, path: {profile}")
+    text = _tabulated_initial(TINY_SIMULATE, profile)
     out = tmp_path / "run"
     assert cli.main(["simulate", "--config", str(_write(tmp_path, text)), "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -593,7 +696,7 @@ def test_a_profile_with_a_negative_density_exits_2(tmp_path, capsys, command):
     profile = tmp_path / "profile.txt"
     profile.write_text("0 1\n0.25 -0.5\n0.5 1\n1 0\n")
     text = {"simulate": TINY_SIMULATE, "sweep": SWEEP_CONFIG}[command]
-    text = text.replace("type: gaussian", f"type: tabulated, path: {profile}")
+    text = _tabulated_initial(text, profile)
     out = tmp_path / "run"
     assert cli.main([command, "--config", str(_write(tmp_path, text)), "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -620,7 +723,7 @@ def test_an_input_path_that_is_a_directory_exits_2(tmp_path, capsys, entry):
     text = {
         "config": None,
         "kernel_table": TINY_SIMULATE.replace("kernel: neg_abs", f"kernel: tabulated\nkernel_table: {folder}"),
-        "initial.path": TINY_SIMULATE.replace("type: gaussian", f"type: tabulated, path: {folder}"),
+        "initial.path": _tabulated_initial(TINY_SIMULATE, folder),
     }[entry]
     config = folder if text is None else _write(tmp_path, text)
     out = tmp_path / "run"

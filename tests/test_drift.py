@@ -464,6 +464,18 @@ def test_apply_rejects_non_finite_velocity():
                         op.apply(masses)
 
 
+def test_apply_rejects_a_finite_velocity_beyond_the_kernel_bound():
+    # A kernel that understates sup |k'| gives finite velocities above
+    # |k'|_sup M in every dimension, and the post-check names the bound;
+    # the N >= 2 builds apply their operator to choose the quadrature order.
+    understated = dataclasses.replace(kernels.exponential_kernel(), kprime_sup_norm=0.25)
+    for dim in (1, 2, 3):
+        g = grid.RadialGrid.make(dim, 1.0, 0.05)
+        masses = np.where(np.arange(g.n) < 5, 1.0, 0.0)
+        with pytest.raises(RuntimeError, match=r"drift bound violated: \|V\| = \S+ > \S+$"):
+            drift.build_interaction_matrix(g, understated).apply(masses)
+
+
 def test_2d_disc_matches_direct_quadrature():
     # u = indicator(B_1)/pi; compare against adaptive 2-d quadrature over
     # the disc (independent of the angular-reduction implementation).

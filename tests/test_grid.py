@@ -290,6 +290,19 @@ def test_tabulated_profile_from_file(tmp_path):
     assert spec.support_radius == pytest.approx(1.0, abs=0.05)
 
 
+def test_tabulated_profile_next_to_a_zero_sample_stays_nonnegative(tmp_path):
+    # A cell centre one ulp short of the node where the profile reaches 0:
+    # np.interp's slope form gives -5.6e-17 there, which DensityField
+    # refuses as a negative density.
+    g = grid.RadialGrid.make(1, 2.0, 0.01)
+    node = float(np.nextafter(g.r_centers[9], np.inf))
+    assert np.interp(g.r_centers[9], [0.025, node], [0.3, 0.0]) < 0.0
+    path = tmp_path / "profile.txt"
+    path.write_text(f"0.025 0.3\n{node!r} 0\n2.0 0\n")
+    f = grid.make_initial_condition(grid.TabulatedProfile.from_file(path, mass=1.0), g)
+    assert f.values.min() == 0.0 and f.values[9] == 0.0
+
+
 @pytest.mark.parametrize("rows, problem", [
     ("0 1\n0.5 nan\n1 0\n", "samples must be finite; got r = 0.5, u = nan"),
     # Unsorted, np.interp read 0.75 at r = 0.25 and the support radius was 0.3.

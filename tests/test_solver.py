@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from aggdiff import _accel, analysis, drift, grid, kernels, solver
 
@@ -65,7 +67,7 @@ def test_single_step_mass_telescopes_exactly(epsilon):
         v = m.apply(f.values * g.cell_volumes)
         cfg = solver.SolverConfig(epsilon=epsilon, t_end=1.0)
         dt = 0.25 * solver.stated_cfl_bound(g, np.max(np.abs(v)))
-        new, outflux, _, _ = solver.advance(f, solver.face_velocities(v, g.n, g.n), cfg, dt)
+        new, outflux, _ = solver.advance(f, solver.face_velocities(v, g.n, g.n), cfg, dt)
         assert outflux > 0.0
         before = float(np.dot(f.values, g.cell_volumes))
         after = float(np.dot(new, g.cell_volumes))
@@ -147,7 +149,7 @@ def test_constant_interior_unchanged_without_drift():
     f = grid.DensityField(g, np.ones(g.n))
     cfg = solver.SolverConfig(epsilon=0.1, t_end=1.0)
     v = np.zeros(g.n)
-    new, outflux, _, _ = solver.advance(f, solver.face_velocities(v, g.n, g.n), cfg, 1e-4)
+    new, outflux, _ = solver.advance(f, solver.face_velocities(v, g.n, g.n), cfg, 1e-4)
     deficit = 1.0 - new
     assert np.max(np.abs(deficit[: g.n // 2])) <= 1e-15
     assert np.all(np.diff(deficit[-8:]) > 0.0) and deficit[-1] > 0.0
@@ -817,7 +819,7 @@ def test_benchmark_hooks_reach_run_and_loglog_fit(monkeypatch):
 def test_run_and_advance_leave_their_inputs_unchanged(monkeypatch):
     # run steps its own copy of u0, and advance returns the new values
     # without writing to the field it reads: on a windowed step, after a
-    # whole-grid re-solve and after a clip alike.
+    # whole-grid re-solve, and when it refuses a negative density.
     g = grid.RadialGrid.make(1, 4.0, 0.01)
     u0 = _gaussian_field(g, width=0.1, mass=0.01)
     initial = u0.values.copy()
@@ -826,10 +828,10 @@ def test_run_and_advance_leave_their_inputs_unchanged(monkeypatch):
 
     def checked_advance(field, faces, config, dt):
         before = field.values.copy()
-        new, outflux, clipped, resolved = advance(field, faces, config, dt)
+        new, outflux, resolved = advance(field, faces, config, dt)
         assert field.values.tobytes() == before.tobytes()
         resolves.append(resolved)
-        return new, outflux, clipped, resolved
+        return new, outflux, resolved
 
     monkeypatch.setattr(solver, "advance", checked_advance)
     # A weak drift leaves steps long enough for the diffusion to outgrow
@@ -840,8 +842,8 @@ def test_run_and_advance_leave_their_inputs_unchanged(monkeypatch):
     assert u0.values.tobytes() == initial.tobytes()
 
     # Cell k holds 1e-12 and loses twice its content through its right
-    # face in one step; with a negligible diffusivity it ends at -1e-12,
-    # inside the clip threshold, and is clipped to 0.
+    # face in one step, four times the positivity bound; with a negligible
+    # diffusivity it ends at -1e-12, which advance refuses.
     g = grid.RadialGrid.make(1, 1.0, 0.01)
     k = 40
     u = np.zeros(g.n)
@@ -850,10 +852,46 @@ def test_run_and_advance_leave_their_inputs_unchanged(monkeypatch):
     faces[k + 1] = 1.0
     field = grid.DensityField(g, u.copy())
     cfg = solver.SolverConfig(epsilon=1e-20, t_end=1.0)
-    new, _, clipped, resolved = advance(field, faces, cfg, 2.0 / g.right_ratios[k])
-    assert clipped == 1 and not resolved
-    assert new[k] == 0.0 and new.min() == 0.0
+    dt = 2.0 / g.right_ratios[k]
+    assert dt == 4.0 * solver.positivity_bound(g, faces)
+    with pytest.raises(solver.NegativityError, match="negative density -1e-12"):
+        advance(field, faces, cfg, dt)
     assert field.values.tobytes() == u.tobytes() and field.values[k] == 1e-12
+
+
+# A density of each kind a run meets: empty cells, the smallest normal
+# scale, and ordinary values.
+DENSITIES = st.one_of(
+    st.just(0.0), st.just(1e-300), st.floats(1e-10, 1e2, allow_nan=False, allow_infinity=False)
+)
+# Cell velocities of either sign with magnitudes from 1e-3 to 1e3.
+SPEEDS = st.builds(lambda sign, power: sign * 10.0 ** power, st.sampled_from([-1.0, 1.0]), st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(dimension=st.integers(1, 3), epsilon=st.floats(1e-6, 1.0), data=st.data())
+def test_a_step_at_the_positivity_bound_stays_nonnegative(dimension, epsilon, data):
+    # Positivity is an invariant of the step, not a repair: upwind at the
+    # positivity bound removes at most half of a cell's content, and the
+    # ptsv solve maps a nonnegative right-hand side to a nonnegative state.
+    n = data.draw(st.integers(3, 24), label="n")
+    g = grid.RadialGrid(dimension, 0.05, n)
+    u = np.array(data.draw(st.lists(DENSITIES, min_size=n, max_size=n), label="u"))
+    velocity = np.array(data.draw(st.lists(SPEEDS, min_size=n, max_size=n), label="V"))
+    cells = data.draw(st.sampled_from([n, data.draw(st.integers(2, n - 1), label="W")]), label="cells")
+    faces = solver.face_velocities(velocity, cells, n)
+    dt = solver.positivity_bound(g, faces)
+    assume(math.isfinite(dt))
+    field = grid.DensityField(g, u.copy())
+    cfg = solver.SolverConfig(epsilon=epsilon, t_end=1.0)
+    new, outflux, resolved = solver.advance(field, faces, cfg, dt)
+    assert new.min() >= 0.0 and outflux >= 0.0
+    assert new.shape[0] == (n if resolved else cells)
+    vol = g.cell_volumes
+    before = float(np.dot(u, vol))
+    after = float(np.dot(new, vol[: new.shape[0]])) + float(np.dot(u[new.shape[0]:], vol[new.shape[0]:]))
+    assert after + outflux == pytest.approx(before, rel=1e-12, abs=1e-300)
+    assert field.values.tobytes() == u.tobytes()
 
 
 @pytest.mark.parametrize("dimension", [1, 2, 3], ids=IMPLICIT_IDS)
@@ -876,8 +914,8 @@ def test_windowed_step_closes_its_last_face(dimension):
         solver.positivity_bound(g, faces),
     )
     before = f.values.copy()
-    new, outflux, clipped, resolved = solver.advance(f, faces, cfg, dt)
-    assert outflux == 0.0 and clipped == 0 and not resolved
+    new, outflux, resolved = solver.advance(f, faces, cfg, dt)
+    assert outflux == 0.0 and not resolved
     # Only the window's values come back; the field keeps the old state.
     assert new.shape == (cells,)
     assert f.values.tobytes() == before.tobytes()
@@ -909,7 +947,7 @@ def test_whole_grid_window_is_the_full_grid_step_bitwise(dimension):
         c * g.face_sums + g.cell_volumes, -c * g.face_areas[1:-1], g.cell_volumes * expected
     )
     outflux += eps * dt * g.face_areas[-1] * expected[-1] / g.dr
-    new, got_outflux, _, resolved = solver.advance(f, faces, cfg, dt)
+    new, got_outflux, resolved = solver.advance(f, faces, cfg, dt)
     assert new.tobytes() == expected.tobytes()
     assert got_outflux == outflux > 0.0
     assert not resolved
@@ -927,11 +965,11 @@ def test_implicit_support_outgrowing_the_pad_matches_the_full_grid_run(monkeypat
     advance = solver.advance
 
     def recorded_advance(field, faces, config, dt):
-        new, outflux, clipped, resolved = advance(field, faces, config, dt)
+        new, outflux, resolved = advance(field, faces, config, dt)
         state = np.concatenate((new, field.values[new.shape[0]:]))
         masses = state * g.cell_volumes
         steps.append((faces.shape[0] - 1, drift.mass_window(masses, float(np.sum(masses))), resolved))
-        return new, outflux, clipped, resolved
+        return new, outflux, resolved
 
     monkeypatch.setattr(solver, "advance", recorded_advance)
     windowed = solver.run(_gaussian_field(g, width=0.1), kernels.zero_kernel(), cfg, scale=1.0)
