@@ -75,9 +75,11 @@ class ConcentrationConstants:
 
     ``admissible`` records the smallness condition on the capped first
     moment; ``bound_level`` and ``horizon`` are only meaningful (positive)
-    for admissible data. ``ball_factor`` scales the diffusivity into a
-    ball radius; in one dimension it needs a calibrated H^1 coefficient
-    and is None until one is supplied.
+    for admissible data. ``ball_factor`` is the paper's factor that
+    scales the diffusivity into a ball radius, in dimensions 2 and 3. In
+    one dimension it needs the H^1 bound's constant, which the paper does
+    not compute, so it is None. No verdict reads it: the balls that the
+    checks integrate over have radius ``BALL_FACTOR`` * eps.
     """
 
     dimension: int
@@ -92,19 +94,18 @@ class ConcentrationConstants:
     horizon: float
     admissible: bool
     ball_factor: Optional[float] = None
-    h1_coefficient: Optional[float] = None
 
 
 def compute_constants(
     u0: DensityField,
     kernel: KernelSpec,
     scale: float,
-    h1_coefficient: Optional[float] = None,
 ) -> ConcentrationConstants:
     """Evaluate the explicit constants for initial data at a given scale.
 
     Requires a kernel that is genuinely attractive below the scale;
     inadmissible data (bound level <= 0) is reported, not raised.
+    ``ball_factor`` is set for admissible data in dimensions 2 and 3 only.
     """
     kappa = min_attraction(kernel, scale)
     if not kappa > 0.0:
@@ -121,11 +122,8 @@ def compute_constants(
     else:
         horizon = math.nan
     ball = None
-    if level > 0.0 and horizon > 0.0:
-        if u0.grid.dimension >= 2:
-            ball = 2.0 * (u0.grid.dimension - 1) * m0 * horizon / (scale * level)
-        elif h1_coefficient is not None:
-            ball = (scale * level / (4.0 * h1_coefficient * m0 ** 2.5 * horizon)) ** 2
+    if level > 0.0 and horizon > 0.0 and u0.grid.dimension >= 2:
+        ball = 2.0 * (u0.grid.dimension - 1) * m0 * horizon / (scale * level)
     return ConcentrationConstants(
         dimension=u0.grid.dimension,
         scale=scale,
@@ -139,7 +137,6 @@ def compute_constants(
         horizon=horizon,
         admissible=admissible,
         ball_factor=ball,
-        h1_coefficient=h1_coefficient,
     )
 
 
@@ -153,11 +150,7 @@ def field_support_radius(field: DensityField) -> float:
     return float(field.grid.r_centers[idx[-1]])
 
 
-def select_scale(
-    u0: DensityField,
-    kernel: KernelSpec,
-    h1_coefficient: Optional[float] = None,
-) -> ConcentrationConstants:
+def select_scale(u0: DensityField, kernel: KernelSpec) -> ConcentrationConstants:
     """Scan scales over a log grid and keep the best admissible one.
 
     The SCALE_SCAN_POINTS scales span [1e-2, 1e2] times the support
@@ -170,7 +163,7 @@ def select_scale(
     best_score = -math.inf
     for scale in scales:
         try:
-            c = compute_constants(u0, kernel, float(scale), h1_coefficient)
+            c = compute_constants(u0, kernel, float(scale))
         except ValueError:
             continue
         if not (c.admissible and c.bound_level > 0.0 and c.horizon > 0.0):
@@ -405,7 +398,6 @@ class SweepSettings:
     epsilons: tuple
     scale: Optional[float] = None
     run: RunSettings = RunSettings()
-    h1_coefficient: Optional[float] = None
     jobs: int = 1
 
 
@@ -483,20 +475,14 @@ def plan_grid(dimension, epsilon, t_end, support_radius, settings=RunSettings())
     return RadialGrid.make(dimension, r_max, dr)
 
 
-def reference_constants(
-    kernel: KernelSpec,
-    init,
-    dimension: int,
-    scale=None,
-    h1_coefficient=None,
-) -> ConcentrationConstants:
+def reference_constants(kernel: KernelSpec, init, dimension: int, scale=None) -> ConcentrationConstants:
     """Constants evaluated on a fine reference grid of the initial data."""
     support = init.support_radius
     grid = RadialGrid.make(dimension, 10.0 * support, support / 400.0)
     u0 = make_initial_condition(init, grid)
     if scale is not None:
-        return compute_constants(u0, kernel, float(scale), h1_coefficient)
-    return select_scale(u0, kernel, h1_coefficient)
+        return compute_constants(u0, kernel, float(scale))
+    return select_scale(u0, kernel)
 
 
 def run_case(
@@ -569,11 +555,12 @@ def epsilon_sweep(kernel: KernelSpec, init, settings: SweepSettings) -> SweepRep
     """Run the verification battery over a set of diffusivities.
 
     Requires at least four diffusivities spanning a decade. Rows are
-    reported in decreasing diffusivity. Barrier coefficients are
-    calibrated on every other row (starting with the largest diffusivity)
-    and checked on all rows, so the held-out rows genuinely test the
-    frozen constants. An exception in any row aborts the whole sweep and
-    propagates to the caller. With ``jobs > 1`` the rows run in spawned
+    reported in decreasing diffusivity. Barrier coefficients (the L^2,
+    L^inf and, in one dimension, H^1 ones) are calibrated on every other
+    row (starting with the largest diffusivity) and checked on all rows,
+    so the held-out rows genuinely test the frozen constants; this is
+    the one place that calibrates them. An exception in any row aborts
+    the whole sweep and propagates to the caller. With ``jobs > 1`` the rows run in spawned
     worker processes: forking a process whose numeric libraries already
     run threads (OpenMP, BLAS) can deadlock or crash the pool. A spawned
     worker re-runs the main script, so when that script is no file (one
@@ -587,9 +574,7 @@ def epsilon_sweep(kernel: KernelSpec, init, settings: SweepSettings) -> SweepRep
         raise ValueError(f"need at least {FIT_MIN_POINTS} diffusivities")
     if epsilons[0] / epsilons[-1] < 10.0 * (1.0 - 1e-12):
         raise ValueError("diffusivities must span at least one decade")
-    constants = reference_constants(
-        kernel, init, settings.dimension, settings.scale, settings.h1_coefficient,
-    )
+    constants = reference_constants(kernel, init, settings.dimension, settings.scale)
     if not constants.admissible:
         raise ValueError("initial data is not admissible at the selected scale")
     # Each row runs to twice the horizon: the shrinking-ball integrals are
@@ -633,8 +618,7 @@ def epsilon_sweep(kernel: KernelSpec, init, settings: SweepSettings) -> SweepRep
         calibrated[key] = calibrate_coefficient(samples, p, dim)
     if dim == 1:
         samples = [(row.sup_h1, row.epsilon, constants.total_mass) for row in calibration_rows]
-        given = settings.h1_coefficient
-        calibrated["h1"] = given if given is not None else calibrate_coefficient(samples, "h1", dim)
+        calibrated["h1"] = calibrate_coefficient(samples, "h1", dim)
 
     verdicts = _sweep_verdicts(rows, fits, quality, calibrated, constants, settings)
     return SweepReport(

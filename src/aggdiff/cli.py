@@ -4,29 +4,30 @@ All outputs are plain CSV/JSON/YAML with floats at 17 significant digits,
 so identical invocations produce byte-identical files (no RNG is used
 anywhere, and no timestamps are written). Subcommands:
 
-    aggdiff simulate  --config F --out D
-    aggdiff sweep     --config F --out D [--jobs K]
-    aggdiff check     --traj D
-    aggdiff baseline  --config F --out D
-    aggdiff calibrate --config F --out D
+    aggdiff simulate --config F --out D
+    aggdiff sweep    --config F --out D [--jobs K]
+    aggdiff check    --traj D
+    aggdiff baseline --config F --out D
 
 Every verdict is built in ``analysis`` by ``Verdict.bound``, which passes
 a value only when its margin to the limit is finite and >= 0: ``simulate``
 and ``check`` write ``analysis.run_verdicts`` of the run, ``sweep`` the
 verdicts of ``analysis.epsilon_sweep``, and ``baseline`` one
 ``heat_norm_p*`` verdict per norm. ``write_verdicts`` writes them and
-returns the exit code: 0 iff every verdict passes (``calibrate`` writes
-none and exits 0); a bad config, input file or run directory, a grid
-too large to allocate, or a run that fails exits 2 with one ``error:``
-line. A config key that the command does not read (``_READERS``) must
-keep its default. The sweep worker count is ``--jobs`` if given, else
-the config's ``sweep.jobs``. Every
+returns the exit code: 0 iff every verdict passes; a bad config, input
+file or run directory, a grid too large to allocate, or a run that fails
+exits 2 with one ``error:`` line. A config key that the command does not
+read (``_READERS``), or a grid key that a numeric ``grid.dr`` makes moot,
+must keep its default. The sweep worker count is ``--jobs`` if given,
+else the config's ``sweep.jobs``. Every
 command that runs the solver runs it through ``analysis.run_case`` with
 the settings of ``run_settings``; the one-run commands take constants,
 scale and t_end from ``_resolve_run``. The step fraction ``solver.CFL``
 and the analysis constants (rim-loss tolerance, moment slack, safety
-factor, ball factor) are not config keys; ``run.json``, ``sweep.json``
-and ``calibration.json`` echo the ones they use.
+factor, ball factor) are not config keys; ``run.json`` and ``sweep.json``
+echo the ones they use. The sweep calibrates the barrier coefficients
+itself (``analysis.epsilon_sweep``), so no coefficient is a config key
+either.
 """
 
 from __future__ import annotations
@@ -69,7 +70,8 @@ DEFAULTS = {
     "t_end": "auto",
     "grid": {"dr": "auto", "dr_max": 0.005, "dr_divisor": 16.0, "r_max": "auto"},
     "solver": {"record_samples": 200, "dt_max": "auto", "store_snapshots": False},
-    "analysis": {"h1_coefficient": None},
+    # No analysis key is left; the empty section refuses each retired one by name.
+    "analysis": {},
     "sweep": {"jobs": 1},
 }
 
@@ -85,10 +87,9 @@ _READERS = {
     "initial.r_inner": (None, None, ("annulus",)),
     "initial.r_outer": (None, None, ("annulus",)),
     "initial.path": (None, None, ("tabulated",)),
-    "scale": (("simulate", "sweep", "calibrate"), None, None),
-    "t_end": (("simulate", "baseline", "calibrate"), None, None),  # each sweep row sets its own
+    "scale": (("simulate", "sweep"), None, None),
+    "t_end": (("simulate", "baseline"), None, None),  # each sweep row sets its own
     "solver.store_snapshots": (("simulate",), None, None),
-    "analysis.h1_coefficient": (("simulate", "sweep"), ("neg_abs", "exponential", "tabulated"), None),
     "sweep.jobs": (("sweep",), None, None),
 }
 
@@ -207,11 +208,6 @@ def parse_config(path, command=None) -> dict:
     s["dt_max"] = _auto_or_positive(s["dt_max"], "solver.dt_max")
     if not isinstance(s["store_snapshots"], bool):
         raise ConfigError("solver.store_snapshots must be true or false")
-    a = cfg["analysis"]
-    if a["h1_coefficient"] is not None:
-        a["h1_coefficient"] = _as_positive(a["h1_coefficient"], "analysis.h1_coefficient")
-        if cfg["dimension"] != 1:
-            raise ConfigError("analysis.h1_coefficient applies to dimension 1 only")
     cfg["sweep"]["jobs"] = _as_int(cfg["sweep"]["jobs"], "sweep.jobs", 1)
     if command is not None:
         _refuse_unread(cfg, command)
@@ -220,7 +216,8 @@ def parse_config(path, command=None) -> dict:
 
 def _refuse_unread(cfg, command) -> None:
     """Raise ConfigError naming a key off its default that ``command`` does
-    not read under the config's kernel and initial type (``_READERS``)."""
+    not read under the config's kernel and initial type (``_READERS``), or
+    a grid key that a numeric ``grid.dr`` makes moot."""
     run = (command, cfg["kernel"], cfg["initial"]["type"])
     for name, readers in _READERS.items():
         if all(allowed is None or have in allowed for have, allowed in zip(run, readers)):
@@ -233,6 +230,11 @@ def _refuse_unread(cfg, command) -> None:
             raise ConfigError(
                 f"{name} is not read by {command} with kernel {run[1]} and initial type {run[2]}; remove it"
             )
+    # plan_grid reads dr_max and dr_divisor only to choose an automatic dr.
+    grid = cfg["grid"]
+    for key in ("dr_max", "dr_divisor"):
+        if grid["dr"] != "auto" and grid[key] != DEFAULTS["grid"][key]:
+            raise ConfigError(f"grid.{key} is not read by {command} with a numeric grid.dr; remove it")
 
 
 def _auto(value):
@@ -469,13 +471,7 @@ def _resolve_run(cfg, kernel, init):
             raise ConfigError("t_end must be numeric for the zero kernel (no intrinsic horizon)")
         scale = cfg["scale"] if cfg["scale"] != "auto" else 10.0 * init.support_radius
         return None, scale, cfg["t_end"]
-    constants = analysis.reference_constants(
-        kernel,
-        init,
-        cfg["dimension"],
-        _auto(cfg["scale"]),
-        cfg["analysis"]["h1_coefficient"],
-    )
+    constants = analysis.reference_constants(kernel, init, cfg["dimension"], _auto(cfg["scale"]))
     if cfg["t_end"] != "auto":
         return constants, constants.scale, cfg["t_end"]
     if not constants.admissible or not math.isfinite(constants.horizon):
@@ -552,7 +548,6 @@ def cmd_sweep(args) -> int:
         epsilons=tuple(cfg["epsilon"]),
         scale=_auto(cfg["scale"]),
         run=run_settings(cfg),
-        h1_coefficient=cfg["analysis"]["h1_coefficient"],
         jobs=_sweep_jobs(cfg, args),
     )
     report = analysis.epsilon_sweep(kernel, init, settings)
@@ -621,37 +616,6 @@ def cmd_baseline(args) -> int:
     return write_verdicts(verdicts, outdir / "verdicts.txt")
 
 
-def cmd_calibrate(args) -> int:
-    cfg = parse_config(args.config, args.command)
-    if cfg["dimension"] != 1:
-        raise ConfigError("calibrate fits the H^1 coefficient, which is one-dimensional")
-    if len(cfg["epsilon"]) < 3:
-        raise ConfigError("calibrate needs at least 3 probe diffusivities")
-    kernel = kernel_from_config(cfg)
-    init = init_from_config(cfg)
-    constants, scale, t_end = _resolve_run(cfg, kernel, init)
-    if constants is None:
-        raise ConfigError("calibrate requires an attractive kernel")
-    settings = run_settings(cfg)
-    runs = [analysis.run_case(kernel, init, 1, e, scale, t_end, settings) for e in cfg["epsilon"]]
-    samples = [(float(np.max(traj.h1)), traj.epsilon, traj.initial_mass) for traj in runs]
-    coefficient = analysis.calibrate_coefficient(samples, "h1", 1)
-    outdir = start_output(args, cfg)
-    _write_json(
-        {
-            "h1_coefficient": coefficient,
-            "safety_factor": analysis.SAFETY_FACTOR,
-            "probes": [
-                {"epsilon": eps, "sup_h1": sup_h1} for sup_h1, eps, _ in samples
-            ],
-            "scale": scale,
-        },
-        outdir / "calibration.json",
-    )
-    print(f"h1_coefficient = {coefficient:.17g}")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="aggdiff",
@@ -678,11 +642,6 @@ def main(argv=None) -> int:
     p_base.add_argument("--config", required=True)
     p_base.add_argument("--out", required=True)
     p_base.set_defaults(func=cmd_baseline)
-
-    p_cal = sub.add_parser("calibrate", help="calibrate the H^1 barrier coefficient")
-    p_cal.add_argument("--config", required=True)
-    p_cal.add_argument("--out", required=True)
-    p_cal.set_defaults(func=cmd_calibrate)
 
     args = parser.parse_args(argv)
     # Every failure a run raises on purpose is a RuntimeError. Its checks

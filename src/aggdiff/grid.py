@@ -298,8 +298,11 @@ class TabulatedProfile:
 
     @property
     def support_radius(self) -> float:
-        positive = self.r_nodes[self.u_nodes > 0.0]
-        return float(positive[-1]) if positive.size else float(self.r_nodes[-1])
+        """Where the interpolant reaches 0 for good: the node after the last
+        positive sample, or the last node if that sample is the last."""
+        positive = np.flatnonzero(self.u_nodes > 0.0)
+        last = positive[-1] + 1 if positive.size else self.r_nodes.size
+        return float(self.r_nodes[min(last, self.r_nodes.size - 1)])
 
     def profile(self, r: np.ndarray) -> np.ndarray:
         # np.interp's slope form can land an ulp below 0 just short of a

@@ -81,12 +81,11 @@ def test_constants_refuse_non_attractive_kernel():
 
 
 def test_ball_factor_requires_h1_coefficient_in_1d():
-    u0 = _u0()
-    c = analysis.compute_constants(u0, NEG_ABS, 5.0)
+    # The 1-D factor needs the H^1 bound's constant, which the paper does
+    # not compute; no verdict reads the factor (the balls are BALL_FACTOR eps).
+    c = analysis.compute_constants(_u0(), NEG_ABS, 5.0)
+    assert c.admissible and c.horizon > 0.0
     assert c.ball_factor is None
-    c1 = analysis.compute_constants(u0, NEG_ABS, 5.0, h1_coefficient=0.75)
-    expected = (c1.scale * c1.bound_level / (4 * 0.75 * c1.horizon)) ** 2
-    assert c1.ball_factor == pytest.approx(expected, rel=1e-12)
 
 
 def test_ball_factor_closed_form_2d():
@@ -313,6 +312,28 @@ def test_calibrate_h1_coefficient_semantics():
     # adding a weaker sample cannot raise the coefficient
     weaker = samples + [(1.0, 0.03, 1.0)]
     assert analysis.calibrate_coefficient(weaker, "h1", 1) == pytest.approx(c1)
+
+
+def test_sweep_calibrates_h1_on_every_other_row_and_judges_every_row(monkeypatch):
+    # The sweep is the one place the H^1 coefficient comes from. A held-out
+    # row three times as high as the calibration rows fails the barrier.
+    rows = {row.epsilon: row for row in _synthetic_rows()}
+    rows[0.01].sup_h1 *= 3.0
+    monkeypatch.setattr(analysis, "_sweep_case", lambda payload: (rows[payload[4]], 0.0))
+    settings = analysis.SweepSettings(dimension=1, epsilons=tuple(rows))
+    report = analysis.epsilon_sweep(NEG_ABS, grid.GaussianBump(1.0, 0.25), settings)
+    m = report.constants.total_mass
+    samples = [(row.sup_h1, row.epsilon, m) for row in report.rows[::2]]
+    assert [row.epsilon for row in report.rows[::2]] == [0.1, 0.02]
+    assert report.calibrated["h1"] == analysis.calibrate_coefficient(samples, "h1", 1)
+    ratios = [
+        row.sup_h1 / analysis.barrier("h1", 1, report.calibrated["h1"], m, row.epsilon, row.u0_h1)
+        for row in report.rows
+    ]
+    assert max(ratios[::2]) == pytest.approx(1.0 / analysis.SAFETY_FACTOR)
+    verdict = {v.name: v for v in report.verdicts}["upper_barrier_h1"]
+    assert verdict.margin == 1.0 - max(ratios) == pytest.approx(1.0 - 3.0 / analysis.SAFETY_FACTOR)
+    assert not verdict.passed
 
 
 def test_barrier_forms():
@@ -574,3 +595,10 @@ def test_an_annulus_run_plans_its_grid_from_the_outer_radius():
     assert bump.support_radius == 0.5
     assert traj.grid.r_max == pytest.approx(10.0 * bump.support_radius)
     assert traj.initial_mass == pytest.approx(1.0, rel=1e-14)
+    # A table's interpolant stays positive up to the node after its last
+    # positive sample; a grid planned from that sample held 38% of this mass.
+    table = grid.TabulatedProfile(1.0, np.array([0.0, 0.05, 3.0]), np.array([1.0, 1.0, 0.0]))
+    fixed = analysis.RunSettings(dr=0.05, record_samples=4)
+    traj = analysis.run_case(kernels.zero_kernel(), table, 1, 0.1, 1.0, 0.01, fixed)
+    assert table.support_radius == 3.0
+    assert traj.grid.r_max >= 30.0

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -55,6 +56,7 @@ def test_parse_rejects_unknown_keys(tmp_path):
     ("analysis.t_star", "auto"),
     ("analysis.ball_factor", "0.5"),
     ("analysis.slack", "0.01"),
+    ("analysis.h1_coefficient", "null"),  # as an old config.resolved holds it
 ])
 def test_retired_key_exits_2(tmp_path, capsys, key, value):
     # Options that were removed: an old config (or config.resolved) that
@@ -83,8 +85,6 @@ def test_parse_rejects_unsupported_dimension(tmp_path):
 def test_parse_rejects_inconsistent_combos(tmp_path):
     with pytest.raises(cli.ConfigError, match="kernel_table"):
         cli.parse_config(_write(tmp_path, "{kernel: tabulated}"))
-    with pytest.raises(cli.ConfigError, match="dimension 1"):
-        cli.parse_config(_write(tmp_path, "{dimension: 2, analysis: {h1_coefficient: 0.5}}"))
     with pytest.raises(cli.ConfigError, match="epsilon"):
         cli.parse_config(_write(tmp_path, "{epsilon: [-0.1]}"))
     for key, value in (
@@ -357,7 +357,7 @@ def test_shipped_configs_parse_and_the_baseline_passes(tmp_path):
     # baseline's dt_max keeps first-order backward Euler within the 1%
     # tolerance of every heat_norm verdict.
     paths = sorted(CONFIGS.glob("*.yaml"))
-    assert [path.stem for path in paths] == ["baseline", "calibrate", "simulate", "sweep"]
+    assert [path.stem for path in paths] == ["baseline", "simulate", "sweep"]
     for path in paths:
         cfg = cli.parse_config(path, path.stem)
         if path.stem == "sweep":
@@ -398,25 +398,6 @@ def test_baseline_rejects_a_kernel_it_would_ignore(tmp_path, capsys, kernel):
     assert not out.exists()
 
 
-CALIBRATE_CONFIG = """
-kernel: neg_abs
-dimension: 1
-epsilon: [0.2, 0.15, 0.1]
-initial: {type: gaussian, mass: 1.0, width: 0.25}
-grid: {dr_max: 0.02, dr_divisor: 8.0}
-solver: {record_samples: 50}
-"""
-
-
-def test_calibrate_writes_coefficient(tmp_path):
-    config = _write(tmp_path, CALIBRATE_CONFIG)
-    out = tmp_path / "cal"
-    assert cli.main(["calibrate", "--config", str(config), "--out", str(out)]) == 0
-    payload = json.loads((out / "calibration.json").read_text())
-    assert payload["h1_coefficient"] > 0.0
-    assert len(payload["probes"]) == 3
-
-
 RUN_KEYS = """
 t_end: 0.3
 grid: {dr: 0.02, r_max: 3.0}
@@ -427,10 +408,8 @@ solver: {record_samples: 10, dt_max: 0.01}
 @pytest.mark.parametrize("command, head", [
     ("simulate", "kernel: neg_abs\nepsilon: [0.2]"),
     ("baseline", "kernel: zero\nepsilon: [0.2]"),
-    ("calibrate", "kernel: neg_abs\nepsilon: [0.2, 0.15, 0.1]"),
 ])
 def test_commands_run_with_the_configs_run_keys(tmp_path, monkeypatch, command, head):
-    # calibrate used to run every probe to the horizon on the automatic grid.
     seen = []
     run = analysis.run
 
@@ -454,9 +433,15 @@ def test_commands_run_with_the_configs_run_keys(tmp_path, monkeypatch, command, 
         assert meta["domain_adequate"] == (loss / meta["initial_mass"] <= tol)
 
 
-def test_calibrate_needs_three_probes(tmp_path):
-    config = _write(tmp_path, "{kernel: neg_abs, epsilon: [0.1, 0.05]}")
-    assert cli.main(["calibrate", "--config", str(config), "--out", str(tmp_path / "c")]) == 2
+def test_calibrate_is_not_a_command(tmp_path, capsys):
+    # The sweep calibrates the H^1 coefficient on its own rows; no command
+    # computes one to feed back in.
+    config = _write(tmp_path, "{epsilon: [0.1, 0.05, 0.02]}")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["calibrate", "--config", str(config), "--out", str(tmp_path / "c")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'calibrate'" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
 
 
 def test_sweep_rejects_insufficient_epsilons(tmp_path):
@@ -505,13 +490,12 @@ UNREAD_KEYS = [
     ("simulate", "initial.r_outer", "initial: {type: gaussian, r_outer: 7}"),
     ("simulate", "initial.path", "initial: {type: gaussian, path: /nope}"),
     ("simulate", "initial.width", "initial: {type: annulus, width: 0.5}"),
-    ("simulate", "analysis.h1_coefficient", "kernel: zero\nt_end: 0.5\nanalysis: {h1_coefficient: 3.0}"),
     ("baseline", "solver.store_snapshots", "solver: {store_snapshots: true}"),
     ("baseline", "sweep.jobs", "sweep: {jobs: 3}"),
-    ("baseline", "analysis.h1_coefficient", "analysis: {h1_coefficient: 3.0}"),
     ("baseline", "scale", "scale: 2.0"),
-    ("calibrate", "analysis.h1_coefficient", "analysis: {h1_coefficient: 3.0}"),
-    ("calibrate", "sweep.jobs", "sweep: {jobs: 2}"),
+    # plan_grid reads dr_max and dr_divisor only while grid.dr is auto.
+    ("simulate", "grid.dr_max", "grid: {dr: 0.01, r_max: 2.0, dr_max: 0.5, dr_divisor: 99}"),
+    ("sweep", "grid.dr_divisor", "grid: {dr: 0.01, dr_divisor: 99}"),
 ]
 
 
@@ -527,13 +511,38 @@ def test_a_key_the_command_does_not_read_exits_2(tmp_path, capsys, command, key,
     assert not out.exists()
 
 
+def _default(name):
+    """The default of the dotted config key ``name``; KeyError if it has none."""
+    value = cli.DEFAULTS
+    for part in name.split("."):
+        value = value[part]
+    return value
+
+
 def test_every_key_with_restricted_readers_is_a_config_key():
     for name in cli._READERS:
-        section = cli.DEFAULTS
-        *parents, key = name.split(".")
-        for part in parents:
-            section = section[part]
-        assert key in section and not isinstance(section[key], dict), name
+        assert not isinstance(_default(name), dict), name
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_names_the_cli_commands_and_config_keys(capsys):
+    # The README's CLI block lists exactly the subcommands of the parser,
+    # and each key of its "Keys of note" table is a config key or section.
+    text = README.read_text()
+    block = text.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    documented = [line.split()[1] for line in block.splitlines() if line.startswith("aggdiff ")]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["-h"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out.split("\n\n", 1)[0]
+    assert documented == re.search(r"\{([\w,]+)\}", usage).group(1).split(",")
+    table = text.split("Keys of note:", 1)[1].split("\n## ", 1)[0]
+    keys = re.findall(r"^\| `([\w.]+)` \|", table, flags=re.MULTILINE)
+    assert len(keys) >= 5
+    for key in keys:
+        _default(key)
 
 
 # Mass 1e154 still has an admissible scale, and its first step overflows.
