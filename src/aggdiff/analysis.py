@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-import time
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -453,8 +452,6 @@ class SweepReport:
     calibrated: dict
     verdicts: list
     epsilon_star: Optional[float]
-    # wall-clock seconds per row; diagnostics only, never serialized
-    row_seconds: dict = None
 
 
 def plan_grid(dimension, epsilon, t_end, support_radius, settings=RunSettings()) -> RadialGrid:
@@ -513,7 +510,6 @@ def run_case(
 
 def _sweep_case(payload):
     kernel, init, settings, constants, epsilon, t_star = payload
-    started = time.monotonic()
     traj = run_case(
         kernel, init, settings.dimension, epsilon, constants.scale,
         t_star, settings.run, snapshot_radius=BALL_FACTOR * epsilon,
@@ -523,7 +519,7 @@ def _sweep_case(payload):
     loss = traj.boundary_loss()
     conc_mass = ball_mass_integral(traj, t_star)
     conc_p2 = ball_lp_integral(traj, 2.0, t_star)
-    row = SweepRow(
+    return SweepRow(
         epsilon=epsilon,
         dr=traj.grid.dr,
         n_cells=traj.grid.n,
@@ -542,7 +538,6 @@ def _sweep_case(payload):
         ball_p2_integral=conc_p2,
         full_grid_solves=traj.full_grid_solves,
     )
-    return row, time.monotonic() - started
 
 
 def _main_script_importable() -> bool:
@@ -593,11 +588,9 @@ def epsilon_sweep(kernel: KernelSpec, init, settings: SweepSettings) -> SweepRep
         # Workers handle floating-point errors as this process does.
         errors = functools.partial(np.seterr, **np.geterr())
         with ProcessPoolExecutor(max_workers=settings.jobs, mp_context=spawn, initializer=errors) as pool:
-            outcomes = list(pool.map(_sweep_case, payloads))
+            rows = list(pool.map(_sweep_case, payloads))
     else:
-        outcomes = [_sweep_case(p) for p in payloads]
-    rows = [row for row, _ in outcomes]
-    row_seconds = {row.epsilon: seconds for row, seconds in outcomes}
+        rows = [_sweep_case(p) for p in payloads]
 
     eps_arr = np.array([row.epsilon for row in rows])
     dim = settings.dimension
@@ -632,7 +625,6 @@ def epsilon_sweep(kernel: KernelSpec, init, settings: SweepSettings) -> SweepRep
         calibrated=calibrated,
         verdicts=verdicts,
         epsilon_star=epsilon_star(rows),
-        row_seconds=row_seconds,
     )
 
 

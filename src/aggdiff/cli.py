@@ -16,8 +16,11 @@ verdicts of ``analysis.epsilon_sweep``, and ``baseline`` one
 ``heat_norm_p*`` verdict per norm. ``write_verdicts`` writes them and
 returns the exit code: 0 iff every verdict passes; a bad config, input
 file or run directory, a grid too large to allocate, or a run that fails
-exits 2 with one ``error:`` line. A config key that the command does not
-read (``_READERS``), or a grid key that a numeric ``grid.dr`` makes moot,
+exits 2 with one ``error:`` line. A run directory is bad, among other
+ways, when its ``run.json`` holds no constants for a kernel other than
+zero (its verdicts would be partial) or a ``trajectory.csv`` series
+column names no exponent. A config key that the command does not read
+(``_READERS``), or a grid key that a numeric ``grid.dr`` makes moot,
 must keep its default. The sweep worker count is ``--jobs`` if given,
 else the config's ``sweep.jobs``. Every
 command that runs the solver runs it through ``analysis.run_case`` with
@@ -388,7 +391,10 @@ def load_run(outdir: Path):
         if name == "lpinf":
             lp[math.inf] = values
         elif name.startswith("lp"):
-            lp[float(name[2:])] = values
+            try:
+                lp[float(name[2:])] = values
+            except ValueError:
+                raise ValueError(f"{outdir / 'trajectory.csv'}: column {name!r} names no exponent") from None
     snapshots = None
     if meta.get("has_snapshots"):
         snaps = []
@@ -421,6 +427,9 @@ def load_run(outdir: Path):
             constants = analysis.ConcentrationConstants(**meta["constants"])
         except TypeError as exc:
             raise ValueError(f"{outdir / 'run.json'}: constants: {exc}") from None
+    elif traj.kernel_name != "zero":
+        # simulate writes null constants only for the zero kernel.
+        raise ValueError(f"{outdir / 'run.json'}: constants: missing for kernel {traj.kernel_name!r}")
     return traj, constants, meta
 
 

@@ -34,7 +34,7 @@ def _derived():
 class RadialGrid:
     """Uniform cell-centred radial mesh and the constants the step reuses.
 
-    Besides radii, face areas a_f and cell volumes vol_i, it holds
+    Besides the cell centres, face areas a_f and cell volumes vol_i, it holds
     ``face_sums`` (a_i + a_{i+1}, without the origin face a_0 and with the
     rim face a_n: the faces through which cell i diffuses), ``right_ratios``
     (a_{i+1}/vol_i, the last entry the rim ratio a_n/vol_{n-1}) and
@@ -45,7 +45,6 @@ class RadialGrid:
     dr: float
     n: int
     r_centers: np.ndarray = _derived()
-    r_faces: np.ndarray = _derived()
     face_areas: np.ndarray = _derived()
     cell_volumes: np.ndarray = _derived()
     face_sums: np.ndarray = _derived()
@@ -66,7 +65,6 @@ class RadialGrid:
         sums = areas[1:].copy()
         sums[1:] += areas[1:-1]
         object.__setattr__(self, "r_centers", centers)
-        object.__setattr__(self, "r_faces", faces)
         object.__setattr__(self, "face_areas", areas)
         object.__setattr__(self, "cell_volumes", volumes)
         object.__setattr__(self, "face_sums", sums)

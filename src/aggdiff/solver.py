@@ -133,6 +133,8 @@ class SolverConfig:
             value = getattr(self, name)
             if value is not None and not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and positive when given")
+        if self.snapshot_radius is not None and not self.snapshot_radius >= 0.0:
+            raise ValueError("snapshot_radius must be nonnegative when given")
 
 
 @dataclass

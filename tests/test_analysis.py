@@ -319,7 +319,7 @@ def test_sweep_calibrates_h1_on_every_other_row_and_judges_every_row(monkeypatch
     # row three times as high as the calibration rows fails the barrier.
     rows = {row.epsilon: row for row in _synthetic_rows()}
     rows[0.01].sup_h1 *= 3.0
-    monkeypatch.setattr(analysis, "_sweep_case", lambda payload: (rows[payload[4]], 0.0))
+    monkeypatch.setattr(analysis, "_sweep_case", lambda payload: rows[payload[4]])
     settings = analysis.SweepSettings(dimension=1, epsilons=tuple(rows))
     report = analysis.epsilon_sweep(NEG_ABS, grid.GaussianBump(1.0, 0.25), settings)
     m = report.constants.total_mass

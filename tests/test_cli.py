@@ -266,6 +266,45 @@ def test_check_of_a_run_json_with_an_unknown_constant_exits_2(tmp_path, capsys):
     assert "'width'" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("null", [True, False], ids=["null", "deleted"])
+def test_check_of_an_attractive_run_without_constants_exits_2(tmp_path, capsys, null):
+    # Without constants only mass_conservation and boundary_loss would be
+    # judged, and check would pass on partial data.
+    config = _write(tmp_path, TINY_SIMULATE)
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    meta = json.loads((out / "run.json").read_text())
+    if null:
+        meta["constants"] = None
+    else:
+        del meta["constants"]
+    (out / "run.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert cli.main(["check", "--traj", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {out / 'run.json'}: constants: missing for kernel 'neg_abs'\n"
+
+
+def test_check_of_a_zero_kernel_run_needs_no_constants(tmp_path):
+    text = TINY_SIMULATE.replace("kernel: neg_abs", "kernel: zero").replace("t_end: auto", "t_end: 0.05")
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(_write(tmp_path, text)), "--out", str(out)]) == 0
+    assert json.loads((out / "run.json").read_text())["constants"] is None
+    assert cli.main(["check", "--traj", str(out)]) == 0
+
+
+def test_check_of_a_series_column_without_an_exponent_exits_2(tmp_path, capsys):
+    config = _write(tmp_path, TINY_SIMULATE)
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    text = (out / "trajectory.csv").read_text()
+    (out / "trajectory.csv").write_text(text.replace(",lp2,", ",lpx,", 1))
+    capsys.readouterr()
+    assert cli.main(["check", "--traj", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {out / 'trajectory.csv'}: column 'lpx' names no exponent\n"
+
+
 def test_write_verdicts_returns_the_exit_code(tmp_path, capsys):
     passing = analysis.Verdict.bound("below", 1.0, 2.0, "")
     failing = analysis.Verdict.bound("above", 3.0, 2.0, "")

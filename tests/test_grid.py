@@ -31,8 +31,9 @@ def test_cell_volumes_sum_to_ball_volume():
 
 def test_first_cell_abuts_origin():
     g = grid.RadialGrid.make(2, 1.0, 0.05)
+    # The first cell is the disc of radius dr around the origin.
     assert g.r_centers[0] == pytest.approx(0.025)
-    assert g.r_faces[0] == 0.0
+    assert g.cell_volumes[0] == pytest.approx(math.pi * 0.05**2, rel=1e-14)
 
 
 def test_mass_rectangle_1d():

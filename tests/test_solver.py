@@ -46,6 +46,8 @@ def test_config_validation():
         ("dt_max", math.inf),
         ("dt_max", 0.0),
         ("dt_max", -1.0),
+        ("snapshot_radius", math.nan),
+        ("snapshot_radius", -1.0),
     ],
 )
 def test_config_rejects_non_finite_and_nonpositive_settings(field, value):
@@ -55,6 +57,11 @@ def test_config_rejects_non_finite_and_nonpositive_settings(field, value):
     settings = {"epsilon": 0.1, "t_end": 1.0, "record_interval": 0.1, field: value}
     with pytest.raises(ValueError, match=field):
         solver.SolverConfig(**settings)
+
+
+@pytest.mark.parametrize("radius", [None, 0.0, math.inf])
+def test_config_accepts_no_empty_and_every_snapshot(radius):
+    assert solver.SolverConfig(epsilon=0.1, t_end=1.0, snapshot_radius=radius).snapshot_radius == radius
 
 
 @pytest.mark.parametrize("epsilon", [0.05], ids=["implicit"])

@@ -95,10 +95,6 @@ UNREAD_FIELDS = {
     "analysis.ConcentrationConstants.ball_factor": "written by asdict",
     # cli writes the sweep rows into sweep.json the same way.
     "analysis.SweepRow.domain_adequate": "written by asdict",
-    # Computed but never written; ROADMAP item 6 moves it into timings.json.
-    "analysis.SweepReport.row_seconds": "ROADMAP item 6",
-    # ROADMAP item 2 builds the grid from its faces.
-    "grid.RadialGrid.r_faces": "ROADMAP item 2",
 }
 
 
