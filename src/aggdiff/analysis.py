@@ -45,7 +45,7 @@ from .grid import (
     truncated_moment,
 )
 from .kernels import KernelSpec, min_attraction
-from .solver import SolverConfig, TrajectoryRecord, run
+from .solver import RECORD_SAMPLES, SolverConfig, TrajectoryRecord, run
 
 FIT_MIN_POINTS = 4
 MIN_BALL_SAMPLES = 20
@@ -381,11 +381,12 @@ def loglog_fit(x, y) -> FitResult:
 @dataclass(frozen=True)
 class RunSettings:
     """How one run is gridded and stepped; None means "auto" (see
-    ``plan_grid`` for dr and r_max, ``SolverConfig`` for dt_max)."""
+    ``plan_grid`` for dr and r_max, ``SolverConfig`` for dt_max). Its
+    defaults are the config's defaults (``cli.DEFAULTS`` reads them)."""
 
     dr_max: float = 5e-3
     dr_divisor: float = 16.0
-    record_samples: int = 200
+    record_samples: int = RECORD_SAMPLES
     dr: Optional[float] = None
     r_max: Optional[float] = None
     dt_max: Optional[float] = None
@@ -411,7 +412,6 @@ class SweepRow:
     u0_h1: Optional[float]
     mass_error: float
     boundary_loss: float
-    domain_adequate: bool
     moment_violations: int
     weighted_integral: float
     weighted_threshold: float
@@ -516,7 +516,6 @@ def _sweep_case(payload):
     )
     violations = check_moment_inequality(traj, constants)
     bound = weighted_concentration_integral(traj, constants)
-    loss = traj.boundary_loss()
     conc_mass = ball_mass_integral(traj, t_star)
     conc_p2 = ball_lp_integral(traj, 2.0, t_star)
     return SweepRow(
@@ -528,8 +527,7 @@ def _sweep_case(payload):
         sup_h1=float(np.max(traj.h1)) if traj.h1 is not None else None,
         u0_h1=float(traj.h1[0]) if traj.h1 is not None else None,
         mass_error=traj.mass_error(),
-        boundary_loss=loss,
-        domain_adequate=boundary_loss_verdict([loss]).passed,
+        boundary_loss=traj.boundary_loss(),
         moment_violations=len(violations),
         weighted_integral=bound.integral,
         weighted_threshold=bound.threshold,
@@ -649,9 +647,10 @@ def trajectory_verdicts(mass_errors, losses, violations=(), ratios=()) -> list:
     verdict.
     """
     worst_mass = _worst(mass_errors, np.max)
+    worst_loss = _worst(losses, np.max)
     verdicts = [
         Verdict.bound("mass_conservation", worst_mass, MASS_TOLERANCE, f"max defect {worst_mass:.3e}"),
-        boundary_loss_verdict(losses),
+        Verdict.bound("boundary_loss", worst_loss, BOUNDARY_LOSS_TOLERANCE, f"relative rim loss {worst_loss:.3e}"),
     ]
     if len(violations):
         total = sum(violations)
@@ -664,12 +663,6 @@ def trajectory_verdicts(mass_errors, losses, violations=(), ratios=()) -> list:
         detail = f"min integral/threshold ratio {worst:.3f}"
         verdicts.append(Verdict.bound("weighted_lower_bound", worst, 1.0, detail, lower=True))
     return verdicts
-
-
-def boundary_loss_verdict(losses) -> Verdict:
-    """The ``boundary_loss`` verdict; its pass flag is a run's ``domain_adequate``."""
-    worst = _worst(losses, np.max)
-    return Verdict.bound("boundary_loss", worst, BOUNDARY_LOSS_TOLERANCE, f"relative rim loss {worst:.3e}")
 
 
 def run_verdicts(traj: TrajectoryRecord, constants) -> list:

@@ -2,7 +2,8 @@
 
 All outputs are plain CSV/JSON/YAML with floats at 17 significant digits,
 so identical invocations produce byte-identical files (no RNG is used
-anywhere, and no timestamps are written). Subcommands:
+anywhere, and no timestamps are written); ``write_csv`` writes every
+table and ``read_csv_columns`` reads it back. Subcommands:
 
     aggdiff simulate --config F --out D
     aggdiff sweep    --config F --out D [--jobs K]
@@ -18,12 +19,13 @@ returns the exit code: 0 iff every verdict passes; a bad config, input
 file or run directory, a grid too large to allocate, or a run that fails
 exits 2 with one ``error:`` line. A run directory is bad, among other
 ways, when its ``run.json`` holds no constants for a kernel other than
-zero (its verdicts would be partial) or a ``trajectory.csv`` series
-column names no exponent. A config key that the command does not read
-(``_READERS``), or a grid key that a numeric ``grid.dr`` makes moot,
-must keep its default. The sweep worker count is ``--jobs`` if given,
-else the config's ``sweep.jobs``. Every
-command that runs the solver runs it through ``analysis.run_case`` with
+zero (its verdicts would be partial), a ``trajectory.csv`` series
+column names no exponent, a table cell is not a number, or
+``snapshots.csv`` does not match ``trajectory.csv`` and the grid. A
+config key that the command does not read (``_READERS``), or a grid key
+that a numeric ``grid.dr`` makes moot, must keep its default. The sweep
+worker count is ``--jobs`` if given, else the config's ``sweep.jobs``.
+Every command that runs the solver runs it through ``analysis.run_case`` with
 the settings of ``run_settings``; the one-run commands take constants,
 scale and t_end from ``_resolve_run``. The step fraction ``solver.CFL``
 and the analysis constants (rim-loss tolerance, moment slack, safety
@@ -56,6 +58,7 @@ class ConfigError(ValueError):
     pass
 
 
+_RUN = analysis.RunSettings()
 DEFAULTS = {
     "kernel": "neg_abs",
     "kernel_table": None,
@@ -71,8 +74,8 @@ DEFAULTS = {
     },
     "scale": "auto",
     "t_end": "auto",
-    "grid": {"dr": "auto", "dr_max": 0.005, "dr_divisor": 16.0, "r_max": "auto"},
-    "solver": {"record_samples": 200, "dt_max": "auto", "store_snapshots": False},
+    "grid": {"dr": "auto", "dr_max": _RUN.dr_max, "dr_divisor": _RUN.dr_divisor, "r_max": "auto"},
+    "solver": {"record_samples": _RUN.record_samples, "dt_max": "auto", "store_snapshots": False},
     # No analysis key is left; the empty section refuses each retired one by name.
     "analysis": {},
     "sweep": {"jobs": 1},
@@ -309,40 +312,47 @@ def _write_json(payload, path):
         fh.write("\n")
 
 
-def write_trajectory_csv(traj: solver.TrajectoryRecord, path) -> None:
-    cols = ["t", "mass", "truncated_moment", "concentration"]
-    series = [traj.times, traj.mass, traj.truncated_moment, traj.concentration]
-    for p in sorted(traj.lp, key=lambda q: math.inf if q == math.inf else float(q)):
-        cols.append("lpinf" if p == math.inf else f"lp{p:g}")
-        series.append(traj.lp[p])
-    cols.append("outflow_cumulative")
-    series.append(traj.outflow_cumulative)
-    if traj.h1 is not None:
-        cols.append("h1")
-        series.append(traj.h1)
+def write_csv(names, rows, path) -> None:
+    """A header of ``names``, then one line per row, each value ``_fmt``-ed."""
     with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for k in range(len(traj.times)):
-            fh.write(",".join(_fmt(col[k]) for col in series) + "\n")
+        fh.write(",".join(names) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_fmt, row)) + "\n")
 
 
 def read_csv_columns(path) -> dict:
+    """Each column of a ``write_csv`` table by name; ValueError naming the
+    file and line of a row of the wrong length or a cell that is no number."""
     with open(path) as fh:
         header = fh.readline().strip()
         names = header.split(",") if header else []
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    data = np.array(rows, dtype=np.float64) if rows else np.zeros((0, len(names)))
+        body = [(k, line.strip().split(",")) for k, line in enumerate(fh, 2) if line.strip()]
+    data = np.empty((len(body), len(names)))
+    for row, (k, cells) in zip(data, body):
+        if len(cells) != len(names):
+            raise ValueError(f"{path}: line {k} has {len(cells)} cells, the header {len(names)}")
+        try:
+            row[:] = cells
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {k}: {exc}") from None
     return {name: data[:, i] for i, name in enumerate(names)}
 
 
-def write_field_csv(r, u, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("r,u\n")
-        for ri, ui in zip(r, u):
-            fh.write(f"{_fmt(ri)},{_fmt(ui)}\n")
+def write_trajectory_csv(traj: solver.TrajectoryRecord, path) -> None:
+    lp = {("lpinf" if p == math.inf else f"lp{p:g}"): traj.lp[p] for p in sorted(traj.lp)}
+    table = {
+        "t": traj.times, "mass": traj.mass, "truncated_moment": traj.truncated_moment,
+        "concentration": traj.concentration, **lp, "outflow_cumulative": traj.outflow_cumulative,
+    }
+    if traj.h1 is not None:
+        table["h1"] = traj.h1
+    write_csv(list(table), zip(*table.values()), path)
 
 
 def emit_run(traj, constants, outdir: Path) -> None:
+    """Write ``trajectory.csv``, ``run.json`` and, with snapshots,
+    ``snapshots.csv``: the stored cells' centres ``r``, then ``u<k>``,
+    their densities at row k of ``trajectory.csv``, one line per cell."""
     outdir.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(traj, outdir / "trajectory.csv")
     meta = {
@@ -354,7 +364,6 @@ def emit_run(traj, constants, outdir: Path) -> None:
         "initial_mass": traj.initial_mass,
         "clipped_cells": traj.clipped_cells,
         "full_grid_solves": traj.full_grid_solves,
-        "domain_adequate": analysis.boundary_loss_verdict([traj.boundary_loss()]).passed,
         "boundary_loss_tolerance": analysis.BOUNDARY_LOSS_TOLERANCE,
         "slack": analysis.MOMENT_SLACK,
         "ball_factor": analysis.BALL_FACTOR,
@@ -363,11 +372,9 @@ def emit_run(traj, constants, outdir: Path) -> None:
     }
     _write_json(meta, outdir / "run.json")
     if traj.snapshots is not None:
-        snapdir = outdir / "snapshots"
-        snapdir.mkdir(exist_ok=True)
-        for k, snapshot in enumerate(traj.snapshots):
-            write_field_csv(traj.grid.r_centers, snapshot, snapdir / f"snap_{k:05d}.csv")
-        _write_json({"times": traj.times}, snapdir / "index.json")
+        cells = traj.grid.r_centers[: traj.snapshots.shape[1]]
+        names = ["r"] + [f"u{k}" for k in range(len(traj.snapshots))]
+        write_csv(names, np.column_stack([cells, traj.snapshots.T]).tolist(), outdir / "snapshots.csv")
 
 
 def _run_value(meta, convert, *keys):
@@ -383,6 +390,8 @@ def _run_value(meta, convert, *keys):
 
 
 def load_run(outdir: Path):
+    """(trajectory, constants, run.json) of an ``emit_run`` directory; an
+    unreadable table or value raises naming its file."""
     with open(outdir / "run.json") as fh:
         meta = json.load(fh)
     cols = read_csv_columns(outdir / "trajectory.csv")
@@ -395,18 +404,23 @@ def load_run(outdir: Path):
                 lp[float(name[2:])] = values
             except ValueError:
                 raise ValueError(f"{outdir / 'trajectory.csv'}: column {name!r} names no exponent") from None
+    grid = gridmod.RadialGrid(
+        _run_value(meta, int, "dimension"),
+        _run_value(meta, float, "grid", "dr"),
+        _run_value(meta, int, "grid", "n"),
+    )
     snapshots = None
     if meta.get("has_snapshots"):
-        snaps = []
-        for k in range(len(cols["t"])):
-            snaps.append(read_csv_columns(outdir / "snapshots" / f"snap_{k:05d}.csv")["u"])
-        snapshots = np.asarray(snaps)
+        path, n = outdir / "snapshots.csv", len(cols["t"])
+        table = read_csv_columns(path)
+        if list(table) != ["r"] + [f"u{k}" for k in range(n)]:
+            raise ValueError(f"{path}: header is not r,u0..u{n - 1} for the {n} rows of trajectory.csv")
+        r = table.pop("r")
+        if not np.array_equal(r, grid.r_centers[: len(r)]):
+            raise ValueError(f"{path}: column r is not a prefix of the grid's cell centres")
+        snapshots = np.array(list(table.values())).reshape(n, len(r))
     traj = solver.TrajectoryRecord(
-        grid=gridmod.RadialGrid(
-            _run_value(meta, int, "dimension"),
-            _run_value(meta, float, "grid", "dr"),
-            _run_value(meta, int, "grid", "n"),
-        ),
+        grid=grid,
         epsilon=_run_value(meta, float, "epsilon"),
         scale=_run_value(meta, float, "scale"),
         kernel_name=meta["kernel"],
@@ -446,29 +460,16 @@ def write_verdicts(verdicts, path) -> int:
     return 0 if all(v.passed for v in verdicts) else 1
 
 
-def write_manifest(command, config_path, outdir: Path) -> None:
-    _write_json(
-        {
-            "command": command,
-            "config_path": str(config_path),
-            "output_dir": str(outdir),
-            "seed_free": True,
-        },
-        outdir / MANIFEST_NAME,
-    )
-
-
-def echo_config(cfg, outdir: Path) -> None:
-    with open(outdir / RESOLVED_NAME, "w") as fh:
-        yaml.safe_dump(cfg, fh, sort_keys=True, default_flow_style=False)
-
-
 def start_output(args, cfg) -> Path:
     """Create the command's output directory with its manifest and resolved config."""
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    write_manifest(args.command, args.config, outdir)
-    echo_config(cfg, outdir)
+    _write_json(
+        {"command": args.command, "config_path": str(args.config), "output_dir": str(outdir), "seed_free": True},
+        outdir / MANIFEST_NAME,
+    )
+    with open(outdir / RESOLVED_NAME, "w") as fh:
+        yaml.safe_dump(cfg, fh, sort_keys=True, default_flow_style=False)
     return outdir
 
 
@@ -535,17 +536,17 @@ def write_sweep_csv(report, path) -> None:
         "weighted_integral", "weighted_threshold", "weighted_ratio",
         "ball_mass_integral", "ball_p2_integral", "full_grid_solves",
     ]
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in report.rows:
-            values = [
-                row.epsilon, row.dr, row.n_cells, row.sup_lp[2.0], row.sup_lp[math.inf],
-                row.sup_h1 if row.sup_h1 is not None else math.nan,
-                row.mass_error, row.boundary_loss, row.moment_violations,
-                row.weighted_integral, row.weighted_threshold, row.weighted_ratio,
-                row.ball_mass_integral, row.ball_p2_integral, row.full_grid_solves,
-            ]
-            fh.write(",".join(_fmt(v) for v in values) + "\n")
+    rows = [
+        [
+            row.epsilon, row.dr, row.n_cells, row.sup_lp[2.0], row.sup_lp[math.inf],
+            row.sup_h1 if row.sup_h1 is not None else math.nan,
+            row.mass_error, row.boundary_loss, row.moment_violations,
+            row.weighted_integral, row.weighted_threshold, row.weighted_ratio,
+            row.ball_mass_integral, row.ball_p2_integral, row.full_grid_solves,
+        ]
+        for row in report.rows
+    ]
+    write_csv(cols, rows, path)
 
 
 def cmd_sweep(args) -> int:

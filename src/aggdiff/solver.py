@@ -72,6 +72,8 @@ from .kernels import KernelSpec
 _EPS = float(np.finfo(np.float64).eps)
 # Exponents of the recorded L^p norm series.
 LP_VALUES = (1.0, 2.0, math.inf)
+# Records of a run without a record interval: one every t_end / RECORD_SAMPLES.
+RECORD_SAMPLES = 200
 # Cells a step keeps beyond the mass window J. Upwind transport moves mass
 # one cell per step, so one cell lets the window grow. The implicit
 # diffusion solve spreads further, and a pad too short for it costs a
@@ -325,7 +327,7 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
     drift = build_interaction_matrix(grid, kernel)
     record_dt = config.record_interval
     if record_dt is None:
-        record_dt = config.t_end / 200.0 if config.t_end > 0.0 else 1.0
+        record_dt = config.t_end / RECORD_SAMPLES if config.t_end > 0.0 else 1.0
     dt_cap = config.dt_max if config.dt_max is not None else record_dt
 
     # The run's one density buffer, as a field that advance and the

@@ -383,7 +383,7 @@ def _synthetic_rows():
             sup_lp={2.0: eps ** -0.5, math.inf: 1.0 / eps, 1.0: 1.0},
             u0_lp={2.0: 0.1, math.inf: 0.1, 1.0: 1.0},
             sup_h1=eps ** -1.5, u0_h1=0.1,
-            mass_error=1e-12, boundary_loss=0.0, domain_adequate=True,
+            mass_error=1e-12, boundary_loss=0.0,
             moment_violations=0, weighted_integral=2.0, weighted_threshold=1.0,
             weighted_ratio=2.0, ball_mass_integral=0.5, ball_p2_integral=eps ** -0.5,
             full_grid_solves=0,

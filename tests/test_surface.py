@@ -93,8 +93,6 @@ UNREAD_FIELDS = {
     "analysis.ConcentrationConstants.capped_moment": "written by asdict",
     "analysis.ConcentrationConstants.initial_moment": "written by asdict",
     "analysis.ConcentrationConstants.ball_factor": "written by asdict",
-    # cli writes the sweep rows into sweep.json the same way.
-    "analysis.SweepRow.domain_adequate": "written by asdict",
 }
 
 
