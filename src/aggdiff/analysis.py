@@ -492,16 +492,16 @@ def run_case(
     settings: RunSettings = RunSettings(),
     snapshot_radius: Optional[float] = None,
 ) -> TrajectoryRecord:
-    """One run of the given data at the given diffusivity to ``t_end``,
-    gridded by ``plan_grid``, sampled ``settings.record_samples`` times and
-    with truncated-moment and concentration series at ``scale``; it keeps
-    the snapshots that ``snapshot_radius`` selects (see ``SolverConfig``)."""
+    """One run of the given data at the given diffusivity to ``t_end``: grid
+    from ``plan_grid``, record grid from ``settings.record_samples``, moment
+    and concentration series at ``scale``, and the snapshots that
+    ``snapshot_radius`` selects (see ``SolverConfig``)."""
     grid = plan_grid(dimension, epsilon, t_end, init.support_radius, settings)
     u0 = make_initial_condition(init, grid)
     config = SolverConfig(
         epsilon=epsilon,
         t_end=t_end,
-        record_interval=t_end / settings.record_samples if t_end > 0.0 else None,
+        record_samples=settings.record_samples,
         dt_max=settings.dt_max,
         snapshot_radius=snapshot_radius,
     )

@@ -72,7 +72,7 @@ from .kernels import KernelSpec
 _EPS = float(np.finfo(np.float64).eps)
 # Exponents of the recorded L^p norm series.
 LP_VALUES = (1.0, 2.0, math.inf)
-# Records of a run without a record interval: one every t_end / RECORD_SAMPLES.
+# Default record count of a run: its record grid is t_end / RECORD_SAMPLES.
 RECORD_SAMPLES = 200
 # Cells a step keeps beyond the mass window J. Upwind transport moves mass
 # one cell per step, so one cell lets the window grow. The implicit
@@ -113,15 +113,16 @@ class NonFiniteError(RuntimeError):
 class SolverConfig:
     """Settings of one run.
 
-    ``snapshot_radius`` selects the density snapshots kept at every record
-    time: None keeps none, a radius r keeps the prefix of cells whose
-    centres lie below r, and ``math.inf`` keeps every cell. A setting out
-    of range, NaN included, raises ValueError naming it on construction.
+    ``record_samples`` (an int >= 1) splits [0, t_end] into the record grid
+    that ``run`` samples. ``snapshot_radius`` selects the snapshots kept at
+    every record time: None keeps none, a radius r the cells whose centres
+    lie below r (a prefix), ``math.inf`` every cell. A setting out of
+    range, NaN included, raises ValueError naming it on construction.
     """
 
     epsilon: float
     t_end: float
-    record_interval: Optional[float] = None
+    record_samples: int = RECORD_SAMPLES
     dt_max: Optional[float] = None
     snapshot_radius: Optional[float] = None
 
@@ -131,10 +132,10 @@ class SolverConfig:
             raise ValueError("epsilon (the diffusivity) must be finite and positive")
         if not 0.0 <= self.t_end < math.inf:
             raise ValueError("t_end must be finite and nonnegative")
-        for name in ("record_interval", "dt_max"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and positive when given")
+        if type(self.record_samples) is not int or self.record_samples < 1:
+            raise ValueError("record_samples must be an integer >= 1")
+        if self.dt_max is not None and not 0.0 < self.dt_max < math.inf:
+            raise ValueError("dt_max must be finite and positive when given")
         if self.snapshot_radius is not None and not self.snapshot_radius >= 0.0:
             raise ValueError("snapshot_radius must be nonnegative when given")
 
@@ -149,7 +150,8 @@ class TrajectoryRecord:
     the innermost cells, as many as the run's ``snapshot_radius``
     selected (every cell for ``math.inf``).
     ``full_grid_solves`` counts the steps whose implicit solve outgrew the
-    step's window and was redone on the whole grid.
+    step's window and was redone on the whole grid. ``clipped_cells`` is 0,
+    as a negative density raises; run.json, check and perfbench read it.
     """
 
     grid: RadialGrid
@@ -314,10 +316,11 @@ def advance(field: DensityField, faces: np.ndarray, config: SolverConfig, dt: fl
 def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float) -> TrajectoryRecord:
     """Advance to t_end with adaptive dt, recording diagnostics.
 
-    ``scale`` parametrises the truncated-moment and concentration series.
-    The step size honours the advertised CFL bound, the exact positivity
-    bound of the step's window, dt_max, and lands exactly on the record
-    grid, so repeated runs are bit-reproducible. Raises NonFiniteError,
+    ``scale`` parametrises the truncated-moment and concentration series,
+    sampled at t = 0 and on the record grid t_end / record_samples. A step
+    honours the advertised CFL bound, the exact positivity bound of its
+    window and dt_max, and lands exactly on the record grid, which alone
+    caps it without dt_max; runs are bit-reproducible. Raises NonFiniteError,
     carrying the step number and time, at the first step that produces a
     non-finite state or starts from a state whose cell-mass sum overflows.
     """
@@ -325,10 +328,7 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
         raise ValueError("scale must be positive")
     grid = u0.grid
     drift = build_interaction_matrix(grid, kernel)
-    record_dt = config.record_interval
-    if record_dt is None:
-        record_dt = config.t_end / RECORD_SAMPLES if config.t_end > 0.0 else 1.0
-    dt_cap = config.dt_max if config.dt_max is not None else record_dt
+    record_dt = config.t_end / config.record_samples
 
     # The run's one density buffer, as a field that advance and the
     # diagnostics read; the loop keeps the time t. Each step
@@ -342,8 +342,10 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
     outflow_total = 0.0
     full_grid_solves = 0
     steps = 0
+    # Held at t_end: K running sums of record_dt can pass it by more than
+    # tiny (K = 40000, t_end = 1), and the loop's last step must sample.
     next_record = record_dt
-    tiny = 1e-12 * max(config.t_end, record_dt)
+    tiny = 1e-12 * config.t_end
 
     times, masses, moments, concentrations, outflows = [], [], [], [], []
     # The L^1 norm is the mass: its series is the mass series.
@@ -380,9 +382,8 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
         dt = min(
             stated_cfl_bound(grid, vmax),
             positivity_bound(grid, faces),
-            dt_cap,
+            config.dt_max or math.inf,
             next_record - t,
-            config.t_end - t,
         )
         if not math.isfinite(dt) or dt <= 0.0:
             raise RuntimeError(f"degenerate step size {dt!r} at t = {t!r}")
@@ -400,9 +401,7 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
         full_grid_solves += resolved
         if t >= next_record - tiny:
             sample(t)
-            next_record += record_dt
-    if t > times[-1] + tiny:
-        sample(t)
+            next_record = min(next_record + record_dt, config.t_end)
 
     mass_series = np.asarray(masses)
     return TrajectoryRecord(

@@ -55,8 +55,7 @@ def test_01_mass_conservation_2048_cells(sweep_1d, sweep_2d):
     g = grid.RadialGrid(1, 2.5e-3, 2048)
     u0 = grid.make_initial_condition(BUMP, g)
     config = solver.SolverConfig(
-        epsilon=0.05, t_end=constants.horizon,
-        record_interval=constants.horizon / 200,
+        epsilon=0.05, t_end=constants.horizon, record_samples=200,
     )
     started = time.monotonic()
     traj = solver.run(u0, NEG_ABS, config, constants.scale)
@@ -89,7 +88,7 @@ def test_02_heat_kernel_oracle():
     def heat_run(dt_max):
         config = solver.SolverConfig(
             epsilon=eps, t_end=t_end, dt_max=dt_max,
-            record_interval=t_end / 20, snapshot_radius=math.inf,
+            record_samples=20, snapshot_radius=math.inf,
         )
         traj = solver.run(u0, kernels.zero_kernel(), config, scale=1.0)
         return traj, float(np.dot(np.abs(traj.snapshots[-1] - exact), g.cell_volumes))

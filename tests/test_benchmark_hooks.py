@@ -39,6 +39,15 @@ def _traced_sweep(tmp_path, name):
     done = subprocess.run(command, cwd=tmp_path, capture_output=True, text=True, timeout=600)
     report = json.loads(report_path.read_text())
     assert done.returncode == report["exit"], done.stderr
+    # setup_s ends at the child's one-shot hook on solver.advance.
+    assert report["first_step_at"] is not None
+    assert report["first_step_at"] < report["end_at"]
+    # The tracer files each step under one of three dt limits. The record
+    # grid sets one step per record: 200 in each of the sweep's four rows.
+    metrics = report["layers"]
+    limits = ("cfl", "positivity", "cap")
+    assert sum(metrics[f"solver.dt_limit.{name}"] for name in limits) == metrics["solver.advance.calls"]
+    assert metrics["solver.dt_limit.cap"] == 4 * 200
     outputs = checks.collect(out, done.returncode, done.stdout)
     reference = json.loads((PERFBENCH / "reference" / "seed0.json").read_text())[name]
     assert checks.check(name, config, outputs, reference)["problems"] == []

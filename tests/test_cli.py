@@ -517,7 +517,7 @@ def test_commands_run_with_the_configs_run_keys(tmp_path, monkeypatch, command, 
     assert seen
     for g, cfg in seen:
         assert (g.dr, g.r_max) == (0.02, pytest.approx(3.0))
-        assert (cfg.t_end, cfg.record_interval, cfg.dt_max) == (0.3, 0.03, 0.01)
+        assert (cfg.t_end, cfg.record_samples, cfg.dt_max) == (0.3, 10, 0.01)
     if command == "simulate":
         # The rim-loss tolerance judges the run; it does not act on it.
         meta = json.loads((tmp_path / "o" / "run.json").read_text())

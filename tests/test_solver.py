@@ -39,9 +39,11 @@ def test_config_validation():
         ("epsilon", -0.1),
         ("t_end", math.nan),
         ("t_end", math.inf),
-        ("record_interval", math.nan),
-        ("record_interval", math.inf),
-        ("record_interval", 0.0),
+        ("record_samples", 0),
+        ("record_samples", -1),
+        ("record_samples", 2.5),
+        ("record_samples", math.nan),
+        ("record_samples", True),
         ("dt_max", math.nan),
         ("dt_max", math.inf),
         ("dt_max", 0.0),
@@ -52,9 +54,9 @@ def test_config_validation():
 )
 def test_config_rejects_non_finite_and_nonpositive_settings(field, value):
     # Each bad setting fails on construction, before any drift build, with
-    # a ValueError that names it; t_end = inf fails with a record interval
+    # a ValueError that names it; t_end = inf fails with a sample count
     # too, where it used to run no step at all.
-    settings = {"epsilon": 0.1, "t_end": 1.0, "record_interval": 0.1, field: value}
+    settings = {"epsilon": 0.1, "t_end": 1.0, "record_samples": 10, field: value}
     with pytest.raises(ValueError, match=field):
         solver.SolverConfig(**settings)
 
@@ -189,7 +191,7 @@ def _check_steps_within_stated_cfl_bound(monkeypatch, g, rel, epsilon):
 
     monkeypatch.setattr(solver, "stated_cfl_bound", seen_cfl_bound)
     monkeypatch.setattr(solver, "advance", checked_advance)
-    cfg = solver.SolverConfig(epsilon=epsilon, t_end=0.2, record_interval=0.05)
+    cfg = solver.SolverConfig(epsilon=epsilon, t_end=0.2, record_samples=4)
     solver.run(_gaussian_field(g), kernels.neg_abs_kernel(), cfg, scale=1.0)
     assert ratios and max(ratios) <= 1.0 + 1e-12
     assert max(ratios) >= 0.5
@@ -214,7 +216,7 @@ def test_2d_run_steps_within_stated_cfl_bound(monkeypatch, epsilon):
 def test_run_preserves_positivity_and_mass(epsilon):
     g = grid.RadialGrid.make(1, 2.5, 0.005)
     f = _gaussian_field(g)
-    cfg = solver.SolverConfig(epsilon=epsilon, t_end=0.3, record_interval=0.03)
+    cfg = solver.SolverConfig(epsilon=epsilon, t_end=0.3, record_samples=10)
     traj = solver.run(f, kernels.neg_abs_kernel(), cfg, scale=5.0)
     assert traj.mass_error() <= 1e-6
     assert traj.clipped_cells == 0
@@ -224,21 +226,37 @@ def test_run_preserves_positivity_and_mass(epsilon):
 def test_run_records_initial_sample_only_for_zero_t_end():
     g = grid.RadialGrid.make(1, 1.0, 0.01)
     f = _gaussian_field(g, width=0.1)
-    cfg = solver.SolverConfig(epsilon=0.1, t_end=0.0, record_interval=0.1)
+    cfg = solver.SolverConfig(epsilon=0.1, t_end=0.0, record_samples=10)
     traj = solver.run(f, kernels.zero_kernel(), cfg, scale=1.0)
     assert len(traj.times) == 1
     assert traj.times[0] == 0.0
 
 
-def test_run_snapshot_storage():
+def test_run_snapshot_storage(monkeypatch):
+    # A zero-kernel run has no CFL or positivity bound and no dt_max: the
+    # record grid of t_end / K alone caps its steps, and it samples t = 0
+    # and each of the K grid points, the last one t_end.
     g = grid.RadialGrid.make(1, 1.0, 0.01)
     f = _gaussian_field(g, width=0.1)
+    t_end, samples = 0.1, 10
+    dts = []
+    advance = solver.advance
+
+    def recorded_advance(field, faces, config, dt):
+        dts.append(dt)
+        return advance(field, faces, config, dt)
+
+    monkeypatch.setattr(solver, "advance", recorded_advance)
     cfg = solver.SolverConfig(
-        epsilon=0.1, t_end=0.1, record_interval=0.01, snapshot_radius=math.inf
+        epsilon=0.1, t_end=t_end, record_samples=samples, snapshot_radius=math.inf
     )
     traj = solver.run(f, kernels.zero_kernel(), cfg, scale=1.0)
     assert traj.snapshots.shape == (len(traj.times), g.n)
     assert np.array_equal(traj.snapshots[0], f.values)
+    assert len(traj.times) == samples + 1
+    assert abs(traj.times[-1] - t_end) <= 1e-12 * t_end
+    assert traj.times == pytest.approx(np.linspace(0.0, t_end, samples + 1), rel=1e-12, abs=0.0)
+    assert max(dts) <= t_end / samples * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("dimension", [1, 2, 3])
@@ -247,13 +265,13 @@ def test_heat_profile_quick_check(dimension):
     # (4 pi eps t)^(-N/2) exp(-r^2 / (4 eps t)) on a coarse grid; the
     # Gaussian of this width is that profile at t0 = width^2 / (2 eps).
     # Backward Euler is first order in time, so dt is capped: in 1-D, steps
-    # of the record interval (0.05) miss the profile by 1.7e-2 in L1. With
+    # of the record grid's spacing (0.05) miss the profile by 1.7e-2 in L1. With
     # the cap the L1 errors are 1.8e-3, 3.3e-3 and 4.6e-3 for N = 1, 2, 3.
     eps, width, t_end = 0.1, 0.2, 0.5
     g = grid.RadialGrid.make(dimension, 5.0, 0.01)
     f = _gaussian_field(g, width=width)
     cfg = solver.SolverConfig(
-        epsilon=eps, t_end=t_end, record_interval=0.05, dt_max=0.005, snapshot_radius=math.inf,
+        epsilon=eps, t_end=t_end, record_samples=10, dt_max=0.005, snapshot_radius=math.inf,
     )
     traj = solver.run(f, kernels.zero_kernel(), cfg, scale=1.0)
     t_eff = t_end + width**2 / (2 * eps)
@@ -271,7 +289,7 @@ def test_grid_convergence_under_refinement():
         g = grid.RadialGrid.make(1, 2.0, dr)
         f = _gaussian_field(g, width=0.3)
         cfg = solver.SolverConfig(
-            epsilon=eps, t_end=t_end, record_interval=t_end, snapshot_radius=math.inf
+            epsilon=eps, t_end=t_end, record_samples=1, snapshot_radius=math.inf
         )
         traj = solver.run(f, kern, cfg, scale=2.0)
         return g, traj.snapshots[-1]
@@ -293,7 +311,7 @@ def test_boundary_outflow_is_recorded_not_lost():
     # A field pushed against the rim keeps mass + outflow constant.
     g = grid.RadialGrid.make(1, 0.5, 0.01)
     f = _gaussian_field(g, width=0.2)
-    cfg = solver.SolverConfig(epsilon=0.2, t_end=0.5, record_interval=0.05)
+    cfg = solver.SolverConfig(epsilon=0.2, t_end=0.5, record_samples=10)
     traj = solver.run(f, kernels.zero_kernel(), cfg, scale=1.0)
     assert traj.outflow_cumulative[-1] > 1e-3  # rim genuinely leaks here
     assert traj.mass_error() <= 1e-9
@@ -746,8 +764,8 @@ def test_run_calls_module_advance_once_per_implicit_solve(monkeypatch):
     monkeypatch.setattr(solver, "advance", recorded_advance)
     monkeypatch.setattr(_accel, "thomas_solve", counted_solve)
     g = grid.RadialGrid.make(1, 1.0, 0.01)
-    # The record interval 0.007 makes each of the three limits set some step.
-    cfg = solver.SolverConfig(epsilon=0.05, t_end=0.05, record_interval=0.007)
+    # Seven records of 0.05 make each of the three limits set some step.
+    cfg = solver.SolverConfig(epsilon=0.05, t_end=0.05, record_samples=7)
     solver.run(_gaussian_field(g, width=0.1), kernels.neg_abs_kernel(), cfg, scale=1.0)
     assert events and len(events) % 3 == 0
     limits = set()
@@ -800,7 +818,7 @@ def test_benchmark_hooks_reach_run_and_loglog_fit(monkeypatch):
         monkeypatch.setattr(solver, name, counted(name))
     monkeypatch.setattr(solver, "advance", counted_advance)
     g = grid.RadialGrid.make(1, 1.0, 0.01)
-    cfg = solver.SolverConfig(epsilon=0.05, t_end=0.05, record_interval=0.01)
+    cfg = solver.SolverConfig(epsilon=0.05, t_end=0.05, record_samples=5)
     traj = solver.run(_gaussian_field(g, width=0.1), kernels.neg_abs_kernel(), cfg, scale=1.0)
     samples = len(traj.times)
     # One advance per step, and each step takes both dt bounds once.
@@ -843,7 +861,7 @@ def test_run_and_advance_leave_their_inputs_unchanged(monkeypatch):
     monkeypatch.setattr(solver, "advance", checked_advance)
     # A weak drift leaves steps long enough for the diffusion to outgrow
     # the pad once, and moves every window's values before the re-solve.
-    cfg = solver.SolverConfig(epsilon=0.1, t_end=0.5, dt_max=0.1, record_interval=0.1)
+    cfg = solver.SolverConfig(epsilon=0.1, t_end=0.5, dt_max=0.1, record_samples=5)
     solver.run(u0, kernels.neg_abs_kernel(), cfg, scale=1.0)
     assert any(resolves) and not all(resolves)
     assert u0.values.tobytes() == initial.tobytes()
@@ -966,7 +984,7 @@ def test_implicit_support_outgrowing_the_pad_matches_the_full_grid_run(monkeypat
     # with mass above eps M / n) grows by far more than the pad per step.
     g = grid.RadialGrid.make(1, 4.0, 0.01)
     cfg = solver.SolverConfig(
-        epsilon=0.1, t_end=1.0, dt_max=0.1, record_interval=0.1, snapshot_radius=math.inf
+        epsilon=0.1, t_end=1.0, dt_max=0.1, record_samples=10, snapshot_radius=math.inf
     )
     steps = []
     advance = solver.advance
@@ -1004,7 +1022,7 @@ def test_run_with_mass_at_the_rim_records_outflow_and_fails_boundary_loss(monkey
         return advance(field, faces, config, dt)
 
     monkeypatch.setattr(solver, "advance", recorded_advance)
-    cfg = solver.SolverConfig(epsilon=0.1, t_end=0.05, record_interval=0.01)
+    cfg = solver.SolverConfig(epsilon=0.1, t_end=0.05, record_samples=5)
     traj = solver.run(f, kernels.neg_abs_kernel(), cfg, scale=0.5)
     assert windows[0] == g.n
     loss = traj.boundary_loss()
