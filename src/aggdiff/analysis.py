@@ -193,7 +193,7 @@ def check_moment_inequality(
     """
     if constants.attraction <= 0.0:
         raise ValueError("moment inequality applies to attractive kernels only")
-    if abs(traj.scale - constants.scale) > 1e-12 * constants.scale:
+    if traj.scale != constants.scale:
         raise ValueError("trajectory was recorded at a different scale")
     m0 = traj.initial_mass
     drop = constants.attraction * m0 * m0 / 2.0
@@ -217,12 +217,12 @@ class WeightedBound(NamedTuple):
 
 def _series_to(times, values, t_stop):
     """Series restricted to [0, t_stop] with an interpolated endpoint."""
-    if times[-1] < t_stop * (1.0 - 1e-9):
+    if times[-1] < t_stop:
         raise ValueError(f"trajectory ends at {times[-1]:g}, before {t_stop:g}")
-    inside = times <= t_stop * (1.0 + 1e-12)
+    inside = times <= t_stop
     ts = times[inside]
     vs = values[inside]
-    if ts[-1] < t_stop * (1.0 - 1e-12):
+    if ts[-1] < t_stop:
         v_end = np.interp(t_stop, times, values)
         ts = np.append(ts, t_stop)
         vs = np.append(vs, v_end)
@@ -260,7 +260,7 @@ def _ball_integral(traj: TrajectoryRecord, t_star: float, content) -> float:
         )
     if traj.snapshots is None:
         raise ValueError("trajectory was recorded without snapshots")
-    window = traj.times <= t_star * (1.0 + 1e-9)
+    window = traj.times <= t_star
     if int(np.count_nonzero(window)) < MIN_BALL_SAMPLES:
         raise ValueError(f"need at least {MIN_BALL_SAMPLES} snapshots inside the window")
     inside = grid.r_centers < radius
@@ -295,18 +295,17 @@ def ball_lp_integral(traj: TrajectoryRecord, p: float, t_star: float) -> float:
 def heat_kernel_norm(epsilon: float, t: float, p, total_mass: float, dimension: int) -> float:
     """Exact L^p norm of the heat kernel of the given mass at time t.
 
-    mass * (4 pi eps t)^(-N(p-1)/(2p)) * p^(-N/(2p)); p = inf collapses to
+    mass * (4 pi eps t)^(-b/2) * p^(-N/(2p)), with the exponent
+    b = N(p-1)/p of ``scaling_exponents``; p = inf collapses to
     mass * (4 pi eps t)^(-N/2) and p = 1 to the mass itself.
     """
     if epsilon <= 0.0 or t <= 0.0:
         raise ValueError("epsilon and t must be positive")
-    spread = 4.0 * math.pi * epsilon * t
-    if p == math.inf:
-        return total_mass * spread ** (-dimension / 2.0)
-    p = float(p)
-    if p < 1.0:
+    if not p >= 1.0:
         raise ValueError("p must be >= 1")
-    return total_mass * spread ** (-dimension * (p - 1.0) / (2.0 * p)) * p ** (-dimension / (2.0 * p))
+    _, b = scaling_exponents(p, dimension)
+    norm = total_mass * (4.0 * math.pi * epsilon * t) ** (-b / 2.0)
+    return norm if p == math.inf else norm * p ** (-dimension / (2.0 * p))
 
 
 def scaling_exponents(norm, dimension) -> tuple:
@@ -673,7 +672,7 @@ def run_verdicts(traj: TrajectoryRecord, constants) -> list:
     violations, ratios, partial = (), (), []
     if constants is not None and constants.attraction > 0.0:
         violations = [len(check_moment_inequality(traj, constants))]
-        if constants.admissible and not traj.times[-1] >= constants.horizon * (1 - 1e-9):
+        if constants.admissible and not traj.times[-1] >= constants.horizon:
             end = f"run ends at t = {traj.times[-1]:.4g}, before the horizon {constants.horizon:.4g}"
             partial = [Verdict.bound("weighted_lower_bound", math.nan, 1.0, end, lower=True)]
         elif constants.admissible:

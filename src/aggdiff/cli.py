@@ -20,8 +20,12 @@ file or run directory, a grid too large to allocate, or a run that fails
 exits 2 with one ``error:`` line. A run directory is bad, among other
 ways, when its ``run.json`` holds no constants for a kernel other than
 zero (its verdicts would be partial), a ``trajectory.csv`` series
-column names no exponent, a table cell is not a number, or
-``snapshots.csv`` does not match ``trajectory.csv`` and the grid. A
+column names no exponent, a table cell is not a number, its ``t``
+column is not the record times of ``run.json``'s ``t_end`` and
+``record_samples`` (``solver.record_times``), or ``snapshots.csv`` does
+not match ``trajectory.csv`` and the grid. A sweep whose
+``solver.record_samples`` is below ``analysis.MIN_BALL_SAMPLES`` - 1
+exits 2 before any row runs. A
 config key that the command does not read (``_READERS``), or a grid key
 that a numeric ``grid.dr`` makes moot, must keep its default. The sweep
 worker count is ``--jobs`` if given, else the config's ``sweep.jobs``.
@@ -211,6 +215,11 @@ def parse_config(path, command=None) -> dict:
     g["r_max"] = _auto_or_positive(g["r_max"], "grid.r_max")
     s = cfg["solver"]
     s["record_samples"] = _as_int(s["record_samples"], "solver.record_samples", 2)
+    if command == "sweep" and s["record_samples"] < analysis.MIN_BALL_SAMPLES - 1:
+        raise ConfigError(
+            f"solver.record_samples must be >= {analysis.MIN_BALL_SAMPLES - 1} for a sweep: "
+            f"each row's ball integrals need {analysis.MIN_BALL_SAMPLES} samples"
+        )
     s["dt_max"] = _auto_or_positive(s["dt_max"], "solver.dt_max")
     if not isinstance(s["store_snapshots"], bool):
         raise ConfigError("solver.store_snapshots must be true or false")
@@ -352,7 +361,10 @@ def write_trajectory_csv(traj: solver.TrajectoryRecord, path) -> None:
 def emit_run(traj, constants, outdir: Path) -> None:
     """Write ``trajectory.csv``, ``run.json`` and, with snapshots,
     ``snapshots.csv``: the stored cells' centres ``r``, then ``u<k>``,
-    their densities at row k of ``trajectory.csv``, one line per cell."""
+    their densities at row k of ``trajectory.csv``, one line per cell.
+    ``run.json`` holds the run's t_end and record count K, its last time
+    and its sample count less one, as ``solver.run`` records K + 1 samples
+    ending at t_end."""
     outdir.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(traj, outdir / "trajectory.csv")
     meta = {
@@ -361,6 +373,8 @@ def emit_run(traj, constants, outdir: Path) -> None:
         "scale": traj.scale,
         "kernel": traj.kernel_name,
         "grid": {"dr": traj.grid.dr, "n": traj.grid.n},
+        "t_end": traj.times[-1],
+        "record_samples": len(traj.times) - 1,
         "initial_mass": traj.initial_mass,
         "clipped_cells": traj.clipped_cells,
         "full_grid_solves": traj.full_grid_solves,
@@ -391,10 +405,21 @@ def _run_value(meta, convert, *keys):
 
 def load_run(outdir: Path):
     """(trajectory, constants, run.json) of an ``emit_run`` directory; an
-    unreadable table or value raises naming its file."""
+    unreadable table or value raises naming its file, and so does a
+    ``trajectory.csv`` whose times are not, bit for bit, the record times
+    of run.json's t_end and record_samples."""
     with open(outdir / "run.json") as fh:
         meta = json.load(fh)
     cols = read_csv_columns(outdir / "trajectory.csv")
+    t_end = _run_value(meta, float, "t_end")
+    samples = _run_value(meta, int, "record_samples")
+    times = cols["t"]
+    on_grid = samples >= 1 and len(times) == samples + 1
+    if not (on_grid and np.array_equal(times, solver.record_times(t_end, samples))):
+        raise ValueError(
+            f"{outdir / 'trajectory.csv'}: column t is not the record times t_end * (k / K), "
+            f"k = 0..K, of run.json's t_end = {t_end!r} and record_samples K = {samples}"
+        )
     lp = {}
     for name, values in cols.items():
         if name == "lpinf":
@@ -424,7 +449,7 @@ def load_run(outdir: Path):
         epsilon=_run_value(meta, float, "epsilon"),
         scale=_run_value(meta, float, "scale"),
         kernel_name=meta["kernel"],
-        times=cols["t"],
+        times=times,
         mass=cols["mass"],
         truncated_moment=cols["truncated_moment"],
         concentration=cols["concentration"],

@@ -40,6 +40,11 @@ can carry mass past the pad in one step; when the last window cell ends
 the step with mass above eps / n times the window's mass, that step's
 diffusion is solved again on the whole grid, and the run counts it.
 
+A run samples its diagnostics at the K + 1 record times t_end * (k / K),
+k = 0..K, K = ``record_samples`` (``record_times``). Each is computed from
+k, not summed, so record K is t_end itself, and a step that reaches a
+record time has its clock set to it: no time test needs a tolerance.
+
 A run keeps one density buffer, a copy of the initial values taken
 once, and the cell masses of its cells. ``advance`` returns the new
 values of the step's window (of all n cells after a whole-grid re-solve)
@@ -72,7 +77,7 @@ from .kernels import KernelSpec
 _EPS = float(np.finfo(np.float64).eps)
 # Exponents of the recorded L^p norm series.
 LP_VALUES = (1.0, 2.0, math.inf)
-# Default record count of a run: its record grid is t_end / RECORD_SAMPLES.
+# Default record count K of a run, whose record times are t_end * (k / K).
 RECORD_SAMPLES = 200
 # Cells a step keeps beyond the mass window J. Upwind transport moves mass
 # one cell per step, so one cell lets the window grow. The implicit
@@ -113,8 +118,9 @@ class NonFiniteError(RuntimeError):
 class SolverConfig:
     """Settings of one run.
 
-    ``record_samples`` (an int >= 1) splits [0, t_end] into the record grid
-    that ``run`` samples. ``snapshot_radius`` selects the snapshots kept at
+    ``record_samples`` (an int K >= 1) sets the record times
+    t_end * (k / K), k = 0..K, that ``run`` samples (``record_times``).
+    ``snapshot_radius`` selects the snapshots kept at
     every record time: None keeps none, a radius r the cells whose centres
     lie below r (a prefix), ``math.inf`` every cell. A setting out of
     range, NaN included, raises ValueError naming it on construction.
@@ -181,6 +187,11 @@ class TrajectoryRecord:
     def boundary_loss(self) -> float:
         """Mass lost through the outer rim by the end, relative to mass(0)."""
         return float(self.outflow_cumulative[-1] / self.initial_mass)
+
+
+def record_times(t_end: float, samples: int) -> np.ndarray:
+    """The record times t_end * (k / K) of a run, k = 0..K, K = ``samples``."""
+    return t_end * (np.arange(samples + 1) / samples)
 
 
 def face_velocities(velocity: np.ndarray, cells: int, n: int) -> np.ndarray:
@@ -317,23 +328,26 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
     """Advance to t_end with adaptive dt, recording diagnostics.
 
     ``scale`` parametrises the truncated-moment and concentration series,
-    sampled at t = 0 and on the record grid t_end / record_samples. A step
+    sampled at the K + 1 record times t_end * (k / K), k = 0..K, K =
+    ``config.record_samples`` (one sample at t = 0 when t_end is 0). A step
     honours the advertised CFL bound, the exact positivity bound of its
-    window and dt_max, and lands exactly on the record grid, which alone
-    caps it without dt_max; runs are bit-reproducible. Raises NonFiniteError,
-    carrying the step number and time, at the first step that produces a
-    non-finite state or starts from a state whose cell-mass sum overflows.
+    window and dt_max, and never passes the next record time, which alone
+    caps it without dt_max: the step that reaches it, by that bound or by
+    rounding, ends on it exactly. Runs are bit-reproducible. Raises
+    NonFiniteError, carrying the step number and time, at the first step
+    that produces a non-finite state or starts from a state whose cell-mass
+    sum overflows.
     """
     if scale <= 0.0:
         raise ValueError("scale must be positive")
     grid = u0.grid
     drift = build_interaction_matrix(grid, kernel)
-    record_dt = config.t_end / config.record_samples
+    record_at = record_times(config.t_end, config.record_samples).tolist()
 
     # The run's one density buffer, as a field that advance and the
-    # diagnostics read; the loop keeps the time t. Each step
-    # writes the values advance returns, and the cell masses of the same
-    # cells, over the previous ones.
+    # diagnostics read; the loop keeps the time t and the index k of the
+    # next record time. Each step writes the values advance returns, and
+    # the cell masses of the same cells, over the previous ones.
     state = DensityField(grid, u0.values.copy())
     values = state.values
     vol = grid.cell_volumes
@@ -342,10 +356,7 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
     outflow_total = 0.0
     full_grid_solves = 0
     steps = 0
-    # Held at t_end: K running sums of record_dt can pass it by more than
-    # tiny (K = 40000, t_end = 1), and the loop's last step must sample.
-    next_record = record_dt
-    tiny = 1e-12 * config.t_end
+    k = 1
 
     times, masses, moments, concentrations, outflows = [], [], [], [], []
     # The L^1 norm is the mass: its series is the mass series.
@@ -371,7 +382,7 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
             snaps.append(values[:snap_cells].copy())
 
     sample(t)
-    while t < config.t_end - tiny:
+    while t < config.t_end:
         total = float(cell_mass.sum())
         if not math.isfinite(total):
             raise NonFiniteError(t, steps + 1)
@@ -379,29 +390,34 @@ def run(u0: DensityField, kernel: KernelSpec, config: SolverConfig, scale: float
         cells = min(grid.n, window + _PAD)
         velocity, vmax = drift.velocity(cell_mass, total, window, cells)
         faces = face_velocities(velocity, cells, grid.n)
+        landing = record_at[k] - t
         dt = min(
             stated_cfl_bound(grid, vmax),
             positivity_bound(grid, faces),
             config.dt_max or math.inf,
-            next_record - t,
+            landing,
         )
         if not math.isfinite(dt) or dt <= 0.0:
             raise RuntimeError(f"degenerate step size {dt!r} at t = {t!r}")
         steps += 1
+        # A step that the landing bound limits, or whose end rounds onto
+        # the record time, ends exactly on it.
+        lands = dt == landing or t + dt >= record_at[k]
+        t_next = record_at[k] if lands else t + dt
         try:
             new, outflux, resolved = advance(state, faces, config, dt)
         except NonFiniteError as exc:
-            exc.time, exc.step = t + dt, steps
+            exc.time, exc.step = t_next, steps
             raise
         changed = new.shape[0]
         values[:changed] = new
         np.multiply(new, vol[:changed], out=cell_mass[:changed])
-        t += dt
+        t = t_next
         outflow_total += outflux
         full_grid_solves += resolved
-        if t >= next_record - tiny:
+        if lands:
             sample(t)
-            next_record = min(next_record + record_dt, config.t_end)
+            k += 1
 
     mass_series = np.asarray(masses)
     return TrajectoryRecord(

@@ -508,6 +508,19 @@ def test_run_verdicts_fail_the_weighted_bound_of_a_run_that_ends_before_the_hori
     assert [v.name for v in inadmissible] == ["mass_conservation", "boundary_loss", "moment_inequality"]
 
 
+def test_run_verdicts_fail_the_weighted_bound_of_a_run_one_ulp_short_of_the_horizon():
+    init = grid.GaussianBump(1.0, 0.25)
+    constants = analysis.reference_constants(NEG_ABS, init, 1)
+    t_end = float(np.nextafter(constants.horizon, 0.0))
+    traj = analysis.run_case(NEG_ABS, init, 1, 0.1, constants.scale, t_end, COARSE)
+    assert traj.times[-1] == t_end
+    weighted = analysis.run_verdicts(traj, constants)[-1]
+    assert weighted.name == "weighted_lower_bound" and not weighted.passed
+    assert math.isnan(weighted.margin)
+    with pytest.raises(ValueError, match="before"):
+        analysis.weighted_concentration_integral(traj, constants)
+
+
 def test_sweep_verdicts_fail_on_non_finite_last_row_ratios():
     rows = _synthetic_rows()
     rows[-1].ball_mass_integral = math.inf

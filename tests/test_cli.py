@@ -197,7 +197,7 @@ def test_check_reverifies_and_detects_tampering(tmp_path):
     assert cli.main(["check", "--traj", str(out)]) == 1
 
 
-@pytest.mark.parametrize("key", ["scale", "constants.horizon"])
+@pytest.mark.parametrize("key", ["scale", "constants.horizon", "t_end", "record_samples"])
 def test_check_of_a_run_json_without_a_key_it_reads_exits_2(tmp_path, capsys, key):
     config = _write(tmp_path, TINY_SIMULATE)
     out = tmp_path / "run"
@@ -335,6 +335,37 @@ def test_check_of_a_malformed_table_exits_2_naming_the_file(tmp_path, capsys, na
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {out / name}: {message}\n"
+
+
+def _nudge_third_time(text):
+    lines = text.splitlines()
+    t, rest = lines[2].split(",", 1)
+    lines[2] = repr(float(np.nextafter(float(t), 1.0))) + "," + rest
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda text: "\n".join(text.splitlines()[:6]) + "\n",
+    _nudge_third_time,
+], ids=["first-5-rows", "one-ulp-late"])
+def test_check_of_a_trajectory_off_its_record_grid_exits_2(tmp_path, capsys, tamper):
+    # This run fails boundary_loss by t_end = 3. Its first 5 rows reach
+    # t = 0.6, past the horizon 0.448, and passed every verdict of check.
+    text = TINY_SIMULATE.replace("t_end: auto", "t_end: 3.0").replace(", store_snapshots: true", "")
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(_write(tmp_path, text)), "--out", str(out)]) == 1
+    meta = json.loads((out / "run.json").read_text())
+    assert (meta["t_end"], meta["record_samples"]) == (3.0, 20)
+    path = out / "trajectory.csv"
+    path.write_text(tamper(path.read_text()))
+    capsys.readouterr()
+    assert cli.main(["check", "--traj", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {path}: column t is not the record times t_end * (k / K), "
+        "k = 0..K, of run.json's t_end = 3.0 and record_samples K = 20\n"
+    )
 
 
 def test_check_of_a_run_without_its_snapshots_exits_2(tmp_path, capsys):
@@ -662,7 +693,7 @@ kernel: neg_abs
 epsilon: [0.2, 0.1, 0.05, 0.02]
 initial: {type: gaussian, mass: 1.0e+154, width: 0.25}
 grid: {dr_max: 0.02, dr_divisor: 8}
-solver: {record_samples: 10}
+solver: {record_samples: 20}
 """
 
 
@@ -762,6 +793,24 @@ def test_sweep_end_to_end(tmp_path):
     out2 = tmp_path / "sweep2"
     assert cli.main(["sweep", "--config", str(config), "--out", str(out2), "--jobs", "1"]) == 0
     assert (out2 / "sweep.json").read_bytes() == (out / "sweep.json").read_bytes()
+
+
+def test_a_sweep_with_too_few_record_samples_exits_2_naming_the_key(tmp_path, capsys, monkeypatch):
+    # Each row's ball integrals need MIN_BALL_SAMPLES = 20 samples, the
+    # K + 1 of K = 19. Fewer failed after a row ran, naming no key.
+    def no_run(*args):
+        raise AssertionError("a row ran")
+
+    monkeypatch.setattr(analysis, "run", no_run)
+    config = _write(tmp_path, SWEEP_CONFIG.replace("record_samples: 100", "record_samples: 18"))
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: solver.record_samples must be >= 19 for a sweep: each row's ball integrals need 20 samples\n"
+    )
+    assert not out.exists()
+    config.write_text(SWEEP_CONFIG.replace("record_samples: 100", "record_samples: 19"))
+    assert cli.parse_config(config, "sweep")["solver"]["record_samples"] == 19
 
 
 def test_sweep_rejects_fewer_than_one_job(tmp_path, capsys):

@@ -234,8 +234,8 @@ def test_run_records_initial_sample_only_for_zero_t_end():
 
 def test_run_snapshot_storage(monkeypatch):
     # A zero-kernel run has no CFL or positivity bound and no dt_max: the
-    # record grid of t_end / K alone caps its steps, and it samples t = 0
-    # and each of the K grid points, the last one t_end.
+    # record times t_end * (k / K) alone cap its steps, and it samples each
+    # of them, k = 0..K, the last one t_end.
     g = grid.RadialGrid.make(1, 1.0, 0.01)
     f = _gaussian_field(g, width=0.1)
     t_end, samples = 0.1, 10
@@ -253,10 +253,21 @@ def test_run_snapshot_storage(monkeypatch):
     traj = solver.run(f, kernels.zero_kernel(), cfg, scale=1.0)
     assert traj.snapshots.shape == (len(traj.times), g.n)
     assert np.array_equal(traj.snapshots[0], f.values)
-    assert len(traj.times) == samples + 1
-    assert abs(traj.times[-1] - t_end) <= 1e-12 * t_end
-    assert traj.times == pytest.approx(np.linspace(0.0, t_end, samples + 1), rel=1e-12, abs=0.0)
+    assert np.array_equal(traj.times, solver.record_times(t_end, samples))
+    assert traj.times[-1] == t_end
     assert max(dts) <= t_end / samples * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("samples, t_end", [(7, 0.05), (10, 0.1)])
+def test_run_records_at_t_end_times_k_over_k_bit_for_bit(samples, t_end):
+    # Record k is t_end * (k / K), computed from k. Running sums of t_end / K
+    # end off it in the last bits (0.09999999999999999 for K = 10) and, past
+    # K of about 9000, add a sliver step and a K + 2nd sample.
+    g = grid.RadialGrid.make(1, 1.0, 0.1)
+    assert g.n == 10
+    cfg = solver.SolverConfig(epsilon=0.1, t_end=t_end, record_samples=samples)
+    traj = solver.run(_gaussian_field(g), kernels.zero_kernel(), cfg, scale=1.0)
+    assert traj.times.tolist() == [t_end * (k / samples) for k in range(samples + 1)]
 
 
 @pytest.mark.parametrize("dimension", [1, 2, 3])
