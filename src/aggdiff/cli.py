@@ -17,13 +17,19 @@ verdicts of ``analysis.epsilon_sweep``, and ``baseline`` one
 ``heat_norm_p*`` verdict per norm. ``write_verdicts`` writes them and
 returns the exit code: 0 iff every verdict passes; a bad config, input
 file or run directory, a grid too large to allocate, or a run that fails
-exits 2 with one ``error:`` line. A run directory is bad, among other
-ways, when its ``run.json`` holds no constants for a kernel other than
-zero (its verdicts would be partial), a ``trajectory.csv`` series
-column names no exponent, a table cell is not a number, its ``t``
-column is not the record times of ``run.json``'s ``t_end`` and
-``record_samples`` (``solver.record_times``), or ``snapshots.csv`` does
-not match ``trajectory.csv`` and the grid. A sweep whose
+exits 2 with one ``error:`` line. ``check`` reads ``run.json`` by the
+readers that ``parse_config`` uses for each kind of value (``_as_int``,
+``_as_positive``, ``_as_bool``), and its constants by their annotated
+types, so a run directory is bad, among other ways, when ``run.json`` is
+not valid JSON, lacks a key, holds a bool, null, a string that is no
+number, a negative or non-finite number where a positive one belongs or
+a fraction where an integer belongs, or holds no constants for a kernel
+other than zero (its verdicts would be partial); when ``trajectory.csv``
+lacks a column that ``write_trajectory_csv`` writes in the run's
+dimension, a table cell is not a number or its ``t`` column is not the
+record times of ``run.json``'s ``t_end`` and ``record_samples``
+(``solver.record_times``); or when ``snapshots.csv`` does not match
+``trajectory.csv`` and the grid. A sweep whose
 ``solver.record_samples`` is below ``analysis.MIN_BALL_SAMPLES`` - 1
 exits 2 before any row runs. A
 config key that the command does not read (``_READERS``), or a grid key
@@ -48,6 +54,7 @@ import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import Optional, get_type_hints
 
 import numpy as np
 import yaml
@@ -156,6 +163,23 @@ def _as_int(value, name, low, high=None):
     return value
 
 
+def _as_bool(value, name):
+    """``value`` if it is a bool (YAML's and JSON's true and false)."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false")
+    return value
+
+
+def _as_float(value, name):
+    """``value`` as a float: a number, NaN included, or the "inf" or "-inf"
+    that ``_jsonable`` writes; not a bool, another string or null."""
+    if isinstance(value, str) and value in ("inf", "-inf"):
+        return float(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f'{name} must be a number, NaN, "inf" or "-inf"')
+    return float(value)
+
+
 def _auto_or_positive(value, name):
     if value == "auto":
         return "auto"
@@ -221,8 +245,7 @@ def parse_config(path, command=None) -> dict:
             f"each row's ball integrals need {analysis.MIN_BALL_SAMPLES} samples"
         )
     s["dt_max"] = _auto_or_positive(s["dt_max"], "solver.dt_max")
-    if not isinstance(s["store_snapshots"], bool):
-        raise ConfigError("solver.store_snapshots must be true or false")
+    _as_bool(s["store_snapshots"], "solver.store_snapshots")
     cfg["sweep"]["jobs"] = _as_int(cfg["sweep"]["jobs"], "sweep.jobs", 1)
     if command is not None:
         _refuse_unread(cfg, command)
@@ -307,7 +330,7 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
         value = float(obj)
-        return "inf" if math.isinf(value) else value
+        return str(value) if math.isinf(value) else value  # "inf" or "-inf"
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, np.bool_):
@@ -347,8 +370,12 @@ def read_csv_columns(path) -> dict:
     return {name: data[:, i] for i, name in enumerate(names)}
 
 
+# The trajectory.csv column of each recorded L^p series: lp1, lp2, lpinf.
+_LP_COLUMNS = {("lpinf" if p == math.inf else f"lp{p:g}"): p for p in solver.LP_VALUES}
+
+
 def write_trajectory_csv(traj: solver.TrajectoryRecord, path) -> None:
-    lp = {("lpinf" if p == math.inf else f"lp{p:g}"): traj.lp[p] for p in sorted(traj.lp)}
+    lp = {name: traj.lp[p] for name, p in _LP_COLUMNS.items()}
     table = {
         "t": traj.times, "mass": traj.mass, "truncated_moment": traj.truncated_moment,
         "concentration": traj.concentration, **lp, "outflow_cumulative": traj.outflow_cumulative,
@@ -391,52 +418,96 @@ def emit_run(traj, constants, outdir: Path) -> None:
         write_csv(names, np.column_stack([cells, traj.snapshots.T]).tolist(), outdir / "snapshots.csv")
 
 
-def _run_value(meta, convert, *keys):
-    """``convert`` of run.json's value at the nested ``keys``; KeyError if
-    one is missing, TypeError naming them ("grid.dr") if it fails."""
-    try:
-        value = meta
-        for key in keys:
-            value = value[key]
-        return convert(value)
-    except (TypeError, ValueError):
-        raise TypeError(".".join(keys)) from None
+def _run_value(meta, *keys):
+    """run.json's value at the nested ``keys``; KeyError naming them
+    ("grid.dr") if one is missing or a section is no mapping."""
+    value = meta
+    for key in keys:
+        if not isinstance(value, dict) or key not in value:
+            raise KeyError(".".join(keys))
+        value = value[key]
+    return value
+
+
+def _read_constants(values) -> analysis.ConcentrationConstants:
+    """run.json's constants, each field read by its annotated type: the
+    dimension by ``_as_int``, ``admissible`` by ``_as_bool``, and every
+    float by ``_as_float``, except that ``ball_factor`` may be null."""
+    if not isinstance(values, dict):
+        raise ConfigError("constants must be a mapping")
+    types = get_type_hints(analysis.ConcentrationConstants)
+    unknown = [key for key in values if key not in types]
+    if unknown:
+        raise ConfigError(f"constants: unknown field {unknown[0]!r}")
+    read = {}
+    for field, kind in types.items():
+        if field not in values:
+            raise ConfigError(f"constants: missing field {field!r}")
+        value, name = values[field], f"constants.{field}"
+        if kind is int:
+            read[field] = _as_int(value, name, 1, 3)
+        elif kind is bool:
+            read[field] = _as_bool(value, name)
+        elif value is None and kind == Optional[float]:
+            read[field] = None
+        else:
+            read[field] = _as_float(value, name)
+    return analysis.ConcentrationConstants(**read)
 
 
 def load_run(outdir: Path):
-    """(trajectory, constants, run.json) of an ``emit_run`` directory; an
-    unreadable table or value raises naming its file, and so does a
+    """(trajectory, constants) of an ``emit_run`` directory.
+
+    run.json's numbers are read by ``parse_config``'s readers, its
+    constants by ``_read_constants``, so a value that they refuse raises
+    one error naming run.json and the key, and a missing key KeyError
+    naming it. An unreadable table raises naming its file, and so does a
     ``trajectory.csv`` whose times are not, bit for bit, the record times
-    of run.json's t_end and record_samples."""
-    with open(outdir / "run.json") as fh:
-        meta = json.load(fh)
+    of run.json's t_end and record_samples.
+    """
+    run_json = outdir / "run.json"
+    with open(run_json) as fh:
+        try:
+            meta = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{run_json}: not valid JSON: {exc}") from None
+
+    def read(reader, *keys, **limits):
+        return reader(_run_value(meta, *keys), ".".join(keys), **limits)
+
+    try:
+        grid = gridmod.RadialGrid(
+            read(_as_int, "dimension", low=1, high=3),
+            read(_as_positive, "grid", "dr"),
+            read(_as_int, "grid", "n", low=3),
+        )
+        t_end = read(_as_positive, "t_end", allow_zero=True)
+        samples = read(_as_int, "record_samples", low=1)
+        kernel_name = _run_value(meta, "kernel")
+        if not isinstance(kernel_name, str):
+            raise ConfigError("kernel must be a string")
+        epsilon, scale = read(_as_positive, "epsilon"), read(_as_positive, "scale")
+        clipped_cells = read(_as_int, "clipped_cells", low=0)
+        full_grid_solves = read(_as_int, "full_grid_solves", low=0)
+        has_snapshots = read(_as_bool, "has_snapshots")
+        constants = meta.get("constants")
+        if constants is not None:
+            constants = _read_constants(constants)
+        elif kernel_name != "zero":
+            # simulate writes null constants only for the zero kernel.
+            raise ConfigError(f"constants: missing for kernel {kernel_name!r}")
+    except ConfigError as exc:
+        raise ValueError(f"{run_json}: {exc}") from None
     cols = read_csv_columns(outdir / "trajectory.csv")
-    t_end = _run_value(meta, float, "t_end")
-    samples = _run_value(meta, int, "record_samples")
     times = cols["t"]
-    on_grid = samples >= 1 and len(times) == samples + 1
-    if not (on_grid and np.array_equal(times, solver.record_times(t_end, samples))):
+    if not np.array_equal(times, solver.record_times(t_end, samples)):
         raise ValueError(
             f"{outdir / 'trajectory.csv'}: column t is not the record times t_end * (k / K), "
             f"k = 0..K, of run.json's t_end = {t_end!r} and record_samples K = {samples}"
         )
-    lp = {}
-    for name, values in cols.items():
-        if name == "lpinf":
-            lp[math.inf] = values
-        elif name.startswith("lp"):
-            try:
-                lp[float(name[2:])] = values
-            except ValueError:
-                raise ValueError(f"{outdir / 'trajectory.csv'}: column {name!r} names no exponent") from None
-    grid = gridmod.RadialGrid(
-        _run_value(meta, int, "dimension"),
-        _run_value(meta, float, "grid", "dr"),
-        _run_value(meta, int, "grid", "n"),
-    )
     snapshots = None
-    if meta.get("has_snapshots"):
-        path, n = outdir / "snapshots.csv", len(cols["t"])
+    if has_snapshots:
+        path, n = outdir / "snapshots.csv", len(times)
         table = read_csv_columns(path)
         if list(table) != ["r"] + [f"u{k}" for k in range(n)]:
             raise ValueError(f"{path}: header is not r,u0..u{n - 1} for the {n} rows of trajectory.csv")
@@ -446,30 +517,21 @@ def load_run(outdir: Path):
         snapshots = np.array(list(table.values())).reshape(n, len(r))
     traj = solver.TrajectoryRecord(
         grid=grid,
-        epsilon=_run_value(meta, float, "epsilon"),
-        scale=_run_value(meta, float, "scale"),
-        kernel_name=meta["kernel"],
+        epsilon=epsilon,
+        scale=scale,
+        kernel_name=kernel_name,
         times=times,
         mass=cols["mass"],
         truncated_moment=cols["truncated_moment"],
         concentration=cols["concentration"],
         outflow_cumulative=cols["outflow_cumulative"],
-        lp=lp,
-        h1=cols.get("h1"),
+        lp={p: cols[name] for name, p in _LP_COLUMNS.items()},
+        h1=cols["h1"] if grid.dimension == 1 else None,
         snapshots=snapshots,
-        clipped_cells=_run_value(meta, int, "clipped_cells"),
-        full_grid_solves=_run_value(meta, int, "full_grid_solves"),
+        clipped_cells=clipped_cells,
+        full_grid_solves=full_grid_solves,
     )
-    constants = None
-    if meta.get("constants") is not None:
-        try:
-            constants = analysis.ConcentrationConstants(**meta["constants"])
-        except TypeError as exc:
-            raise ValueError(f"{outdir / 'run.json'}: constants: {exc}") from None
-    elif traj.kernel_name != "zero":
-        # simulate writes null constants only for the zero kernel.
-        raise ValueError(f"{outdir / 'run.json'}: constants: missing for kernel {traj.kernel_name!r}")
-    return traj, constants, meta
+    return traj, constants
 
 
 def write_verdicts(verdicts, path) -> int:
@@ -595,11 +657,9 @@ def cmd_sweep(args) -> int:
 def cmd_check(args) -> int:
     outdir = Path(args.traj)
     try:
-        traj, constants, _ = load_run(outdir)
+        traj, constants = load_run(outdir)
     except KeyError as exc:
         raise ValueError(f"{outdir}: run.json or trajectory.csv has no {exc.args[0]!r}") from None
-    except TypeError as exc:
-        raise ValueError(f"{outdir}: run.json has no number at {exc.args[0]!r}") from None
     verdicts = analysis.run_verdicts(traj, constants)
     if traj.snapshots is not None and constants is not None:
         try:

@@ -1,8 +1,10 @@
 import argparse
+import dataclasses
 import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -157,7 +159,7 @@ def test_trajectory_round_trip_exact(tmp_path):
     config = _write(tmp_path, TINY_SIMULATE)
     out = tmp_path / "run"
     assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
-    traj, constants, meta = cli.load_run(out)
+    traj, constants = cli.load_run(out)
     cols = cli.read_csv_columns(out / "trajectory.csv")
     assert np.array_equal(cols["t"], traj.times)
     # re-serialising the loaded record reproduces the file byte-for-byte
@@ -228,7 +230,8 @@ def test_check_of_a_run_json_with_a_null_number_exits_2(tmp_path, capsys, key):
     (out / "run.json").write_text(json.dumps(meta))
     capsys.readouterr()
     assert cli.main(["check", "--traj", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {out}: run.json has no number at {key!r}\n"
+    requirement = "an integer >= 3" if key == "grid.n" else "a positive number"
+    assert capsys.readouterr().err == f"error: {out / 'run.json'}: {key} must be {requirement}\n"
 
 
 def test_check_fails_the_moment_inequality_on_nan_samples(tmp_path, capsys):
@@ -262,6 +265,132 @@ def test_check_of_a_run_json_with_an_unknown_constant_exits_2(tmp_path, capsys):
     assert "'width'" in err and err.count("\n") == 1
 
 
+def _assert_same_bits(a, b, where):
+    """Every field of dataclasses a and b (nested records and dicts too)
+    holds the same type, shape and bytes."""
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b), where
+        for field in dataclasses.fields(a):
+            _assert_same_bits(getattr(a, field.name), getattr(b, field.name), f"{where}.{field.name}")
+    elif isinstance(a, dict):
+        assert list(a) == list(b), where
+        for key in a:
+            _assert_same_bits(a[key], b[key], f"{where}[{key!r}]")
+    elif a is None or b is None:
+        assert a is b, where
+    else:
+        a, b = np.asarray(a), np.asarray(b)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), where
+
+
+@pytest.mark.parametrize("text", [
+    TINY_SIMULATE,
+    TINY_SIMULATE.replace(", store_snapshots: true", ""),
+    TINY_SIMULATE.replace("dimension: 1", "dimension: 2"),
+], ids=["1d", "1d-no-snapshots", "2d"])
+def test_load_run_gives_back_what_emit_run_wrote_bit_for_bit(tmp_path, monkeypatch, text):
+    written = []
+    emit_run = cli.emit_run
+    monkeypatch.setattr(cli, "emit_run", lambda *args: written.append(args) or emit_run(*args))
+    out = tmp_path / "run"
+    # The 2-D run fails boundary_loss (its rim is close); check must say so too.
+    code = cli.main(["simulate", "--config", str(_write(tmp_path, text)), "--out", str(out)])
+    assert code == (1 if "dimension: 2" in text else 0)
+    (traj, constants, _), = written
+    loaded, loaded_constants = cli.load_run(out)
+    _assert_same_bits(loaded, traj, "trajectory")
+    _assert_same_bits(loaded_constants, constants, "constants")
+    verdicts = (out / "verdicts.txt").read_bytes()
+    assert cli.main(["check", "--traj", str(out)]) == code
+    assert (out / "verdicts.txt").read_bytes() == verdicts
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """A directory that ``simulate`` wrote for TINY_SIMULATE."""
+    base = tmp_path_factory.mktemp("tiny")
+    out = base / "run"
+    assert cli.main(["simulate", "--config", str(_write(base, TINY_SIMULATE)), "--out", str(out)]) == 0
+    return out
+
+
+NOT_A_POSITIVE_NUMBER = "must be a positive number"
+NOT_A_FLOAT = 'must be a number, NaN, "inf" or "-inf"'
+RUN_JSON_REFUSALS = [
+    ("epsilon", True, NOT_A_POSITIVE_NUMBER),
+    ("epsilon", -0.2, NOT_A_POSITIVE_NUMBER),
+    ("epsilon", math.nan, NOT_A_POSITIVE_NUMBER),
+    ("scale", "abc", NOT_A_POSITIVE_NUMBER),
+    ("grid.dr", 0.0, NOT_A_POSITIVE_NUMBER),
+    ("t_end", -1.0, "must be a finite number >= 0"),
+    ("dimension", 1.7, "must be an integer from 1 to 3"),
+    ("dimension", True, "must be an integer from 1 to 3"),
+    ("grid.n", 2, "must be an integer >= 3"),
+    ("record_samples", 20.9, "must be an integer >= 1"),
+    ("clipped_cells", True, "must be an integer >= 0"),
+    ("full_grid_solves", -3.5, "must be an integer >= 0"),
+    ("kernel", 5, "must be a string"),
+    ("has_snapshots", "yes", "must be true or false"),
+    ("constants", 5, "must be a mapping"),
+    ("constants.dimension", 4, "must be an integer from 1 to 3"),
+    ("constants.admissible", "no", "must be true or false"),
+    ("constants.horizon", "abc", NOT_A_FLOAT),
+    ("constants.attraction", None, NOT_A_FLOAT),
+    ("constants.scale", True, NOT_A_FLOAT),
+    ("constants.ball_factor", "0.5", NOT_A_FLOAT),
+]
+
+
+@pytest.mark.parametrize(
+    "key, value, requirement", RUN_JSON_REFUSALS, ids=[f"{k}={v!r}" for k, v, _ in RUN_JSON_REFUSALS],
+)
+def test_check_refuses_a_run_json_value_that_parse_config_would(tmp_path, capsys, tiny_run, key, value, requirement):
+    # Each of these passed check (exit 0), failed it (exit 1) or ended in a
+    # traceback when run.json was read by bare int() and float().
+    out = tmp_path / "run"
+    shutil.copytree(tiny_run, out)
+    meta = json.loads((out / "run.json").read_text())
+    *section, name = key.split(".")
+    (meta[section[0]] if section else meta)[name] = value
+    (out / "run.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert cli.main(["check", "--traj", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {out / 'run.json'}: {key} {requirement}\n"
+
+
+def test_check_of_a_run_json_whose_grid_is_no_mapping_exits_2(tmp_path, capsys, tiny_run):
+    out = tmp_path / "run"
+    shutil.copytree(tiny_run, out)
+    meta = json.loads((out / "run.json").read_text())
+    meta["grid"] = 5
+    (out / "run.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert cli.main(["check", "--traj", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {out}: run.json or trajectory.csv has no 'grid.dr'\n"
+
+
+def test_check_of_a_run_json_that_is_no_json_exits_2_naming_it(tmp_path, capsys, tiny_run):
+    out = tmp_path / "run"
+    shutil.copytree(tiny_run, out)
+    (out / "run.json").write_text("{")
+    capsys.readouterr()
+    assert cli.main(["check", "--traj", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {out / 'run.json'}: not valid JSON: "
+        "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n"
+    )
+
+
+def test_jsonable_writes_an_infinite_float_with_its_sign():
+    # A FAIL verdict's margin of -inf written as "inf" would read as a pass.
+    failing = analysis.Verdict.bound("x", math.inf, 1.0, "d")
+    assert failing.margin == -math.inf and not failing.passed
+    assert cli._jsonable(dataclasses.asdict(failing))["margin"] == "-inf"
+    assert cli._jsonable([np.float64(math.inf), np.float64(-math.inf), 1.5]) == ["inf", "-inf", 1.5]
+
+
 @pytest.mark.parametrize("null", [True, False], ids=["null", "deleted"])
 def test_check_of_an_attractive_run_without_constants_exits_2(tmp_path, capsys, null):
     # Without constants only mass_conservation and boundary_loss would be
@@ -290,7 +419,8 @@ def test_check_of_a_zero_kernel_run_needs_no_constants(tmp_path):
     assert cli.main(["check", "--traj", str(out)]) == 0
 
 
-def test_check_of_a_series_column_without_an_exponent_exits_2(tmp_path, capsys):
+def test_check_of_a_trajectory_without_its_lp2_column_exits_2(tmp_path, capsys):
+    # load_run reads the series by the names write_trajectory_csv gives them.
     config = _write(tmp_path, TINY_SIMULATE)
     out = tmp_path / "run"
     assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
@@ -298,7 +428,7 @@ def test_check_of_a_series_column_without_an_exponent_exits_2(tmp_path, capsys):
     (out / "trajectory.csv").write_text(text.replace(",lp2,", ",lpx,", 1))
     capsys.readouterr()
     assert cli.main(["check", "--traj", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {out / 'trajectory.csv'}: column 'lpx' names no exponent\n"
+    assert capsys.readouterr().err == f"error: {out}: run.json or trajectory.csv has no 'lp2'\n"
 
 
 def _drop_last_cell(text):
@@ -386,7 +516,7 @@ def test_load_run_returns_the_snapshots_simulate_computed(tmp_path, monkeypatch)
     config = _write(tmp_path, TINY_SIMULATE)
     out = tmp_path / "run"
     assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
-    traj, _, _ = cli.load_run(out)
+    traj, _ = cli.load_run(out)
     assert traj.snapshots.shape == written[0].snapshots.shape == (len(traj.times), traj.grid.n)
     assert traj.snapshots.tobytes() == written[0].snapshots.tobytes()
 
@@ -403,7 +533,7 @@ def test_check_reports_the_ball_mass_of_a_run_that_stored_every_cell(tmp_path, c
     config = _write(tmp_path, TINY_SIMULATE)
     out = tmp_path / "run"
     assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
-    traj, _, _ = cli.load_run(out)
+    traj, _ = cli.load_run(out)
     assert traj.snapshots.shape == (len(traj.times), traj.grid.n)
     capsys.readouterr()
     assert cli.main(["check", "--traj", str(out)]) == 0
@@ -441,7 +571,7 @@ def test_simulate_to_the_horizon_prints_the_ratio_verdict(tmp_path, capsys):
     config = _write(tmp_path, TINY_SIMULATE)
     out = tmp_path / "run"
     assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
-    traj, constants, _ = cli.load_run(out)
+    traj, constants = cli.load_run(out)
     ratio = analysis.weighted_concentration_integral(traj, constants).ratio
     violations = len(analysis.check_moment_inequality(traj, constants))
     cli.write_verdicts(
