@@ -3,7 +3,7 @@
 Implements the verification harness around the solver:
 
 * explicit constants attached to admissible initial data (attraction
-  floor, moment growth rate, guaranteed level, time horizon, ball factor);
+  floor, moment growth rate, guaranteed level, time horizon);
 * the truncated-moment differential inequality checked pointwise along a
   recorded trajectory;
 * the weighted concentration lower bound over the time horizon;
@@ -74,11 +74,7 @@ class ConcentrationConstants:
 
     ``admissible`` records the smallness condition on the capped first
     moment; ``bound_level`` and ``horizon`` are only meaningful (positive)
-    for admissible data. ``ball_factor`` is the paper's factor that
-    scales the diffusivity into a ball radius, in dimensions 2 and 3. In
-    one dimension it needs the H^1 bound's constant, which the paper does
-    not compute, so it is None. No verdict reads it: the balls that the
-    checks integrate over have radius ``BALL_FACTOR`` * eps.
+    for admissible data.
     """
 
     dimension: int
@@ -92,7 +88,6 @@ class ConcentrationConstants:
     bound_level: float
     horizon: float
     admissible: bool
-    ball_factor: Optional[float] = None
 
 
 def compute_constants(
@@ -104,7 +99,6 @@ def compute_constants(
 
     Requires a kernel that is genuinely attractive below the scale;
     inadmissible data (bound level <= 0) is reported, not raised.
-    ``ball_factor`` is set for admissible data in dimensions 2 and 3 only.
     """
     kappa = min_attraction(kernel, scale)
     if not kappa > 0.0:
@@ -120,9 +114,6 @@ def compute_constants(
         horizon = (scale / rate) * math.log(kappa * m0 * m0 / (2.0 * rate * level))
     else:
         horizon = math.nan
-    ball = None
-    if level > 0.0 and horizon > 0.0 and u0.grid.dimension >= 2:
-        ball = 2.0 * (u0.grid.dimension - 1) * m0 * horizon / (scale * level)
     return ConcentrationConstants(
         dimension=u0.grid.dimension,
         scale=scale,
@@ -135,7 +126,6 @@ def compute_constants(
         bound_level=level,
         horizon=horizon,
         admissible=admissible,
-        ball_factor=ball,
     )
 
 
@@ -653,10 +643,7 @@ def trajectory_verdicts(mass_errors, losses, violations=(), ratios=()) -> list:
     ]
     if len(violations):
         total = sum(violations)
-        # Judged as -total >= 0, so a clean run keeps its margin of -0.
-        verdicts.append(
-            Verdict.bound("moment_inequality", -float(total), 0.0, f"{total} violations", lower=True)
-        )
+        verdicts.append(Verdict.bound("moment_inequality", float(total), 0.0, f"{total} violations"))
     if len(ratios):
         worst = _worst(ratios, np.min)
         detail = f"min integral/threshold ratio {worst:.3f}"

@@ -17,19 +17,15 @@ verdicts of ``analysis.epsilon_sweep``, and ``baseline`` one
 ``heat_norm_p*`` verdict per norm. ``write_verdicts`` writes them and
 returns the exit code: 0 iff every verdict passes; a bad config, input
 file or run directory, a grid too large to allocate, or a run that fails
-exits 2 with one ``error:`` line. ``check`` reads ``run.json`` by the
-readers that ``parse_config`` uses for each kind of value (``_as_int``,
-``_as_positive``, ``_as_bool``), and its constants by their annotated
-types, so a run directory is bad, among other ways, when ``run.json`` is
-not valid JSON, lacks a key, holds a bool, null, a string that is no
-number, a negative or non-finite number where a positive one belongs or
-a fraction where an integer belongs, or holds no constants for a kernel
-other than zero (its verdicts would be partial); when ``trajectory.csv``
-lacks a column that ``write_trajectory_csv`` writes in the run's
-dimension, a table cell is not a number or its ``t`` column is not the
-record times of ``run.json``'s ``t_end`` and ``record_samples``
-(``solver.record_times``); or when ``snapshots.csv`` does not match
-``trajectory.csv`` and the grid. A sweep whose
+exits 2 with one ``error:`` line. ``check`` trusts the writer's bytes,
+not per-key readers: ``simulate`` writes ``run.sha256`` last, in
+``sha256sum`` format, over the files ``load_run`` reads, and ``check``
+exits 2 naming the file when ``run.sha256`` is missing, when a file it
+lists is missing or has another SHA-256, when a line names any other
+file, or when ``snapshots.csv`` is there but not listed. Only then does
+it read the run, as the writer wrote it; a ``run.json`` that cannot be
+read so, or that is not what ``simulate`` writes for the run read back,
+exits 2 naming it. A sweep whose
 ``solver.record_samples`` is below ``analysis.MIN_BALL_SAMPLES`` - 1
 exits 2 before any row runs. A
 config key that the command does not read (``_READERS``), or a grid key
@@ -54,7 +50,6 @@ import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import Optional, get_type_hints
 
 import numpy as np
 import yaml
@@ -168,16 +163,6 @@ def _as_bool(value, name):
     if not isinstance(value, bool):
         raise ConfigError(f"{name} must be true or false")
     return value
-
-
-def _as_float(value, name):
-    """``value`` as a float: a number, NaN included, or the "inf" or "-inf"
-    that ``_jsonable`` writes; not a bool, another string or null."""
-    if isinstance(value, str) and value in ("inf", "-inf"):
-        return float(value)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f'{name} must be a number, NaN, "inf" or "-inf"')
-    return float(value)
 
 
 def _auto_or_positive(value, name):
@@ -338,10 +323,12 @@ def _jsonable(obj):
     return obj
 
 
+def _json_text(payload) -> str:
+    return json.dumps(_jsonable(payload), indent=1, sort_keys=True) + "\n"
+
+
 def _write_json(payload, path):
-    with open(path, "w") as fh:
-        json.dump(_jsonable(payload), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    Path(path).write_text(_json_text(payload))
 
 
 def write_csv(names, rows, path) -> None:
@@ -385,16 +372,21 @@ def write_trajectory_csv(traj: solver.TrajectoryRecord, path) -> None:
     write_csv(list(table), zip(*table.values()), path)
 
 
-def emit_run(traj, constants, outdir: Path) -> None:
-    """Write ``trajectory.csv``, ``run.json`` and, with snapshots,
-    ``snapshots.csv``: the stored cells' centres ``r``, then ``u<k>``,
-    their densities at row k of ``trajectory.csv``, one line per cell.
-    ``run.json`` holds the run's t_end and record count K, its last time
-    and its sample count less one, as ``solver.run`` records K + 1 samples
-    ending at t_end."""
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(traj, outdir / "trajectory.csv")
-    meta = {
+# The files of a run directory that ``load_run`` reads, by name.
+_RUN_FILES = ("run.json", "snapshots.csv", "trajectory.csv")
+DIGEST_NAME = "run.sha256"
+
+
+def _sha256(path) -> str:
+    # Imported here: only emit_run and load_run hash, and sweep loads nothing new.
+    import hashlib
+
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _run_meta(traj, constants) -> dict:
+    """The contents of ``run.json`` for a run and its constants."""
+    return {
         "dimension": traj.grid.dimension,
         "epsilon": traj.epsilon,
         "scale": traj.scale,
@@ -411,126 +403,107 @@ def emit_run(traj, constants, outdir: Path) -> None:
         "constants": asdict(constants) if constants is not None else None,
         "has_snapshots": traj.snapshots is not None,
     }
-    _write_json(meta, outdir / "run.json")
+
+
+def emit_run(traj, constants, outdir: Path) -> None:
+    """Write ``trajectory.csv``, ``run.json`` and, with snapshots,
+    ``snapshots.csv``: the stored cells' centres ``r``, then ``u<k>``,
+    their densities at row k of ``trajectory.csv``, one line per cell.
+    ``run.json`` holds the run's t_end and record count K, its last time
+    and its sample count less one, as ``solver.run`` records K + 1 samples
+    ending at t_end. Last, ``run.sha256`` lists the SHA-256 of each of
+    those files in ``sha256sum`` format, one line per file by name."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    write_trajectory_csv(traj, outdir / "trajectory.csv")
+    _write_json(_run_meta(traj, constants), outdir / "run.json")
     if traj.snapshots is not None:
         cells = traj.grid.r_centers[: traj.snapshots.shape[1]]
         names = ["r"] + [f"u{k}" for k in range(len(traj.snapshots))]
         write_csv(names, np.column_stack([cells, traj.snapshots.T]).tolist(), outdir / "snapshots.csv")
+    listed = [name for name in _RUN_FILES if name != "snapshots.csv" or traj.snapshots is not None]
+    digests = "".join(f"{_sha256(outdir / name)}  {name}\n" for name in listed)
+    (outdir / DIGEST_NAME).write_text(digests)
 
 
-def _run_value(meta, *keys):
-    """run.json's value at the nested ``keys``; KeyError naming them
-    ("grid.dr") if one is missing or a section is no mapping."""
-    value = meta
-    for key in keys:
-        if not isinstance(value, dict) or key not in value:
-            raise KeyError(".".join(keys))
-        value = value[key]
-    return value
-
-
-def _read_constants(values) -> analysis.ConcentrationConstants:
-    """run.json's constants, each field read by its annotated type: the
-    dimension by ``_as_int``, ``admissible`` by ``_as_bool``, and every
-    float by ``_as_float``, except that ``ball_factor`` may be null."""
-    if not isinstance(values, dict):
-        raise ConfigError("constants must be a mapping")
-    types = get_type_hints(analysis.ConcentrationConstants)
-    unknown = [key for key in values if key not in types]
-    if unknown:
-        raise ConfigError(f"constants: unknown field {unknown[0]!r}")
-    read = {}
-    for field, kind in types.items():
-        if field not in values:
-            raise ConfigError(f"constants: missing field {field!r}")
-        value, name = values[field], f"constants.{field}"
-        if kind is int:
-            read[field] = _as_int(value, name, 1, 3)
-        elif kind is bool:
-            read[field] = _as_bool(value, name)
-        elif value is None and kind == Optional[float]:
-            read[field] = None
-        else:
-            read[field] = _as_float(value, name)
-    return analysis.ConcentrationConstants(**read)
+def _verify_digest(outdir: Path) -> None:
+    """ValueError naming the file, unless ``run.sha256`` lists each file of
+    the run that is there, ``run.json`` and ``trajectory.csv`` always, with
+    the SHA-256 it has, and nothing else."""
+    listing = outdir / DIGEST_NAME
+    if not listing.exists():
+        raise ValueError(f"{listing}: missing; simulate writes it last, over the files check reads")
+    listed = {}
+    for k, line in enumerate(listing.read_text().splitlines(), 1):
+        digest, _, name = line.partition("  ")
+        if name not in _RUN_FILES or name in listed:
+            raise ValueError(f"{listing}: line {k} does not list another file of the run: {line!r}")
+        listed[name] = digest
+    for name in _RUN_FILES:
+        path = outdir / name
+        if name not in listed:
+            if name != "snapshots.csv" or path.exists():
+                raise ValueError(f"{path}: not listed in {DIGEST_NAME}")
+        elif not path.exists():
+            raise ValueError(f"{path}: listed in {DIGEST_NAME}, but missing")
+        elif _sha256(path) != listed[name]:
+            raise ValueError(f"{path}: its SHA-256 is not the one {DIGEST_NAME} lists")
 
 
 def load_run(outdir: Path):
     """(trajectory, constants) of an ``emit_run`` directory.
 
-    run.json's numbers are read by ``parse_config``'s readers, its
-    constants by ``_read_constants``, so a value that they refuse raises
-    one error naming run.json and the key, and a missing key KeyError
-    naming it. An unreadable table raises naming its file, and so does a
-    ``trajectory.csv`` whose times are not, bit for bit, the record times
-    of run.json's t_end and record_samples.
+    The files are read only once ``run.sha256`` vouches for each of them
+    (``_verify_digest``), and then as the writer wrote them: plain int and
+    float, "inf" and "-inf" as ``_jsonable`` writes an infinity. A
+    ``run.json`` that cannot be read so, or that is not what ``emit_run``
+    writes for the run read back, raises a ValueError naming it, and so
+    does a table that lacks a column the writer writes.
     """
-    run_json = outdir / "run.json"
-    with open(run_json) as fh:
-        try:
-            meta = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{run_json}: not valid JSON: {exc}") from None
-
-    def read(reader, *keys, **limits):
-        return reader(_run_value(meta, *keys), ".".join(keys), **limits)
-
+    _verify_digest(outdir)
+    run_json, traj_csv = outdir / "run.json", outdir / "trajectory.csv"
+    text = run_json.read_text()
     try:
-        grid = gridmod.RadialGrid(
-            read(_as_int, "dimension", low=1, high=3),
-            read(_as_positive, "grid", "dr"),
-            read(_as_int, "grid", "n", low=3),
-        )
-        t_end = read(_as_positive, "t_end", allow_zero=True)
-        samples = read(_as_int, "record_samples", low=1)
-        kernel_name = _run_value(meta, "kernel")
-        if not isinstance(kernel_name, str):
-            raise ConfigError("kernel must be a string")
-        epsilon, scale = read(_as_positive, "epsilon"), read(_as_positive, "scale")
-        clipped_cells = read(_as_int, "clipped_cells", low=0)
-        full_grid_solves = read(_as_int, "full_grid_solves", low=0)
-        has_snapshots = read(_as_bool, "has_snapshots")
-        constants = meta.get("constants")
+        meta = json.loads(text)
+        grid = gridmod.RadialGrid(int(meta["dimension"]), float(meta["grid"]["dr"]), int(meta["grid"]["n"]))
+        constants = meta["constants"]
         if constants is not None:
-            constants = _read_constants(constants)
-        elif kernel_name != "zero":
-            # simulate writes null constants only for the zero kernel.
-            raise ConfigError(f"constants: missing for kernel {kernel_name!r}")
-    except ConfigError as exc:
-        raise ValueError(f"{run_json}: {exc}") from None
-    cols = read_csv_columns(outdir / "trajectory.csv")
-    times = cols["t"]
-    if not np.array_equal(times, solver.record_times(t_end, samples)):
-        raise ValueError(
-            f"{outdir / 'trajectory.csv'}: column t is not the record times t_end * (k / K), "
-            f"k = 0..K, of run.json's t_end = {t_end!r} and record_samples K = {samples}"
-        )
+            fields = dict(constants)
+            constants = analysis.ConcentrationConstants(**{
+                **{key: float(value) for key, value in fields.items()},
+                "dimension": int(fields["dimension"]),
+                "admissible": bool(fields["admissible"]),
+            })
+        epsilon, scale, kernel_name = float(meta["epsilon"]), float(meta["scale"]), str(meta["kernel"])
+        counts = int(meta["clipped_cells"]), int(meta["full_grid_solves"])
+        has_snapshots = meta["has_snapshots"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{run_json}: not readable as simulate writes it: {exc!r}") from None
+    cols = read_csv_columns(traj_csv)
     snapshots = None
     if has_snapshots:
-        path, n = outdir / "snapshots.csv", len(times)
-        table = read_csv_columns(path)
-        if list(table) != ["r"] + [f"u{k}" for k in range(n)]:
-            raise ValueError(f"{path}: header is not r,u0..u{n - 1} for the {n} rows of trajectory.csv")
-        r = table.pop("r")
-        if not np.array_equal(r, grid.r_centers[: len(r)]):
-            raise ValueError(f"{path}: column r is not a prefix of the grid's cell centres")
-        snapshots = np.array(list(table.values())).reshape(n, len(r))
-    traj = solver.TrajectoryRecord(
-        grid=grid,
-        epsilon=epsilon,
-        scale=scale,
-        kernel_name=kernel_name,
-        times=times,
-        mass=cols["mass"],
-        truncated_moment=cols["truncated_moment"],
-        concentration=cols["concentration"],
-        outflow_cumulative=cols["outflow_cumulative"],
-        lp={p: cols[name] for name, p in _LP_COLUMNS.items()},
-        h1=cols["h1"] if grid.dimension == 1 else None,
-        snapshots=snapshots,
-        clipped_cells=clipped_cells,
-        full_grid_solves=full_grid_solves,
-    )
+        # Column r, the cell centres, comes first; the grid holds them.
+        snapshots = np.array(list(read_csv_columns(outdir / "snapshots.csv").values())[1:])
+    try:
+        traj = solver.TrajectoryRecord(
+            grid=grid,
+            epsilon=epsilon,
+            scale=scale,
+            kernel_name=kernel_name,
+            times=cols["t"],
+            mass=cols["mass"],
+            truncated_moment=cols["truncated_moment"],
+            concentration=cols["concentration"],
+            outflow_cumulative=cols["outflow_cumulative"],
+            lp={p: cols[name] for name, p in _LP_COLUMNS.items()},
+            h1=cols["h1"] if grid.dimension == 1 else None,
+            snapshots=snapshots,
+            clipped_cells=counts[0],
+            full_grid_solves=counts[1],
+        )
+    except KeyError as exc:
+        raise ValueError(f"{traj_csv}: no column {exc}") from None
+    if _json_text(_run_meta(traj, constants)) != text:
+        raise ValueError(f"{run_json}: not what simulate writes for the run read back")
     return traj, constants
 
 
@@ -656,10 +629,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_check(args) -> int:
     outdir = Path(args.traj)
-    try:
-        traj, constants = load_run(outdir)
-    except KeyError as exc:
-        raise ValueError(f"{outdir}: run.json or trajectory.csv has no {exc.args[0]!r}") from None
+    traj, constants = load_run(outdir)
     verdicts = analysis.run_verdicts(traj, constants)
     if traj.snapshots is not None and constants is not None:
         try:

@@ -471,7 +471,10 @@ def _probe(op: HierarchicalDrift, kernel: KernelSpec) -> None:
     """
     grid = op.grid
     count, leaf = op.leaves.shape[:2]
-    rows = np.unique(np.minimum(np.arange(leaf // 2, count * leaf, leaf), grid.n - 1))
+    rows = np.minimum(np.arange(leaf // 2, count * leaf, leaf), grid.n - 1)
+    # The rows do not decrease and only the clipped tail repeats; np.unique
+    # would load numpy.ma (8 ms) for this one call.
+    rows = rows[: np.searchsorted(rows, grid.n - 1) + 1]
     spread = 0.5 + np.modf(np.arange(grid.n) * _GOLDEN)[0]
     masses = grid.cell_volumes * spread
     exact = _entry_sampler(grid, kernel, op.quadrature_order)(rows, slice(None)) @ masses

@@ -280,7 +280,7 @@ def test_11_determinism_byte_identical(tmp_path):
     first = {p: p.read_bytes() for p in files}
     assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
     mismatched = [str(p) for p in files if p.read_bytes() != first[p]]
-    ok = not mismatched and len(files) == 6  # snapshots.csv among them
+    ok = not mismatched and len(files) == 7  # snapshots.csv and run.sha256 among them
     assert _report(
         11, ok, f"{len(files)} output files byte-identical across invocations"
         + (f"; mismatches: {mismatched}" if mismatched else ""),

@@ -80,22 +80,6 @@ def test_constants_refuse_non_attractive_kernel():
         analysis.compute_constants(u0, kernels.zero_kernel(), 1.0)
 
 
-def test_ball_factor_requires_h1_coefficient_in_1d():
-    # The 1-D factor needs the H^1 bound's constant, which the paper does
-    # not compute; no verdict reads the factor (the balls are BALL_FACTOR eps).
-    c = analysis.compute_constants(_u0(), NEG_ABS, 5.0)
-    assert c.admissible and c.horizon > 0.0
-    assert c.ball_factor is None
-
-
-def test_ball_factor_closed_form_2d():
-    u0 = _u0(dim=2)
-    c = analysis.compute_constants(u0, NEG_ABS, 5.0)
-    assert c.ball_factor == pytest.approx(
-        2.0 * c.total_mass * c.horizon / (c.scale * c.bound_level), rel=1e-12
-    )
-
-
 def test_select_scale_returns_admissible_feasible_constants():
     u0 = _u0()
     c = analysis.select_scale(u0, NEG_ABS)
@@ -521,6 +505,19 @@ def test_run_verdicts_fail_the_weighted_bound_of_a_run_one_ulp_short_of_the_hori
         analysis.weighted_concentration_integral(traj, constants)
 
 
+def test_run_verdicts_fail_the_moment_inequality_on_nan_samples():
+    # A clean run passes with a margin of +0, not -0; three NaN
+    # concentration samples are three violations.
+    traj, constants = _quick_traj()
+    clean = next(v for v in analysis.run_verdicts(traj, constants) if v.name == "moment_inequality")
+    assert clean.passed and clean.margin == 0.0 and math.copysign(1.0, clean.margin) == 1.0
+    concentration = traj.concentration.copy()
+    concentration[9:12] = math.nan
+    verdicts = analysis.run_verdicts(replace(traj, concentration=concentration), constants)
+    moment = next(v for v in verdicts if v.name == "moment_inequality")
+    assert not moment.passed and moment.margin == -3.0 and moment.detail == "3 violations"
+
+
 def test_sweep_verdicts_fail_on_non_finite_last_row_ratios():
     rows = _synthetic_rows()
     rows[-1].ball_mass_integral = math.inf
@@ -615,3 +612,49 @@ def test_an_annulus_run_plans_its_grid_from_the_outer_radius():
     traj = analysis.run_case(kernels.zero_kernel(), table, 1, 0.1, 1.0, 0.01, fixed)
     assert table.support_radius == 3.0
     assert traj.grid.r_max >= 30.0
+
+
+class _ScaledDrift:
+    """A drift operator whose velocity is ``factor`` times the true one."""
+
+    def __init__(self, op, factor):
+        self.op, self.factor = op, factor
+
+    def velocity(self, *args):
+        velocity, vmax = self.op.velocity(*args)
+        return self.factor * velocity, abs(self.factor) * vmax
+
+
+def _scale_drift(monkeypatch, factor):
+    build = solver.build_interaction_matrix
+    monkeypatch.setattr(solver, "build_interaction_matrix", lambda g, k: _ScaledDrift(build(g, k), factor))
+
+
+def _scale_diffusion(monkeypatch, factor):
+    diffuse = solver._implicit_diffusion
+    monkeypatch.setattr(solver, "_implicit_diffusion", lambda u, g, eps, dt: diffuse(u, g, factor * eps, dt))
+
+
+# ROADMAP item 16: the stationary state depends on eps/c only, and no
+# verdict sees a drift 25% too strong or a diffusion 20% too weak.
+UNSEEN = pytest.mark.xfail(strict=True, reason="ROADMAP item 16: no verdict sees this defect yet")
+
+
+@pytest.mark.parametrize("inject, factor", [
+    (None, 1.0),
+    (_scale_drift, 0.8),
+    pytest.param(_scale_drift, 1.25, marks=UNSEEN),
+    (_scale_drift, -1.0),
+    pytest.param(_scale_diffusion, 0.8, marks=UNSEEN),
+    (_scale_diffusion, 1.25),
+], ids=["none", "drift*0.8", "drift*1.25", "drift*-1", "eps*0.8", "eps*1.25"])
+def test_a_defect_in_the_step_fails_a_verdict(monkeypatch, inject, factor):
+    # One run of configs/simulate.yaml's data to its horizon, each defect
+    # injected as the defect matrix of ROADMAP item 16 injects it.
+    init = grid.GaussianBump(1.0, 0.25)
+    constants = analysis.reference_constants(NEG_ABS, init, 1)
+    if inject is not None:
+        inject(monkeypatch, factor)
+    traj = analysis.run_case(NEG_ABS, init, 1, 0.05, constants.scale, constants.horizon)
+    passed = [v.passed for v in analysis.run_verdicts(traj, constants)]
+    assert len(passed) == 4 and all(passed) == (inject is None)

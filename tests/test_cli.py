@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -145,9 +146,13 @@ def test_simulate_end_to_end_and_determinism(tmp_path):
     assert code == 0
     names = [
         "manifest.json", "config.resolved", "run.json",
-        "trajectory.csv", "snapshots.csv", "verdicts.txt",
+        "trajectory.csv", "snapshots.csv", "run.sha256", "verdicts.txt",
     ]
     assert sorted(path.name for path in out.iterdir()) == sorted(names)
+    # run.sha256 is in sha256sum's format, sorted by name.
+    listed = [line.split("  ")[1] for line in (out / "run.sha256").read_text().splitlines()]
+    assert listed == ["run.json", "snapshots.csv", "trajectory.csv"]
+    assert subprocess.run(["sha256sum", "--quiet", "-c", "run.sha256"], cwd=out).returncode == 0
     first = {n: (out / n).read_bytes() for n in names}
     code = cli.main(["simulate", "--config", str(config), "--out", str(out)])
     assert code == 0
@@ -180,89 +185,6 @@ def test_empty_trajectory_written_as_header_only(tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("t,mass,")
-
-
-def test_check_reverifies_and_detects_tampering(tmp_path):
-    config = _write(tmp_path, TINY_SIMULATE)
-    out = tmp_path / "run"
-    assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
-    assert cli.main(["check", "--traj", str(out)]) == 0
-    # tamper: inflate one recorded mass -> conservation defect at that row
-    # (a uniform rescaling would cancel out of the relative defect)
-    rows = (out / "trajectory.csv").read_text().splitlines()
-    header = rows[0].split(",")
-    idx = header.index("mass")
-    parts = rows[len(rows) // 2].split(",")
-    parts[idx] = repr(float(parts[idx]) * 1.01)
-    rows[len(rows) // 2] = ",".join(parts)
-    (out / "trajectory.csv").write_text("\n".join(rows) + "\n")
-    assert cli.main(["check", "--traj", str(out)]) == 1
-
-
-@pytest.mark.parametrize("key", ["scale", "constants.horizon", "t_end", "record_samples"])
-def test_check_of_a_run_json_without_a_key_it_reads_exits_2(tmp_path, capsys, key):
-    config = _write(tmp_path, TINY_SIMULATE)
-    out = tmp_path / "run"
-    assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
-    meta = json.loads((out / "run.json").read_text())
-    *section, name = key.split(".")
-    del (meta[section[0]] if section else meta)[name]
-    (out / "run.json").write_text(json.dumps(meta))
-    capsys.readouterr()
-    assert cli.main(["check", "--traj", str(out)]) == 2
-    err = capsys.readouterr().err
-    if section:
-        assert err.startswith(f"error: {out / 'run.json'}: constants: ")
-        assert repr(name) in err and err.count("\n") == 1
-    else:
-        assert err == f"error: {out}: run.json or trajectory.csv has no {key!r}\n"
-
-
-@pytest.mark.parametrize("key", ["grid.dr", "grid.n", "epsilon"])
-def test_check_of_a_run_json_with_a_null_number_exits_2(tmp_path, capsys, key):
-    # Exit 1 is a FAIL verdict; a value check cannot read is an input error.
-    config = _write(tmp_path, TINY_SIMULATE)
-    out = tmp_path / "run"
-    assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
-    meta = json.loads((out / "run.json").read_text())
-    *section, name = key.split(".")
-    (meta[section[0]] if section else meta)[name] = None
-    (out / "run.json").write_text(json.dumps(meta))
-    capsys.readouterr()
-    assert cli.main(["check", "--traj", str(out)]) == 2
-    requirement = "an integer >= 3" if key == "grid.n" else "a positive number"
-    assert capsys.readouterr().err == f"error: {out / 'run.json'}: {key} must be {requirement}\n"
-
-
-def test_check_fails_the_moment_inequality_on_nan_samples(tmp_path, capsys):
-    config = _write(tmp_path, TINY_SIMULATE)
-    out = tmp_path / "run"
-    assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
-    lines = (out / "trajectory.csv").read_text().splitlines()
-    column = lines[0].split(",").index("concentration")
-    for k in (10, 11, 12):
-        cells = lines[k].split(",")
-        cells[column] = "nan"
-        lines[k] = ",".join(cells)
-    (out / "trajectory.csv").write_text("\n".join(lines) + "\n")
-    capsys.readouterr()
-    assert cli.main(["check", "--traj", str(out)]) == 1
-    verdict = next(line for line in capsys.readouterr().out.splitlines() if "moment_inequality" in line)
-    assert verdict.startswith("FAIL") and verdict.endswith("3 violations")
-
-
-def test_check_of_a_run_json_with_an_unknown_constant_exits_2(tmp_path, capsys):
-    config = _write(tmp_path, TINY_SIMULATE)
-    out = tmp_path / "run"
-    assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
-    meta = json.loads((out / "run.json").read_text())
-    meta["constants"]["width"] = 1.0
-    (out / "run.json").write_text(json.dumps(meta))
-    capsys.readouterr()
-    assert cli.main(["check", "--traj", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {out / 'run.json'}: constants: ")
-    assert "'width'" in err and err.count("\n") == 1
 
 
 def _assert_same_bits(a, b, where):
@@ -314,73 +236,142 @@ def tiny_run(tmp_path_factory):
     return out
 
 
-NOT_A_POSITIVE_NUMBER = "must be a positive number"
-NOT_A_FLOAT = 'must be a number, NaN, "inf" or "-inf"'
-RUN_JSON_REFUSALS = [
-    ("epsilon", True, NOT_A_POSITIVE_NUMBER),
-    ("epsilon", -0.2, NOT_A_POSITIVE_NUMBER),
-    ("epsilon", math.nan, NOT_A_POSITIVE_NUMBER),
-    ("scale", "abc", NOT_A_POSITIVE_NUMBER),
-    ("grid.dr", 0.0, NOT_A_POSITIVE_NUMBER),
-    ("t_end", -1.0, "must be a finite number >= 0"),
-    ("dimension", 1.7, "must be an integer from 1 to 3"),
-    ("dimension", True, "must be an integer from 1 to 3"),
-    ("grid.n", 2, "must be an integer >= 3"),
-    ("record_samples", 20.9, "must be an integer >= 1"),
-    ("clipped_cells", True, "must be an integer >= 0"),
-    ("full_grid_solves", -3.5, "must be an integer >= 0"),
-    ("kernel", 5, "must be a string"),
-    ("has_snapshots", "yes", "must be true or false"),
-    ("constants", 5, "must be a mapping"),
-    ("constants.dimension", 4, "must be an integer from 1 to 3"),
-    ("constants.admissible", "no", "must be true or false"),
-    ("constants.horizon", "abc", NOT_A_FLOAT),
-    ("constants.attraction", None, NOT_A_FLOAT),
-    ("constants.scale", True, NOT_A_FLOAT),
-    ("constants.ball_factor", "0.5", NOT_A_FLOAT),
-]
-
-
-@pytest.mark.parametrize(
-    "key, value, requirement", RUN_JSON_REFUSALS, ids=[f"{k}={v!r}" for k, v, _ in RUN_JSON_REFUSALS],
-)
-def test_check_refuses_a_run_json_value_that_parse_config_would(tmp_path, capsys, tiny_run, key, value, requirement):
-    # Each of these passed check (exit 0), failed it (exit 1) or ended in a
-    # traceback when run.json was read by bare int() and float().
+def _copy_run(tmp_path, tiny_run):
     out = tmp_path / "run"
     shutil.copytree(tiny_run, out)
-    meta = json.loads((out / "run.json").read_text())
-    *section, name = key.split(".")
-    (meta[section[0]] if section else meta)[name] = value
-    (out / "run.json").write_text(json.dumps(meta))
+    return out
+
+
+def _check_refuses(capsys, out, name):
+    """``check`` of ``out`` exits 2 with no verdict and one error line naming its file ``name``."""
     capsys.readouterr()
     assert cli.main(["check", "--traj", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {out / 'run.json'}: {key} {requirement}\n"
+    assert captured.err.startswith(f"error: {out / name}: ") and captured.err.count("\n") == 1
+
+
+def _reseal(out):
+    """Recompute run.sha256 over the files it lists."""
+    listing = out / cli.DIGEST_NAME
+    names = [line.split("  ", 1)[1] for line in listing.read_text().splitlines()]
+    listing.write_text("".join(f"{hashlib.sha256((out / n).read_bytes()).hexdigest()}  {n}\n" for n in names))
+
+
+def _flip_a_byte(path):
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 1
+    path.write_bytes(bytes(data))
+
+
+def _unlist_snapshots(path):
+    path.write_text("".join(line for line in path.read_text().splitlines(True) if "snapshots" not in line))
+
+
+RUN_FILES = ["run.json", "trajectory.csv", "snapshots.csv"]
+DIGEST_REFUSALS = {
+    **{f"flip-{name}": (name, _flip_a_byte) for name in RUN_FILES},
+    **{f"delete-{name}": (name, Path.unlink) for name in RUN_FILES + ["run.sha256"]},
+    "add-a-line": ("run.sha256", lambda path: path.write_text(path.read_text() + f"{'0' * 64}  verdicts.txt\n")),
+    "unlist-snapshots.csv": ("snapshots.csv", lambda path: _unlist_snapshots(path.parent / "run.sha256")),
+}
+
+
+@pytest.mark.parametrize("name, tamper", DIGEST_REFUSALS.values(), ids=DIGEST_REFUSALS.keys())
+def test_check_refuses_a_run_that_run_sha256_does_not_vouch_for(tmp_path, capsys, tiny_run, name, tamper):
+    out = _copy_run(tmp_path, tiny_run)
+    tamper(out / name)
+    _check_refuses(capsys, out, name)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("epsilon", True), ("epsilon", "0.2"), ("grid", 5), ("constants", 5), ("scale", None),
+])
+def test_check_refuses_a_run_json_edited_under_a_recomputed_digest(tmp_path, capsys, tiny_run, key, value):
+    # Past the digest, check reads run.json with plain int and float, which
+    # take true as 1 and "0.2" as 0.2: only a run.json that is what the
+    # writer writes for the run read back passes.
+    out = _copy_run(tmp_path, tiny_run)
+    meta = json.loads((out / "run.json").read_text())
+    meta[key] = value
+    cli._write_json(meta, out / "run.json")
+    _reseal(out)
+    _check_refuses(capsys, out, "run.json")
+
+
+def _edit_run_json(tmp_path, tiny_run, edit):
+    """A copy of ``tiny_run`` whose run.json ``edit`` changed, and run.sha256 not."""
+    out = _copy_run(tmp_path, tiny_run)
+    meta = json.loads((out / "run.json").read_text())
+    edit(meta)
+    (out / "run.json").write_text(json.dumps(meta))
+    return out
+
+
+def _edit_table(tmp_path, tiny_run, name, edit):
+    out = _copy_run(tmp_path, tiny_run)
+    (out / name).write_text(edit((out / name).read_text()))
+    return out
+
+
+def _set(key, value):
+    """An edit of run.json that sets the dotted ``key`` to ``value``."""
+    *section, name = key.split(".")
+    return lambda meta: (meta[section[0]] if section else meta).__setitem__(name, value)
+
+
+# The edits that check refused one by one before run.sha256 existed: the
+# digest now refuses each of them, naming the file.
+def test_check_reverifies_and_detects_tampering(tmp_path, capsys, tiny_run):
+    out = _copy_run(tmp_path, tiny_run)
+    assert cli.main(["check", "--traj", str(out)]) == 0
+    # Inflate one recorded mass: a conservation defect that check would judge.
+    rows = (out / "trajectory.csv").read_text().splitlines()
+    idx = rows[0].split(",").index("mass")
+    parts = rows[len(rows) // 2].split(",")
+    parts[idx] = repr(float(parts[idx]) * 1.01)
+    rows[len(rows) // 2] = ",".join(parts)
+    (out / "trajectory.csv").write_text("\n".join(rows) + "\n")
+    _check_refuses(capsys, out, "trajectory.csv")
+
+
+@pytest.mark.parametrize("key", ["scale", "constants.horizon", "t_end", "record_samples"])
+def test_check_of_a_run_json_without_a_key_it_reads_exits_2(tmp_path, capsys, tiny_run, key):
+    *section, name = key.split(".")
+    out = _edit_run_json(tmp_path, tiny_run, lambda meta: (meta[section[0]] if section else meta).pop(name))
+    _check_refuses(capsys, out, "run.json")
+
+
+@pytest.mark.parametrize("key", ["grid.dr", "grid.n", "epsilon"])
+def test_check_of_a_run_json_with_a_null_number_exits_2(tmp_path, capsys, tiny_run, key):
+    _check_refuses(capsys, _edit_run_json(tmp_path, tiny_run, _set(key, None)), "run.json")
+
+
+def test_check_of_a_run_json_with_an_unknown_constant_exits_2(tmp_path, capsys, tiny_run):
+    _check_refuses(capsys, _edit_run_json(tmp_path, tiny_run, _set("constants.width", 1.0)), "run.json")
+
+
+RUN_JSON_REFUSALS = [
+    ("epsilon", True), ("epsilon", -0.2), ("epsilon", math.nan), ("scale", "abc"), ("grid.dr", 0.0),
+    ("t_end", -1.0), ("dimension", 1.7), ("dimension", True), ("grid.n", 2), ("record_samples", 20.9),
+    ("clipped_cells", True), ("full_grid_solves", -3.5), ("kernel", 5), ("has_snapshots", "yes"),
+    ("constants", 5), ("constants.dimension", 4), ("constants.admissible", "no"),
+    ("constants.horizon", "abc"), ("constants.attraction", None), ("constants.scale", True),
+    ("constants.ball_factor", "0.5"),
+]
+
+
+@pytest.mark.parametrize("key, value", RUN_JSON_REFUSALS, ids=[f"{k}={v!r}" for k, v in RUN_JSON_REFUSALS])
+def test_check_refuses_a_run_json_value_that_parse_config_would(tmp_path, capsys, tiny_run, key, value):
+    _check_refuses(capsys, _edit_run_json(tmp_path, tiny_run, _set(key, value)), "run.json")
 
 
 def test_check_of_a_run_json_whose_grid_is_no_mapping_exits_2(tmp_path, capsys, tiny_run):
-    out = tmp_path / "run"
-    shutil.copytree(tiny_run, out)
-    meta = json.loads((out / "run.json").read_text())
-    meta["grid"] = 5
-    (out / "run.json").write_text(json.dumps(meta))
-    capsys.readouterr()
-    assert cli.main(["check", "--traj", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {out}: run.json or trajectory.csv has no 'grid.dr'\n"
+    _check_refuses(capsys, _edit_run_json(tmp_path, tiny_run, _set("grid", 5)), "run.json")
 
 
 def test_check_of_a_run_json_that_is_no_json_exits_2_naming_it(tmp_path, capsys, tiny_run):
-    out = tmp_path / "run"
-    shutil.copytree(tiny_run, out)
-    (out / "run.json").write_text("{")
-    capsys.readouterr()
-    assert cli.main(["check", "--traj", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        f"error: {out / 'run.json'}: not valid JSON: "
-        "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n"
-    )
+    _check_refuses(capsys, _edit_table(tmp_path, tiny_run, "run.json", lambda text: "{"), "run.json")
 
 
 def test_jsonable_writes_an_infinite_float_with_its_sign():
@@ -392,23 +383,9 @@ def test_jsonable_writes_an_infinite_float_with_its_sign():
 
 
 @pytest.mark.parametrize("null", [True, False], ids=["null", "deleted"])
-def test_check_of_an_attractive_run_without_constants_exits_2(tmp_path, capsys, null):
-    # Without constants only mass_conservation and boundary_loss would be
-    # judged, and check would pass on partial data.
-    config = _write(tmp_path, TINY_SIMULATE)
-    out = tmp_path / "run"
-    assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
-    meta = json.loads((out / "run.json").read_text())
-    if null:
-        meta["constants"] = None
-    else:
-        del meta["constants"]
-    (out / "run.json").write_text(json.dumps(meta))
-    capsys.readouterr()
-    assert cli.main(["check", "--traj", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {out / 'run.json'}: constants: missing for kernel 'neg_abs'\n"
+def test_check_of_an_attractive_run_without_constants_exits_2(tmp_path, capsys, tiny_run, null):
+    edit = _set("constants", None) if null else (lambda meta: meta.pop("constants"))
+    _check_refuses(capsys, _edit_run_json(tmp_path, tiny_run, edit), "run.json")
 
 
 def test_check_of_a_zero_kernel_run_needs_no_constants(tmp_path):
@@ -419,16 +396,9 @@ def test_check_of_a_zero_kernel_run_needs_no_constants(tmp_path):
     assert cli.main(["check", "--traj", str(out)]) == 0
 
 
-def test_check_of_a_trajectory_without_its_lp2_column_exits_2(tmp_path, capsys):
-    # load_run reads the series by the names write_trajectory_csv gives them.
-    config = _write(tmp_path, TINY_SIMULATE)
-    out = tmp_path / "run"
-    assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
-    text = (out / "trajectory.csv").read_text()
-    (out / "trajectory.csv").write_text(text.replace(",lp2,", ",lpx,", 1))
-    capsys.readouterr()
-    assert cli.main(["check", "--traj", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {out}: run.json or trajectory.csv has no 'lp2'\n"
+def test_check_of_a_trajectory_without_its_lp2_column_exits_2(tmp_path, capsys, tiny_run):
+    out = _edit_table(tmp_path, tiny_run, "trajectory.csv", lambda text: text.replace(",lp2,", ",lpx,", 1))
+    _check_refuses(capsys, out, "trajectory.csv")
 
 
 def _drop_last_cell(text):
@@ -447,24 +417,16 @@ def _first_cell(text, line, value):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("name, tamper, message", [
-    ("trajectory.csv", lambda text: _first_cell(text, 4, "abc"), "line 4: could not convert string to float: 'abc'"),
-    ("trajectory.csv", lambda text: _add_cell(text, 3), "line 3 has 10 cells, the header 9"),
-    ("snapshots.csv", lambda text: _first_cell(text, 7, "abc"), "line 7: could not convert string to float: 'abc'"),
-    ("snapshots.csv", lambda text: _add_cell(text, 5), "line 5 has 23 cells, the header 22"),
-    ("snapshots.csv", _drop_last_cell, "header is not r,u0..u20 for the 21 rows of trajectory.csv"),
-    ("snapshots.csv", lambda text: _first_cell(text, 2, "0.5"), "column r is not a prefix of the grid's cell centres"),
+@pytest.mark.parametrize("name, tamper", [
+    ("trajectory.csv", lambda text: _first_cell(text, 4, "abc")),
+    ("trajectory.csv", lambda text: _add_cell(text, 3)),
+    ("snapshots.csv", lambda text: _first_cell(text, 7, "abc")),
+    ("snapshots.csv", lambda text: _add_cell(text, 5)),
+    ("snapshots.csv", _drop_last_cell),
+    ("snapshots.csv", lambda text: _first_cell(text, 2, "0.5")),
 ], ids=["traj-cell", "traj-row", "snap-cell", "snap-row", "snap-column", "snap-radius"])
-def test_check_of_a_malformed_table_exits_2_naming_the_file(tmp_path, capsys, name, tamper, message):
-    config = _write(tmp_path, TINY_SIMULATE)
-    out = tmp_path / "run"
-    assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
-    (out / name).write_text(tamper((out / name).read_text()))
-    capsys.readouterr()
-    assert cli.main(["check", "--traj", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {out / name}: {message}\n"
+def test_check_of_a_malformed_table_exits_2_naming_the_file(tmp_path, capsys, tiny_run, name, tamper):
+    _check_refuses(capsys, _edit_table(tmp_path, tiny_run, name, tamper), name)
 
 
 def _nudge_third_time(text):
@@ -478,35 +440,14 @@ def _nudge_third_time(text):
     lambda text: "\n".join(text.splitlines()[:6]) + "\n",
     _nudge_third_time,
 ], ids=["first-5-rows", "one-ulp-late"])
-def test_check_of_a_trajectory_off_its_record_grid_exits_2(tmp_path, capsys, tamper):
-    # This run fails boundary_loss by t_end = 3. Its first 5 rows reach
-    # t = 0.6, past the horizon 0.448, and passed every verdict of check.
-    text = TINY_SIMULATE.replace("t_end: auto", "t_end: 3.0").replace(", store_snapshots: true", "")
-    out = tmp_path / "run"
-    assert cli.main(["simulate", "--config", str(_write(tmp_path, text)), "--out", str(out)]) == 1
-    meta = json.loads((out / "run.json").read_text())
-    assert (meta["t_end"], meta["record_samples"]) == (3.0, 20)
-    path = out / "trajectory.csv"
-    path.write_text(tamper(path.read_text()))
-    capsys.readouterr()
-    assert cli.main(["check", "--traj", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        f"error: {path}: column t is not the record times t_end * (k / K), "
-        "k = 0..K, of run.json's t_end = 3.0 and record_samples K = 20\n"
-    )
+def test_check_of_a_trajectory_off_its_record_grid_exits_2(tmp_path, capsys, tiny_run, tamper):
+    _check_refuses(capsys, _edit_table(tmp_path, tiny_run, "trajectory.csv", tamper), "trajectory.csv")
 
 
-def test_check_of_a_run_without_its_snapshots_exits_2(tmp_path, capsys):
-    config = _write(tmp_path, TINY_SIMULATE)
-    out = tmp_path / "run"
-    assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+def test_check_of_a_run_without_its_snapshots_exits_2(tmp_path, capsys, tiny_run):
+    out = _copy_run(tmp_path, tiny_run)
     (out / "snapshots.csv").unlink()
-    capsys.readouterr()
-    assert cli.main(["check", "--traj", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(out / "snapshots.csv") in err and err.count("\n") == 1
+    _check_refuses(capsys, out, "snapshots.csv")
 
 
 def test_load_run_returns_the_snapshots_simulate_computed(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 """What importing the package does at launch: ``aggdiff/__init__.py`` sets
-the OpenBLAS thread default before any module imports NumPy.
+the OpenBLAS thread default before any module imports NumPy, and the first
+2-D operator build loads no NumPy submodule that a sweep does not need.
 
 Each test runs a fresh interpreter, since this one has NumPy loaded and
 the default already set.
@@ -42,6 +43,12 @@ def test_importing_the_package_loads_no_numpy():
     # The default must be in the environment before OpenBLAS reads it, at
     # NumPy's import: an import added to the package __init__ would load it first.
     assert _fresh("import json, sys, aggdiff; print(json.dumps('numpy' in sys.modules))") is False
+
+
+def test_building_the_shared_2d_operator_loads_no_numpy_ma():
+    # np.unique on the probe rows imported numpy.ma, 8 ms of a 2-D sweep's setup.
+    code = "import json, sys; from aggdiff import drift; drift._index_class(128); print(json.dumps('numpy.ma' in sys.modules))"
+    assert _fresh(code) is False
 
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in Linux's /proc/self/task")

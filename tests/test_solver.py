@@ -716,7 +716,7 @@ import sys
 import numpy as np
 from aggdiff import cli, kernels
 
-cli.main(["simulate", "--config", sys.argv[1], "--out", sys.argv[2]])
+cli.main([sys.argv[3], "--config", sys.argv[1], "--out", sys.argv[2]])
 print('hashlib' in sys.modules, '_hashlib' in sys.modules)
 kernels.tabulated_kernel(np.array([0.5, 1.0]), np.array([-1.0, -1.0])).name()
 print('hashlib' in sys.modules, '_hashlib' in sys.modules)
@@ -733,14 +733,23 @@ grid: {dr: 0.02, r_max: 2.0}
 solver: {record_samples: 5}
 """
 
+TINY_SWEEP = """
+kernel: neg_abs
+epsilon: [0.4, 0.2, 0.1, 0.04]
+initial: {type: gaussian, mass: 1.0, width: 0.25}
+grid: {dr_max: 0.02, dr_divisor: 8}
+solver: {record_samples: 40}
+"""
+
 
 def test_cli_simulate_loads_hashlib_only_to_name_a_tabulated_kernel(tmp_path):
-    # The benchmark runs aggdiff through cli.main; only a tabulated
-    # kernel's name is a digest.
+    # The benchmark runs aggdiff sweep through cli.main; only a tabulated
+    # kernel's name is a digest there. simulate hashes the run it writes.
     config = tmp_path / "config.yaml"
-    config.write_text(TINY_NEG_ABS_1D)
-    lines = _probe(_SIMULATE_PROBE, str(config), str(tmp_path / "run")).splitlines()
-    assert lines[-2:] == ["False False", "True True"]
+    for command, text, loaded in (("sweep", TINY_SWEEP, "False False"), ("simulate", TINY_NEG_ABS_1D, "True True")):
+        config.write_text(text)
+        lines = _probe(_SIMULATE_PROBE, str(config), str(tmp_path / command), command).splitlines()
+        assert lines[-2:] == [loaded, "True True"]
 
 
 def test_run_calls_module_advance_once_per_implicit_solve(monkeypatch):

@@ -92,7 +92,6 @@ UNREAD_FIELDS = {
     # dataclasses.asdict, which reads every field.
     "analysis.ConcentrationConstants.capped_moment": "written by asdict",
     "analysis.ConcentrationConstants.initial_moment": "written by asdict",
-    "analysis.ConcentrationConstants.ball_factor": "written by asdict",
 }
 
 
