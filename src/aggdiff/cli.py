@@ -474,7 +474,7 @@ def load_run(outdir: Path):
                 "admissible": bool(fields["admissible"]),
             })
         epsilon, scale, kernel_name = float(meta["epsilon"]), float(meta["scale"]), str(meta["kernel"])
-        counts = int(meta["clipped_cells"]), int(meta["full_grid_solves"])
+        clipped_cells, full_grid_solves = int(meta["clipped_cells"]), int(meta["full_grid_solves"])
         has_snapshots = meta["has_snapshots"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{run_json}: not readable as simulate writes it: {exc!r}") from None
@@ -497,8 +497,8 @@ def load_run(outdir: Path):
             lp={p: cols[name] for name, p in _LP_COLUMNS.items()},
             h1=cols["h1"] if grid.dimension == 1 else None,
             snapshots=snapshots,
-            clipped_cells=counts[0],
-            full_grid_solves=counts[1],
+            clipped_cells=clipped_cells,
+            full_grid_solves=full_grid_solves,
         )
     except KeyError as exc:
         raise ValueError(f"{traj_csv}: no column {exc}") from None
